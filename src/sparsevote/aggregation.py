@@ -51,20 +51,19 @@ def majority_vote(msgs: list[SparseSignVector], dim: int) -> VoteResult:
     tallies = np.zeros(dim, dtype=np.int64)
     for m in msgs:
         tallies[m.indices] += m.signs
-    if msgs:
-        union = np.unique(np.concatenate([m.indices for m in msgs]))
-    else:
-        union = np.empty(0, dtype=np.int64)
+    union = np.flatnonzero(participation_count([m.indices for m in msgs], dim))
     ternary = np.sign(tallies).astype(np.int8)
     return VoteResult(dim, ternary, union, tallies)
 
 
-def participation_count(msgs: list[SparseSignVector], dim: int) -> np.ndarray:
-    """How many messages mention each coordinate (0 outside the union)."""
-    _check_dims(msgs, dim)
+def participation_count(supports: list[np.ndarray], dim: int) -> np.ndarray:
+    """How many of the index sets hold each coordinate (0 outside their union).
+
+    Each support is an array of distinct coordinate indices in [0, dim).
+    """
     counts = np.zeros(dim, dtype=np.int64)
-    for m in msgs:
-        counts[m.indices] += 1
+    for support in supports:
+        counts[support] += 1
     return counts
 
 

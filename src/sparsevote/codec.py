@@ -21,7 +21,7 @@ compare algorithms:
                                             capped at the N-bit dense form
 
 and total_cost_bits composes them into whole-run totals for each algorithm.
-CommLedger records what a run actually spent, round by round.
+CommLedger keeps a round-by-round record of bits and exports it as CSV.
 """
 
 from __future__ import annotations
@@ -47,13 +47,10 @@ __all__ = [
     "total_cost_bits",
     "CommLedger",
     "ALGORITHMS",
-    "SIGN_ALGORITHMS",
     "SPARSE_ALGORITHMS",
 ]
 
 ALGORITHMS = ("VANILLA_SGD", "TOPK_SGD_MEM", "SIGNSGD_MV", "S3GD_MV", "S3GD_MV_RANDK")
-# Algorithms whose update direction comes from a majority vote over signs.
-SIGN_ALGORITHMS = frozenset({"SIGNSGD_MV", "S3GD_MV", "S3GD_MV_RANDK"})
 # Sign algorithms whose uplink messages are sparse (wire-encodable here).
 SPARSE_ALGORITHMS = frozenset({"S3GD_MV", "S3GD_MV_RANDK"})
 

@@ -156,16 +156,18 @@ def rand_k_sign(u: np.ndarray, k: int, rng: np.random.Generator) -> SparseSignVe
 
 def error_feedback_step(
     g_tilde: np.ndarray, e: np.ndarray, eta: float, k: int
-) -> tuple[SparseSignVector, np.ndarray, np.ndarray]:
+) -> tuple[SparseSignVector, np.ndarray, np.ndarray, np.ndarray]:
     """One worker-side compression step with error accumulation.
 
     Forms the corrected gradient g = g_tilde + eta * e, emits the sign
     message on its top-k support, and returns the new memory holding exactly
     the mass that was not selected:
 
-        msg, e_next, g  with  top_k(g) + e_next == g  coordinate-wise.
+        msg, e_next, g, support  with  top_k(g) + e_next == g  coordinate-wise.
 
-    With eta = 0 the memory is ignored and e_next depends on g_tilde alone.
+    support is the full top-k selection; msg omits its exact zeros, which
+    carry no sign.  With eta = 0 the memory is ignored and e_next depends on
+    g_tilde alone.
     """
     g_tilde = np.asarray(g_tilde, dtype=np.float64)
     e = np.asarray(e, dtype=np.float64)
@@ -178,4 +180,4 @@ def error_feedback_step(
     msg = _sign_message(g, support)
     e_next = g.copy()
     e_next[support] = 0.0
-    return msg, e_next, g
+    return msg, e_next, g, support

@@ -11,48 +11,36 @@ the configured algorithm, and the server aggregates:
   S3GD_MV         top-K sign message with error accumulation, majority vote
   S3GD_MV_RANDK   uniform random-K sign message, no memory, majority vote
 
-The update direction feeds a momentum step x <- x - delta * v.  Every round
-is metered by the communication ledger, either with the analytic per-round
-budgets or with the actual encoded wire lengths (cost_mode WIRE, which also
-routes every message through the codec).  Fixing the config and seed fixes
-the whole trajectory bit for bit; workers may be evaluated in parallel
-without changing results because each (worker, round) pair owns its stream.
+Each algorithm is one row of a table: which coordinates a worker selects
+(all, top-K or random-K), whether it keeps an error memory, and whether the
+server takes a majority vote on signs or averages values.  The update
+direction feeds a momentum step x <- x - delta * v.  Every round is charged
+either the analytic per-round budgets or the actual encoded wire lengths
+(cost_mode WIRE, which also routes every sparse sign message through the
+codec).  Fixing the config and seed fixes the whole trajectory bit for bit,
+because each (worker, round) pair owns its random stream.
 """
 
 from __future__ import annotations
 
+import csv
 import json
 import math
+import numbers
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields, replace
 
 import numpy as np
 
 from . import models
 from .aggregation import average_aggregate, majority_vote, participation_count
-from .codec import (
-    ALGORITHMS,
-    SIGN_ALGORITHMS,
-    SPARSE_ALGORITHMS,
-    CommLedger,
-    analytic_round_cost,
-    decode_sparse_sign,
-    encode_sparse_sign,
-)
-from .compression import (
-    SparseSignVector,
-    error_feedback_step,
-    rand_k_sign,
-    top_k_select,
-    top_k_sign,
-)
+from .codec import analytic_round_cost, decode_sparse_sign, encode_sparse_sign
+from .compression import error_feedback_step, rand_k_sign, top_k_sign
 from .rng import derive_rng, worker_rng
 
 __all__ = [
     "ExperimentConfig",
     "RoundMetrics",
-    "MomentumState",
     "SweepRow",
     "SelectionStats",
     "CSV_COLUMNS",
@@ -118,7 +106,6 @@ class ExperimentConfig:
     mu: float = 0.0
     seed: int = 0
     cost_mode: str = "ANALYTIC"
-    parallel: bool = False
     record_selection: bool = True
     model: dict = field(default_factory=lambda: {"kind": "quadratic"})
     data: dict = field(default_factory=dict)
@@ -135,13 +122,6 @@ class ExperimentConfig:
     def from_json(cls, path) -> "ExperimentConfig":
         with open(path) as fh:
             return cls.from_dict(json.load(fh))
-
-
-@dataclass
-class MomentumState:
-    """Velocity buffer for the momentum update, zero at the start of a run."""
-
-    values: np.ndarray
 
 
 @dataclass
@@ -185,10 +165,15 @@ def update_model(
     x: np.ndarray,
     direction: np.ndarray,
     delta: float,
-    momentum: MomentumState | None = None,
+    velocity: np.ndarray | None = None,
     mu: float = 0.0,
-) -> tuple[np.ndarray, MomentumState | None]:
-    """x <- x - delta * v with v = mu * v + direction; plain step when mu = 0."""
+) -> tuple[np.ndarray, np.ndarray | None]:
+    """x <- x - delta * v with v = mu * v + direction; plain step when mu = 0.
+
+    velocity is the v of the previous step, None (read as zero) before the
+    first one.  Returns the new iterate and the new velocity; with mu = 0 the
+    velocity argument is returned unchanged.
+    """
     x = np.asarray(x, dtype=np.float64)
     direction = np.asarray(direction, dtype=np.float64)
     if x.shape != direction.shape:
@@ -198,11 +183,11 @@ def update_model(
     if not 0 <= mu < 1:
         raise ValueError(f"mu must be in [0, 1), got {mu}")
     if mu == 0.0:
-        return x - delta * direction, momentum
-    if momentum is None:
-        momentum = MomentumState(np.zeros_like(x))
-    v = mu * momentum.values + direction
-    return x - delta * v, MomentumState(v)
+        return x - delta * direction, velocity
+    if velocity is None:
+        velocity = np.zeros_like(x)
+    v = mu * velocity + direction
+    return x - delta * v, v
 
 
 # --------------------------------------------------------------------------
@@ -366,9 +351,41 @@ def _build_task(cfg: ExperimentConfig):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
+@dataclass(frozen=True)
+class _Rule:
+    """One algorithm as data.
+
+    selector is the set of coordinates a worker sends: "all", "topk" or
+    "randk".  memory marks error feedback: the worker selects the top-K of
+    g + eta * e and keeps what it did not send as its next e (so memory
+    implies "topk").  server is "vote" for a majority vote on the signs of
+    the sent coordinates, "mean" for the average of their values.
+    """
+
+    selector: str
+    memory: bool
+    server: str
+
+
+_RULES = {
+    "VANILLA_SGD": _Rule("all", memory=False, server="mean"),
+    "TOPK_SGD_MEM": _Rule("topk", memory=True, server="mean"),
+    "SIGNSGD_MV": _Rule("all", memory=False, server="vote"),
+    "S3GD_MV": _Rule("topk", memory=True, server="vote"),
+    "S3GD_MV_RANDK": _Rule("randk", memory=False, server="vote"),
+}
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.algorithm not in ALGORITHMS:
+    if cfg.algorithm not in _RULES:
         raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
+    for name in ("m", "t", "seed"):
+        if not _is_int(getattr(cfg, name)):
+            raise ValueError(f"{name} must be an integer, got {getattr(cfg, name)!r}")
     if cfg.m < 1:
         raise ValueError(f"m must be positive, got {cfg.m}")
     if cfg.t < 1:
@@ -387,10 +404,35 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValueError(f"learning_rate must be a number or 'theory', got {cfg.learning_rate!r}")
     if isinstance(cfg.learning_rate, (int, float)) and cfg.learning_rate <= 0:
         raise ValueError(f"learning_rate must be positive, got {cfg.learning_rate}")
-    if isinstance(cfg.batch_size, str) and cfg.batch_size != "theory":
-        raise ValueError(f"batch_size must be an integer or 'theory', got {cfg.batch_size!r}")
-    if isinstance(cfg.batch_size, int) and cfg.batch_size < 1:
-        raise ValueError(f"batch_size must be positive, got {cfg.batch_size}")
+    if cfg.batch_size != "theory":
+        b = cfg.batch_size
+        if not (_is_int(b) or isinstance(b, float) and b.is_integer()):
+            raise ValueError(f"batch_size must be an integer or 'theory', got {b!r}")
+        if b < 1:
+            raise ValueError(f"batch_size must be positive, got {b}")
+
+
+def _worker_step(rule: _Rule, g: np.ndarray, memory, m: int, eta: float, k: int, rng):
+    """Worker m's upload from its stochastic gradient g: (coordinates sent, upload).
+
+    A vote server receives a SparseSignVector, which leaves out exact zeros
+    because they carry no sign; a mean server receives g with every
+    unselected coordinate zeroed.  Error memory is updated in place in
+    memory[m].
+    """
+    if rule.memory:
+        msg, memory[m], g, support = error_feedback_step(g, memory[m], eta, k)
+    elif rule.selector == "randk":
+        msg = rand_k_sign(g, k, rng)
+    elif rule.server == "mean":
+        return np.arange(g.size), g
+    else:
+        msg = top_k_sign(g, g.size)
+    if rule.server == "vote":
+        return msg.indices, msg
+    upload = np.zeros_like(g)
+    upload[support] = g[support]
+    return support, upload
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
@@ -399,117 +441,71 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
     task = _build_task(cfg)
     dim = task.dim
     k = resolve_k(cfg.gamma, dim)
-    alg = cfg.algorithm
+    rule = _RULES[cfg.algorithm]
+    # Only sparse sign messages have a wire format; the others are always
+    # charged their analytic budget.
+    wire = cfg.cost_mode == "WIRE" and rule.server == "vote" and rule.selector != "all"
 
     if cfg.learning_rate == "theory":
         delta = 1.0 / math.sqrt(cfg.t * task.l1_smoothness())
     elif cfg.learning_rate is None:
-        delta = _DEFAULT_LR_SIGN if alg in SIGN_ALGORITHMS else _DEFAULT_LR_FULL
+        delta = _DEFAULT_LR_SIGN if rule.server == "vote" else _DEFAULT_LR_FULL
     else:
         delta = float(cfg.learning_rate)
     batch = cfg.t if cfg.batch_size == "theory" else int(cfg.batch_size)
 
     x = task.init_params()
-    momentum: MomentumState | None = None
-    memory = (
-        [np.zeros(dim) for _ in range(cfg.m)]
-        if alg in ("S3GD_MV", "TOPK_SGD_MEM")
-        else None
-    )
-    ledger = CommLedger(alg)
+    velocity = None
+    memory = np.zeros((cfg.m, dim)) if rule.memory else None
     metrics: list[RoundMetrics] = []
     cumulative = 0.0
-    pool = ThreadPoolExecutor(max_workers=min(cfg.m, 8)) if cfg.parallel else None
+    for t in range(cfg.t):
+        started = time.perf_counter()
+        train_loss = task.train_loss(x)
+        test_metric = task.test_metric(x)
+        gbar_l1 = task.gbar_l1(x)
 
-    def worker_payload(m: int, t: int):
-        rng = worker_rng(cfg.seed, m, t)
-        g_tilde = task.worker_grad(x, m, batch, rng)
-        if alg == "S3GD_MV":
-            return error_feedback_step(g_tilde, memory[m], cfg.eta, k)
-        if alg == "SIGNSGD_MV":
-            return top_k_sign(g_tilde, dim)
-        if alg == "S3GD_MV_RANDK":
-            return rand_k_sign(g_tilde, k, rng)
-        if alg == "TOPK_SGD_MEM":
-            g = g_tilde + cfg.eta * memory[m]
-            support, _ = top_k_select(g, k)
-            e_next = g.copy()
-            e_next[support] = 0.0
-            return support, g[support], e_next
-        return g_tilde
+        supports, uploads = [], []
+        for m in range(cfg.m):
+            rng = worker_rng(cfg.seed, m, t)
+            g = task.worker_grad(x, m, batch, rng)
+            support, upload = _worker_step(rule, g, memory, m, cfg.eta, k, rng)
+            supports.append(support)
+            uploads.append(upload)
 
-    try:
-        for t in range(cfg.t):
-            started = time.perf_counter()
-            train_loss = task.train_loss(x)
-            test_metric = task.test_metric(x)
-            gbar_l1 = task.gbar_l1(x)
+        up, down = analytic_round_cost(cfg.algorithm, cfg.m, dim, k)
+        if rule.server == "mean":
+            direction = average_aggregate(uploads)
+        else:
+            if wire:
+                streams = [encode_sparse_sign(msg) for msg in uploads]
+                uploads = [decode_sparse_sign(s, dim) for s in streams]
+                up = float(sum(s.bit_len for s in streams))
+            vote = majority_vote(uploads, dim)
+            if wire:
+                down = float(cfg.m * encode_sparse_sign(vote.nonzero_message()).bit_len)
+            direction = vote.ternary
+        counts = participation_count(supports, dim) if cfg.record_selection else None
 
-            if pool is not None:
-                payloads = list(pool.map(lambda m: worker_payload(m, t), range(cfg.m)))
-            else:
-                payloads = [worker_payload(m, t) for m in range(cfg.m)]
+        x, velocity = update_model(x, direction, delta, velocity, cfg.mu)
+        if not np.all(np.isfinite(x)):
+            raise FloatingPointError(f"non-finite parameters after round {t}")
 
-            counts = None
-            if alg in SIGN_ALGORITHMS:
-                if alg == "S3GD_MV":
-                    msgs = [p[0] for p in payloads]
-                    for m, p in enumerate(payloads):
-                        memory[m] = p[1]
-                else:
-                    msgs = payloads
-                up, down = analytic_round_cost(alg, cfg.m, dim, k)
-                if cfg.cost_mode == "WIRE" and alg in SPARSE_ALGORITHMS:
-                    streams = [encode_sparse_sign(msg) for msg in msgs]
-                    msgs = [decode_sparse_sign(s, dim) for s in streams]
-                    up = float(sum(s.bit_len for s in streams))
-                vote = majority_vote(msgs, dim)
-                if cfg.cost_mode == "WIRE" and alg in SPARSE_ALGORITHMS:
-                    down = float(cfg.m * encode_sparse_sign(vote.nonzero_message()).bit_len)
-                direction = vote.ternary
-                if cfg.record_selection:
-                    counts = participation_count(msgs, dim)
-            elif alg == "TOPK_SGD_MEM":
-                dense = np.zeros((cfg.m, dim))
-                for m, (support, values, e_next) in enumerate(payloads):
-                    dense[m, support] = values
-                    memory[m] = e_next
-                direction = average_aggregate(list(dense))
-                up, down = analytic_round_cost(alg, cfg.m, dim, k)
-                if cfg.record_selection:
-                    counts = participation_count(
-                        [SparseSignVector(dim, p[0], np.ones(len(p[0]), dtype=np.int8)) for p in payloads],
-                        dim,
-                    )
-            else:
-                direction = average_aggregate(payloads)
-                up, down = analytic_round_cost(alg, cfg.m, dim, k)
-                if cfg.record_selection:
-                    counts = np.full(dim, cfg.m, dtype=np.int64)
-
-            x, momentum = update_model(x, direction, delta, momentum, cfg.mu)
-            if not np.all(np.isfinite(x)):
-                raise FloatingPointError(f"non-finite parameters after round {t}")
-
-            ledger.record(t, up, down)
-            cumulative += up + down
-            metrics.append(
-                RoundMetrics(
-                    round=t,
-                    algorithm=alg,
-                    train_loss=train_loss,
-                    test_metric=test_metric,
-                    gbar_l1=gbar_l1,
-                    uplink_bits=up,
-                    downlink_bits=down,
-                    cumulative_bits=cumulative,
-                    wall_ms=(time.perf_counter() - started) * 1e3,
-                    selection_counts=counts,
-                )
+        cumulative += up + down
+        metrics.append(
+            RoundMetrics(
+                round=t,
+                algorithm=cfg.algorithm,
+                train_loss=train_loss,
+                test_metric=test_metric,
+                gbar_l1=gbar_l1,
+                uplink_bits=up,
+                downlink_bits=down,
+                cumulative_bits=cumulative,
+                wall_ms=(time.perf_counter() - started) * 1e3,
+                selection_counts=counts,
             )
-    finally:
-        if pool is not None:
-            pool.shutdown()
+        )
     return metrics
 
 
@@ -532,7 +528,9 @@ def sweep(
     field_name = axis.lower()
     rows: list[SweepRow] = []
     for value in values:
-        cast = int(value) if axis == "M" else float(value)
+        cast = float(value)
+        if axis == "M" and cast.is_integer():
+            cast = int(cast)  # a non-integral M stays a float and fails validation
         for seed in seeds if seeds is not None else [template.seed]:
             cfg = replace(template, **{field_name: cast, "seed": seed})
             try:
@@ -576,26 +574,26 @@ def selection_histogram(metrics: list[RoundMetrics]) -> SelectionStats:
 # --------------------------------------------------------------------------
 # result serialization
 
-def _records(metrics: list[RoundMetrics]) -> list[dict]:
-    return [{c: getattr(m, c) for c in CSV_COLUMNS} for m in metrics]
+def _write_table(records: list[dict], columns, path, fmt: str) -> None:
+    """Write records as CSV (fixed column order, floats by repr) or JSON."""
+    fmt = fmt.lower()
+    if fmt == "csv":
+        with open(path, "w", newline="") as fh:
+            writer = csv.DictWriter(fh, fieldnames=columns)
+            writer.writeheader()
+            for rec in records:
+                writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in rec.items()})
+    elif fmt == "json":
+        with open(path, "w") as fh:
+            json.dump(records, fh, indent=2)
+    else:
+        raise ValueError(f"unknown format {fmt!r}")
 
 
 def emit_results(metrics: list[RoundMetrics], path, fmt: str = "csv") -> None:
     """Write metrics as CSV (fixed column order) or JSON records."""
-    fmt = fmt.lower()
-    if fmt == "csv":
-        import csv as _csv
-
-        with open(path, "w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=CSV_COLUMNS)
-            writer.writeheader()
-            for rec in _records(metrics):
-                writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in rec.items()})
-    elif fmt == "json":
-        with open(path, "w") as fh:
-            json.dump(_records(metrics), fh, indent=2)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    records = [{c: getattr(m, c) for c in CSV_COLUMNS} for m in metrics]
+    _write_table(records, CSV_COLUMNS, path, fmt)
 
 
 def load_results(path, fmt: str | None = None) -> list[RoundMetrics]:
@@ -607,11 +605,9 @@ def load_results(path, fmt: str | None = None) -> list[RoundMetrics]:
         with open(path) as fh:
             records = json.load(fh)
     elif fmt == "csv":
-        import csv as _csv
-
         with open(path, newline="") as fh:
             records = []
-            for row in _csv.DictReader(fh):
+            for row in csv.DictReader(fh):
                 rec = dict(row)
                 for key in CSV_COLUMNS:
                     if key == "algorithm":
@@ -625,28 +621,5 @@ def load_results(path, fmt: str | None = None) -> list[RoundMetrics]:
 
 def emit_sweep(rows: list[SweepRow], path, fmt: str = "csv") -> None:
     """Write sweep rows as a tidy table."""
-    cols = (
-        "axis",
-        "value",
-        "seed",
-        "final_train_loss",
-        "final_test_metric",
-        "final_gbar_l1",
-        "mean_gbar_l1",
-        "cumulative_bits",
-    )
-    records = [{c: getattr(r, c) for c in cols} for r in rows]
-    fmt = fmt.lower()
-    if fmt == "csv":
-        import csv as _csv
-
-        with open(path, "w", newline="") as fh:
-            writer = _csv.DictWriter(fh, fieldnames=cols)
-            writer.writeheader()
-            for rec in records:
-                writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in rec.items()})
-    elif fmt == "json":
-        with open(path, "w") as fh:
-            json.dump(records, fh, indent=2)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
+    cols = tuple(f.name for f in fields(SweepRow))
+    _write_table([{c: getattr(r, c) for c in cols} for r in rows], cols, path, fmt)

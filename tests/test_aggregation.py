@@ -84,7 +84,7 @@ class TestParticipationCount:
     @settings(max_examples=200, deadline=None)
     def test_matches_recount(self, dim_msgs):
         dim, msgs = dim_msgs
-        counts = participation_count(msgs, dim)
+        counts = participation_count([m.indices for m in msgs], dim)
         oracle = np.zeros(dim, dtype=int)
         for m in msgs:
             for i in m.indices:

@@ -67,6 +67,25 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 1
         assert "unknown config keys" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "override, message",
+        [
+            ({"m": "16"}, "m must be an integer"),
+            ({"t": "5"}, "t must be an integer"),
+            ({"m": True}, "m must be an integer"),
+            ({"seed": 1.5}, "seed must be an integer"),
+            ({"batch_size": 2.5}, "batch_size must be an integer"),
+            ({"batch_size": True}, "batch_size must be an integer"),
+            ({"parallel": True}, "unknown config keys"),
+        ],
+    )
+    def test_mistyped_config_is_one_error_line(self, quad_config, override, message, capsys):
+        quad_config.write_text(json.dumps({**json.loads(quad_config.read_text()), **override}))
+        assert main(["run", "--config", str(quad_config)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert message in err
+
 
 class TestSweep:
     def test_prints_rows(self, quad_config, capsys):
@@ -85,6 +104,17 @@ class TestSweep:
         lines = out_path.read_text().splitlines()
         assert len(lines) == 5
         assert "wrote 4 rows" in capsys.readouterr().out
+
+    def test_non_integral_m_rejected(self, quad_config, capsys):
+        assert main(["sweep", "--config", str(quad_config), "--axis", "m",
+                     "--values", "2.7"]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: axis M value 2.7:") and err.count("\n") == 1
+
+    def test_integral_m_runs(self, quad_config, capsys):
+        assert main(["sweep", "--config", str(quad_config), "--axis", "m",
+                     "--values", "2"]) == 0
+        assert capsys.readouterr().out.startswith("M=2 ")
 
     def test_bad_axis(self, quad_config, capsys):
         assert main(["sweep", "--config", str(quad_config), "--axis", "delta",

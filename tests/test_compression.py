@@ -152,7 +152,7 @@ class TestRandKSign:
 
 class TestErrorFeedbackStep:
     def test_worked_example(self):
-        msg, e_next, g = error_feedback_step(
+        msg, e_next, g, _ = error_feedback_step(
             np.array([2.0, -1.0]), np.array([1.0, 0.0]), 1.0, 1
         )
         assert g.tolist() == [3.0, -1.0]
@@ -161,19 +161,19 @@ class TestErrorFeedbackStep:
 
     def test_eta_zero_ignores_memory(self):
         g_tilde = np.array([2.0, -1.0, 0.5])
-        _, e_a, g_a = error_feedback_step(g_tilde, np.array([5.0, 5.0, 5.0]), 0.0, 1)
-        _, e_b, g_b = error_feedback_step(g_tilde, np.zeros(3), 0.0, 1)
+        _, e_a, g_a, _ = error_feedback_step(g_tilde, np.array([5.0, 5.0, 5.0]), 0.0, 1)
+        _, e_b, g_b, _ = error_feedback_step(g_tilde, np.zeros(3), 0.0, 1)
         assert (g_a == g_tilde).all() and (g_b == g_tilde).all()
         assert (e_a == e_b).all()
 
     def test_k_zero_everything_retained(self):
         g_tilde = np.array([1.0, -2.0])
-        msg, e_next, g = error_feedback_step(g_tilde, np.array([0.5, 0.5]), 1.0, 0)
+        msg, e_next, g, _ = error_feedback_step(g_tilde, np.array([0.5, 0.5]), 1.0, 0)
         assert len(msg) == 0
         assert (e_next == g).all()
 
     def test_k_full_memory_clears(self):
-        _, e_next, _ = error_feedback_step(np.array([1.0, -2.0]), np.array([3.0, 4.0]), 1.0, 2)
+        _, e_next, _, _ = error_feedback_step(np.array([1.0, -2.0]), np.array([3.0, 4.0]), 1.0, 2)
         assert (e_next == 0).all()
 
     @given(
@@ -188,7 +188,7 @@ class TestErrorFeedbackStep:
         g_tilde = np.array(gl[:n], dtype=float)
         e = np.array(el[:n], dtype=float)
         k = min(k, n)
-        msg, e_next, g = error_feedback_step(g_tilde, e, eta, k)
+        msg, e_next, g, _ = error_feedback_step(g_tilde, e, eta, k)
         # selected mass plus retained mass reconstructs g exactly
         selected = g - e_next
         assert (selected + e_next == g).all()
