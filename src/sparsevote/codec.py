@@ -13,6 +13,9 @@ Sign bit 1 encodes +1, 0 encodes -1.  Decoding consumes exactly bit_len
 bits; truncated or overlong streams and any reconstructed index >= N raise
 FormatError.  Encoding is lossless: decode(encode(v), N) == v.
 
+Both directions handle the entries as one (count, Wi + 1) bit matrix, packed
+and unpacked with numpy.  Indices are int64, so N is at most 2**63.
+
 The analytic cost helpers mirror the standard per-round budgets used to
 compare algorithms:
 
@@ -92,93 +95,54 @@ def index_field_width(dim: int) -> int:
     return (dim - 1).bit_length()
 
 
-class _BitWriter:
-    def __init__(self):
-        self._bytes = bytearray()
-        self._acc = 0
-        self._nacc = 0
-        self.bit_len = 0
-
-    def write(self, value: int, width: int) -> None:
-        if width == 0:
-            return
-        if not 0 <= value < (1 << width):
-            raise ValueError(f"value {value} does not fit in {width} bits")
-        self._acc = (self._acc << width) | value
-        self._nacc += width
-        self.bit_len += width
-        while self._nacc >= 8:
-            self._nacc -= 8
-            self._bytes.append((self._acc >> self._nacc) & 0xFF)
-        self._acc &= (1 << self._nacc) - 1
-
-    def getvalue(self) -> Bitstream:
-        data = bytes(self._bytes)
-        if self._nacc:
-            data += bytes([(self._acc << (8 - self._nacc)) & 0xFF])
-        return Bitstream(data, self.bit_len)
+def _widths(dim: int) -> tuple[int, int]:
+    """(Wc, Wi) for dim; decoded indices are int64, which caps dim at 2**63."""
+    if dim > 1 << 63:
+        raise ValueError(f"dim must be at most 2**63, got {dim}")
+    return count_field_width(dim), index_field_width(dim)
 
 
-class _BitReader:
-    def __init__(self, stream: Bitstream):
-        self._data = stream.data
-        self._bit_len = stream.bit_len
-        self.pos = 0
+def _field_bits(values, width: int) -> np.ndarray:
+    """One row of width bits per value, most significant bit first."""
+    octets = np.asarray(values, dtype=">u8").reshape(-1, 1).view(np.uint8)
+    return np.unpackbits(octets, axis=1)[:, 64 - width:]
 
-    def read(self, width: int) -> int:
-        if width == 0:
-            return 0
-        if self.pos + width > self._bit_len:
-            raise FormatError(
-                f"truncated stream: needed {width} bits at offset {self.pos}, "
-                f"have {self._bit_len}"
-            )
-        value = 0
-        for _ in range(width):
-            byte = self._data[self.pos >> 3]
-            bit = (byte >> (7 - (self.pos & 7))) & 1
-            value = (value << 1) | bit
-            self.pos += 1
-        return value
+
+def _field_values(bits: np.ndarray) -> np.ndarray:
+    """Inverse of _field_bits: the uint64 value of each row (last axis) of bits."""
+    return bits @ (np.uint64(1) << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.uint64))
 
 
 def encode_sparse_sign(v: SparseSignVector) -> Bitstream:
     """Serialize a sparse sign message to its wire form."""
-    w = _BitWriter()
-    w.write(len(v), count_field_width(v.dim))
-    wi = index_field_width(v.dim)
-    prev = -1
-    for idx, sgn in zip(v.indices, v.signs):
-        w.write(int(idx) - prev - 1, wi)
-        w.write(1 if sgn > 0 else 0, 1)
-        prev = int(idx)
-    return w.getvalue()
+    wc, wi = _widths(v.dim)
+    gaps = v.indices - np.concatenate(([-1], v.indices[:-1])) - 1
+    entries = np.column_stack([_field_bits(gaps, wi), v.signs > 0])
+    bits = np.concatenate([_field_bits(len(v), wc)[0], entries.ravel()])
+    return Bitstream(np.packbits(bits).tobytes(), bits.size)
 
 
 def decode_sparse_sign(stream: Bitstream, dim: int) -> SparseSignVector:
     """Parse a wire stream back into the message; FormatError if malformed."""
-    r = _BitReader(stream)
-    count = r.read(count_field_width(dim))
+    wc, wi = _widths(dim)
+    bits = np.unpackbits(np.frombuffer(stream.data, dtype=np.uint8), count=stream.bit_len)
+    if bits.size < wc:
+        raise FormatError(f"truncated stream: needed {wc} count bits, have {bits.size}")
+    count = int(_field_values(bits[:wc]))
     if count > dim:
         raise FormatError(f"count field {count} exceeds dim {dim}")
-    wi = index_field_width(dim)
-    indices = np.empty(count, dtype=np.int64)
-    signs = np.empty(count, dtype=np.int8)
-    prev = -1
-    for j in range(count):
-        gap = r.read(wi)
-        sign_bit = r.read(1)
-        idx = prev + 1 + gap
-        if idx >= dim:
-            raise FormatError(f"entry {j}: index {idx} out of range for dim {dim}")
-        indices[j] = idx
-        signs[j] = 1 if sign_bit else -1
-        prev = idx
-    if r.pos != stream.bit_len:
-        raise FormatError(
-            f"overlong stream: {stream.bit_len - r.pos} bits left after {count} entries"
-        )
-    return SparseSignVector(dim, indices, signs)
+    needed = wc + count * (wi + 1)
+    if bits.size != needed:
+        kind = "truncated" if bits.size < needed else "overlong"
+        raise FormatError(f"{kind} stream: {count} entries need {needed} bits, have {bits.size}")
+    entries = bits[wc:].reshape(count, wi + 1)
+    # Exact in uint64 up to the first index at or past dim: that one is at most
+    # (dim - 1) + 2**Wi < 2**64, so the check below cannot miss a wrap.
+    indices = np.cumsum(_field_values(entries[:, :wi]) + 1) - 1
+    bad = np.flatnonzero(indices >= dim)
+    if bad.size:
+        raise FormatError(f"entry {bad[0]}: index {indices[bad[0]]} out of range for dim {dim}")
+    return SparseSignVector(dim, indices.astype(np.int64), entries[:, wi].astype(np.int8) * 2 - 1)
 
 
 def analytic_uplink_bits(dim: int, k: int) -> float:

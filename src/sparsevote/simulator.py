@@ -333,7 +333,13 @@ def _coefficients(spec, n: int, name: str) -> np.ndarray:
         extra = set(spec) - {"log_min", "log_max"}
         if extra:
             raise ValueError(f"unknown {name} keys: {sorted(extra)}")
+        if not (_is_number(spec.get("log_min")) and _is_number(spec.get("log_max"))):
+            raise ValueError(f"{name} needs numeric log_min and log_max, got {spec}")
         return np.logspace(spec["log_min"], spec["log_max"], n)
+    if not all(map(_is_number, spec if isinstance(spec, list) else [spec])):
+        raise ValueError(
+            f"{name} must be a number, a list of numbers or a log_min/log_max object, got {spec!r}"
+        )
     arr = np.asarray(spec, dtype=np.float64)
     if arr.ndim == 0:
         return np.full(n, float(arr))
@@ -380,12 +386,27 @@ def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
+def _is_number(value) -> bool:
+    """A finite int or float, not a bool."""
+    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
+
+
 def _validate(cfg: ExperimentConfig) -> None:
-    if cfg.algorithm not in _RULES:
+    if not isinstance(cfg.algorithm, str) or cfg.algorithm not in _RULES:
         raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
     for name in ("m", "t", "seed"):
         if not _is_int(getattr(cfg, name)):
             raise ValueError(f"{name} must be an integer, got {getattr(cfg, name)!r}")
+    for name in ("gamma", "eta", "mu"):
+        if not _is_number(getattr(cfg, name)):
+            raise ValueError(f"{name} must be a finite number, got {getattr(cfg, name)!r}")
+    if cfg.n is not None and not (_is_int(cfg.n) and cfg.n >= 1):
+        raise ValueError(f"n must be a positive integer or null, got {cfg.n!r}")
+    if not isinstance(cfg.record_selection, bool):
+        raise ValueError(f"record_selection must be true or false, got {cfg.record_selection!r}")
+    for name in ("model", "data"):
+        if not isinstance(getattr(cfg, name), dict):
+            raise ValueError(f"{name} must be a JSON object, got {getattr(cfg, name)!r}")
     if cfg.m < 1:
         raise ValueError(f"m must be positive, got {cfg.m}")
     if cfg.t < 1:
@@ -400,10 +421,9 @@ def _validate(cfg: ExperimentConfig) -> None:
         raise ValueError(f"seed must be non-negative, got {cfg.seed}")
     if cfg.cost_mode not in ("ANALYTIC", "WIRE"):
         raise ValueError(f"cost_mode must be ANALYTIC or WIRE, got {cfg.cost_mode!r}")
-    if isinstance(cfg.learning_rate, str) and cfg.learning_rate != "theory":
-        raise ValueError(f"learning_rate must be a number or 'theory', got {cfg.learning_rate!r}")
-    if isinstance(cfg.learning_rate, (int, float)) and cfg.learning_rate <= 0:
-        raise ValueError(f"learning_rate must be positive, got {cfg.learning_rate}")
+    lr = cfg.learning_rate
+    if not (lr is None or lr == "theory" or _is_number(lr) and lr > 0):
+        raise ValueError(f"learning_rate must be a positive number, 'theory' or null, got {lr!r}")
     if cfg.batch_size != "theory":
         b = cfg.batch_size
         if not (_is_int(b) or isinstance(b, float) and b.is_integer()):

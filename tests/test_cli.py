@@ -77,6 +77,26 @@ class TestRun:
             ({"batch_size": 2.5}, "batch_size must be an integer"),
             ({"batch_size": True}, "batch_size must be an integer"),
             ({"parallel": True}, "unknown config keys"),
+            ({"gamma": "0.5"}, "gamma must be a finite number"),
+            ({"eta": None}, "eta must be a finite number"),
+            ({"eta": float("inf")}, "eta must be a finite number"),
+            ({"mu": "0"}, "mu must be a finite number"),
+            ({"learning_rate": [0.01]}, "learning_rate must be a positive number"),
+            ({"learning_rate": True}, "learning_rate must be a positive number"),
+            ({"n": "64"}, "n must be a positive integer"),
+            ({"n": 64.0}, "n must be a positive integer"),
+            ({"n": True}, "n must be a positive integer"),
+            ({"record_selection": "no"}, "record_selection must be true or false"),
+            ({"model": "quadratic"}, "model must be a JSON object"),
+            ({"data": []}, "data must be a JSON object"),
+            ({"algorithm": ["S3GD_MV"]}, "unknown algorithm"),
+            ({"model": {"kind": "quadratic", "noise_std": "4"}}, "noise_std must be a number"),
+            ({"model": {"kind": "quadratic", "init": True}}, "init must be a number"),
+            ({"model": {"kind": "quadratic", "init": [1, "1"] * 4}}, "init must be a number"),
+            ({"model": {"kind": "quadratic", "lipschitz": {"log_min": 0}}},
+             "lipschitz needs numeric log_min and log_max"),
+            ({"model": {"kind": "quadratic", "lipschitz": {"log_min": "0", "log_max": 1}}},
+             "lipschitz needs numeric log_min and log_max"),
         ],
     )
     def test_mistyped_config_is_one_error_line(self, quad_config, override, message, capsys):

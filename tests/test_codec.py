@@ -1,6 +1,7 @@
 """Wire format roundtrips, malformed-stream handling, and cost accounting."""
 
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -27,6 +28,129 @@ def random_message(rng, dim=None):
     idx = np.sort(rng.choice(dim, size=n_entries, replace=False)).astype(np.int64)
     sgn = rng.choice([-1, 1], size=n_entries).astype(np.int8)
     return SparseSignVector(dim, idx, sgn)
+
+
+# Test-only reference: a bit-at-a-time writer and reader of the same layout.
+# The numpy codec must give the same bytes and reject the same streams.
+
+class _RefBitWriter:
+    def __init__(self):
+        self._bytes = bytearray()
+        self._acc = 0
+        self._nacc = 0
+        self.bit_len = 0
+
+    def write(self, value, width):
+        if width == 0:
+            return
+        assert 0 <= value < (1 << width)
+        self._acc = (self._acc << width) | value
+        self._nacc += width
+        self.bit_len += width
+        while self._nacc >= 8:
+            self._nacc -= 8
+            self._bytes.append((self._acc >> self._nacc) & 0xFF)
+        self._acc &= (1 << self._nacc) - 1
+
+    def getvalue(self):
+        data = bytes(self._bytes)
+        if self._nacc:
+            data += bytes([(self._acc << (8 - self._nacc)) & 0xFF])
+        return Bitstream(data, self.bit_len)
+
+
+class _RefBitReader:
+    def __init__(self, stream):
+        self._data = stream.data
+        self._bit_len = stream.bit_len
+        self.pos = 0
+
+    def read(self, width):
+        if width == 0:
+            return 0
+        if self.pos + width > self._bit_len:
+            raise FormatError(f"truncated stream at offset {self.pos}")
+        value = 0
+        for _ in range(width):
+            bit = (self._data[self.pos >> 3] >> (7 - (self.pos & 7))) & 1
+            value = (value << 1) | bit
+            self.pos += 1
+        return value
+
+
+def ref_encode(v):
+    w = _RefBitWriter()
+    w.write(len(v), count_field_width(v.dim))
+    wi = index_field_width(v.dim)
+    prev = -1
+    for idx, sgn in zip(v.indices, v.signs):
+        w.write(int(idx) - prev - 1, wi)
+        w.write(1 if sgn > 0 else 0, 1)
+        prev = int(idx)
+    return w.getvalue()
+
+
+def ref_decode(stream, dim):
+    r = _RefBitReader(stream)
+    count = r.read(count_field_width(dim))
+    if count > dim:
+        raise FormatError(f"count field {count} exceeds dim {dim}")
+    wi = index_field_width(dim)
+    # Lists, not arrays sized by the count field, so a forged count cannot
+    # make the reference allocate before the stream runs out.
+    indices, signs = [], []
+    prev = -1
+    for j in range(count):
+        gap = r.read(wi)
+        sign_bit = r.read(1)
+        idx = prev + 1 + gap
+        if idx >= dim:
+            raise FormatError(f"entry {j}: index {idx} out of range for dim {dim}")
+        indices.append(idx)
+        signs.append(1 if sign_bit else -1)
+        prev = idx
+    if r.pos != stream.bit_len:
+        raise FormatError("overlong stream")
+    return SparseSignVector(dim, np.array(indices, dtype=np.int64), np.array(signs, dtype=np.int8))
+
+
+def bitstream(bits: str) -> Bitstream:
+    """A stream holding the given '0'/'1' string, zero padded."""
+    value = int(bits or "0", 2) << (-len(bits) % 8)
+    return Bitstream(value.to_bytes((len(bits) + 7) // 8, "big"), len(bits))
+
+
+def decode_outcome(decode, stream, dim):
+    try:
+        v = decode(stream, dim)
+    except FormatError:
+        return "FormatError"
+    return v.dim, v.indices.tolist(), v.signs.tolist()
+
+
+def wide_message(rng):
+    """A short message over a dim up to 2**63, so fields up to 63 bits wide."""
+    dim = int(rng.integers(1, 2**int(rng.integers(1, 64)), endpoint=True, dtype=np.uint64))
+    k = int(rng.integers(0, min(dim, 6) + 1))
+    idx = np.unique(rng.integers(0, dim, size=k, dtype=np.uint64)).astype(np.int64)
+    return SparseSignVector(dim, idx, rng.choice([-1, 1], size=idx.size).astype(np.int8))
+
+
+def mutations(rng, stream, dim):
+    """Variants of a valid stream: bit flips, cuts, extensions and wrong dims."""
+    bits = "".join(f"{b:08b}" for b in stream.data)[: stream.bit_len]
+    for _ in range(3):
+        if bits:
+            flip = rng.choice(len(bits), size=int(rng.integers(1, 4)))
+            out = list(bits)
+            for p in flip:
+                out[p] = "1" if out[p] == "0" else "0"
+            yield bitstream("".join(out)), dim
+            yield bitstream(bits[: int(rng.integers(0, len(bits)))]), dim
+        extra = "".join(rng.choice(["0", "1"], size=int(rng.integers(1, 20))))
+        yield bitstream(bits + extra), dim
+        wrong = rng.integers(1, min(2 * dim + 2, 2**63), endpoint=True, dtype=np.uint64)
+        yield stream, int(wrong)
 
 
 class TestFieldWidths:
@@ -104,6 +228,63 @@ class TestMalformedStreams:
         # dim=5: count field is 3 bits, value 7 > 5
         with pytest.raises(FormatError):
             decode_sparse_sign(Bitstream(bytes([0b1110_0000]), 3), 5)
+
+    def test_huge_count_in_short_stream(self):
+        # A count of 2**50 entries, then nothing: rejected as truncated
+        # before anything is sized by the count.
+        dim = 2**62
+        stream = bitstream(format(2**50, f"0{count_field_width(dim)}b"))
+        with pytest.raises(FormatError, match="truncated"):
+            decode_sparse_sign(stream, dim)
+
+
+class TestAgainstBitLoopReference:
+    def test_encoder_bytes_equal(self):
+        rng = np.random.default_rng(2024)
+        for i in range(3000):
+            v = wide_message(rng) if i % 3 == 0 else random_message(rng, int(rng.integers(1, 300)))
+            got, want = encode_sparse_sign(v), ref_encode(v)
+            assert (got.data, got.bit_len) == (want.data, want.bit_len), v
+
+    def test_decoder_same_outcome_on_random_streams(self):
+        rng = np.random.default_rng(2025)
+        for _ in range(3000):
+            dim = int(rng.integers(1, 70))
+            n_bits = int(rng.integers(0, 120))
+            data = rng.integers(0, 256, size=(n_bits + 7) // 8, dtype=np.uint8).tobytes()
+            stream = Bitstream(data, n_bits)
+            assert decode_outcome(decode_sparse_sign, stream, dim) == decode_outcome(
+                ref_decode, stream, dim)
+
+    def test_decoder_same_outcome_on_mutated_streams(self):
+        rng = np.random.default_rng(2026)
+        outcomes = Counter()
+        for i in range(1500):
+            v = wide_message(rng) if i % 3 == 0 else random_message(rng)
+            for stream, dim in mutations(rng, encode_sparse_sign(v), v.dim):
+                got = decode_outcome(decode_sparse_sign, stream, dim)
+                assert got == decode_outcome(ref_decode, stream, dim), (v, stream, dim)
+                outcomes[got == "FormatError"] += 1
+        # both outcomes are well represented
+        assert min(outcomes.values()) > 1000
+
+    def test_index_past_int64_range_is_format_error(self):
+        # Two gaps of 2**62 put entry 1 at 2**63 + 1: past dim, and past int64.
+        dim = 2**62 + 5
+        gap = format(2**62, f"0{index_field_width(dim)}b")
+        stream = bitstream(format(2, f"0{count_field_width(dim)}b") + (gap + "1") * 2)
+        for decode in (decode_sparse_sign, ref_decode):
+            with pytest.raises(FormatError, match=f"entry 1: index {2**63 + 1} out of range"):
+                decode(stream, dim)
+
+    def test_largest_dim(self):
+        dim = 2**63
+        v = SparseSignVector(dim, np.array([0, 2**62, 2**63 - 1]), np.array([1, -1, 1]))
+        stream, want = encode_sparse_sign(v), ref_encode(v)
+        assert (stream.data, stream.bit_len) == (want.data, want.bit_len)
+        assert decode_sparse_sign(stream, dim) == v
+        with pytest.raises(ValueError, match="at most 2\\*\\*63"):
+            decode_sparse_sign(stream, dim + 1)
 
 
 class TestAnalyticCosts:
