@@ -22,14 +22,17 @@ class VoteResult:
     """Outcome of one majority vote.
 
     ternary is the dense {-1, 0, +1} update direction, tallies the raw
-    per-coordinate sign sums, union_support the sorted indices that received
-    at least one vote.  sgn(tallies) == ternary by construction.
+    per-coordinate sign sums, counts the number of messages holding each
+    coordinate (its participation count), union_support the sorted indices
+    that received at least one vote.  sgn(tallies) == ternary and
+    union_support == flatnonzero(counts) by construction.
     """
 
     dim: int
     ternary: np.ndarray
     union_support: np.ndarray
     tallies: np.ndarray
+    counts: np.ndarray
 
     def nonzero_message(self) -> SparseSignVector:
         """The vote as a sparse sign message (tied coordinates dropped)."""
@@ -51,9 +54,9 @@ def majority_vote(msgs: list[SparseSignVector], dim: int) -> VoteResult:
     tallies = np.zeros(dim, dtype=np.int64)
     for m in msgs:
         tallies[m.indices] += m.signs
-    union = np.flatnonzero(participation_count([m.indices for m in msgs], dim))
+    counts = participation_count([m.indices for m in msgs], dim)
     ternary = np.sign(tallies).astype(np.int8)
-    return VoteResult(dim, ternary, union, tallies)
+    return VoteResult(dim, ternary, np.flatnonzero(counts), tallies, counts)
 
 
 def participation_count(supports: list[np.ndarray], dim: int) -> np.ndarray:

@@ -2,9 +2,18 @@
 
 Magnitude top-K selection with a deterministic tie rule, sign quantization
 of the selected coordinates, uniform random-K selection, and the error
-feedback step that carries unsent mass forward.  Selection is done by
-partial partitioning, not a full sort; ties at the K-th magnitude are broken
-toward lower coordinate indices so results are reproducible.
+feedback step that carries unsent mass forward.
+
+Top-K selection is one exact routine.  It finds the K-th largest magnitude
+with an in-place ``ndarray.partition`` of a copy of |u|, and takes the
+support as ``flatnonzero(|u| >= kth)``, which is already in ascending order,
+so neither an index partition nor a sort is needed.  When ties at the K-th
+magnitude give more than K candidates, the surplus tied entries are dropped
+from the high-index end, so ties go to lower coordinate indices and results
+are reproducible.  The error feedback step runs in place in the worker's
+memory row: it forms g + eta * e there, reads the signs from it and zeroes
+the sent coordinates, so the only (N,) arrays it allocates are |g| and the
+partitioned copy.
 """
 
 from __future__ import annotations
@@ -91,6 +100,30 @@ class ThresholdReport:
     kplus1_mag: float
 
 
+def _top_k_support(mags: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray | None]:
+    """Ascending indices of the k largest entries of mags, ties to lower indices.
+
+    mags holds non-negative magnitudes and 0 <= k <= mags.size.  For 0 < k < N
+    the second value is a copy of mags partitioned about position N - k, so
+    its element N - k is the k-th largest magnitude; it is None for k = 0 or N.
+    """
+    n = mags.size
+    if k == 0:
+        return np.empty(0, dtype=np.int64), None
+    if k == n:
+        return np.arange(n, dtype=np.int64), None
+    part = mags.copy()
+    part.partition(n - k)
+    support = np.flatnonzero(mags >= part[n - k])
+    surplus = support.size - k
+    if surplus < 0:
+        raise ValueError("cannot rank NaN magnitudes")
+    if surplus:
+        tied = np.flatnonzero(mags[support] == part[n - k])
+        support = np.delete(support, tied[-surplus:])
+    return support, part
+
+
 def top_k_select(u: np.ndarray, k: int) -> tuple[np.ndarray, ThresholdReport]:
     """Indices of the k largest-magnitude coordinates of u, plus threshold info.
 
@@ -105,39 +138,34 @@ def top_k_select(u: np.ndarray, k: int) -> tuple[np.ndarray, ThresholdReport]:
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
     mags = np.abs(u)
+    support, part = _top_k_support(mags, k)
     if k == 0:
         top = mags.max() if n else 0.0
-        return np.empty(0, dtype=np.int64), ThresholdReport(math.inf, math.inf, float(top))
+        return support, ThresholdReport(math.inf, math.inf, float(top))
     if k == n:
         kth = float(mags.min())
-        return np.arange(n, dtype=np.int64), ThresholdReport(kth, kth, 0.0)
-
-    part = np.argpartition(mags, n - k)[n - k:]
-    kth = float(mags[part].min())
-    above = np.flatnonzero(mags > kth)
-    short = k - above.size
-    if short:
-        tied = np.flatnonzero(mags == kth)
-        support = np.concatenate([above, tied[:short]])
-        kplus1 = kth if tied.size > short else float(mags[mags < kth].max())
-    else:
-        support = above
-        kplus1 = kth
-    support = np.sort(support).astype(np.int64)
+        return support, ThresholdReport(kth, kth, 0.0)
+    # The partition leaves the N - k smallest magnitudes in front of the
+    # k-th largest, so the (k+1)-th largest is the greatest of them.
+    kth = float(part[n - k])
+    kplus1 = float(part[: n - k].max())
     return support, ThresholdReport((kth + kplus1) / 2.0, kth, kplus1)
 
 
-def _sign_message(u: np.ndarray, support: np.ndarray) -> SparseSignVector:
+def _sign_message(dim: int, support: np.ndarray, values: np.ndarray) -> SparseSignVector:
     # sgn maps to {-1, 0, +1}; exact zeros carry no sign and are dropped.
-    signs = np.sign(u[support]).astype(np.int8)
-    keep = signs != 0
-    return SparseSignVector(u.size, support[keep], signs[keep])
+    signs = np.sign(values).astype(np.int8)
+    if not signs.all():
+        keep = signs != 0
+        support, signs = support[keep], signs[keep]
+    return SparseSignVector(dim, support, signs)
 
 
 def top_k_sign(u: np.ndarray, k: int) -> SparseSignVector:
     """Signs of the k largest-magnitude coordinates of u."""
+    u = np.asarray(u, dtype=np.float64)
     support, _ = top_k_select(u, k)
-    return _sign_message(np.asarray(u, dtype=np.float64), support)
+    return _sign_message(u.size, support, u[support])
 
 
 def rand_k_sign(u: np.ndarray, k: int, rng: np.random.Generator) -> SparseSignVector:
@@ -151,33 +179,39 @@ def rand_k_sign(u: np.ndarray, k: int, rng: np.random.Generator) -> SparseSignVe
     if not 0 <= k <= u.size:
         raise ValueError(f"k must be in [0, {u.size}], got {k}")
     support = np.sort(rng.choice(u.size, size=k, replace=False)).astype(np.int64)
-    return _sign_message(u, support)
+    return _sign_message(u.size, support, u[support])
 
 
 def error_feedback_step(
     g_tilde: np.ndarray, e: np.ndarray, eta: float, k: int
-) -> tuple[SparseSignVector, np.ndarray, np.ndarray, np.ndarray]:
-    """One worker-side compression step with error accumulation.
+) -> tuple[SparseSignVector, np.ndarray, np.ndarray]:
+    """One worker-side compression step with error accumulation, in place in e.
 
-    Forms the corrected gradient g = g_tilde + eta * e, emits the sign
-    message on its top-k support, and returns the new memory holding exactly
-    the mass that was not selected:
+    e is the worker's error memory, a float64 array that the step rewrites:
+    it forms the corrected gradient g = g_tilde + eta * e in e, emits the
+    sign message on the top-k support of g, and zeroes that support, so e
+    ends holding exactly the mass that was not selected:
 
-        msg, e_next, g, support  with  top_k(g) + e_next == g  coordinate-wise.
+        msg, support, sent  with  sent == g[support], e[support] == 0 and
+        e == g elsewhere.
 
     support is the full top-k selection; msg omits its exact zeros, which
-    carry no sign.  With eta = 0 the memory is ignored and e_next depends on
-    g_tilde alone.
+    carry no sign.  With eta = 0 the old memory is ignored and the new one
+    depends on g_tilde alone.
     """
     g_tilde = np.asarray(g_tilde, dtype=np.float64)
-    e = np.asarray(e, dtype=np.float64)
-    if g_tilde.shape != e.shape:
+    if not isinstance(e, np.ndarray) or e.dtype != np.float64:
+        raise ValueError("memory must be a float64 array, it is updated in place")
+    if g_tilde.shape != e.shape or e.ndim != 1:
         raise ValueError(f"shape mismatch: gradient {g_tilde.shape} vs memory {e.shape}")
     if eta < 0:
         raise ValueError(f"eta must be non-negative, got {eta}")
-    g = g_tilde + eta * e
-    support, _ = top_k_select(g, k)
-    msg = _sign_message(g, support)
-    e_next = g.copy()
-    e_next[support] = 0.0
-    return msg, e_next, g, support
+    if not 0 <= k <= e.size:
+        raise ValueError(f"k must be in [0, {e.size}], got {k}")
+    if eta != 1.0:  # x * 1.0 == x exactly, so the product is skipped
+        e *= eta
+    e += g_tilde
+    support, _ = _top_k_support(np.abs(e), k)
+    sent = e[support]
+    e[support] = 0.0
+    return _sign_message(e.size, support, sent), support, sent

@@ -100,12 +100,19 @@ class WorkerShard:
 def quadratic_grad(
     x: np.ndarray, l_diag: np.ndarray, noise_std: float | np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """Stochastic gradient L*x + z with z ~ N(0, noise_std^2) per coordinate."""
+    """Stochastic gradient L*x + z with z ~ N(0, noise_std^2) per coordinate.
+
+    z is drawn as noise_std times a standard normal draw, scaled and shifted
+    in place in the array that is returned.
+    """
     x = np.asarray(x, dtype=np.float64)
     l_diag = np.asarray(l_diag, dtype=np.float64)
     if x.shape != l_diag.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs l_diag {l_diag.shape}")
-    return l_diag * x + rng.normal(0.0, 1.0, x.size) * noise_std
+    g = rng.standard_normal(x.size)
+    g *= noise_std
+    g += l_diag * x
+    return g
 
 
 def quadratic_loss(x: np.ndarray, l_diag: np.ndarray) -> float:

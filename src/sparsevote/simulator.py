@@ -199,6 +199,8 @@ class QuadraticTask:
     def __init__(self, cfg: ExperimentConfig):
         if cfg.n is None or cfg.n < 1:
             raise ValueError("quadratic model needs an explicit positive n")
+        if cfg.data:
+            raise ValueError(f"the quadratic model takes no data, got data keys {sorted(cfg.data)}")
         n = cfg.n
         spec = dict(cfg.model)
         spec.pop("kind")
@@ -212,6 +214,10 @@ class QuadraticTask:
         if np.any(self.noise_std < 0):
             raise ValueError("noise_std must be non-negative")
         self.dim = n
+        # Averaging a size-B minibatch of noisy gradients shrinks the noise
+        # scale by sqrt(B); drawing once at the shrunk scale is equivalent.
+        self._batch = _batch_size(cfg)
+        self._noise_scale = self.noise_std / math.sqrt(self._batch)
 
     def init_params(self) -> np.ndarray:
         return self.x0.copy()
@@ -220,9 +226,9 @@ class QuadraticTask:
         return float(self.l_diag.sum())
 
     def worker_grad(self, x, worker, batch, rng) -> np.ndarray:
-        # Averaging a size-B minibatch of noisy gradients shrinks the noise
-        # scale by sqrt(B); drawing once at the shrunk scale is equivalent.
-        return models.quadratic_grad(x, self.l_diag, self.noise_std / math.sqrt(batch), rng)
+        if batch != self._batch:
+            self._batch, self._noise_scale = batch, self.noise_std / math.sqrt(batch)
+        return models.quadratic_grad(x, self.l_diag, self._noise_scale, rng)
 
     def train_loss(self, x) -> float:
         return models.quadratic_loss(x, self.l_diag)
@@ -245,11 +251,13 @@ class ClassificationTask:
         mode = data.pop("mode", "IID")
         source = data.pop("source", "synthetic")
         if source == "synthetic":
-            n_samples = data.pop("n_samples", 1000)
-            d = data.pop("d", 16)
-            classes = data.pop("num_classes", 10)
-            separation = data.pop("separation", 3.0)
-            test_fraction = data.pop("test_fraction", 0.2)
+            n_samples = _positive_int(data.pop("n_samples", 1000), "n_samples")
+            d = _positive_int(data.pop("d", 16), "d")
+            classes = _positive_int(data.pop("num_classes", 10), "num_classes")
+            separation = _finite(data.pop("separation", 3.0), "separation")
+            test_fraction = _finite(data.pop("test_fraction", 0.2), "test_fraction")
+            if not 0 <= test_fraction < 1:
+                raise ValueError(f"test_fraction must be in [0, 1), got {test_fraction}")
             full = models.synth_classification(
                 n_samples, d, classes, separation, derive_rng(cfg.seed, "data")
             )
@@ -258,8 +266,12 @@ class ClassificationTask:
             self.train = full.subset(np.arange(n_train))
             self.test = full.subset(np.arange(n_train, n_samples))
         elif source == "idx":
-            self.train = models.load_idx_dataset(data.pop("train_images"), data.pop("train_labels"))
-            self.test = models.load_idx_dataset(data.pop("test_images"), data.pop("test_labels"))
+            paths = {key: data.pop(key, None) for key in _IDX_KEYS}
+            for key, path in paths.items():
+                if not isinstance(path, str):
+                    raise ValueError(f"idx data needs {key} as a file path, got {path!r}")
+            self.train = models.load_idx_dataset(paths["train_images"], paths["train_labels"])
+            self.test = models.load_idx_dataset(paths["test_images"], paths["test_labels"])
         else:
             raise ValueError(f"unknown data source {source!r}")
         if data:
@@ -271,12 +283,15 @@ class ClassificationTask:
             self.arch = None
             self.dim = c * (d + 1)
         elif kind == "mlp":
-            hidden = list(spec.pop("hidden", [32]))
+            hidden = spec.pop("hidden", [32])
+            if not (isinstance(hidden, list) and all(_is_int(h) and h >= 1 for h in hidden)):
+                raise ValueError(f"hidden must be a list of positive integers, got {hidden!r}")
             self.arch = [d, *hidden, c]
             self.dim = models.mlp_param_count(self.arch)
         else:
             raise ValueError(f"unknown model kind {kind!r}")
-        self.init_scale = float(spec.pop("init_scale", 0.0 if self.arch is None else 0.5))
+        default_scale = 0.0 if self.arch is None else 0.5
+        self.init_scale = _finite(spec.pop("init_scale", default_scale), "init_scale")
         if spec:
             raise ValueError(f"unknown model keys: {sorted(spec)}")
         if cfg.n is not None and cfg.n != self.dim:
@@ -291,7 +306,9 @@ class ClassificationTask:
             return np.zeros(self.dim)
         rng = derive_rng(self._seed, "init")
         x = rng.normal(0.0, 1.0, self.dim)
-        if self.arch is not None:
+        if self.arch is None:
+            x *= self.init_scale
+        else:
             # Xavier-style scaling per layer keeps tanh units out of saturation.
             pos = 0
             for fan_in, fan_out in zip(self.arch[:-1], self.arch[1:]):
@@ -325,6 +342,21 @@ class ClassificationTask:
         if self.arch is None:
             return models.logistic_accuracy(x, self.test.features, self.test.labels)
         return models.mlp_accuracy(x, self.arch, self.test.features, self.test.labels)
+
+
+_IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
+
+
+def _positive_int(value, name: str) -> int:
+    if not (_is_int(value) and value >= 1):
+        raise ValueError(f"{name} must be a positive integer, got {value!r}")
+    return int(value)
+
+
+def _finite(value, name: str) -> float:
+    if not _is_number(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return float(value)
 
 
 def _coefficients(spec, n: int, name: str) -> np.ndarray:
@@ -432,16 +464,20 @@ def _validate(cfg: ExperimentConfig) -> None:
             raise ValueError(f"batch_size must be positive, got {b}")
 
 
+def _batch_size(cfg: ExperimentConfig) -> int:
+    return cfg.t if cfg.batch_size == "theory" else int(cfg.batch_size)
+
+
 def _worker_step(rule: _Rule, g: np.ndarray, memory, m: int, eta: float, k: int, rng):
     """Worker m's upload from its stochastic gradient g: (coordinates sent, upload).
 
     A vote server receives a SparseSignVector, which leaves out exact zeros
-    because they carry no sign; a mean server receives g with every
-    unselected coordinate zeroed.  Error memory is updated in place in
-    memory[m].
+    because they carry no sign; a mean server receives the corrected
+    gradient with every unselected coordinate zeroed.  Error memory is
+    updated in place in the row memory[m].
     """
     if rule.memory:
-        msg, memory[m], g, support = error_feedback_step(g, memory[m], eta, k)
+        msg, support, sent = error_feedback_step(g, memory[m], eta, k)
     elif rule.selector == "randk":
         msg = rand_k_sign(g, k, rng)
     elif rule.server == "mean":
@@ -451,7 +487,7 @@ def _worker_step(rule: _Rule, g: np.ndarray, memory, m: int, eta: float, k: int,
     if rule.server == "vote":
         return msg.indices, msg
     upload = np.zeros_like(g)
-    upload[support] = g[support]
+    upload[support] = sent
     return support, upload
 
 
@@ -472,7 +508,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
         delta = _DEFAULT_LR_SIGN if rule.server == "vote" else _DEFAULT_LR_FULL
     else:
         delta = float(cfg.learning_rate)
-    batch = cfg.t if cfg.batch_size == "theory" else int(cfg.batch_size)
+    batch = _batch_size(cfg)
 
     x = task.init_params()
     velocity = None
@@ -496,6 +532,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
         up, down = analytic_round_cost(cfg.algorithm, cfg.m, dim, k)
         if rule.server == "mean":
             direction = average_aggregate(uploads)
+            counts = participation_count(supports, dim) if cfg.record_selection else None
         else:
             if wire:
                 streams = [encode_sparse_sign(msg) for msg in uploads]
@@ -505,7 +542,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
             if wire:
                 down = float(cfg.m * encode_sparse_sign(vote.nonzero_message()).bit_len)
             direction = vote.ternary
-        counts = participation_count(supports, dim) if cfg.record_selection else None
+            # The vote counted who sent each coordinate; a sign message holds
+            # exactly the coordinates its worker sent.
+            counts = vote.counts if cfg.record_selection else None
 
         x, velocity = update_model(x, direction, delta, velocity, cfg.mu)
         if not np.all(np.isfinite(x)):

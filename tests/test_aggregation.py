@@ -93,6 +93,14 @@ class TestParticipationCount:
         union = majority_vote(msgs, dim).union_support
         assert set(np.flatnonzero(counts).tolist()) == set(union.tolist())
 
+    @given(message_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_vote_carries_the_counts(self, dim_msgs):
+        dim, msgs = dim_msgs
+        vote = majority_vote(msgs, dim)
+        assert np.array_equal(vote.counts, participation_count([m.indices for m in msgs], dim))
+        assert np.array_equal(vote.union_support, np.flatnonzero(vote.counts))
+
 
 class TestAverageAggregate:
     def test_mean(self):

@@ -24,6 +24,12 @@ def quad_config(tmp_path):
     return path
 
 
+def logistic(model=None, data=None):
+    """Overrides that turn quad_config into a small logistic run."""
+    base = {"n_samples": 60, "d": 3, "num_classes": 3}
+    return {"n": None, "model": model or {"kind": "logistic"}, "data": {**base, **(data or {})}}
+
+
 class TestRun:
     def test_prints_summary(self, quad_config, capsys):
         assert main(["run", "--config", str(quad_config)]) == 0
@@ -97,6 +103,19 @@ class TestRun:
              "lipschitz needs numeric log_min and log_max"),
             ({"model": {"kind": "quadratic", "lipschitz": {"log_min": "0", "log_max": 1}}},
              "lipschitz needs numeric log_min and log_max"),
+            (logistic(data={"n_samples": "60"}), "n_samples must be a positive integer"),
+            (logistic(data={"d": 3.5}), "d must be a positive integer"),
+            (logistic(data={"separation": "4"}), "separation must be a finite number"),
+            (logistic(model={"kind": "mlp", "hidden": "32"}), "hidden must be a list of positive"),
+            (logistic(model={"kind": "logistic", "init_scale": "0.5"}),
+             "init_scale must be a finite number"),
+            (logistic(model={"kind": "logistic", "init_scale": True}),
+             "init_scale must be a finite number"),
+            ({"data": {"n_samples": 5}}, "the quadratic model takes no data"),
+            ({"n": None, "model": {"kind": "logistic"}, "data": {"source": "idx", "train_images": 0}},
+             "idx data needs train_images as a file path"),
+            ({"n": None, "model": {"kind": "logistic"}, "data": {"source": "idx"}},
+             "idx data needs train_images as a file path"),
         ],
     )
     def test_mistyped_config_is_one_error_line(self, quad_config, override, message, capsys):

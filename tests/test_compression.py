@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sparsevote.compression import (
     SparseSignVector,
+    ThresholdReport,
     error_feedback_step,
     rand_k_sign,
     top_k_select,
@@ -102,6 +103,109 @@ class TestTopKSelect:
         assert scaled.tolist() == base.tolist()
 
 
+def ref_top_k_select(u, k):
+    """The argpartition + sort selection that the value partition replaced.
+
+    Test-only reference: top_k_select must return the same support and the
+    same ThresholdReport on every input.
+    """
+    u = np.asarray(u, dtype=np.float64)
+    n = u.size
+    mags = np.abs(u)
+    if k == 0:
+        top = mags.max() if n else 0.0
+        return np.empty(0, dtype=np.int64), ThresholdReport(math.inf, math.inf, float(top))
+    if k == n:
+        kth = float(mags.min())
+        return np.arange(n, dtype=np.int64), ThresholdReport(kth, kth, 0.0)
+    part = np.argpartition(mags, n - k)[n - k:]
+    kth = float(mags[part].min())
+    above = np.flatnonzero(mags > kth)
+    short = k - above.size
+    if short:
+        tied = np.flatnonzero(mags == kth)
+        support = np.concatenate([above, tied[:short]])
+        kplus1 = kth if tied.size > short else float(mags[mags < kth].max())
+    else:
+        support = above
+        kplus1 = kth
+    support = np.sort(support).astype(np.int64)
+    return support, ThresholdReport((kth + kplus1) / 2.0, kth, kplus1)
+
+
+def ref_error_feedback_step(g_tilde, e, eta, k):
+    """The copying error feedback step: (msg, e_next, g, support), e untouched."""
+    g = g_tilde + eta * e
+    support, _ = ref_top_k_select(g, k)
+    signs = np.sign(g[support]).astype(np.int8)
+    msg = SparseSignVector(g.size, support[signs != 0], signs[signs != 0])
+    e_next = g.copy()
+    e_next[support] = 0.0
+    return msg, e_next, g, support
+
+
+@st.composite
+def tie_heavy_vectors(draw):
+    """Vectors built to tie: small integers, one magnitude, +-x pairs, zeros."""
+    n = draw(st.integers(1, 40))
+    kind = draw(st.sampled_from(["small_int", "all_equal", "pairs", "zeros"]))
+    if kind == "small_int":
+        u = draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+    elif kind == "all_equal":
+        x = draw(st.sampled_from([0.0, 0.5, 2.0, 1e300]))
+        u = [x * draw(st.sampled_from([-1, 1])) for _ in range(n)]
+    elif kind == "pairs":
+        xs = draw(st.lists(st.sampled_from([0.25, 1.0, 3.0]), min_size=n, max_size=n))
+        u = draw(st.permutations([v for x in xs for v in (x, -x)]))
+    else:
+        u = draw(st.lists(st.sampled_from([0.0, -0.0, 1.0, -2.0]), min_size=n, max_size=n))
+    return np.array(u, dtype=np.float64)
+
+
+def edge_or_any_k(data, n):
+    """K at an edge (0, 1, N - 1, N) or anywhere in [0, N]."""
+    edges = sorted({0, min(1, n), max(n - 1, 0), n})
+    return data.draw(st.one_of(st.sampled_from(edges), st.integers(0, n)))
+
+
+class TestAgainstArgpartitionReference:
+    @given(tie_heavy_vectors(), st.data())
+    @settings(max_examples=600, deadline=None)
+    def test_same_support_and_report_on_ties(self, u, data):
+        k = edge_or_any_k(data, u.size)
+        support, report = top_k_select(u, k)
+        ref_support, ref_report = ref_top_k_select(u, k)
+        assert support.dtype == ref_support.dtype == np.int64
+        assert support.tolist() == ref_support.tolist()
+        assert report == ref_report
+
+    def test_same_support_and_report_on_random_input(self):
+        rng = np.random.default_rng(11)
+        for _ in range(400):
+            n = int(rng.integers(1, 3000))
+            # rounding to 0-3 decimals makes many magnitudes tie
+            u = np.round(rng.normal(size=n), int(rng.integers(0, 4)))
+            for k in {0, 1, n - 1, n, int(rng.integers(0, n + 1))}:
+                support, report = top_k_select(u, k)
+                ref_support, ref_report = ref_top_k_select(u, k)
+                assert np.array_equal(support, ref_support)
+                assert report == ref_report
+
+    @given(tie_heavy_vectors(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_error_feedback_matches_copying_step(self, g_tilde, data):
+        n = g_tilde.size
+        e = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+        eta = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        k = edge_or_any_k(data, n)
+        ref_msg, ref_e_next, ref_g, ref_support = ref_error_feedback_step(g_tilde, e, eta, k)
+        msg, support, sent = error_feedback_step(g_tilde, e, eta, k)
+        assert msg == ref_msg
+        assert support.tolist() == ref_support.tolist()
+        assert e.tobytes() == ref_e_next.tobytes()
+        assert sent.tobytes() == ref_g[ref_support].tobytes()
+
+
 class TestTopKSign:
     def test_largest_magnitude_wins(self):
         msg = top_k_sign(np.array([3.0, -0.3, -0.03]), 1)
@@ -150,9 +254,22 @@ class TestRandKSign:
         assert len(msg) == 0
 
 
+def feedback(g_tilde, e, eta, k):
+    """error_feedback_step on a float copy of e, as (msg, e_next, g, support).
+
+    g, the corrected gradient, is put back together from what the step
+    returns: the new memory, with the sent values at the support.
+    """
+    e_next = np.array(e, dtype=np.float64)
+    msg, support, sent = error_feedback_step(g_tilde, e_next, eta, k)
+    g = e_next.copy()
+    g[support] = sent
+    return msg, e_next, g, support
+
+
 class TestErrorFeedbackStep:
     def test_worked_example(self):
-        msg, e_next, g, _ = error_feedback_step(
+        msg, e_next, g, _ = feedback(
             np.array([2.0, -1.0]), np.array([1.0, 0.0]), 1.0, 1
         )
         assert g.tolist() == [3.0, -1.0]
@@ -161,19 +278,19 @@ class TestErrorFeedbackStep:
 
     def test_eta_zero_ignores_memory(self):
         g_tilde = np.array([2.0, -1.0, 0.5])
-        _, e_a, g_a, _ = error_feedback_step(g_tilde, np.array([5.0, 5.0, 5.0]), 0.0, 1)
-        _, e_b, g_b, _ = error_feedback_step(g_tilde, np.zeros(3), 0.0, 1)
+        _, e_a, g_a, _ = feedback(g_tilde, np.array([5.0, 5.0, 5.0]), 0.0, 1)
+        _, e_b, g_b, _ = feedback(g_tilde, np.zeros(3), 0.0, 1)
         assert (g_a == g_tilde).all() and (g_b == g_tilde).all()
         assert (e_a == e_b).all()
 
     def test_k_zero_everything_retained(self):
         g_tilde = np.array([1.0, -2.0])
-        msg, e_next, g, _ = error_feedback_step(g_tilde, np.array([0.5, 0.5]), 1.0, 0)
+        msg, e_next, g, _ = feedback(g_tilde, np.array([0.5, 0.5]), 1.0, 0)
         assert len(msg) == 0
         assert (e_next == g).all()
 
     def test_k_full_memory_clears(self):
-        _, e_next, _, _ = error_feedback_step(np.array([1.0, -2.0]), np.array([3.0, 4.0]), 1.0, 2)
+        _, e_next, _, _ = feedback(np.array([1.0, -2.0]), np.array([3.0, 4.0]), 1.0, 2)
         assert (e_next == 0).all()
 
     @given(
@@ -188,7 +305,7 @@ class TestErrorFeedbackStep:
         g_tilde = np.array(gl[:n], dtype=float)
         e = np.array(el[:n], dtype=float)
         k = min(k, n)
-        msg, e_next, g, _ = error_feedback_step(g_tilde, e, eta, k)
+        msg, e_next, g, _ = feedback(g_tilde, e, eta, k)
         # selected mass plus retained mass reconstructs g exactly
         selected = g - e_next
         assert (selected + e_next == g).all()
@@ -199,11 +316,37 @@ class TestErrorFeedbackStep:
 
     def test_shape_mismatch(self):
         with pytest.raises(ValueError):
-            error_feedback_step(np.ones(3), np.ones(2), 1.0, 1)
+            feedback(np.ones(3), np.ones(2), 1.0, 1)
 
     def test_negative_eta(self):
         with pytest.raises(ValueError):
-            error_feedback_step(np.ones(2), np.ones(2), -0.5, 1)
+            feedback(np.ones(2), np.ones(2), -0.5, 1)
+
+    def test_updates_one_memory_row_in_place(self):
+        rng = np.random.default_rng(3)
+        memory = rng.normal(size=(3, 50))
+        before = memory.copy()
+        g_tilde = rng.normal(size=50)
+        msg, support, sent = error_feedback_step(g_tilde, memory[1], 0.5, 7)
+        g = g_tilde + 0.5 * before[1]
+        assert support.tolist() == top_k_select(g, 7)[0].tolist()
+        assert sent.tolist() == g[support].tolist()
+        expected = g.copy()
+        expected[support] = 0.0
+        assert memory[1].tolist() == expected.tolist()
+        assert np.array_equal(memory[[0, 2]], before[[0, 2]])
+        assert msg == top_k_sign(g, 7)
+
+    def test_memory_must_be_a_float64_array(self):
+        for e in ([0.0, 0.0], np.zeros(2, dtype=np.float32), np.zeros(2, dtype=np.int64)):
+            with pytest.raises(ValueError, match="float64"):
+                error_feedback_step(np.ones(2), e, 1.0, 1)
+
+    def test_k_out_of_range_leaves_memory_alone(self):
+        e = np.ones(3)
+        with pytest.raises(ValueError):
+            error_feedback_step(np.ones(3), e, 0.5, 4)
+        assert e.tolist() == [1.0, 1.0, 1.0]
 
 
 class TestSparseSignVector:

@@ -118,6 +118,20 @@ def logistic_noniid(**overrides):
     return ExperimentConfig.from_dict({**base, **overrides})
 
 
+def quadratic_all_tied(**overrides):
+    """Every coordinate has the same magnitude at the start: top-K is all ties."""
+    model = {"kind": "quadratic", "noise_std": 0.0, "init": 0.5, "lipschitz": 2.0}
+    return quadratic(**{"model": model, **overrides})
+
+
+def quadratic_wide_batch(**overrides):
+    """N = 2000, M = 8 and B = 4, so the noise is drawn at scale noise_std / 2."""
+    model = {"kind": "quadratic", "noise_std": 3.0, "init": 1.0,
+             "lipschitz": {"log_min": -1, "log_max": 1}}
+    return quadratic(**{"n": 2000, "m": 8, "t": 6, "gamma": 0.05, "batch_size": 4,
+                        "model": model, **overrides})
+
+
 @pytest.mark.parametrize("make", [quadratic, logistic_noniid])
 @pytest.mark.parametrize(
     "alg, cost_mode, mu",
@@ -125,6 +139,18 @@ def logistic_noniid(**overrides):
 )
 def test_engine_matches_reference_loop(make, alg, cost_mode, mu):
     cfg = make(algorithm=alg, cost_mode=cost_mode, mu=mu)
+    expected = reference_run(cfg)
+    got = engine_run(cfg)
+    assert len(got) == len(expected) == cfg.t
+    for ours, ref in zip(got, expected):
+        assert ours[:-1] == ref[:-1]
+        assert np.array_equal(ours[-1], ref[-1])
+
+
+@pytest.mark.parametrize("make", [quadratic_all_tied, quadratic_wide_batch])
+@pytest.mark.parametrize("alg, cost_mode", list(itertools.product(ALGORITHMS, ("ANALYTIC", "WIRE"))))
+def test_engine_matches_reference_loop_on_ties_and_batches(make, alg, cost_mode):
+    cfg = make(algorithm=alg, cost_mode=cost_mode)
     expected = reference_run(cfg)
     got = engine_run(cfg)
     assert len(got) == len(expected) == cfg.t

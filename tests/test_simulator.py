@@ -7,9 +7,12 @@ import numpy as np
 import pytest
 
 from sparsevote.codec import total_cost_bits
+from sparsevote.models import quadratic_grad
 from sparsevote.simulator import (
     CSV_COLUMNS,
+    ClassificationTask,
     ExperimentConfig,
+    QuadraticTask,
     SelectionStats,
     emit_results,
     emit_sweep,
@@ -421,6 +424,17 @@ class TestConfig:
             run_experiment(cfg)
 
 
+class TestQuadraticTask:
+    @pytest.mark.parametrize("batch_size, batch, scale", [(4, 4, 2.0), (4, 9, 3.0), ("theory", 16, 4.0)])
+    def test_noise_scale_shrinks_with_the_batch(self, batch_size, batch, scale):
+        cfg = quad_cfg(t=16, batch_size=batch_size, model={"kind": "quadratic", "noise_std": 6.0})
+        task = QuadraticTask(cfg)
+        x = np.linspace(-1.0, 1.0, 16)
+        got = task.worker_grad(x, 0, batch, np.random.default_rng(5))
+        expected = quadratic_grad(x, task.l_diag, 6.0 / scale, np.random.default_rng(5))
+        assert got.tobytes() == expected.tobytes()
+
+
 class TestClassificationRuns:
     def test_logistic_improves_accuracy(self):
         cfg = quad_cfg(
@@ -464,6 +478,19 @@ class TestClassificationRuns:
         )
         metrics = run_experiment(cfg)
         assert len(metrics) == 20
+
+    def test_logistic_init_scale_scales_the_init(self):
+        def init(scale):
+            cfg = quad_cfg(
+                n=None,
+                model={"kind": "logistic", "init_scale": scale},
+                data={"n_samples": 60, "d": 3, "num_classes": 3},
+            )
+            return ClassificationTask(cfg).init_params()
+
+        assert np.array_equal(init(0.5), 0.5 * init(1.0))
+        assert np.any(init(1.0) != 0.0)
+        assert not np.any(init(0.0))
 
     def test_n_mismatch_rejected(self):
         cfg = quad_cfg(
