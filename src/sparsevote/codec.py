@@ -1,20 +1,38 @@
 """Bit-exact wire format for sparse sign messages, plus cost accounting.
 
-Wire layout for a message over N coordinates, big-endian within each field:
+Wire layout for a message of K entries over N coordinates, big-endian within
+each field:
 
-    [count : Wc bits] ( [gap : Wi bits] [sign : 1 bit] ) * count
+    [count : Wc bits]
+    ( [gap & (2**b - 1) : b bits] [sign : 1 bit] ) * K
+    ( 1 * (gap >> b), then 0 ) * K
 
-    Wc = ceil(log2(N + 1))      number of entries, 0..N
-    Wi = ceil(log2 N)           per-entry index field (0 bits when N = 1)
+    Wc = ceil(log2(N + 1))                  entry count K, 0..N
+    b  = max(floor(log2((N - K) // K)), 0)  Rice parameter (0 when K = 0)
 
-Indices are strictly increasing and gap coded: the first field holds the
-first index itself, each later field holds (index - previous_index - 1).
-Sign bit 1 encodes +1, 0 encodes -1.  Decoding consumes exactly bit_len
-bits; truncated or overlong streams and any reconstructed index >= N raise
-FormatError.  Encoding is lossless: decode(encode(v), N) == v.
+Indices are strictly increasing and gap coded: the first gap is the first
+index itself, each later gap is (index - previous_index - 1).  Each gap is
+Golomb-Rice coded: its low b bits sit beside its sign bit in one (K, b + 1)
+field matrix, and its quotient gap >> b follows after all K rows, in unary,
+as that many ones and a zero.  Both sides compute b from K and N, so the
+stream carries no parameter.  Sign bit 1 encodes +1, 0 encodes -1.
 
-Both directions handle the entries as one (count, Wi + 1) bit matrix, packed
-and unpacked with numpy.  Indices are int64, so N is at most 2**63.
+A message costs Wc + K*(b + 2) + sum(gap >> b) bits.  The gaps sum to at
+most N - K and 2**(b + 1) > (N - K) / K, so the unary section holds fewer
+than 2K ones, and a message costs at most
+
+    Wc + min(N + K, K * (log2(N / K) + 4)).
+
+When K > N / 3, b = 0 and the unary section is the support bitmap up to the
+last index, with a 0 for each sent coordinate and a 1 for each skipped one,
+so no separate dense form is needed.
+
+Decoding consumes exactly bit_len bits.  Data that is not exactly
+ceil(bit_len / 8) bytes, truncated or overlong streams, quotients summing
+past (N - 1) >> b (so any single quotient above it) and any reconstructed
+index >= N raise FormatError.  Encoding is lossless:
+decode(encode(v), N) == v.  Both directions work on numpy bit arrays.
+Indices are int64, so N is at most 2**63.
 
 The analytic cost helpers mirror the standard per-round budgets used to
 compare algorithms:
@@ -41,7 +59,7 @@ __all__ = [
     "FormatError",
     "Bitstream",
     "count_field_width",
-    "index_field_width",
+    "rice_parameter",
     "encode_sparse_sign",
     "decode_sparse_sign",
     "analytic_uplink_bits",
@@ -59,6 +77,9 @@ SPARSE_ALGORITHMS = frozenset({"S3GD_MV", "S3GD_MV_RANDK"})
 
 FLOAT_BITS = 32
 
+_SIGN_OF_BIT = np.array([-1, 1], dtype=np.int8)
+_BIT_WEIGHTS = np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64)
+
 
 class FormatError(ValueError):
     """Malformed wire stream: truncated, overlong, or invalid field value."""
@@ -66,7 +87,11 @@ class FormatError(ValueError):
 
 @dataclass(frozen=True)
 class Bitstream:
-    """bit_len bits packed MSB-first into bytes (final byte zero padded)."""
+    """bit_len bits packed MSB-first into bytes (final byte zero padded).
+
+    The decoder, not the constructor, checks that data holds exactly
+    (bit_len + 7) // 8 bytes, so a stream that does not is a FormatError.
+    """
 
     data: bytes
     bit_len: int
@@ -74,11 +99,6 @@ class Bitstream:
     def __post_init__(self):
         if self.bit_len < 0:
             raise ValueError(f"bit_len must be non-negative, got {self.bit_len}")
-        if len(self.data) != (self.bit_len + 7) // 8:
-            raise ValueError(
-                f"data holds {len(self.data)} bytes but bit_len {self.bit_len} "
-                f"needs {(self.bit_len + 7) // 8}"
-            )
 
 
 def count_field_width(dim: int) -> int:
@@ -88,61 +108,89 @@ def count_field_width(dim: int) -> int:
     return dim.bit_length()
 
 
-def index_field_width(dim: int) -> int:
-    """Bits needed for an index or gap in [0, dim - 1] (0 when dim == 1)."""
+def rice_parameter(count: int, dim: int) -> int:
+    """Low-bit width b of each Rice-coded gap: floor(log2((dim - count) // count)), at least 0."""
     if dim < 1:
         raise ValueError(f"dim must be positive, got {dim}")
-    return (dim - 1).bit_length()
+    if not 0 <= count <= dim:
+        raise ValueError(f"count must be in [0, {dim}], got {count}")
+    return max(((dim - count) // count).bit_length() - 1, 0) if count else 0
 
 
-def _widths(dim: int) -> tuple[int, int]:
-    """(Wc, Wi) for dim; decoded indices are int64, which caps dim at 2**63."""
+def _check_dim(dim: int) -> None:
+    """Decoded indices are int64, which caps dim at 2**63."""
     if dim > 1 << 63:
         raise ValueError(f"dim must be at most 2**63, got {dim}")
-    return count_field_width(dim), index_field_width(dim)
 
 
 def _field_bits(values, width: int) -> np.ndarray:
     """One row of width bits per value, most significant bit first."""
     octets = np.asarray(values, dtype=">u8").reshape(-1, 1).view(np.uint8)
-    return np.unpackbits(octets, axis=1)[:, 64 - width:]
+    nbytes = (width + 7) // 8
+    return np.unpackbits(octets[:, 8 - nbytes:], axis=1)[:, 8 * nbytes - width:]
 
 
 def _field_values(bits: np.ndarray) -> np.ndarray:
     """Inverse of _field_bits: the uint64 value of each row (last axis) of bits."""
-    return bits @ (np.uint64(1) << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.uint64))
+    return bits @ _BIT_WEIGHTS[64 - bits.shape[-1]:]
 
 
 def encode_sparse_sign(v: SparseSignVector) -> Bitstream:
     """Serialize a sparse sign message to its wire form."""
-    wc, wi = _widths(v.dim)
+    _check_dim(v.dim)
+    k, wc, b = len(v), count_field_width(v.dim), rice_parameter(len(v), v.dim)
     gaps = v.indices - np.concatenate(([-1], v.indices[:-1])) - 1
-    entries = np.column_stack([_field_bits(gaps, wi), v.signs > 0])
-    bits = np.concatenate([_field_bits(len(v), wc)[0], entries.ravel()])
+    # Each quotient q is q ones and a zero, so the zeros sit at cumsum(q + 1) - 1
+    # within the unary section, which starts after the count and the k rows.
+    ends = ((gaps >> b) + 1).cumsum()
+    head = wc + k * (b + 1)
+    bits = np.ones(head + (int(ends[-1]) if k else 0), dtype=np.uint8)
+    bits[:wc] = _field_bits(k, wc)
+    # One (b + 1)-bit row per entry: the gap's low b bits, then the sign bit.
+    bits[wc:head].reshape(k, b + 1)[:] = _field_bits(
+        (gaps & ((1 << b) - 1)) << 1 | (v.signs > 0), b + 1)
+    bits[head - 1 + ends] = 0
     return Bitstream(np.packbits(bits).tobytes(), bits.size)
 
 
 def decode_sparse_sign(stream: Bitstream, dim: int) -> SparseSignVector:
     """Parse a wire stream back into the message; FormatError if malformed."""
-    wc, wi = _widths(dim)
+    _check_dim(dim)
+    wc = count_field_width(dim)
+    if len(stream.data) != (stream.bit_len + 7) // 8:
+        raise FormatError(f"{len(stream.data)} bytes cannot hold exactly {stream.bit_len} bits")
     bits = np.unpackbits(np.frombuffer(stream.data, dtype=np.uint8), count=stream.bit_len)
     if bits.size < wc:
         raise FormatError(f"truncated stream: needed {wc} count bits, have {bits.size}")
-    count = int(_field_values(bits[:wc]))
+    count = int.from_bytes(stream.data[:(wc + 7) // 8], "big") >> (-wc % 8)
     if count > dim:
         raise FormatError(f"count field {count} exceeds dim {dim}")
-    needed = wc + count * (wi + 1)
-    if bits.size != needed:
-        kind = "truncated" if bits.size < needed else "overlong"
-        raise FormatError(f"{kind} stream: {count} entries need {needed} bits, have {bits.size}")
-    entries = bits[wc:].reshape(count, wi + 1)
-    # Exact in uint64 up to the first index at or past dim: that one is at most
-    # (dim - 1) + 2**Wi < 2**64, so the check below cannot miss a wrap.
-    indices = np.cumsum(_field_values(entries[:, :wi]) + 1) - 1
-    bad = np.flatnonzero(indices >= dim)
-    if bad.size:
-        raise FormatError(f"entry {bad[0]}: index {indices[bad[0]]} out of range for dim {dim}")
-    return SparseSignVector(dim, indices.astype(np.int64), entries[:, wi].astype(np.int8) * 2 - 1)
+    b = rice_parameter(count, dim)
+    # Each entry takes its b + 1 row bits and at least the zero of its unary code.
+    needed = wc + count * (b + 2)
+    if bits.size < needed:
+        raise FormatError(f"truncated stream: {count} entries need at least {needed} bits, "
+                          f"have {bits.size}")
+    # The gaps of a message sum to at most dim - 1, so its quotients sum to at
+    # most (dim - 1) >> b.  Checked before any shift: past it, every gap and
+    # index fits in uint64, and the indices only grow.
+    if bits.size - needed > (dim - 1) >> b:
+        raise FormatError(f"{bits.size - needed} bits past the rows and unary zeros, but "
+                          f"the quotients for dim {dim} sum to at most {(dim - 1) >> b}")
+    rows = _field_values(bits[wc:wc + count * (b + 1)].reshape(count, b + 1))
+    unary = bits[wc + count * (b + 1):]
+    ends = np.flatnonzero(unary == 0)
+    if ends.size < count:
+        raise FormatError(f"truncated stream: {ends.size} of {count} unary codes end")
+    if unary.size != (ends[count - 1] + 1 if count else 0):
+        raise FormatError(f"overlong stream: bits follow the last of {count} unary codes")
+    quotients = ends - np.concatenate(([-1], ends[:-1])) - 1
+    gaps = quotients.astype(np.uint64) << np.uint64(b) | rows >> np.uint64(1)
+    indices = (gaps + np.uint64(1)).cumsum() - np.uint64(1)
+    if count and indices[-1] >= dim:
+        bad = np.flatnonzero(indices >= dim)[0]
+        raise FormatError(f"entry {bad}: index {indices[bad]} out of range for dim {dim}")
+    return SparseSignVector(dim, indices.view(np.int64), _SIGN_OF_BIT[rows & np.uint64(1)])
 
 
 def analytic_uplink_bits(dim: int, k: int) -> float:

@@ -56,9 +56,10 @@ class SparseSignVector:
         if idx.size:
             if idx[0] < 0 or idx[-1] >= self.dim:
                 raise ValueError(f"indices out of range for dim={self.dim}")
-            if np.any(np.diff(idx) <= 0):
+            if (idx[1:] <= idx[:-1]).any():
                 raise ValueError("indices must be strictly increasing")
-            if np.any(np.abs(sgn) != 1):
+            # Exact in int8: abs(-128) stays -128, so only -1 and +1 pass.
+            if (np.abs(sgn) != 1).any():
                 raise ValueError("signs must be -1 or +1")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "signs", sgn)

@@ -28,7 +28,7 @@ import json
 import math
 import numbers
 import time
-from dataclasses import dataclass, field, fields, replace
+from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
@@ -112,10 +112,16 @@ class ExperimentConfig:
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
+        if not isinstance(raw, dict):
+            raise ValueError(f"a config must be a JSON object, got {type(raw).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(raw) - known
         if unknown:
             raise ValueError(f"unknown config keys: {sorted(unknown)}")
+        missing = [f.name for f in fields(cls)
+                   if f.default is MISSING and f.default_factory is MISSING and f.name not in raw]
+        if missing:
+            raise ValueError(f"missing config keys: {missing}")
         return cls(**raw)
 
     @classmethod
@@ -367,7 +373,11 @@ def _coefficients(spec, n: int, name: str) -> np.ndarray:
             raise ValueError(f"unknown {name} keys: {sorted(extra)}")
         if not (_is_number(spec.get("log_min")) and _is_number(spec.get("log_max"))):
             raise ValueError(f"{name} needs numeric log_min and log_max, got {spec}")
-        return np.logspace(spec["log_min"], spec["log_max"], n)
+        with np.errstate(over="ignore"):
+            arr = np.logspace(spec["log_min"], spec["log_max"], n)
+        if not np.isfinite(arr).all():
+            raise ValueError(f"{name} {spec} has values too large for a float")
+        return arr
     if not all(map(_is_number, spec if isinstance(spec, list) else [spec])):
         raise ValueError(
             f"{name} must be a number, a list of numbers or a log_min/log_max object, got {spec!r}"

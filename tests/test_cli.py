@@ -67,6 +67,25 @@ class TestRun:
         assert main(["run", "--config", str(tmp_path / "nope.json")]) == 1
         assert "error:" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "raw, message",
+        [
+            ([], "a config must be a JSON object, got list"),
+            ("abc", "a config must be a JSON object, got str"),
+            (3, "a config must be a JSON object, got int"),
+            (None, "a config must be a JSON object, got NoneType"),
+            ({"algorithm": "S3GD_MV", "m": 2}, "missing config keys: ['t']"),
+            ({}, "missing config keys: ['algorithm', 'm', 't']"),
+        ],
+    )
+    def test_config_that_is_not_a_full_object_is_one_error_line(self, tmp_path, raw, message,
+                                                                  capsys):
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps(raw))
+        assert main(["run", "--config", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err == f"error: {message}\n"
+
     def test_bad_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
         path.write_text(json.dumps({"algorithm": "S3GD_MV", "m": 1, "t": 1, "lr": 0.1}))
@@ -116,6 +135,8 @@ class TestRun:
              "idx data needs train_images as a file path"),
             ({"n": None, "model": {"kind": "logistic"}, "data": {"source": "idx"}},
              "idx data needs train_images as a file path"),
+            ({"model": {"kind": "quadratic", "lipschitz": {"log_min": 400, "log_max": 400}}},
+             "lipschitz {'log_min': 400, 'log_max': 400} has values too large for a float"),
         ],
     )
     def test_mistyped_config_is_one_error_line(self, quad_config, override, message, capsys):

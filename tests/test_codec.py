@@ -5,6 +5,8 @@ from collections import Counter
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from sparsevote.codec import (
     Bitstream,
@@ -16,7 +18,7 @@ from sparsevote.codec import (
     count_field_width,
     decode_sparse_sign,
     encode_sparse_sign,
-    index_field_width,
+    rice_parameter,
     total_cost_bits,
 )
 from sparsevote.compression import SparseSignVector
@@ -78,36 +80,57 @@ class _RefBitReader:
         return value
 
 
+def ref_rice_parameter(count, dim):
+    """floor(log2((dim - count) // count)), at least 0, by doubling."""
+    b = 0
+    while count and 2 << b <= (dim - count) // count:
+        b += 1
+    return b
+
+
 def ref_encode(v):
     w = _RefBitWriter()
     w.write(len(v), count_field_width(v.dim))
-    wi = index_field_width(v.dim)
+    b = ref_rice_parameter(len(v), v.dim)
+    quotients = []
     prev = -1
     for idx, sgn in zip(v.indices, v.signs):
-        w.write(int(idx) - prev - 1, wi)
+        gap = int(idx) - prev - 1
+        w.write(gap % 2**b, b)
         w.write(1 if sgn > 0 else 0, 1)
+        quotients.append(gap // 2**b)
         prev = int(idx)
+    for q in quotients:
+        for _ in range(q):
+            w.write(1, 1)
+        w.write(0, 1)
     return w.getvalue()
 
 
 def ref_decode(stream, dim):
+    if len(stream.data) != (stream.bit_len + 7) // 8:
+        raise FormatError("bytes disagree with bit_len")
     r = _RefBitReader(stream)
     count = r.read(count_field_width(dim))
     if count > dim:
         raise FormatError(f"count field {count} exceeds dim {dim}")
-    wi = index_field_width(dim)
+    b = ref_rice_parameter(count, dim)
     # Lists, not arrays sized by the count field, so a forged count cannot
     # make the reference allocate before the stream runs out.
-    indices, signs = [], []
+    remainders, signs = [], []
+    for _ in range(count):
+        remainders.append(r.read(b))
+        signs.append(1 if r.read(1) else -1)
+    indices = []
     prev = -1
     for j in range(count):
-        gap = r.read(wi)
-        sign_bit = r.read(1)
-        idx = prev + 1 + gap
+        q = 0
+        while r.read(1):
+            q += 1
+        idx = prev + 1 + q * 2**b + remainders[j]
         if idx >= dim:
             raise FormatError(f"entry {j}: index {idx} out of range for dim {dim}")
         indices.append(idx)
-        signs.append(1 if sign_bit else -1)
         prev = idx
     if r.pos != stream.bit_len:
         raise FormatError("overlong stream")
@@ -153,14 +176,38 @@ def mutations(rng, stream, dim):
         yield stream, int(wrong)
 
 
+@st.composite
+def supports(draw):
+    """A message with any support: spread out, or one run of consecutive
+    indices anywhere (packed against the far end too), empty or full."""
+    dim = draw(st.integers(1, 300) | st.integers(1, 2**63))
+    k = draw(st.integers(0, dim if dim <= 300 else 16))
+    if draw(st.booleans()):
+        offsets = [draw(st.just(dim - k) | st.integers(0, dim - k))] * k
+    else:
+        offsets = sorted(draw(st.lists(st.integers(0, dim - k), min_size=k, max_size=k)))
+    # offset[i] + i is strictly increasing and below dim
+    idx = np.array(offsets, dtype=np.int64) + np.arange(k, dtype=np.int64)
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=k, max_size=k))
+    return SparseSignVector(dim, idx, np.array(signs, dtype=np.int8))
+
+
 class TestFieldWidths:
     def test_examples(self):
         assert count_field_width(8) == 4   # counts 0..8
-        assert index_field_width(8) == 3   # indices 0..7
         assert count_field_width(1) == 1
-        assert index_field_width(1) == 0
         assert count_field_width(7) == 3
-        assert index_field_width(1024) == 10
+        assert rice_parameter(2, 8) == 1   # (8 - 2) // 2 = 3
+        assert rice_parameter(1, 1024) == 9
+        assert rice_parameter(1000, 100_000) == 6
+        assert rice_parameter(0, 8) == 0
+        assert rice_parameter(1, 1) == 0
+        assert rice_parameter(3, 8) == 0   # K > N / 3: the unary run is the bitmap
+
+    def test_rice_parameter_against_doubling(self):
+        for dim in [*range(1, 70), 2**62 + 5, 2**63]:
+            for count in {*range(min(dim, 70) + 1), dim // 3, dim // 3 + 1, dim}:
+                assert rice_parameter(count, dim) == ref_rice_parameter(count, dim)
 
 
 class TestRoundtrip:
@@ -178,8 +225,22 @@ class TestRoundtrip:
     def test_dim_one(self):
         v = SparseSignVector(1, np.array([0]), np.array([-1]))
         stream = encode_sparse_sign(v)
-        assert stream.bit_len == 2  # 1 count bit + 0 index bits + 1 sign bit
+        assert stream.bit_len == 3  # 1 count bit + 0 remainder bits + 1 sign bit + unary 0
         assert decode_sparse_sign(stream, 1) == v
+
+    @given(supports())
+    @settings(max_examples=300, deadline=None)
+    @example(SparseSignVector(1, np.array([0]), np.array([1])))
+    @example(SparseSignVector(1, np.array([], dtype=int), np.array([], dtype=np.int8)))
+    @example(SparseSignVector(50, np.arange(50), np.ones(50, dtype=np.int8)))
+    @example(SparseSignVector(2**63, np.array([2**63 - 1]), np.array([-1])))
+    def test_roundtrip_and_size_bound_on_any_support(self, v):
+        stream = encode_sparse_sign(v)
+        assert decode_sparse_sign(stream, v.dim) == v
+        n, k = v.dim, len(v)
+        payload = stream.bit_len - count_field_width(n)
+        assert payload <= n + k
+        assert payload <= (k * (math.log2(n / k) + 4) if k else 0) + 1e-9
 
     def test_fuzz_roundtrip(self):
         rng = np.random.default_rng(99)
@@ -192,7 +253,10 @@ class TestRoundtrip:
         for _ in range(100):
             v = random_message(rng)
             stream = encode_sparse_sign(v)
-            assert stream.bit_len == count_field_width(v.dim) + len(v) * (index_field_width(v.dim) + 1)
+            b = rice_parameter(len(v), v.dim)
+            gaps = np.diff(v.indices, prepend=-1) - 1
+            assert stream.bit_len == (count_field_width(v.dim) + len(v) * (b + 2)
+                                      + int((gaps >> b).sum()))
 
 
 class TestMalformedStreams:
@@ -211,18 +275,52 @@ class TestMalformedStreams:
             decode_sparse_sign(padded, 8)
 
     def test_out_of_range_index(self):
-        # dim=5: count=1 (3 bits 001), gap=6 (3 bits 110), sign=1 -> index 6 >= 5
-        bits = "001" + "110" + "1"
-        data = int(bits, 2) << 1  # pad to byte
-        with pytest.raises(FormatError):
-            decode_sparse_sign(Bitstream(bytes([data]), 7), 5)
+        # dim=5, count=1 (3 bits 001), so b=2: remainder 10, sign 1, quotient 1
+        # (unary 10) -> gap 1*4 + 2 = 6, index 6 >= 5
+        bits = "001" + "10" + "1" + "10"
+        data = int(bits, 2) << 0  # exactly one byte
+        with pytest.raises(FormatError, match="entry 0: index 6 out of range"):
+            decode_sparse_sign(Bitstream(bytes([data]), 8), 5)
 
     def test_second_index_overflow(self):
-        # dim=8: entries decode to indices 6 then 6+1+3=10 >= 8
-        bits = "0010" + "110" + "1" + "011" + "1"
+        # dim=8, count=2, so b=1: gaps 2*2 + 1 = 5 and 1*2 + 1 = 3 decode to
+        # indices 5 then 5+1+3=9 >= 8
+        bits = "0010" + "1" + "1" + "1" + "1" + "110" + "10"
         value = int(bits, 2) << (16 - len(bits))
-        with pytest.raises(FormatError):
+        with pytest.raises(FormatError, match="entry 1: index 9 out of range"):
             decode_sparse_sign(Bitstream(value.to_bytes(2, "big"), len(bits)), 8)
+
+    def test_quotient_that_would_wrap_is_format_error(self):
+        # dim=2**63, count=1, so b=62 and quotients sum to at most
+        # (2**63 - 1) >> 62 = 1.  A quotient of 4 is a gap of 2**64, 0 in uint64.
+        dim = 2**63
+        stream = bitstream(format(1, "064b") + "0" * 62 + "1" + "11110")
+        with pytest.raises(FormatError, match=f"quotients for dim {dim} sum to at most 1"):
+            decode_sparse_sign(stream, dim)
+        with pytest.raises(FormatError, match=f"entry 0: index {2**64} out of range"):
+            ref_decode(stream, dim)
+
+    def test_unary_codes_must_end_the_stream(self):
+        # dim=8, count=2, so b=1 and the quotients sum to at most 7 >> 1 = 3.
+        # Rows: remainder 1 with sign +1, remainder 0 with sign +1.
+        head = "0010" + "11" + "01"
+        assert decode_sparse_sign(bitstream(head + "010"), 8).entries == [(1, 1), (4, 1)]
+        for tail in ("", "0", "11", "111", "0111"):    # fewer than two zeros
+            with pytest.raises(FormatError, match="truncated"):
+                decode_sparse_sign(bitstream(head + tail), 8)
+        for tail in ("000", "001", "0101"):            # bits after the last code
+            with pytest.raises(FormatError, match="overlong"):
+                decode_sparse_sign(bitstream(head + tail), 8)
+        with pytest.raises(FormatError, match="entry 1: index 8 out of range"):
+            decode_sparse_sign(bitstream(head + "01110"), 8)   # quotients 0 and 3
+        with pytest.raises(FormatError, match="sum to at most 3"):
+            decode_sparse_sign(bitstream(head + "011110"), 8)  # quotients 0 and 4
+
+    def test_bytes_disagree_with_bit_len(self):
+        stream = encode_sparse_sign(SparseSignVector(8, np.array([1, 5]), np.array([1, -1])))
+        for data in (stream.data[:-1], stream.data + b"\x00"):
+            with pytest.raises(FormatError, match="cannot hold exactly"):
+                decode_sparse_sign(Bitstream(data, stream.bit_len), 8)
 
     def test_count_exceeds_dim(self):
         # dim=5: count field is 3 bits, value 7 > 5
@@ -269,12 +367,15 @@ class TestAgainstBitLoopReference:
         assert min(outcomes.values()) > 1000
 
     def test_index_past_int64_range_is_format_error(self):
-        # Two gaps of 2**62 put entry 1 at 2**63 + 1: past dim, and past int64.
-        dim = 2**62 + 5
-        gap = format(2**62, f"0{index_field_width(dim)}b")
-        stream = bitstream(format(2, f"0{count_field_width(dim)}b") + (gap + "1") * 2)
+        # dim=2**63 and count=2 give b=61, so the quotients sum to at most 3.
+        # Gaps 2**61 - 1 (quotient 0) and 2**63 - 1 (quotient 3), both with every
+        # remainder bit set, put entry 1 at 2**63 + 2**61 - 1: past dim and int64.
+        dim = 2**63
+        assert rice_parameter(2, dim) == 61
+        stream = bitstream(format(2, "064b") + ("1" * 61 + "1") * 2 + "0" + "1110")
         for decode in (decode_sparse_sign, ref_decode):
-            with pytest.raises(FormatError, match=f"entry 1: index {2**63 + 1} out of range"):
+            with pytest.raises(FormatError,
+                               match=f"entry 1: index {2**63 + 2**61 - 1} out of range"):
                 decode(stream, dim)
 
     def test_largest_dim(self):

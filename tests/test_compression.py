@@ -358,6 +358,21 @@ class TestSparseSignVector:
         with pytest.raises(ValueError):
             SparseSignVector(4, np.array([0]), np.array([2]))  # bad sign
 
+    @pytest.mark.parametrize(
+        "indices, signs, message",
+        [
+            ([1, 1], [1, 1], "strictly increasing"),         # repeated index
+            ([0, 2, 2, 3], [1, -1, 1, 1], "strictly increasing"),
+            ([-1, 2], [1, 1], "out of range"),               # negative index
+            ([1, 2], [1, 0], "signs must be"),
+            ([1, 2], [127, 1], "signs must be"),              # 127 * 127 wraps to 1 in int8
+            ([1, 2], [-1, -128], "signs must be"),            # abs(-128) is -128 in int8
+        ],
+    )
+    def test_rejects(self, indices, signs, message):
+        with pytest.raises(ValueError, match=message):
+            SparseSignVector(4, np.array(indices), np.array(signs, dtype=np.int8))
+
     def test_equality_and_dense(self):
         a = SparseSignVector(4, np.array([1, 3]), np.array([1, -1]))
         b = SparseSignVector(4, np.array([1, 3]), np.array([1, -1]))

@@ -2,11 +2,13 @@
 
 import json
 import math
+from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from sparsevote.codec import total_cost_bits
+from sparsevote.codec import count_field_width, total_cost_bits
 from sparsevote.models import quadratic_grad
 from sparsevote.simulator import (
     CSV_COLUMNS,
@@ -23,6 +25,9 @@ from sparsevote.simulator import (
     sweep,
     update_model,
 )
+
+
+CONFIGS = Path(__file__).resolve().parent.parent / "configs"
 
 
 def quad_cfg(**overrides):
@@ -174,6 +179,19 @@ class TestCostAccounting:
         for m in metrics:
             assert m.uplink_bits == int(m.uplink_bits)
             assert m.downlink_bits == int(m.downlink_bits)
+
+    @pytest.mark.parametrize("name", ["quadratic_s3gd", "logistic_noniid"])
+    def test_wire_uplink_within_rice_overhead_of_analytic(self, name):
+        # A Rice-coded message of at most K entries costs at most Wc + 3K bits
+        # more than its K + K*log2(N/K) budget.
+        cfg = ExperimentConfig.from_json(CONFIGS / f"{name}.json")
+        analytic = run_experiment(cfg)
+        wire = run_experiment(replace(cfg, cost_mode="WIRE"))
+        task = QuadraticTask(cfg) if cfg.model["kind"] == "quadratic" else ClassificationTask(cfg)
+        slack = cfg.m * (count_field_width(task.dim) + 3 * resolve_k(cfg.gamma, task.dim))
+        assert len(wire) == len(analytic) == cfg.t
+        for w, a in zip(wire, analytic):
+            assert w.uplink_bits <= a.uplink_bits + slack, w.round
 
     def test_cumulative_is_running_sum(self):
         metrics = run_experiment(quad_cfg(t=10))
