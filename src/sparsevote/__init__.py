@@ -13,12 +13,10 @@ from .codec import (
     Bitstream,
     CommLedger,
     FormatError,
-    analytic_downlink_bits,
     analytic_round_cost,
     analytic_uplink_bits,
     decode_sparse_sign,
     encode_sparse_sign,
-    total_cost_bits,
 )
 from .compression import (
     SparseSignVector,

@@ -17,6 +17,8 @@ import dataclasses
 import json
 import sys
 
+import numpy as np
+
 from . import theory
 from .simulator import (
     ExperimentConfig,
@@ -141,8 +143,11 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.fn(args)
-    except (ValueError, OSError) as err:
+        # A run that overflows ends in run_experiment's FloatingPointError;
+        # numpy's warnings on the way there would only repeat it.
+        with np.errstate(over="ignore", invalid="ignore"):
+            return args.fn(args)
+    except (ValueError, OSError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

@@ -1,4 +1,4 @@
-"""Bit-exact wire format for sparse sign messages, plus cost accounting.
+"""Bit-exact wire format for sparse sign messages, the algorithm table and its costs.
 
 Wire layout for a message of K entries over N coordinates, big-endian within
 each field:
@@ -34,14 +34,18 @@ index >= N raise FormatError.  Encoding is lossless:
 decode(encode(v), N) == v.  Both directions work on numpy bit arrays.
 Indices are int64, so N is at most 2**63.
 
-The analytic cost helpers mirror the standard per-round budgets used to
-compare algorithms:
+ALGORITHMS is the table of the five algorithms, one row each: which
+coordinates a worker sends (all, top-K or random-K), whether it keeps an
+error memory, and whether the server votes on signs or averages values.
+The simulator runs a row and analytic_round_cost prices it.  A value costs
+w = 32 bits for a mean server and w = 1 bit (a sign) for a vote server, so
+per round and worker
 
-    uplink   K + K * log2(N / K)            bits per sparse sign message
-    downlink |U| + |U| * log2(N / |U|)      bits per vote over union U,
-                                            capped at the N-bit dense form
+    uplink   w * N                          when the worker sends all N
+             w * K + K * log2(N / K)        when it sends K of them
+    downlink w * N                          the aggregate, one value a
+                                            coordinate, to every worker
 
-and total_cost_bits composes them into whole-run totals for each algorithm.
 CommLedger keeps a round-by-round record of bits and exports it as CSV.
 """
 
@@ -63,17 +67,35 @@ __all__ = [
     "encode_sparse_sign",
     "decode_sparse_sign",
     "analytic_uplink_bits",
-    "analytic_downlink_bits",
     "analytic_round_cost",
-    "total_cost_bits",
     "CommLedger",
     "ALGORITHMS",
-    "SPARSE_ALGORITHMS",
 ]
 
-ALGORITHMS = ("VANILLA_SGD", "TOPK_SGD_MEM", "SIGNSGD_MV", "S3GD_MV", "S3GD_MV_RANDK")
-# Sign algorithms whose uplink messages are sparse (wire-encodable here).
-SPARSE_ALGORITHMS = frozenset({"S3GD_MV", "S3GD_MV_RANDK"})
+
+@dataclass(frozen=True)
+class _Rule:
+    """One algorithm as data.
+
+    selector is the set of coordinates a worker sends: "all", "topk" or
+    "randk".  memory marks error feedback: the worker selects the top-K of
+    g + eta * e and keeps what it did not send as its next e (so memory
+    implies "topk").  server is "vote" for a majority vote on the signs of
+    the sent coordinates, "mean" for the average of their values.
+    """
+
+    selector: str
+    memory: bool
+    server: str
+
+
+ALGORITHMS = {
+    "VANILLA_SGD": _Rule("all", memory=False, server="mean"),
+    "TOPK_SGD_MEM": _Rule("topk", memory=True, server="mean"),
+    "SIGNSGD_MV": _Rule("all", memory=False, server="vote"),
+    "S3GD_MV": _Rule("topk", memory=True, server="vote"),
+    "S3GD_MV_RANDK": _Rule("randk", memory=False, server="vote"),
+}
 
 FLOAT_BITS = 32
 
@@ -204,65 +226,29 @@ def analytic_uplink_bits(dim: int, k: int) -> float:
     return k + k * math.log2(dim / k)
 
 
-def analytic_downlink_bits(union_size: int, dim: int) -> float:
-    """Nominal bits to broadcast a vote over a union of the given size.
-
-    Same index-coding budget as the uplink, capped at the N-bit dense sign
-    form a server would fall back to for near-full unions.
-    """
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    if not 0 <= union_size <= dim:
-        raise ValueError(f"union_size must be in [0, {dim}], got {union_size}")
-    if union_size == 0:
-        return 0.0
-    return min(union_size + union_size * math.log2(dim / union_size), float(dim))
-
-
 def analytic_round_cost(algorithm: str, m: int, dim: int, k: int) -> tuple[float, float]:
-    """Per-round (uplink, downlink) bit budget across all M workers."""
+    """Per-round (uplink, downlink) bit budget across all M workers.
+
+    A value costs FLOAT_BITS for a mean server and one bit (its sign) for a
+    vote server; a worker that sends K of the N coordinates also pays
+    K * log2(N / K) bits to say which.  The downlink is one value per
+    coordinate to each worker.
+    """
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
+    rule = ALGORITHMS[algorithm]
     if m < 1:
         raise ValueError(f"m must be positive, got {m}")
-    if algorithm == "VANILLA_SGD":
-        return FLOAT_BITS * m * dim, FLOAT_BITS * m * dim
-    if algorithm == "TOPK_SGD_MEM":
-        if not 0 <= k <= dim:
-            raise ValueError(f"k must be in [0, {dim}], got {k}")
-        index_bits = k * math.log2(dim / k) if k else 0.0
-        return m * (FLOAT_BITS * k + index_bits), FLOAT_BITS * m * dim
-    if algorithm == "SIGNSGD_MV":
-        return float(m * dim), float(m * dim)
-    # S3GD_MV and its random-K variant share the same message format.
-    return m * analytic_uplink_bits(dim, k), float(m * dim)
-
-
-def total_cost_bits(
-    algorithm: str,
-    m: int,
-    dim: int,
-    k: int,
-    t: int,
-    per_round_unions: list[int] | None = None,
-) -> float:
-    """Whole-run communication total under the analytic per-round budgets.
-
-    For the sparse vote algorithms, per_round_unions (one vote-union size per
-    round) tightens the downlink from the dense N-bit fallback to the
-    index-coded broadcast actually needed each round.
-    """
-    if t < 1:
-        raise ValueError(f"t must be positive, got {t}")
-    up, down = analytic_round_cost(algorithm, m, dim, k)
-    if per_round_unions is not None:
-        if algorithm not in SPARSE_ALGORITHMS:
-            raise ValueError(f"per-round unions only apply to {sorted(SPARSE_ALGORITHMS)}")
-        if len(per_round_unions) != t:
-            raise ValueError(f"expected {t} union sizes, got {len(per_round_unions)}")
-        down_total = m * sum(analytic_downlink_bits(u, dim) for u in per_round_unions)
-        return up * t + down_total
-    return (up + down) * t
+    if dim < 1:
+        raise ValueError(f"dim must be positive, got {dim}")
+    if not 0 <= k <= dim:
+        raise ValueError(f"k must be in [0, {dim}], got {k}")
+    width = FLOAT_BITS if rule.server == "mean" else 1
+    if rule.selector == "all":
+        up = width * dim
+    else:
+        up = width * k + k * math.log2(dim / k) if k else 0.0
+    return float(m * up), float(m * width * dim)
 
 
 class CommLedger:

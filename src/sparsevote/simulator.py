@@ -11,14 +11,14 @@ the configured algorithm, and the server aggregates:
   S3GD_MV         top-K sign message with error accumulation, majority vote
   S3GD_MV_RANDK   uniform random-K sign message, no memory, majority vote
 
-Each algorithm is one row of a table: which coordinates a worker selects
-(all, top-K or random-K), whether it keeps an error memory, and whether the
-server takes a majority vote on signs or averages values.  The update
-direction feeds a momentum step x <- x - delta * v.  Every round is charged
-either the analytic per-round budgets or the actual encoded wire lengths
-(cost_mode WIRE, which also routes every sparse sign message through the
-codec).  Fixing the config and seed fixes the whole trajectory bit for bit,
-because each (worker, round) pair owns its random stream.
+Each algorithm is one row of codec.ALGORITHMS: which coordinates a worker
+selects (all, top-K or random-K), whether it keeps an error memory, and
+whether the server takes a majority vote on signs or averages values.  The
+update direction feeds a momentum step x <- x - delta * v.  Every round is
+charged either the analytic per-round budgets or the actual encoded wire
+lengths (cost_mode WIRE, which also routes every sparse sign message through
+the codec).  Fixing the config and seed fixes the whole trajectory bit for
+bit, because each (worker, round) pair owns its random stream.
 """
 
 from __future__ import annotations
@@ -34,7 +34,7 @@ import numpy as np
 
 from . import models
 from .aggregation import average_aggregate, majority_vote, participation_count
-from .codec import analytic_round_cost, decode_sparse_sign, encode_sparse_sign
+from .codec import ALGORITHMS, _Rule, analytic_round_cost, decode_sparse_sign, encode_sparse_sign
 from .compression import error_feedback_step, rand_k_sign, top_k_sign
 from .rng import derive_rng, worker_rng
 
@@ -399,31 +399,6 @@ def _build_task(cfg: ExperimentConfig):
     raise ValueError(f"unknown model kind {kind!r}")
 
 
-@dataclass(frozen=True)
-class _Rule:
-    """One algorithm as data.
-
-    selector is the set of coordinates a worker sends: "all", "topk" or
-    "randk".  memory marks error feedback: the worker selects the top-K of
-    g + eta * e and keeps what it did not send as its next e (so memory
-    implies "topk").  server is "vote" for a majority vote on the signs of
-    the sent coordinates, "mean" for the average of their values.
-    """
-
-    selector: str
-    memory: bool
-    server: str
-
-
-_RULES = {
-    "VANILLA_SGD": _Rule("all", memory=False, server="mean"),
-    "TOPK_SGD_MEM": _Rule("topk", memory=True, server="mean"),
-    "SIGNSGD_MV": _Rule("all", memory=False, server="vote"),
-    "S3GD_MV": _Rule("topk", memory=True, server="vote"),
-    "S3GD_MV_RANDK": _Rule("randk", memory=False, server="vote"),
-}
-
-
 def _is_int(value) -> bool:
     return isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
@@ -434,7 +409,7 @@ def _is_number(value) -> bool:
 
 
 def _validate(cfg: ExperimentConfig) -> None:
-    if not isinstance(cfg.algorithm, str) or cfg.algorithm not in _RULES:
+    if not isinstance(cfg.algorithm, str) or cfg.algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
     for name in ("m", "t", "seed"):
         if not _is_int(getattr(cfg, name)):
@@ -507,7 +482,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
     task = _build_task(cfg)
     dim = task.dim
     k = resolve_k(cfg.gamma, dim)
-    rule = _RULES[cfg.algorithm]
+    rule = ALGORITHMS[cfg.algorithm]
     # Only sparse sign messages have a wire format; the others are always
     # charged their analytic budget.
     wire = cfg.cost_mode == "WIRE" and rule.server == "vote" and rule.selector != "all"

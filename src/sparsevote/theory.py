@@ -14,6 +14,7 @@ everything stays finite for M up to at least 1e4.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,9 +44,12 @@ def _check_gamma(gamma: float, positive: bool = False) -> None:
         raise ValueError(f"gamma must be in {lo}, 1], got {gamma}")
 
 
-def _check_workers(m: int) -> None:
-    if m < 1:
-        raise ValueError(f"worker count must be positive, got {m}")
+def _check_count(value, name: str, low: int = 1) -> None:
+    """A count is a non-bool integer (numpy integers too) of at least low (0 or 1)."""
+    if not isinstance(value, numbers.Integral) or isinstance(value, bool):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if value < low:
+        raise ValueError(f"{name} must be {'positive' if low else 'non-negative'}, got {value}")
 
 
 def alpha(m: int, gamma: float) -> float:
@@ -54,7 +58,7 @@ def alpha(m: int, gamma: float) -> float:
     Each worker includes a given coordinate independently with probability
     gamma, so alpha = 1 - (1 - gamma)^m.
     """
-    _check_workers(m)
+    _check_count(m, "worker count")
     _check_gamma(gamma)
     return 1.0 - (1.0 - gamma) ** m
 
@@ -64,7 +68,7 @@ def beta(m: int, gamma: float) -> float:
 
     beta = sum_{u=1..m} (1/sqrt(u)) C(m,u) gamma^u (1-gamma)^(m-u).
     """
-    _check_workers(m)
+    _check_count(m, "worker count")
     _check_gamma(gamma)
     u = np.arange(1, m + 1)
     pmf = stats.binom.pmf(u, m, gamma)
@@ -73,9 +77,10 @@ def beta(m: int, gamma: float) -> float:
 
 def m_participation_pmf(m: int, gamma: float, u: int) -> float:
     """P[exactly u of m workers vote on a coordinate]: Binomial(m, gamma)."""
-    _check_workers(m)
+    _check_count(m, "worker count")
     _check_gamma(gamma)
-    if not 0 <= u <= m:
+    _check_count(u, "u", low=0)
+    if u > m:
         raise ValueError(f"u must be in [0, {m}], got {u}")
     return float(stats.binom.pmf(u, m, gamma))
 
@@ -85,8 +90,7 @@ def empty_coordinate_prob(m: int, gamma: float) -> tuple[float, float]:
 
     exact = (1 - gamma)^m, approx = exp(-gamma * m).
     """
-    if m < 0:
-        raise ValueError(f"worker count must be non-negative, got {m}")
+    _check_count(m, "worker count", low=0)
     _check_gamma(gamma)
     return (1.0 - gamma) ** m, math.exp(-gamma * m)
 
@@ -133,8 +137,7 @@ def vote_error_bound(p: float, u: int) -> float:
     """Chernoff bound on a vote over u participants erring: [4p(1-p)]^(u/2)."""
     if not 0 <= p <= 1:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    if u < 1:
-        raise ValueError(f"u must be positive, got {u}")
+    _check_count(u, "u")
     return (4.0 * p * (1.0 - p)) ** (u / 2.0)
 
 
@@ -146,8 +149,7 @@ def vote_error_exact(p: float, u: int) -> float:
     """
     if not 0 <= p <= 1:
         raise ValueError(f"p must be in [0, 1], got {p}")
-    if u < 1:
-        raise ValueError(f"u must be positive, got {u}")
+    _check_count(u, "u")
     lo = math.ceil(u / 2)
     return float(stats.binom.sf(lo - 1, u, p))
 
@@ -173,7 +175,7 @@ class BoundInputs:
     batch: float | None = None
 
     def __post_init__(self):
-        _check_workers(self.m)
+        _check_count(self.m, "worker count")
         _check_gamma(self.gamma, positive=True)
         if not 0 <= self.epsilon <= 1:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
@@ -182,8 +184,7 @@ class BoundInputs:
                 raise ValueError(f"{name} must be non-negative, got {getattr(self, name)}")
         if self.l1_smoothness == 0:
             raise ValueError("l1_smoothness must be positive")
-        if self.t < 1:
-            raise ValueError(f"t must be positive, got {self.t}")
+        _check_count(self.t, "t")
         if self.batch is not None and self.batch <= 0:
             raise ValueError(f"batch must be positive, got {self.batch}")
 
@@ -229,7 +230,7 @@ def gamma_star(
 
     Decreases like M^(-2/3) in the worker count.
     """
-    _check_workers(m)
+    _check_count(m, "worker count")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if f0_minus_fstar <= 0:
@@ -258,7 +259,7 @@ def sparsity_surrogate(
     Unimodal in gamma with its minimum at gamma_star.
     """
     _check_gamma(gamma, positive=True)
-    _check_workers(m)
+    _check_count(m, "worker count")
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if t <= 0:

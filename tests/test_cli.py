@@ -1,6 +1,7 @@
 """Command-line behavior through main(argv): outputs, files, exit codes."""
 
 import json
+import warnings
 
 import pytest
 
@@ -85,6 +86,18 @@ class TestRun:
         assert main(["run", "--config", str(path)]) == 1
         err = capsys.readouterr().err
         assert err == f"error: {message}\n"
+
+    def test_divergence_is_one_error_line(self, quad_config, capsys):
+        quad_config.write_text(json.dumps({
+            "algorithm": "VANILLA_SGD", "m": 2, "t": 500, "n": 4, "learning_rate": 1e6,
+            "model": {"kind": "quadratic", "noise_std": 0.0, "init": 1.0},
+        }))
+        for argv in (["run"], ["sweep", "--axis", "mu", "--values", "0"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # numpy's overflow warnings would print too
+                assert main([*argv, "--config", str(quad_config)]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: non-finite parameters after round 51\n"
 
     def test_bad_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.json"
@@ -243,6 +256,25 @@ class TestTheoryEval:
                      "--params", json.dumps({"workers": 3, "gamma": 0.5})])
         assert code == 2
         assert "error:" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "bound, params",
+        [
+            ("alpha", {"m": 10 ** 400, "gamma": 0.5}),
+            ("alpha", {"m": True, "gamma": 0.5}),
+            ("beta", {"m": 3.5, "gamma": 0.5}),
+            ("m_participation_pmf", {"m": 3, "gamma": 0.5, "u": 1.5}),
+            ("vote_error_exact", {"p": 0.1, "u": 2.5}),
+            ("convergence_bound_topk", {"m": 8, "gamma": 0.1, "epsilon": 1.0,
+                                        "l1_smoothness": 16.0, "sigma_l1": 1.0,
+                                        "f0_minus_fstar": 1.0, "t": 100.5}),
+        ],
+    )
+    def test_bad_count_is_one_error_line(self, capsys, bound, params):
+        code, captured = self.run_eval(capsys, bound, params)
+        assert code == 1
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
 
     def test_domain_error_reported(self, capsys):
         code = main(["theory", "eval", "--bound", "alpha",

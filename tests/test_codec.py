@@ -9,17 +9,16 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsevote.codec import (
+    ALGORITHMS,
     Bitstream,
     CommLedger,
     FormatError,
-    analytic_downlink_bits,
     analytic_round_cost,
     analytic_uplink_bits,
     count_field_width,
     decode_sparse_sign,
     encode_sparse_sign,
     rice_parameter,
-    total_cost_bits,
 )
 from sparsevote.compression import SparseSignVector
 
@@ -401,15 +400,17 @@ class TestAnalyticCosts:
         with pytest.raises(ValueError):
             analytic_uplink_bits(8, -1)
 
-    def test_downlink_examples(self):
-        assert analytic_downlink_bits(4, 16) == 12.0
-        assert analytic_downlink_bits(0, 16) == 0.0
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    def test_round_cost_is_two_floats(self, algorithm):
+        for m, dim, k in ((2, 8, 2), (1, 1, 0), (3, 10, 10)):
+            assert all(type(bits) is float for bits in analytic_round_cost(algorithm, m, dim, k))
 
-    def test_downlink_dense_cap(self):
-        # the index-coded form would exceed N for near-full unions
-        assert analytic_downlink_bits(12, 16) == 16.0
-        for u in range(0, 17):
-            assert analytic_downlink_bits(u, 16) <= 16.0
+    @pytest.mark.parametrize("algorithm", ALGORITHMS)
+    @pytest.mark.parametrize("m, dim, k", [(0, 8, 2), (-1, 8, 2), (2, 0, 0), (2, 8, -1),
+                                           (2, 8, 9), (2, 8, 99)])
+    def test_round_cost_rejects(self, algorithm, m, dim, k):
+        with pytest.raises(ValueError):
+            analytic_round_cost(algorithm, m, dim, k)
 
     def test_wire_at_least_analytic_when_zero_free(self):
         rng = np.random.default_rng(11)
@@ -421,8 +422,8 @@ class TestAnalyticCosts:
             assert encode_sparse_sign(v).bit_len >= analytic_uplink_bits(dim, k) - 1e-9
 
     def test_wire_overhead_bounded_for_sparse_messages(self):
-        # fixed-width coding costs at most 2x the analytic budget plus the
-        # count field, for K up to sqrt(N)
+        # Rice coding costs at most 2x the analytic budget plus the count
+        # field, for K up to sqrt(N)
         rng = np.random.default_rng(12)
         for _ in range(200):
             dim = int(rng.integers(2, 1000))
@@ -435,39 +436,18 @@ class TestAnalyticCosts:
 
 class TestTotalCost:
     def test_table_examples(self):
-        assert total_cost_bits("SIGNSGD_MV", 3, 10, 10, 2) == 120.0
-        assert total_cost_bits("VANILLA_SGD", 1, 1, 1, 1) == 64.0
-        assert total_cost_bits("S3GD_MV", 2, 8, 2, 1) == 28.0
-
-    def test_topk_mem_formula(self):
-        m, n, k, t = 3, 64, 4, 5
-        expected = (m * (32 * k + k * math.log2(n / k)) + 32 * m * n) * t
-        assert total_cost_bits("TOPK_SGD_MEM", m, n, k, t) == pytest.approx(expected, rel=1e-15)
+        assert 2 * sum(analytic_round_cost("SIGNSGD_MV", 3, 10, 10)) == 120.0
+        assert sum(analytic_round_cost("VANILLA_SGD", 1, 1, 1)) == 64.0
+        assert sum(analytic_round_cost("S3GD_MV", 2, 8, 2)) == 28.0
 
     def test_randk_matches_s3gd(self):
-        assert total_cost_bits("S3GD_MV_RANDK", 4, 32, 3, 7) == total_cost_bits(
-            "S3GD_MV", 4, 32, 3, 7
+        assert analytic_round_cost("S3GD_MV_RANDK", 4, 32, 3) == analytic_round_cost(
+            "S3GD_MV", 4, 32, 3
         )
-
-    def test_per_round_unions(self):
-        m, n, k = 2, 16, 2
-        unions = [4, 0, 16]
-        got = total_cost_bits("S3GD_MV", m, n, k, 3, per_round_unions=unions)
-        expected = 3 * m * analytic_uplink_bits(n, k) + m * sum(
-            analytic_downlink_bits(u, n) for u in unions
-        )
-        assert got == pytest.approx(expected, rel=1e-15)
-        assert got <= total_cost_bits("S3GD_MV", m, n, k, 3)
-
-    def test_per_round_unions_errors(self):
-        with pytest.raises(ValueError):
-            total_cost_bits("S3GD_MV", 2, 16, 2, 3, per_round_unions=[4, 4])
-        with pytest.raises(ValueError):
-            total_cost_bits("SIGNSGD_MV", 2, 16, 16, 2, per_round_unions=[4, 4])
 
     def test_unknown_algorithm(self):
         with pytest.raises(ValueError):
-            total_cost_bits("SGD", 1, 8, 2, 1)
+            analytic_round_cost("SGD", 1, 8, 2)
 
     def test_cost_ordering(self):
         # For K < N/2 the sparse vote is strictly cheapest and the dense
@@ -477,11 +457,10 @@ class TestTotalCost:
             n = int(rng.integers(4, 2048))
             k = int(rng.integers(1, max(2, (n + 1) // 2)))
             m = int(rng.integers(1, 50))
-            t = int(rng.integers(1, 100))
-            s3gd = total_cost_bits("S3GD_MV", m, n, k, t)
-            sign = total_cost_bits("SIGNSGD_MV", m, n, k, t)
-            topk = total_cost_bits("TOPK_SGD_MEM", m, n, k, t)
-            vanilla = total_cost_bits("VANILLA_SGD", m, n, k, t)
+            s3gd, sign, topk, vanilla = (
+                sum(analytic_round_cost(alg, m, n, k))
+                for alg in ("S3GD_MV", "SIGNSGD_MV", "TOPK_SGD_MEM", "VANILLA_SGD")
+            )
             assert s3gd < sign < topk < vanilla
 
 
@@ -512,8 +491,3 @@ class TestCommLedger:
         assert lines[0] == "round,algorithm,uplink_bits,downlink_bits,cumulative_bits"
         assert lines[1] == "0,SIGNSGD_MV,10.0,10.0,20.0"
         assert lines[2] == "1,SIGNSGD_MV,10.0,10.0,40.0"
-
-    def test_round_cost_matches_total(self):
-        for alg in ("VANILLA_SGD", "TOPK_SGD_MEM", "SIGNSGD_MV", "S3GD_MV"):
-            up, down = analytic_round_cost(alg, 3, 32, 4)
-            assert (up + down) * 9 == pytest.approx(total_cost_bits(alg, 3, 32, 4, 9), rel=1e-15)

@@ -8,7 +8,8 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from sparsevote.codec import count_field_width, total_cost_bits
+from sparsevote.aggregation import majority_vote
+from sparsevote.codec import analytic_round_cost, count_field_width
 from sparsevote.models import quadratic_grad
 from sparsevote.simulator import (
     CSV_COLUMNS,
@@ -163,7 +164,7 @@ class TestCostAccounting:
         spent = sum(m.uplink_bits + m.downlink_bits for m in metrics)
         k = resolve_k(cfg.gamma, cfg.n)
         assert math.isclose(
-            spent, total_cost_bits(alg, cfg.m, cfg.n, k, cfg.t), rel_tol=1e-9
+            spent, cfg.t * sum(analytic_round_cost(alg, cfg.m, cfg.n, k)), rel_tol=1e-9
         )
         assert metrics[-1].cumulative_bits == pytest.approx(spent, rel=1e-12)
 
@@ -192,6 +193,24 @@ class TestCostAccounting:
         assert len(wire) == len(analytic) == cfg.t
         for w, a in zip(wire, analytic):
             assert w.uplink_bits <= a.uplink_bits + slack, w.round
+
+    @pytest.mark.parametrize("name", ["quadratic_s3gd", "logistic_noniid"])
+    def test_wire_downlink_within_bitmap_bound(self, name, monkeypatch):
+        # A vote with |V| nonzero signs is a message of |V| entries, at most
+        # Wc + N + |V| bits, and the server sends it to each of the M workers.
+        votes = []
+
+        def recording_vote(msgs, dim):
+            vote = majority_vote(msgs, dim)
+            votes.append((dim, int(np.count_nonzero(vote.ternary))))
+            return vote
+
+        monkeypatch.setattr("sparsevote.simulator.majority_vote", recording_vote)
+        cfg = replace(ExperimentConfig.from_json(CONFIGS / f"{name}.json"), cost_mode="WIRE")
+        metrics = run_experiment(cfg)
+        assert len(votes) == len(metrics) == cfg.t
+        for m, (dim, decisive) in zip(metrics, votes):
+            assert m.downlink_bits <= cfg.m * (count_field_width(dim) + dim + decisive), m.round
 
     def test_cumulative_is_running_sum(self):
         metrics = run_experiment(quad_cfg(t=10))

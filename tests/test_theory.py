@@ -100,6 +100,34 @@ class TestParticipationStatistics:
         with pytest.raises(ValueError):
             m_participation_pmf(3, 0.5, 4)
 
+    @pytest.mark.parametrize(
+        "call",
+        [
+            lambda: alpha(True, 0.5),
+            lambda: alpha(3.0, 0.5),
+            lambda: beta(3.5, 0.5),
+            lambda: m_participation_pmf(3, 0.5, 1.5),
+            lambda: m_participation_pmf(3.5, 0.5, 1),
+            lambda: empty_coordinate_prob(2.5, 0.5),
+            lambda: vote_error_exact(0.1, 2.5),
+            lambda: vote_error_bound(0.1, True),
+            lambda: gamma_star(8.5, 1.0, 1.0, 16.0, 1.0),
+            lambda: sparsity_surrogate(0.1, "8", 1.0, 1.0, 16.0, 1.0),
+            lambda: BoundInputs(m=8, gamma=0.1, epsilon=1.0, l1_smoothness=16.0,
+                                sigma_l1=1.0, f0_minus_fstar=1.0, t=100.5),
+        ],
+    )
+    def test_counts_must_be_integers(self, call):
+        with pytest.raises(ValueError, match="must be an integer"):
+            call()
+
+    def test_numpy_integer_counts_pass(self):
+        assert alpha(np.int64(3), 0.5) == alpha(3, 0.5)
+        assert m_participation_pmf(np.int32(3), 0.5, np.int64(1)) == m_participation_pmf(3, 0.5, 1)
+        assert vote_error_exact(0.1, np.int16(3)) == vote_error_exact(0.1, 3)
+        assert BoundInputs(m=np.int64(8), gamma=0.1, epsilon=1.0, l1_smoothness=16.0,
+                           sigma_l1=1.0, f0_minus_fstar=1.0, t=np.int64(100)) == _FIXTURE
+
 
 class TestThresholdAndFlip:
     def test_rho_example(self):
