@@ -15,7 +15,9 @@ from .codec import (
     FormatError,
     analytic_round_cost,
     analytic_uplink_bits,
+    decode_round,
     decode_sparse_sign,
+    encode_round,
     encode_sparse_sign,
 )
 from .compression import (

@@ -34,6 +34,10 @@ index >= N raise FormatError.  Encoding is lossless:
 decode(encode(v), N) == v.  Both directions work on numpy bit arrays.
 Indices are int64, so N is at most 2**63.
 
+encode_round and decode_round do the same for the M messages of a round
+in one pass, with the same bytes per message: message m is row m of one
+bit matrix, and the Rice rows are handled once per distinct parameter.
+
 ALGORITHMS is the table of the five algorithms, one row each: which
 coordinates a worker sends (all, top-K or random-K), whether it keeps an
 error memory, and whether the server votes on signs or averages values.
@@ -66,6 +70,8 @@ __all__ = [
     "rice_parameter",
     "encode_sparse_sign",
     "decode_sparse_sign",
+    "encode_round",
+    "decode_round",
     "analytic_uplink_bits",
     "analytic_round_cost",
     "CommLedger",
@@ -100,7 +106,6 @@ ALGORITHMS = {
 FLOAT_BITS = 32
 
 _SIGN_OF_BIT = np.array([-1, 1], dtype=np.int8)
-_BIT_WEIGHTS = np.uint64(1) << np.arange(63, -1, -1, dtype=np.uint64)
 
 
 class FormatError(ValueError):
@@ -149,12 +154,22 @@ def _field_bits(values, width: int) -> np.ndarray:
     """One row of width bits per value, most significant bit first."""
     octets = np.asarray(values, dtype=">u8").reshape(-1, 1).view(np.uint8)
     nbytes = (width + 7) // 8
-    return np.unpackbits(octets[:, 8 - nbytes:], axis=1)[:, 8 * nbytes - width:]
+    # Unpacked as one flat array: numpy unpacks along an axis row by row.
+    bits = np.unpackbits(octets[:, 8 - nbytes:]).reshape(-1, 8 * nbytes)
+    return bits[:, 8 * nbytes - width:]
 
 
 def _field_values(bits: np.ndarray) -> np.ndarray:
     """Inverse of _field_bits: the uint64 value of each row (last axis) of bits."""
-    return bits @ _BIT_WEIGHTS[64 - bits.shape[-1]:]
+    *rows, width = bits.shape
+    nbytes = (width + 7) // 8
+    padded = np.zeros((*rows, 8 * nbytes), dtype=np.uint8)
+    padded[..., 8 * nbytes - width:] = bits
+    octets = np.packbits(padded).reshape(*rows, nbytes)
+    values = octets[..., 0].astype(np.uint64)
+    for j in range(1, nbytes):
+        values = values << np.uint64(8) | octets[..., j]
+    return values
 
 
 def encode_sparse_sign(v: SparseSignVector) -> Bitstream:
@@ -175,44 +190,215 @@ def encode_sparse_sign(v: SparseSignVector) -> Bitstream:
     return Bitstream(np.packbits(bits).tobytes(), bits.size)
 
 
-def decode_sparse_sign(stream: Bitstream, dim: int) -> SparseSignVector:
-    """Parse a wire stream back into the message; FormatError if malformed."""
-    _check_dim(dim)
-    wc = count_field_width(dim)
+def _read_header(stream: Bitstream, dim: int, wc: int) -> tuple[int, int]:
+    """(count, Rice parameter) of a stream, after every check that needs only
+    its length and its count field; FormatError if one fails."""
     if len(stream.data) != (stream.bit_len + 7) // 8:
         raise FormatError(f"{len(stream.data)} bytes cannot hold exactly {stream.bit_len} bits")
-    bits = np.unpackbits(np.frombuffer(stream.data, dtype=np.uint8), count=stream.bit_len)
-    if bits.size < wc:
-        raise FormatError(f"truncated stream: needed {wc} count bits, have {bits.size}")
+    if stream.bit_len < wc:
+        raise FormatError(f"truncated stream: needed {wc} count bits, have {stream.bit_len}")
     count = int.from_bytes(stream.data[:(wc + 7) // 8], "big") >> (-wc % 8)
     if count > dim:
         raise FormatError(f"count field {count} exceeds dim {dim}")
     b = rice_parameter(count, dim)
     # Each entry takes its b + 1 row bits and at least the zero of its unary code.
     needed = wc + count * (b + 2)
-    if bits.size < needed:
+    if stream.bit_len < needed:
         raise FormatError(f"truncated stream: {count} entries need at least {needed} bits, "
-                          f"have {bits.size}")
+                          f"have {stream.bit_len}")
     # The gaps of a message sum to at most dim - 1, so its quotients sum to at
     # most (dim - 1) >> b.  Checked before any shift: past it, every gap and
     # index fits in uint64, and the indices only grow.
-    if bits.size - needed > (dim - 1) >> b:
-        raise FormatError(f"{bits.size - needed} bits past the rows and unary zeros, but "
+    if stream.bit_len - needed > (dim - 1) >> b:
+        raise FormatError(f"{stream.bit_len - needed} bits past the rows and unary zeros, but "
                           f"the quotients for dim {dim} sum to at most {(dim - 1) >> b}")
+    return count, b
+
+
+def _unary_error(zeros: int, count: int) -> FormatError:
+    if zeros < count:
+        return FormatError(f"truncated stream: {zeros} of {count} unary codes end")
+    return FormatError(f"overlong stream: bits follow the last of {count} unary codes")
+
+
+def _range_error(indices: np.ndarray, dim: int) -> FormatError:
+    bad = np.flatnonzero(indices >= dim)[0]
+    return FormatError(f"entry {bad}: index {indices[bad]} out of range for dim {dim}")
+
+
+def decode_sparse_sign(stream: Bitstream, dim: int) -> SparseSignVector:
+    """Parse a wire stream back into the message; FormatError if malformed."""
+    _check_dim(dim)
+    wc = count_field_width(dim)
+    count, b = _read_header(stream, dim, wc)
+    bits = np.unpackbits(np.frombuffer(stream.data, dtype=np.uint8), count=stream.bit_len)
     rows = _field_values(bits[wc:wc + count * (b + 1)].reshape(count, b + 1))
     unary = bits[wc + count * (b + 1):]
     ends = np.flatnonzero(unary == 0)
-    if ends.size < count:
-        raise FormatError(f"truncated stream: {ends.size} of {count} unary codes end")
-    if unary.size != (ends[count - 1] + 1 if count else 0):
-        raise FormatError(f"overlong stream: bits follow the last of {count} unary codes")
+    if ends.size < count or unary.size != (ends[count - 1] + 1 if count else 0):
+        raise _unary_error(ends.size, count)
     quotients = ends - np.concatenate(([-1], ends[:-1])) - 1
     gaps = quotients.astype(np.uint64) << np.uint64(b) | rows >> np.uint64(1)
     indices = (gaps + np.uint64(1)).cumsum() - np.uint64(1)
     if count and indices[-1] >= dim:
-        bad = np.flatnonzero(indices >= dim)[0]
-        raise FormatError(f"entry {bad}: index {indices[bad]} out of range for dim {dim}")
+        raise _range_error(indices, dim)
     return SparseSignVector(dim, indices.view(np.int64), _SIGN_OF_BIT[rows & np.uint64(1)])
+
+
+def _round_dim(messages: list[SparseSignVector]) -> int:
+    dim = messages[0].dim
+    for i, v in enumerate(messages):
+        if v.dim != dim:
+            raise ValueError(f"message {i} has dim {v.dim}, message 0 has {dim}")
+    _check_dim(dim)
+    return dim
+
+
+def encode_round(messages: list[SparseSignVector]) -> list[Bitstream]:
+    """encode_sparse_sign of each message of a round, byte for byte, in one pass.
+
+    The messages share one dim.  Message m is row m of one (M, L) bit matrix,
+    so each stream starts on a byte boundary: its count, its Rice rows, then
+    its unary codes as zeros on a background of ones.  Messages whose exact
+    zeros were dropped have fewer entries, and may have another Rice
+    parameter; the Rice rows are written once per distinct parameter, and an
+    entry a message lacks is a row of ones with an empty unary code.
+    """
+    if not messages:
+        return []
+    dim = _round_dim(messages)
+    wc = count_field_width(dim)
+    counts = np.array([v.indices.size for v in messages])
+    params = np.array([rice_parameter(k, dim) for k in counts.tolist()])
+    m, k = len(messages), int(counts.max())
+    ragged = int(counts.min()) < k
+    present = np.arange(k) < counts[:, None] if ragged else None
+    # The indices, turned into gaps in place (the arrays are all fresh, and
+    # the work is done in place to keep a round's peak memory down).
+    gaps = _padded(np.concatenate([v.indices for v in messages]), present, (m, k))
+    gaps[:, 1:] -= gaps[:, :-1] + 1
+    positive = _padded(np.concatenate([v.signs for v in messages]) > 0, present, (m, k))
+    if ragged:
+        # A gap of -1 has quotient -1 (no unary bits) and, with sign bit 1,
+        # a row of ones.
+        gaps[~present] = -1
+        positive[~present] = True
+    # Each quotient q is q ones and a zero, so the zeros of a unary section
+    # sit at cumsum(q + 1) - 1 within it.
+    ends = gaps >> params[:, None]
+    ends += 1
+    ends.cumsum(axis=1, out=ends)
+    heads = wc + counts * (params + 1)
+    lengths = heads + (ends[:, -1] if k else 0)
+    columns = np.arange(-(-int(lengths.max()) // 8) * 8)
+    bits = (columns < lengths[:, None]).view(np.uint8)
+    bits[:, :wc] = _field_bits(counts, wc)
+    for b in set(params.tolist()):
+        group = params == b
+        most = int(counts[group].max())
+        rows = gaps[group, :most]  # a copy, as group is a mask
+        rows &= (1 << b) - 1
+        rows <<= 1
+        rows |= positive[group, :most]
+        bits[:, wc:wc + most * (b + 1)].reshape(m, most, b + 1)[group] = (
+            _field_bits(rows, b + 1).reshape(*rows.shape, b + 1))
+    # Flat positions of the zeros.  A lacking entry repeats the zero before
+    # it; in a message without entries it falls on the last count bit, 0.
+    ends += (np.arange(m) * bits.shape[1] + heads - 1)[:, None]
+    bits.reshape(-1)[ends] = 0
+    if ragged:
+        bits &= columns < lengths[:, None]  # lacking entries' rows can run past a stream's end
+    packed = np.packbits(bits, axis=1)
+    return [Bitstream(row[:(length + 7) // 8].tobytes(), length)
+            for row, length in zip(packed, lengths.tolist())]
+
+
+def _padded(values: np.ndarray, present: np.ndarray | None, shape) -> np.ndarray:
+    """The concatenated entries of M messages as an (M, max count) array.
+
+    present marks the cells that hold an entry (None: all of them); the
+    other cells are zero.
+    """
+    if present is None:
+        return values.reshape(shape)
+    out = np.zeros(shape, dtype=values.dtype)
+    out[present] = values
+    return out
+
+
+def decode_round(streams: list[Bitstream], dim: int) -> list[SparseSignVector]:
+    """decode_sparse_sign of each stream of a round, in one pass.
+
+    Every stream gets every check of decode_sparse_sign; the first malformed
+    stream found raises its FormatError, prefixed with "message i: ".  Stream
+    m is row m of one bit matrix, padded with ones, and entry j of message m
+    is cell (m, j) of the gap, sign and index matrices, so each running sum
+    of gaps restarts at its stream.  The Rice rows are read once per distinct
+    Rice parameter.
+    """
+    _check_dim(dim)
+    if not streams:
+        return []
+    wc = count_field_width(dim)
+    counts, params = [], []
+    for i, stream in enumerate(streams):
+        try:
+            count, b = _read_header(stream, dim, wc)
+        except FormatError as err:
+            raise FormatError(f"message {i}: {err}") from None
+        counts.append(count)
+        params.append(b)
+    m = len(streams)
+    counts, params = np.array(counts), np.array(params)
+    lengths = np.array([s.bit_len for s in streams])
+    width = max(len(s.data) for s in streams)
+    octets = np.frombuffer(bytearray(b"".join(s.data.ljust(width, b"\xff") for s in streams)),
+                           dtype=np.uint8)
+    # Ones past each stream, so that past its Rice rows only its unary codes hold zeros.
+    sizes = (lengths + 7) // 8
+    octets[np.arange(m) * width + sizes - 1] |= (0xFF >> (lengths - 8 * sizes + 8)).astype(np.uint8)
+    bits = np.unpackbits(octets).reshape(m, -1)
+    heads = wc + counts * (params + 1)
+    first = int(heads.min())
+    unary = bits[:, first:] == 0
+    if first < int(heads.max()):
+        unary &= np.arange(first, bits.shape[1]) >= heads[:, None]
+    zeros = unary.sum(axis=1)
+    # A stream's unary codes are well formed when it has exactly count zeros
+    # there and, unless it has no entries and so no unary bits, ends in one.
+    last_bit = bits[np.arange(m), lengths - 1]
+    well_formed = (zeros == counts) & np.where(counts > 0, last_bit == 0, heads == lengths)
+    if not well_formed.all():
+        i = int(np.flatnonzero(~well_formed)[0])
+        raise FormatError(f"message {i}: {_unary_error(int(zeros[i]), int(counts[i]))}")
+    k = int(counts.max())
+    present = np.arange(k) < counts[:, None] if int(counts.min()) < k else None
+    rows = np.zeros((m, k), dtype=np.uint64)
+    for b in set(params.tolist()):
+        group = params == b
+        most = int(counts[group].max())
+        rows[group, :most] = _field_values(bits[:, wc:wc + most * (b + 1)].reshape(m, most, b + 1)[group])
+    # Where each unary code ends within its section, then in place its
+    # quotient, gap and index.
+    indices = _padded(np.flatnonzero(unary), present, (m, k))
+    indices -= (np.arange(m) * unary.shape[1] + heads - first)[:, None]
+    indices[:, 1:] -= indices[:, :-1] + 1
+    # Every quotient is non-negative; cells past a stream's count hold
+    # values that are never read.
+    indices = indices.view(np.uint64)
+    indices <<= params[:, None].astype(np.uint64)
+    indices |= rows >> np.uint64(1)
+    indices += np.uint64(1)
+    indices.cumsum(axis=1, out=indices)
+    indices -= np.uint64(1)
+    if k:
+        bad = np.flatnonzero((counts > 0) & (indices[np.arange(m), counts - 1] >= dim))
+        if bad.size:
+            i = int(bad[0])
+            raise FormatError(f"message {i}: {_range_error(indices[i, :counts[i]], dim)}")
+    indices, signs = indices.view(np.int64), _SIGN_OF_BIT[rows & np.uint64(1)]
+    return [SparseSignVector(dim, indices[i, :count], signs[i, :count])
+            for i, count in enumerate(counts.tolist())]
 
 
 def analytic_uplink_bits(dim: int, k: int) -> float:

@@ -56,10 +56,12 @@ class SparseSignVector:
         if idx.size:
             if idx[0] < 0 or idx[-1] >= self.dim:
                 raise ValueError(f"indices out of range for dim={self.dim}")
-            if (idx[1:] <= idx[:-1]).any():
+            # np.count_nonzero rather than .any(): a message is built for
+            # every worker and round, and the method call costs more.
+            if np.count_nonzero(idx[1:] <= idx[:-1]):
                 raise ValueError("indices must be strictly increasing")
             # Exact in int8: abs(-128) stays -128, so only -1 and +1 pass.
-            if (np.abs(sgn) != 1).any():
+            if np.count_nonzero(np.abs(sgn) != 1):
                 raise ValueError("signs must be -1 or +1")
         object.__setattr__(self, "indices", idx)
         object.__setattr__(self, "signs", sgn)

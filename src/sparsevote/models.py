@@ -4,11 +4,11 @@ Three objectives, each exposing loss and an exact analytic gradient:
 
   * diagonal quadratic   f(x) = 0.5 * sum_n L_n x_n^2, stochastic gradients
     are L*x plus per-coordinate Gaussian noise
-  * multinomial logistic regression, parameter layout [W.ravel(), b] with
-    W of shape (classes, features)
   * small fully-connected net with tanh hidden units and a softmax
     cross-entropy head; per layer l the slice [W_l.ravel(), b_l], layers
     concatenated first to last
+  * multinomial logistic regression, the net without a hidden layer: layout
+    [W.ravel(), b] with W of shape (classes, features)
 
 plus dataset partitioning across workers (IID or label-skewed), minibatch
 sampling with replacement, a big-endian IDX image/label reader, and a
@@ -27,6 +27,7 @@ __all__ = [
     "Dataset",
     "WorkerShard",
     "quadratic_grad",
+    "add_gaussian_noise",
     "quadratic_loss",
     "logistic_grad",
     "logistic_loss",
@@ -34,8 +35,10 @@ __all__ = [
     "mlp_param_count",
     "mlp_grad",
     "mlp_loss",
+    "mlp_loss_grad",
     "mlp_accuracy",
     "partition_dataset",
+    "minibatch_indices",
     "sample_minibatch",
     "load_idx_dataset",
     "synth_classification",
@@ -109,9 +112,16 @@ def quadratic_grad(
     l_diag = np.asarray(l_diag, dtype=np.float64)
     if x.shape != l_diag.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs l_diag {l_diag.shape}")
-    g = rng.standard_normal(x.size)
+    return add_gaussian_noise(l_diag * x, noise_std, rng)
+
+
+def add_gaussian_noise(
+    mean: np.ndarray, noise_std: float | np.ndarray, rng: np.random.Generator
+) -> np.ndarray:
+    """mean + z with z ~ N(0, noise_std^2) per coordinate, as quadratic_grad draws it."""
+    g = rng.standard_normal(mean.size)
     g *= noise_std
-    g += l_diag * x
+    g += mean
     return g
 
 
@@ -124,61 +134,87 @@ def quadratic_loss(x: np.ndarray, l_diag: np.ndarray) -> float:
 
 
 # --------------------------------------------------------------------------
-# multinomial logistic regression
-
-def _softmax(z: np.ndarray) -> np.ndarray:
-    z = z - z.max(axis=1, keepdims=True)
-    e = np.exp(z)
-    return e / e.sum(axis=1, keepdims=True)
-
-
-def _logistic_unpack(x: np.ndarray, d: int) -> tuple[np.ndarray, np.ndarray, int]:
-    if x.size % (d + 1) != 0:
-        raise ValueError(f"parameter size {x.size} not divisible by features+1 = {d + 1}")
-    c = x.size // (d + 1)
-    w = x[: c * d].reshape(c, d)
-    b = x[c * d:]
-    return w, b, c
-
+# softmax cross-entropy heads
+#
+# The classifiers below take a batch as features (n, d) with labels (n,).
+# The gradients also take a stack of batches, features (..., n, d) with
+# labels (..., n), and return one gradient per batch, shape (..., N); each
+# equals the gradient of its batch alone bit for bit.
 
 def _check_batch(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
-    if features.ndim != 2 or labels.shape != (features.shape[0],):
+    if features.ndim < 2 or labels.shape != features.shape[:-1]:
         raise ValueError(
             f"bad batch: features {features.shape}, labels {labels.shape}"
         )
-    if features.shape[0] == 0:
+    if features.shape[-2] == 0:
         raise ValueError("batch is empty")
     return features, labels
 
 
+def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Logits z shifted by their row max, exp(z) and its row sums (kept as a column).
+
+    z is logits itself, shifted in place.
+    """
+    # numpy reduces a short last axis row by row; with the classes moved to
+    # the front the max runs across rows, and a max is exact in any order.
+    logits -= np.ascontiguousarray(np.moveaxis(logits, -1, 0)).max(axis=0)[..., None]
+    e = np.exp(logits)
+    return logits, e, e.sum(axis=-1, keepdims=True)
+
+
+def _label_entries(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """Flat positions in the logits of each sample's label entry."""
+    return np.arange(labels.size) * logits.shape[-1] + labels.reshape(-1)
+
+
+def _xent_loss(z: np.ndarray, sums: np.ndarray, labels: np.ndarray) -> float:
+    """Mean cross-entropy over one batch from _softmax_parts."""
+    return float(np.mean(np.log(sums[:, 0]) - z.reshape(-1)[_label_entries(z, labels)]))
+
+
+def _xent_delta(e: np.ndarray, sums: np.ndarray, labels: np.ndarray) -> np.ndarray:
+    """(softmax - onehot) / n: the mean cross-entropy's gradient in the logits, in place in e."""
+    e /= sums
+    e.reshape(-1)[_label_entries(e, labels)] -= 1.0
+    e /= labels.shape[-1]
+    return e
+
+
+def _layer_grad(delta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
+    """[dW.ravel(), db] of one dense layer from its output delta and its inputs."""
+    dw = np.swapaxes(delta, -1, -2) @ inputs
+    return np.concatenate([dw.reshape(*dw.shape[:-2], -1), delta.sum(axis=-2)], axis=-1)
+
+
+# --------------------------------------------------------------------------
+# multinomial logistic regression: the net below without a hidden layer
+
+def _logistic_arch(x: np.ndarray, d: int) -> list[int]:
+    if x.size % (d + 1) != 0:
+        raise ValueError(f"parameter size {x.size} not divisible by features+1 = {d + 1}")
+    return [d, x.size // (d + 1)]
+
+
 def logistic_grad(x: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mean cross-entropy gradient; one sample reduces to (softmax - onehot) x features."""
-    features, labels = _check_batch(features, labels)
     x = np.asarray(x, dtype=np.float64)
-    w, b, c = _logistic_unpack(x, features.shape[1])
-    p = _softmax(features @ w.T + b)
-    p[np.arange(labels.size), labels] -= 1.0
-    p /= labels.size
-    return np.concatenate([(p.T @ features).ravel(), p.sum(axis=0)])
+    features = np.asarray(features, dtype=np.float64)
+    return mlp_grad(x, _logistic_arch(x, features.shape[-1]), features, labels)
 
 
 def logistic_loss(x: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-    features, labels = _check_batch(features, labels)
     x = np.asarray(x, dtype=np.float64)
-    w, b, _ = _logistic_unpack(x, features.shape[1])
-    z = features @ w.T + b
-    z = z - z.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1))
-    return float(np.mean(log_norm - z[np.arange(labels.size), labels]))
+    features = np.asarray(features, dtype=np.float64)
+    return mlp_loss(x, _logistic_arch(x, features.shape[-1]), features, labels)
 
 
 def logistic_accuracy(x: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-    features, labels = _check_batch(features, labels)
     x = np.asarray(x, dtype=np.float64)
-    w, b, _ = _logistic_unpack(x, features.shape[1])
-    return float(np.mean((features @ w.T + b).argmax(axis=1) == labels))
+    features = np.asarray(features, dtype=np.float64)
+    return mlp_accuracy(x, _logistic_arch(x, features.shape[-1]), features, labels)
 
 
 # --------------------------------------------------------------------------
@@ -216,38 +252,46 @@ def _mlp_forward(layers, features):
     return acts, logits
 
 
+def _mlp_backward(layers, acts, delta) -> np.ndarray:
+    grads: list[np.ndarray] = []
+    for i in range(len(layers) - 1, -1, -1):
+        grads.append(_layer_grad(delta, acts[i]))
+        if i:
+            # tanh' = 1 - tanh^2, with acts[i] already the tanh output
+            delta = (delta @ layers[i][0]) * (1.0 - acts[i] ** 2)
+    return np.concatenate(grads[::-1], axis=-1)
+
+
 def mlp_grad(x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mean cross-entropy gradient via backprop, flattened to the layout above."""
     features, labels = _check_batch(features, labels)
-    x = np.asarray(x, dtype=np.float64)
-    layers = _mlp_unpack(x, arch)
+    layers = _mlp_unpack(np.asarray(x, dtype=np.float64), arch)
     acts, logits = _mlp_forward(layers, features)
-    delta = _softmax(logits)
-    delta[np.arange(labels.size), labels] -= 1.0
-    delta /= labels.size
-    grads: list[np.ndarray] = []
-    for i in range(len(layers) - 1, -1, -1):
-        w, _ = layers[i]
-        grads.append(np.concatenate([(delta.T @ acts[i]).ravel(), delta.sum(axis=0)]))
-        if i:
-            # tanh' = 1 - tanh^2, with acts[i] already the tanh output
-            delta = (delta @ w) * (1.0 - acts[i] ** 2)
-    return np.concatenate(grads[::-1])
+    _, e, sums = _softmax_parts(logits)
+    return _mlp_backward(layers, acts, _xent_delta(e, sums, labels))
 
 
 def mlp_loss(x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray) -> float:
     features, labels = _check_batch(features, labels)
-    x = np.asarray(x, dtype=np.float64)
-    _, logits = _mlp_forward(_mlp_unpack(x, arch), features)
-    z = logits - logits.max(axis=1, keepdims=True)
-    log_norm = np.log(np.exp(z).sum(axis=1))
-    return float(np.mean(log_norm - z[np.arange(labels.size), labels]))
+    _, logits = _mlp_forward(_mlp_unpack(np.asarray(x, dtype=np.float64), arch), features)
+    z, _, sums = _softmax_parts(logits)
+    return _xent_loss(z, sums, labels)
+
+
+def mlp_loss_grad(
+    x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray
+) -> tuple[float, np.ndarray]:
+    """mlp_loss and mlp_grad of one batch from one forward pass, each bit for bit."""
+    features, labels = _check_batch(features, labels)
+    layers = _mlp_unpack(np.asarray(x, dtype=np.float64), arch)
+    acts, logits = _mlp_forward(layers, features)
+    z, e, sums = _softmax_parts(logits)
+    return _xent_loss(z, sums, labels), _mlp_backward(layers, acts, _xent_delta(e, sums, labels))
 
 
 def mlp_accuracy(x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray) -> float:
     features, labels = _check_batch(features, labels)
-    x = np.asarray(x, dtype=np.float64)
-    _, logits = _mlp_forward(_mlp_unpack(x, arch), features)
+    _, logits = _mlp_forward(_mlp_unpack(np.asarray(x, dtype=np.float64), arch), features)
     return float(np.mean(logits.argmax(axis=1) == labels))
 
 
@@ -288,15 +332,20 @@ def partition_dataset(
     return [WorkerShard(w, part) for w, part in enumerate(parts)]
 
 
-def sample_minibatch(
-    ds: Dataset, shard: WorkerShard, batch: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw batch samples from the shard uniformly with replacement."""
+def minibatch_indices(shard: WorkerShard, batch: int, rng: np.random.Generator) -> np.ndarray:
+    """Dataset rows of batch samples drawn from the shard uniformly with replacement."""
     if batch < 1:
         raise ValueError(f"batch must be positive, got {batch}")
     if len(shard) == 0:
         raise ValueError(f"worker {shard.worker_id} has an empty shard")
-    picks = shard.indices[rng.integers(0, len(shard), size=batch)]
+    return shard.indices[rng.integers(0, len(shard), size=batch)]
+
+
+def sample_minibatch(
+    ds: Dataset, shard: WorkerShard, batch: int, rng: np.random.Generator
+) -> tuple[np.ndarray, np.ndarray]:
+    """Draw batch samples from the shard uniformly with replacement."""
+    picks = minibatch_indices(shard, batch, rng)
     return ds.features[picks], ds.labels[picks]
 
 

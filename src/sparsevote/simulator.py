@@ -19,6 +19,11 @@ charged either the analytic per-round budgets or the actual encoded wire
 lengths (cost_mode WIRE, which also routes every sparse sign message through
 the codec).  Fixing the config and seed fixes the whole trajectory bit for
 bit, because each (worker, round) pair owns its random stream.
+
+A round runs as whole-round passes where it can: the task's round_pass
+evaluates the iterate and draws the M worker gradients in one call, and on
+the wire encode_round and decode_round carry all M uplink messages at once.
+Each pass gives the same bits as its per-worker, per-message counterpart.
 """
 
 from __future__ import annotations
@@ -34,7 +39,7 @@ import numpy as np
 
 from . import models
 from .aggregation import average_aggregate, majority_vote, participation_count
-from .codec import ALGORITHMS, _Rule, analytic_round_cost, decode_sparse_sign, encode_sparse_sign
+from .codec import ALGORITHMS, _Rule, analytic_round_cost, decode_round, encode_round, encode_sparse_sign
 from .compression import error_feedback_step, rand_k_sign, top_k_sign
 from .rng import derive_rng, worker_rng
 
@@ -232,9 +237,7 @@ class QuadraticTask:
         return float(self.l_diag.sum())
 
     def worker_grad(self, x, worker, batch, rng) -> np.ndarray:
-        if batch != self._batch:
-            self._batch, self._noise_scale = batch, self.noise_std / math.sqrt(batch)
-        return models.quadratic_grad(x, self.l_diag, self._noise_scale, rng)
+        return models.quadratic_grad(x, self.l_diag, self._scale(batch), rng)
 
     def train_loss(self, x) -> float:
         return models.quadratic_loss(x, self.l_diag)
@@ -245,6 +248,29 @@ class QuadraticTask:
     def test_metric(self, x) -> float:
         # No held-out data; report the exact mean-gradient l1 norm instead.
         return self.gbar_l1(x)
+
+    def round_pass(self, x, batch, rngs):
+        """The round's evaluation and worker gradients from one L * x product.
+
+        Returns ((train_loss, test_metric, gbar_l1), grads), equal bit for bit
+        to those methods at x and to worker_grad(x, m, batch, rngs[m]) for each
+        worker m.  grads draws one gradient each time the next is asked for, so
+        no (M, N) array is built and a worker's later draws follow its own.
+        """
+        lx = self.l_diag * x
+        gbar_l1 = float(np.abs(lx).sum())
+        # quadratic_loss sums l_diag * x * x, which numpy evaluates as lx * x.
+        return (float(0.5 * np.sum(lx * x)), gbar_l1, gbar_l1), self._grads(lx, batch, rngs)
+
+    def _grads(self, lx, batch, rngs):
+        scale = self._scale(batch)
+        for rng in rngs:
+            yield models.add_gaussian_noise(lx, scale, rng)
+
+    def _scale(self, batch: int) -> np.ndarray:
+        if batch != self._batch:
+            self._batch, self._noise_scale = batch, self.noise_std / math.sqrt(batch)
+        return self._noise_scale
 
 
 class ClassificationTask:
@@ -283,20 +309,19 @@ class ClassificationTask:
         if data:
             raise ValueError(f"unknown data keys: {sorted(data)}")
 
-        d = self.train.features.shape[1]
-        c = self.train.num_classes
+        # Logistic regression is the net without a hidden layer.
         if kind == "logistic":
-            self.arch = None
-            self.dim = c * (d + 1)
+            hidden = []
         elif kind == "mlp":
             hidden = spec.pop("hidden", [32])
             if not (isinstance(hidden, list) and all(_is_int(h) and h >= 1 for h in hidden)):
                 raise ValueError(f"hidden must be a list of positive integers, got {hidden!r}")
-            self.arch = [d, *hidden, c]
-            self.dim = models.mlp_param_count(self.arch)
         else:
             raise ValueError(f"unknown model kind {kind!r}")
-        default_scale = 0.0 if self.arch is None else 0.5
+        self.arch = [self.train.features.shape[1], *hidden, self.train.num_classes]
+        self.dim = models.mlp_param_count(self.arch)
+        self._logistic = kind == "logistic"
+        default_scale = 0.0 if self._logistic else 0.5
         self.init_scale = _finite(spec.pop("init_scale", default_scale), "init_scale")
         if spec:
             raise ValueError(f"unknown model keys: {sorted(spec)}")
@@ -312,7 +337,7 @@ class ClassificationTask:
             return np.zeros(self.dim)
         rng = derive_rng(self._seed, "init")
         x = rng.normal(0.0, 1.0, self.dim)
-        if self.arch is None:
+        if self._logistic:
             x *= self.init_scale
         else:
             # Xavier-style scaling per layer keeps tanh units out of saturation.
@@ -328,26 +353,34 @@ class ClassificationTask:
 
     def worker_grad(self, x, worker, batch, rng) -> np.ndarray:
         feats, labels = models.sample_minibatch(self.train, self.shards[worker], batch, rng)
-        if self.arch is None:
-            return models.logistic_grad(x, feats, labels)
         return models.mlp_grad(x, self.arch, feats, labels)
 
     def train_loss(self, x) -> float:
-        if self.arch is None:
-            return models.logistic_loss(x, self.train.features, self.train.labels)
         return models.mlp_loss(x, self.arch, self.train.features, self.train.labels)
 
     def gbar_l1(self, x) -> float:
-        if self.arch is None:
-            g = models.logistic_grad(x, self.train.features, self.train.labels)
-        else:
-            g = models.mlp_grad(x, self.arch, self.train.features, self.train.labels)
+        g = models.mlp_grad(x, self.arch, self.train.features, self.train.labels)
         return float(np.abs(g).sum())
 
     def test_metric(self, x) -> float:
-        if self.arch is None:
-            return models.logistic_accuracy(x, self.test.features, self.test.labels)
         return models.mlp_accuracy(x, self.arch, self.test.features, self.test.labels)
+
+    def round_pass(self, x, batch, rngs):
+        """The round's evaluation and worker gradients in two array passes.
+
+        Returns ((train_loss, test_metric, gbar_l1), grads), equal bit for bit
+        to those methods at x and to worker_grad(x, m, batch, rngs[m]) for each
+        worker m.  One forward pass over the training set gives the loss and
+        the full-batch gradient; each worker draws its minibatch from its own
+        stream, and one pass over the (M, batch) stack gives the (M, N)
+        gradients.
+        """
+        train = self.train
+        loss, gbar = models.mlp_loss_grad(x, self.arch, train.features, train.labels)
+        rows = np.stack([models.minibatch_indices(self.shards[m], batch, rng)
+                         for m, rng in enumerate(rngs)])
+        grads = models.mlp_grad(x, self.arch, train.features[rows], train.labels[rows])
+        return (loss, self.test_metric(x), float(np.abs(gbar).sum())), grads
 
 
 _IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
@@ -502,14 +535,11 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
     cumulative = 0.0
     for t in range(cfg.t):
         started = time.perf_counter()
-        train_loss = task.train_loss(x)
-        test_metric = task.test_metric(x)
-        gbar_l1 = task.gbar_l1(x)
+        rngs = [worker_rng(cfg.seed, m, t) for m in range(cfg.m)]
+        (train_loss, test_metric, gbar_l1), grads = task.round_pass(x, batch, rngs)
 
         supports, uploads = [], []
-        for m in range(cfg.m):
-            rng = worker_rng(cfg.seed, m, t)
-            g = task.worker_grad(x, m, batch, rng)
+        for m, (g, rng) in enumerate(zip(grads, rngs)):
             support, upload = _worker_step(rule, g, memory, m, cfg.eta, k, rng)
             supports.append(support)
             uploads.append(upload)
@@ -520,8 +550,8 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
             counts = participation_count(supports, dim) if cfg.record_selection else None
         else:
             if wire:
-                streams = [encode_sparse_sign(msg) for msg in uploads]
-                uploads = [decode_sparse_sign(s, dim) for s in streams]
+                streams = encode_round(uploads)
+                uploads = decode_round(streams, dim)
                 up = float(sum(s.bit_len for s in streams))
             vote = majority_vote(uploads, dim)
             if wire:

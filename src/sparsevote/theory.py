@@ -37,7 +37,19 @@ __all__ = [
 ]
 
 
+# Counts reach numpy and scipy as int64.
+_COUNT_MAX = 2**63 - 1
+
+
+def _check_real(value, name: str) -> None:
+    """A real argument is a finite non-bool int or float (numpy scalars too)."""
+    if (not isinstance(value, numbers.Real) or isinstance(value, bool)
+            or not isinstance(value, numbers.Integral) and not math.isfinite(value)):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+
+
 def _check_gamma(gamma: float, positive: bool = False) -> None:
+    _check_real(gamma, "gamma")
     lo_ok = gamma > 0 if positive else gamma >= 0
     if not (lo_ok and gamma <= 1):
         lo = "(0" if positive else "[0"
@@ -45,11 +57,22 @@ def _check_gamma(gamma: float, positive: bool = False) -> None:
 
 
 def _check_count(value, name: str, low: int = 1) -> None:
-    """A count is a non-bool integer (numpy integers too) of at least low (0 or 1)."""
+    """A count is a non-bool integer (numpy integers too) in [low, 2**63 - 1], low 0 or 1."""
     if not isinstance(value, numbers.Integral) or isinstance(value, bool):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     if value < low:
         raise ValueError(f"{name} must be {'positive' if low else 'non-negative'}, got {value}")
+    if value > _COUNT_MAX:
+        raise ValueError(f"{name} must be at most 2**63 - 1, got {value}")
+
+
+def _check_batch(batch) -> None:
+    """A batch size is a positive integer; an integral float such as 4.0 passes too."""
+    if (not isinstance(batch, numbers.Real) or isinstance(batch, bool)
+            or not isinstance(batch, numbers.Integral) and not float(batch).is_integer()):
+        raise ValueError(f"batch must be an integer, got {batch!r}")
+    if batch < 1:
+        raise ValueError(f"batch must be positive, got {batch}")
 
 
 def alpha(m: int, gamma: float) -> float:
@@ -98,6 +121,8 @@ def empty_coordinate_prob(m: int, gamma: float) -> tuple[float, float]:
 def rho_lower_bound(gamma: float, epsilon: float, g_bar_abs: float) -> float:
     """Lower bound on the top-K selection threshold: (epsilon/sqrt(gamma))*|g|."""
     _check_gamma(gamma, positive=True)
+    _check_real(epsilon, "epsilon")
+    _check_real(g_bar_abs, "g_bar_abs")
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     if g_bar_abs < 0:
@@ -108,7 +133,7 @@ def rho_lower_bound(gamma: float, epsilon: float, g_bar_abs: float) -> float:
 def sign_flip_bound(
     sigma_n: float,
     g_bar_abs: float,
-    batch: float,
+    batch: int,
     gamma: float,
     epsilon: float,
     clamp: bool = True,
@@ -121,12 +146,15 @@ def sign_flip_bound(
     clamp=False for the raw ratio (strict monotonicity checks need it).
     """
     _check_gamma(gamma, positive=True)
+    for name, value in (("sigma_n", sigma_n), ("g_bar_abs", g_bar_abs), ("epsilon", epsilon)):
+        _check_real(value, name)
+    _check_batch(batch)
+    if not isinstance(clamp, bool):
+        raise ValueError(f"clamp must be true or false, got {clamp!r}")
     if sigma_n < 0:
         raise ValueError(f"sigma_n must be non-negative, got {sigma_n}")
     if g_bar_abs <= 0:
         raise ValueError(f"g_bar_abs must be positive, got {g_bar_abs}")
-    if batch <= 0:
-        raise ValueError(f"batch must be positive, got {batch}")
     if epsilon < 0:
         raise ValueError(f"epsilon must be non-negative, got {epsilon}")
     raw = sigma_n / (math.sqrt(batch) * (1.0 + epsilon / math.sqrt(gamma)) * g_bar_abs)
@@ -135,6 +163,7 @@ def sign_flip_bound(
 
 def vote_error_bound(p: float, u: int) -> float:
     """Chernoff bound on a vote over u participants erring: [4p(1-p)]^(u/2)."""
+    _check_real(p, "p")
     if not 0 <= p <= 1:
         raise ValueError(f"p must be in [0, 1], got {p}")
     _check_count(u, "u")
@@ -147,6 +176,7 @@ def vote_error_exact(p: float, u: int) -> float:
     The vote errs when at least half the participants flip; ties count as
     errors, so this is the Binomial(u, p) tail from ceil(u/2) up.
     """
+    _check_real(p, "p")
     if not 0 <= p <= 1:
         raise ValueError(f"p must be in [0, 1], got {p}")
     _check_count(u, "u")
@@ -172,11 +202,13 @@ class BoundInputs:
     sigma_l1: float
     f0_minus_fstar: float
     t: int
-    batch: float | None = None
+    batch: int | None = None
 
     def __post_init__(self):
         _check_count(self.m, "worker count")
         _check_gamma(self.gamma, positive=True)
+        for name in ("epsilon", "l1_smoothness", "sigma_l1", "f0_minus_fstar"):
+            _check_real(getattr(self, name), name)
         if not 0 <= self.epsilon <= 1:
             raise ValueError(f"epsilon must be in [0, 1], got {self.epsilon}")
         for name in ("l1_smoothness", "sigma_l1", "f0_minus_fstar"):
@@ -185,8 +217,8 @@ class BoundInputs:
         if self.l1_smoothness == 0:
             raise ValueError("l1_smoothness must be positive")
         _check_count(self.t, "t")
-        if self.batch is not None and self.batch <= 0:
-            raise ValueError(f"batch must be positive, got {self.batch}")
+        if self.batch is not None:
+            _check_batch(self.batch)
 
 
 def _bound(inp: BoundInputs, noise_factor: float) -> float:
@@ -231,6 +263,9 @@ def gamma_star(
     Decreases like M^(-2/3) in the worker count.
     """
     _check_count(m, "worker count")
+    for name, value in (("epsilon", epsilon), ("f0_minus_fstar", f0_minus_fstar),
+                        ("l1_smoothness", l1_smoothness), ("sigma_l1", sigma_l1)):
+        _check_real(value, name)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if f0_minus_fstar <= 0:
@@ -260,6 +295,9 @@ def sparsity_surrogate(
     """
     _check_gamma(gamma, positive=True)
     _check_count(m, "worker count")
+    for name, value in (("epsilon", epsilon), ("f0_minus_fstar", f0_minus_fstar),
+                        ("l1_smoothness", l1_smoothness), ("sigma_l1", sigma_l1), ("t", t)):
+        _check_real(value, name)
     if epsilon <= 0:
         raise ValueError(f"epsilon must be positive, got {epsilon}")
     if t <= 0:

@@ -276,6 +276,55 @@ class TestTheoryEval:
         assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
         assert captured.out == ""
 
+    @pytest.mark.parametrize(
+        "bound, params",
+        [
+            ("vote_error_exact", {"p": 0.1, "u": 10 ** 20}),
+            ("m_participation_pmf", {"m": 10 ** 20, "gamma": 0.5, "u": 3}),
+            ("sign_flip_bound", {"sigma_n": 1.0, "g_bar_abs": 1.0, "batch": True,
+                                 "gamma": 0.5, "epsilon": 0.5}),
+            ("sign_flip_bound", {"sigma_n": 1.0, "g_bar_abs": 1.0, "batch": 2.5,
+                                 "gamma": 0.5, "epsilon": 0.5}),
+            ("sign_flip_bound", {"sigma_n": "1", "g_bar_abs": 1.0, "batch": 2,
+                                 "gamma": 0.5, "epsilon": 0.5}),
+            ("sign_flip_bound", {"sigma_n": float("nan"), "g_bar_abs": 1.0, "batch": 2,
+                                 "gamma": 0.5, "epsilon": 0.5}),
+            ("sign_flip_bound", {"sigma_n": 1.0, "g_bar_abs": 1.0, "batch": 2,
+                                 "gamma": 0.5, "epsilon": float("inf")}),
+            ("sign_flip_bound", {"sigma_n": 1.0, "g_bar_abs": 1.0, "batch": 2,
+                                 "gamma": 0.5, "epsilon": 0.5, "clamp": "no"}),
+            ("alpha", {"m": 3, "gamma": "0.5"}),
+            ("empty_coordinate_prob", {"m": 3, "gamma": float("nan")}),
+            ("rho_lower_bound", {"gamma": 0.5, "epsilon": [1.0], "g_bar_abs": 1.0}),
+            ("vote_error_bound", {"p": "0.1", "u": 3}),
+            ("vote_error_exact", {"p": None, "u": 3}),
+            ("gamma_star", {"m": 8, "epsilon": 1.0, "f0_minus_fstar": 1.0,
+                            "l1_smoothness": float("inf"), "sigma_l1": 1.0}),
+            ("sparsity_surrogate", {"gamma": 0.1, "m": 8, "epsilon": 1.0, "f0_minus_fstar": 1.0,
+                                    "l1_smoothness": 16.0, "sigma_l1": 1.0, "t": "100"}),
+            ("convergence_bound_topk", {"m": 8, "gamma": 0.1, "epsilon": 1.0,
+                                        "l1_smoothness": 16.0, "sigma_l1": True,
+                                        "f0_minus_fstar": 1.0, "t": 100}),
+            ("convergence_bound_randk", {"m": 8, "gamma": 0.1, "epsilon": 1.0,
+                                         "l1_smoothness": 16.0, "sigma_l1": 1.0,
+                                         "f0_minus_fstar": 1.0, "t": 100, "batch": True}),
+        ],
+    )
+    def test_bad_argument_is_one_error_line(self, capsys, bound, params):
+        code, captured = self.run_eval(capsys, bound, params)
+        assert code == 1
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+        assert captured.out == ""
+
+    def test_integral_float_batch_is_a_batch(self, capsys):
+        params = {"sigma_n": 1.0, "g_bar_abs": 1.0, "gamma": 0.25, "epsilon": 1.0}
+        values = []
+        for batch in (4, 4.0):
+            code, captured = self.run_eval(capsys, "sign_flip_bound", {**params, "batch": batch})
+            assert code == 0
+            values.append(json.loads(captured.out)["value"])
+        assert values[0] == values[1] == pytest.approx(1 / 6, abs=1e-15)
+
     def test_domain_error_reported(self, capsys):
         code = main(["theory", "eval", "--bound", "alpha",
                      "--params", json.dumps({"m": 0, "gamma": 0.5})])

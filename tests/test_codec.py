@@ -16,7 +16,9 @@ from sparsevote.codec import (
     analytic_round_cost,
     analytic_uplink_bits,
     count_field_width,
+    decode_round,
     decode_sparse_sign,
+    encode_round,
     encode_sparse_sign,
     rice_parameter,
 )
@@ -491,3 +493,106 @@ class TestCommLedger:
         assert lines[0] == "round,algorithm,uplink_bits,downlink_bits,cumulative_bits"
         assert lines[1] == "0,SIGNSGD_MV,10.0,10.0,20.0"
         assert lines[2] == "1,SIGNSGD_MV,10.0,10.0,40.0"
+
+
+# --------------------------------------------------------------------------
+# the round codec against the per-message codec
+
+def _message(dim, count, rng):
+    idx = np.sort(rng.choice(dim, size=count, replace=False)).astype(np.int64)
+    return SparseSignVector(dim, idx, rng.choice([-1, 1], size=count).astype(np.int8))
+
+
+@st.composite
+def rounds(draw):
+    """1 to 12 messages over one dim up to 2**20, each with 0, 1, N or some
+    entries, so one round can mix counts and Rice parameters.  Full messages
+    only up to N = 4096, to keep the examples small."""
+    dim = draw(st.integers(1, 64) | st.integers(1, 4096) | st.integers(1, 2**20))
+    every = [0, 1, dim] if dim <= 4096 else [0, 1]
+    counts = draw(st.lists(st.sampled_from(every) | st.integers(0, min(dim, 200)),
+                           min_size=1, max_size=12))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [_message(dim, k, rng) for k in counts]
+
+
+def _mixed_counts(dim, *counts):
+    rng = np.random.default_rng(0)
+    return [_message(dim, k, rng) for k in counts]
+
+
+@st.composite
+def messages_over(draw, dim):
+    """A short message over dim, for any dim up to 2**63."""
+    indices = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=min(dim, 8))))
+    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(indices), max_size=len(indices)))
+    return SparseSignVector(dim, np.array(indices, dtype=np.int64), np.array(signs, dtype=np.int8))
+
+
+def _malformed():
+    """(stream, dim) for each malformed stream of TestMalformedStreams and
+    TestAgainstBitLoopReference."""
+    two = encode_sparse_sign(SparseSignVector(8, np.array([0, 5]), np.array([1, -1])))
+    one = encode_sparse_sign(SparseSignVector(8, np.array([3]), np.array([1])))
+    pair = encode_sparse_sign(SparseSignVector(8, np.array([1, 5]), np.array([1, -1])))
+    head = "0010" + "11" + "01"
+    cases = {
+        "truncated": (Bitstream(two.data[:1], 7), 8),
+        "overlong": (Bitstream(one.data + b"\x00", one.bit_len + 8), 8),
+        "index out of range": (Bitstream(bytes([int("001" + "10" + "1" + "10", 2)]), 8), 5),
+        "second index out of range": (bitstream("0010" + "1" + "1" + "1" + "1" + "110" + "10"), 8),
+        "quotient that would wrap": (bitstream(format(1, "064b") + "0" * 62 + "1" + "11110"), 2**63),
+        "short data": (Bitstream(pair.data[:-1], pair.bit_len), 8),
+        "long data": (Bitstream(pair.data + b"\x00", pair.bit_len), 8),
+        "count exceeds dim": (Bitstream(bytes([0b1110_0000]), 3), 5),
+        "huge count": (bitstream(format(2**50, f"0{count_field_width(2**62)}b")), 2**62),
+        "index past int64": (bitstream(format(2, "064b") + ("1" * 61 + "1") * 2 + "0" + "1110"), 2**63),
+    }
+    for tail in ("", "0", "11", "111", "0111", "000", "001", "0101", "01110", "011110"):
+        cases[f"unary tail {tail!r}"] = (bitstream(head + tail), 8)
+    return cases
+
+
+MALFORMED = _malformed()
+
+
+class TestRoundCodec:
+    @given(rounds())
+    @settings(max_examples=200, deadline=None)
+    @example(_mixed_counts(2**20, 2**20, 1, 0))
+    @example(_mixed_counts(1000, 1000, 30, 1, 0, 30))  # Rice parameters 0, 5, 9, 0 and 5
+    @example(_mixed_counts(1, *[0] * 12))
+    def test_same_bytes_as_the_message_codec_and_round_trips(self, msgs):
+        streams = encode_round(msgs)
+        assert [(s.data, s.bit_len) for s in streams] == [
+            (s.data, s.bit_len) for s in map(encode_sparse_sign, msgs)]
+        assert decode_round(streams, msgs[0].dim) == msgs
+
+    def test_empty_round(self):
+        assert encode_round([]) == []
+        assert decode_round([], 8) == []
+
+    def test_one_dim_per_round(self):
+        msgs = [_message(8, 2, np.random.default_rng(0)), _message(9, 2, np.random.default_rng(0))]
+        with pytest.raises(ValueError, match="message 1 has dim 9"):
+            encode_round(msgs)
+
+    def test_every_case_is_malformed_alone(self):
+        for stream, dim in MALFORMED.values():
+            with pytest.raises(FormatError):
+                decode_sparse_sign(stream, dim)
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    @given(data=st.data())
+    @settings(max_examples=20, deadline=None)
+    def test_one_malformed_stream_among_valid_ones_is_named(self, case, data):
+        stream, dim = MALFORMED[case]
+        with pytest.raises(FormatError) as alone:
+            decode_sparse_sign(stream, dim)
+        others = data.draw(st.lists(messages_over(dim), max_size=11))
+        position = data.draw(st.integers(0, len(others)))
+        streams = [encode_sparse_sign(v) for v in others]
+        streams.insert(position, stream)
+        with pytest.raises(FormatError) as err:
+            decode_round(streams, dim)
+        assert str(err.value) == f"message {position}: {alone.value}"

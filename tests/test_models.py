@@ -4,6 +4,8 @@ import struct
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsevote.models import (
     Dataset,
@@ -16,6 +18,7 @@ from sparsevote.models import (
     mlp_accuracy,
     mlp_grad,
     mlp_loss,
+    mlp_loss_grad,
     mlp_param_count,
     partition_dataset,
     quadratic_grad,
@@ -155,6 +158,24 @@ class TestMlp:
         expected[0] -= 0.5 * 1.0
         expected[3] -= 0.5 * 1.0
         assert np.allclose(head_bias, expected, atol=1e-15)
+
+    @given(st.sampled_from([[3, 2], [4, 5, 3], [2, 3, 4, 2]]), st.integers(1, 5),
+           st.integers(1, 9), st.integers(0, 2**16))
+    @settings(max_examples=40, deadline=None)
+    def test_stacked_batches_and_fused_loss_are_bitwise(self, arch, stack, n, seed):
+        rng = np.random.default_rng(seed)
+        x = rng.normal(scale=0.5, size=mlp_param_count(arch))
+        feats = rng.normal(size=(stack, n, arch[0]))
+        labels = rng.integers(0, arch[-1], size=(stack, n))
+        grads = mlp_grad(x, arch, feats, labels)
+        assert grads.shape == (stack, x.size)
+        for i in range(stack):
+            assert grads[i].tobytes() == mlp_grad(x, arch, feats[i], labels[i]).tobytes()
+            loss, grad = mlp_loss_grad(x, arch, feats[i], labels[i])
+            assert loss == mlp_loss(x, arch, feats[i], labels[i])
+            assert grad.tobytes() == grads[i].tobytes()
+        if len(arch) == 2:  # logistic regression is the net without a hidden layer
+            assert logistic_grad(x, feats, labels).tobytes() == grads.tobytes()
 
     def test_accuracy_and_loss_finite(self):
         rng = np.random.default_rng(19)

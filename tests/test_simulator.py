@@ -7,10 +7,14 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsevote.aggregation import majority_vote
 from sparsevote.codec import analytic_round_cost, count_field_width
+from sparsevote.compression import rand_k_sign
 from sparsevote.models import quadratic_grad
+from sparsevote.rng import worker_rng
 from sparsevote.simulator import (
     CSV_COLUMNS,
     ClassificationTask,
@@ -470,6 +474,52 @@ class TestQuadraticTask:
         got = task.worker_grad(x, 0, batch, np.random.default_rng(5))
         expected = quadratic_grad(x, task.l_diag, 6.0 / scale, np.random.default_rng(5))
         assert got.tobytes() == expected.tobytes()
+
+
+@st.composite
+def tasks(draw):
+    """A quadratic, logistic or MLP task with its config."""
+    kind = draw(st.sampled_from(["quadratic", "logistic", "mlp"]))
+    raw = dict(algorithm="S3GD_MV_RANDK", m=draw(st.integers(1, 6)), t=4,
+               seed=draw(st.integers(0, 2**16)))
+    if kind == "quadratic":
+        raw["n"] = draw(st.integers(1, 60))
+        raw["model"] = {"kind": kind, "noise_std": draw(st.sampled_from([0.0, 0.5, 3.0])),
+                        "lipschitz": {"log_min": -1, "log_max": 1}}
+        task = QuadraticTask(ExperimentConfig.from_dict(raw))
+    else:
+        raw["model"] = {"kind": kind}
+        if kind == "mlp":
+            raw["model"]["hidden"] = draw(st.sampled_from([[3], [4, 3]]))
+        raw["data"] = {"n_samples": draw(st.integers(60, 150)), "d": draw(st.integers(1, 5)),
+                       "num_classes": draw(st.integers(2, 4)),
+                       "mode": draw(st.sampled_from(["IID", "NONIID"]))}
+        task = ClassificationTask(ExperimentConfig.from_dict(raw))
+    return task, raw
+
+
+class TestRoundPass:
+    """round_pass against the per-call task methods, bit for bit."""
+
+    @given(tasks(), st.integers(1, 8), st.integers(0, 2**16), st.floats(0.0, 2.0))
+    @settings(max_examples=60, deadline=None)
+    def test_equals_the_evaluation_methods_and_worker_grads(self, made, batch, t, scale):
+        task, raw = made
+        x = task.init_params() + scale * np.random.default_rng(t).standard_normal(task.dim)
+        k = resolve_k(0.3, task.dim)
+        rngs = [worker_rng(raw["seed"], m, t) for m in range(raw["m"])]
+        evaluation, grads = task.round_pass(x, batch, rngs)
+        # Each worker's rand-K draw follows its gradient draw on its stream.
+        got = [(g, rand_k_sign(g, k, rng)) for g, rng in zip(grads, rngs)]
+
+        expected = (task.train_loss(x), task.test_metric(x), task.gbar_l1(x))
+        assert np.array(evaluation).tobytes() == np.array(expected).tobytes()
+        assert len(got) == raw["m"]
+        for m, (g, msg) in enumerate(got):
+            rng = worker_rng(raw["seed"], m, t)
+            want = task.worker_grad(x, m, batch, rng)
+            assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
+            assert msg == rand_k_sign(want, k, rng)
 
 
 class TestClassificationRuns:
