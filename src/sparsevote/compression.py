@@ -13,7 +13,8 @@ from the high-index end, so ties go to lower coordinate indices and results
 are reproducible.  The error feedback step runs in place in the worker's
 memory row: it forms g + eta * e there, reads the signs from it and zeroes
 the sent coordinates, so the only (N,) arrays it allocates are |g| and the
-partitioned copy.
+partitioned copy, and only the copy when the caller lets it form |g| in
+the gradient's own array.
 """
 
 from __future__ import annotations
@@ -186,7 +187,7 @@ def rand_k_sign(u: np.ndarray, k: int, rng: np.random.Generator) -> SparseSignVe
 
 
 def error_feedback_step(
-    g_tilde: np.ndarray, e: np.ndarray, eta: float, k: int
+    g_tilde: np.ndarray, e: np.ndarray, eta: float, k: int, overwrite_g: bool = False
 ) -> tuple[SparseSignVector, np.ndarray, np.ndarray]:
     """One worker-side compression step with error accumulation, in place in e.
 
@@ -200,7 +201,8 @@ def error_feedback_step(
 
     support is the full top-k selection; msg omits its exact zeros, which
     carry no sign.  With eta = 0 the old memory is ignored and the new one
-    depends on g_tilde alone.
+    depends on g_tilde alone.  With overwrite_g the step also uses g_tilde's
+    array as scratch, which then holds |g| in place of g_tilde.
     """
     g_tilde = np.asarray(g_tilde, dtype=np.float64)
     if not isinstance(e, np.ndarray) or e.dtype != np.float64:
@@ -214,7 +216,7 @@ def error_feedback_step(
     if eta != 1.0:  # x * 1.0 == x exactly, so the product is skipped
         e *= eta
     e += g_tilde
-    support, _ = _top_k_support(np.abs(e), k)
+    support, _ = _top_k_support(np.abs(e, out=g_tilde if overwrite_g else None), k)
     sent = e[support]
     e[support] = 0.0
     return _sign_message(e.size, support, sent), support, sent

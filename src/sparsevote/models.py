@@ -116,10 +116,17 @@ def quadratic_grad(
 
 
 def add_gaussian_noise(
-    mean: np.ndarray, noise_std: float | np.ndarray, rng: np.random.Generator
+    mean: np.ndarray,
+    noise_std: float | np.ndarray,
+    rng: np.random.Generator,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
-    """mean + z with z ~ N(0, noise_std^2) per coordinate, as quadratic_grad draws it."""
-    g = rng.standard_normal(mean.size)
+    """mean + z with z ~ N(0, noise_std^2) per coordinate, as quadratic_grad draws it.
+
+    Given out, a float64 array shaped like mean, z is drawn into it (the same
+    stream and values) and out is returned.
+    """
+    g = rng.standard_normal(mean.size) if out is None else rng.standard_normal(out=out)
     g *= noise_std
     g += mean
     return g

@@ -5,6 +5,7 @@ import warnings
 
 import pytest
 
+from sparsevote import simulator
 from sparsevote.cli import main
 from sparsevote.simulator import CSV_COLUMNS
 
@@ -98,6 +99,23 @@ class TestRun:
                 assert main([*argv, "--config", str(quad_config)]) == 1
             err = capsys.readouterr().err
             assert err == "error: non-finite parameters after round 51\n"
+
+    def test_divergence_on_worker_threads_is_one_error_line(self, quad_config, capsys, monkeypatch):
+        # Above the gate, on two threads on any host.  The memory product
+        # eta * e overflows inside the worker step a few rounds before the
+        # parameters do, on both threads.
+        monkeypatch.setattr(simulator, "_usable_cpus", lambda: 2)
+        quad_config.write_text(json.dumps({
+            "algorithm": "TOPK_SGD_MEM", "m": 2, "t": 500, "n": simulator._THREADED_MIN_DIM,
+            "gamma": 0.5, "eta": 1e10, "learning_rate": 0.01,
+            "model": {"kind": "quadratic", "noise_std": 0.0, "init": 1.0},
+        }))
+        for argv in (["run"], ["sweep", "--axis", "mu", "--values", "0"]):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")  # a worker thread's overflow warning would print too
+                assert main([*argv, "--config", str(quad_config)]) == 1
+            err = capsys.readouterr().err
+            assert err == "error: non-finite parameters after round 77\n"
 
     def test_bad_config_key(self, tmp_path, capsys):
         path = tmp_path / "bad.json"

@@ -205,6 +205,25 @@ class TestAgainstArgpartitionReference:
         assert e.tobytes() == ref_e_next.tobytes()
         assert sent.tobytes() == ref_g[ref_support].tobytes()
 
+    @pytest.mark.parametrize("overwrite_g", [False, True])
+    @given(tie_heavy_vectors(), st.data())
+    @settings(max_examples=150, deadline=None)
+    def test_overwrite_g_changes_only_g_tilde(self, overwrite_g, g_tilde, data):
+        n = g_tilde.size
+        e = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
+        eta = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
+        k = edge_or_any_k(data, n)
+        ref_msg, ref_e_next, ref_g, ref_support = ref_error_feedback_step(g_tilde, e, eta, k)
+        given_g = g_tilde.copy()
+        msg, support, sent = error_feedback_step(given_g, e, eta, k, overwrite_g=overwrite_g)
+        assert msg == ref_msg
+        assert support.tolist() == ref_support.tolist()
+        assert e.tobytes() == ref_e_next.tobytes()
+        assert sent.tobytes() == ref_g[ref_support].tobytes()
+        # Scratch holds |g|; otherwise g_tilde is left as it was.
+        after = np.abs(ref_g) if overwrite_g else g_tilde
+        assert given_g.tobytes() == after.tobytes()
+
 
 class TestTopKSign:
     def test_largest_magnitude_wins(self):

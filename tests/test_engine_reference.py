@@ -7,10 +7,14 @@ except wall_ms, selection counts included.
 """
 
 import itertools
+import os
+import sys
+import threading
 
 import numpy as np
 import pytest
 
+from sparsevote import simulator
 from sparsevote.aggregation import average_aggregate, majority_vote
 from sparsevote.codec import analytic_round_cost, decode_sparse_sign, encode_sparse_sign
 from sparsevote.compression import rand_k_sign, top_k_select, top_k_sign
@@ -155,5 +159,155 @@ def test_engine_matches_reference_loop_on_ties_and_batches(make, alg, cost_mode)
     got = engine_run(cfg)
     assert len(got) == len(expected) == cfg.t
     for ours, ref in zip(got, expected):
+        assert ours[:-1] == ref[:-1]
+        assert np.array_equal(ours[-1], ref[-1])
+
+
+# The worker phase on threads: the gate forced down to N = 1 and the usable
+# CPU count set, so T = min(CPUs, M) threads run it on any host.
+
+def threaded(monkeypatch, cpus):
+    """Force the threaded worker phase; returns a set that collects
+    (thread id, workers) for each share run."""
+    monkeypatch.setattr(simulator, "_THREADED_MIN_DIM", 1)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+    ran = set()
+    run_share = simulator._worker_share
+
+    def spy(workers, *args):
+        ran.add((threading.get_ident(), tuple(workers)))
+        return run_share(workers, *args)
+
+    monkeypatch.setattr(simulator, "_worker_share", spy)
+    return ran
+
+
+def assert_shares(ran, threads, m):
+    """Worker shares i, i + T, ... ran, on the calling thread and at least one other.
+
+    An idle pool thread may take up a second share, so fewer than T threads
+    can run the T shares.
+    """
+    assert {workers for _, workers in ran} == {tuple(range(i, m, threads)) for i in range(threads)}
+    assert len({ident for ident, _ in ran}) >= 2
+
+
+@pytest.mark.parametrize("threads", ["1", "2", "M"])
+@pytest.mark.parametrize("make", [quadratic, quadratic_wide_batch, logistic_noniid])
+@pytest.mark.parametrize(
+    "alg, cost_mode, mu",
+    list(itertools.product(ALGORITHMS, ("ANALYTIC", "WIRE"), (0.0, 0.5))),
+)
+def test_threaded_worker_phase_matches_reference_loop(monkeypatch, threads, make, alg, cost_mode, mu):
+    cfg = make(algorithm=alg, cost_mode=cost_mode, mu=mu)
+    expected = reference_run(cfg)
+    count = cfg.m if threads == "M" else int(threads)
+    ran = threaded(monkeypatch, count)
+    got = engine_run(cfg)
+    # T = 1 is the sequential loop.
+    if count == 1:
+        assert not ran
+    else:
+        assert_shares(ran, count, cfg.m)
+    assert len(got) == len(expected) == cfg.t
+    for ours, ref in zip(got, expected):
+        assert ours[:-1] == ref[:-1]
+        assert np.array_equal(ours[-1], ref[-1])
+
+
+def test_no_threads_below_the_gate(monkeypatch):
+    ran = threaded(monkeypatch, 2)
+    monkeypatch.setattr(simulator, "_THREADED_MIN_DIM", 2001)
+    run_experiment(quadratic_wide_batch(algorithm="S3GD_MV"))
+    assert not ran
+
+
+class NaNStream:
+    """A worker stream whose Gaussian draws are all NaN."""
+
+    def standard_normal(self, size=None, out=None):
+        out = np.empty(size) if out is None else out
+        out.fill(np.nan)
+        return out
+
+
+class BrokenStream:
+    def standard_normal(self, size=None, out=None):
+        raise RuntimeError("stream broke")
+
+
+def break_streams(monkeypatch, streams):
+    """Replace worker m's stream at round 1 by streams[m]."""
+    derive = simulator.worker_rng
+    monkeypatch.setattr(
+        simulator, "worker_rng",
+        lambda seed, m, t: streams[m]() if t == 1 and m in streams else derive(seed, m, t),
+    )
+
+
+def raised(cfg):
+    with pytest.raises(Exception) as info:
+        run_experiment(cfg)
+    return type(info.value), str(info.value)
+
+
+@pytest.mark.parametrize("threads", [2, 3, 8])
+@pytest.mark.parametrize(
+    "streams, error",
+    [
+        ({5: NaNStream}, (ValueError, "cannot rank NaN magnitudes")),
+        # The sequential loop stops at worker 1, before worker 2 fails.
+        ({2: NaNStream, 1: BrokenStream}, (RuntimeError, "stream broke")),
+        ({1: NaNStream, 2: BrokenStream}, (ValueError, "cannot rank NaN magnitudes")),
+    ],
+)
+def test_a_failing_worker_raises_as_in_the_sequential_loop(monkeypatch, threads, streams, error):
+    cfg = quadratic_wide_batch(algorithm="S3GD_MV")
+    break_streams(monkeypatch, streams)
+    assert raised(cfg) == error
+    before = threading.active_count()
+    ran = threaded(monkeypatch, threads)
+    assert raised(cfg) == error
+    assert_shares(ran, threads, cfg.m)
+    assert threading.active_count() == before
+
+
+def test_no_thread_outlives_a_run(monkeypatch):
+    before = threading.active_count()
+    ran = threaded(monkeypatch, 2)
+    run_experiment(quadratic_wide_batch(algorithm="S3GD_MV"))
+    assert_shares(ran, 2, 8)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("alg", ALGORITHMS)
+def test_threaded_worker_phase_on_this_hosts_cpus(monkeypatch, alg):
+    """The gate forced down with the real CPU count: under a one-CPU affinity
+    mask T = 1 and the sequential loop runs, otherwise the threads do."""
+    monkeypatch.setattr(simulator, "_THREADED_MIN_DIM", 1)
+    cpus = simulator._usable_cpus()
+    if hasattr(os, "sched_getaffinity"):
+        assert cpus == len(os.sched_getaffinity(0))
+    cfg = quadratic_wide_batch(algorithm=alg, cost_mode="WIRE")
+    for ours, ref in zip(engine_run(cfg), reference_run(cfg), strict=True):
+        assert ours[:-1] == ref[:-1]
+        assert np.array_equal(ours[-1], ref[-1])
+
+
+@pytest.mark.parametrize("alg", ["TOPK_SGD_MEM", "S3GD_MV"])
+def test_threaded_worker_phase_under_frequent_thread_switches(monkeypatch, alg):
+    """16 threads on 16 workers, switching every microsecond: a lost or
+    crossed write to a memory row or an upload slot would change the run."""
+    cfg = quadratic_wide_batch(algorithm=alg, cost_mode="WIRE", m=16)
+    expected = reference_run(cfg)
+    ran = threaded(monkeypatch, 16)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = engine_run(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert_shares(ran, 16, 16)
+    for ours, ref in zip(got, expected, strict=True):
         assert ours[:-1] == ref[:-1]
         assert np.array_equal(ours[-1], ref[-1])

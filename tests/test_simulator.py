@@ -475,6 +475,34 @@ class TestQuadraticTask:
         expected = quadratic_grad(x, task.l_diag, 6.0 / scale, np.random.default_rng(5))
         assert got.tobytes() == expected.tobytes()
 
+    def test_worker_grad_keeps_no_batch_state(self):
+        # Worker threads share the task, so a gradient at one batch size must
+        # not change what another batch size gives.
+        cfg = quad_cfg(t=16, batch_size=4, model={"kind": "quadratic", "noise_std": 6.0})
+        task = QuadraticTask(cfg)
+        state = dict(vars(task))
+        x = np.linspace(-1.0, 1.0, 16)
+        for batch in (4, 9, 4, 1, 9, 16):
+            got = task.worker_grad(x, 0, batch, np.random.default_rng(batch))
+            fresh = QuadraticTask(cfg).worker_grad(x, 0, batch, np.random.default_rng(batch))
+            assert got.tobytes() == fresh.tobytes()
+            _, grads = task.round_pass(x, batch, [np.random.default_rng(batch)])
+            assert grads[0].tobytes() == fresh.tobytes()
+        assert vars(task).keys() == state.keys()
+        assert all(vars(task)[key] is value for key, value in state.items())
+
+    def test_gradients_drawn_into_a_row_equal_fresh_ones(self):
+        cfg = quad_cfg(m=3, n=50, model={"kind": "quadratic", "noise_std": 2.0,
+                                         "lipschitz": {"log_min": -1, "log_max": 1}})
+        task = QuadraticTask(cfg)
+        x = np.linspace(-1.0, 1.0, 50)
+        fresh = task.round_pass(x, 4, [worker_rng(3, m, 2) for m in range(3)])[1]
+        rows = task.round_pass(x, 4, [worker_rng(3, m, 2) for m in range(3)])[1]
+        row = np.empty(50)
+        for m in range(3):
+            assert rows.draw(m, out=row) is row
+            assert row.tobytes() == fresh[m].tobytes()
+
 
 @st.composite
 def tasks(draw):
