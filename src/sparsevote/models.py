@@ -116,17 +116,10 @@ def quadratic_grad(
 
 
 def add_gaussian_noise(
-    mean: np.ndarray,
-    noise_std: float | np.ndarray,
-    rng: np.random.Generator,
-    out: np.ndarray | None = None,
+    mean: np.ndarray, noise_std: float | np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """mean + z with z ~ N(0, noise_std^2) per coordinate, as quadratic_grad draws it.
-
-    Given out, a float64 array shaped like mean, z is drawn into it (the same
-    stream and values) and out is returned.
-    """
-    g = rng.standard_normal(mean.size) if out is None else rng.standard_normal(out=out)
+    """mean + z with z ~ N(0, noise_std^2) per coordinate, as quadratic_grad draws it."""
+    g = rng.standard_normal(mean.size)
     g *= noise_std
     g += mean
     return g

@@ -24,10 +24,10 @@ A round runs as whole-round passes where it can: the task's round_pass
 evaluates the iterate and draws the M worker gradients in one call, and on
 the wire encode_round and decode_round carry all M uplink messages at once.
 Each pass gives the same bits as its per-worker, per-message counterpart.
-At large N the worker phase (each worker's gradient draw and compression
-step) runs on min(usable CPUs, M) threads, each owning a fixed share of
-the workers, and the server step then runs in worker order, so results do
-not depend on the thread count.
+For the quadratic task at large N the worker phase (each worker's
+gradient draw and compression step) runs on min(usable CPUs, M) threads,
+each owning a fixed share of the workers, and the server step then runs
+in worker order, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -286,11 +286,7 @@ class _NoisyGradients(Sequence):
         return len(self._rngs)
 
     def __getitem__(self, m: int) -> np.ndarray:
-        return self.draw(m)
-
-    def draw(self, m: int, out: np.ndarray | None = None) -> np.ndarray:
-        """Worker m's gradient, drawn into out when it is given."""
-        return models.add_gaussian_noise(self._mean, self._scale, self._rngs[m], out)
+        return models.add_gaussian_noise(self._mean, self._scale, self._rngs[m])
 
 
 class ClassificationTask:
@@ -506,19 +502,18 @@ def _batch_size(cfg: ExperimentConfig) -> int:
     return cfg.t if cfg.batch_size == "theory" else int(cfg.batch_size)
 
 
-def _worker_step(
-    rule: _Rule, g: np.ndarray, memory, m: int, eta: float, k: int, rng, overwrite_g: bool = False
-):
+def _worker_step(rule: _Rule, g: np.ndarray, memory, m: int, eta: float, k: int, rng):
     """Worker m's upload from its stochastic gradient g: (coordinates sent, upload).
 
     A vote server receives a SparseSignVector, which leaves out exact zeros
     because they carry no sign; a mean server receives the corrected
     gradient with every unselected coordinate zeroed.  Error memory is
-    updated in place in the row memory[m], and with overwrite_g its step
-    may use g's array as scratch.
+    updated in place in the row memory[m].  g is the worker's own array and
+    nothing reads it after the step, so the error memory step overwrites it
+    with |g + eta * e| rather than allocate an array for that.
     """
     if rule.memory:
-        msg, support, sent = error_feedback_step(g, memory[m], eta, k, overwrite_g)
+        msg, support, sent = error_feedback_step(g, memory[m], eta, k, overwrite_g=True)
     elif rule.selector == "randk":
         msg = rand_k_sign(g, k, rng)
     elif rule.server == "mean":
@@ -532,18 +527,23 @@ def _worker_step(
     return support, upload
 
 
-def _keeps_gradient(rule: _Rule) -> bool:
-    """Whether _worker_step's upload is g itself, so g must not be overwritten."""
-    return rule.server == "mean" and not rule.memory and rule.selector != "randk"
-
-
 # The worker phase runs on min(usable CPUs, M) threads from this model
-# dimension up.  Measured cross-over on a 2-CPU host, quadratic at M = 16,
-# median ms per round of 9 alternating runs, sequential -> 2 threads:
-#   N = 2048: S3GD_MV 0.97 -> 0.99, SIGNSGD_MV 1.04 -> 1.18, VANILLA_SGD 0.70 -> 0.66
-#   N = 4096: S3GD_MV 1.48 -> 1.15, SIGNSGD_MV 1.67 -> 1.50, VANILLA_SGD 1.18 -> 1.05
-# Below it the hand-off to the pool costs about what the overlap saves.
-_THREADED_MIN_DIM = 4096
+# dimension up.  Cross-over on a shared 2-CPU host, quadratic at M = 16,
+# median ms per round of 9 alternating runs, one thread -> 2 threads:
+#   N = 4096:  S3GD_MV 2.37 -> 2.53, SIGNSGD_MV 3.22 -> 3.11, VANILLA_SGD 1.88 -> 1.70
+#   N = 8192:  S3GD_MV 4.22 -> 4.84, SIGNSGD_MV 5.57 -> 4.38, VANILLA_SGD 3.76 -> 2.95
+#   N = 16384: S3GD_MV 8.25 -> 7.92, SIGNSGD_MV 7.97 -> 6.16, VANILLA_SGD 7.39 -> 5.57
+# Below 16384 the result turned with the load on the second CPU: at a
+# quieter time S3GD_MV ran 1.48 -> 1.15 at N = 4096, at a busier one
+# 4.59 -> 5.05 at N = 8192.  From 16384 up, two threads never lost.
+# Only the quadratic task draws its gradients in the worker phase.  A
+# classifier's come from round_pass on the calling thread, and its worker
+# phase, the compression step alone, did not gain from threads on that
+# host: an MLP at N = 79510, M = 16, S3GD_MV, worker phase 13.6 -> 14.8 ms
+# per round (median of 7), where the quadratic at the same N went
+# 41.1 -> 29.8 ms; logistic and MLP configs at N = 4110 to 79510 ran
+# 0.90-1.08x as fast.  So classifiers keep one thread at any N.
+_THREADED_MIN_DIM = 16384
 
 
 def _usable_cpus() -> int:
@@ -553,35 +553,31 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_share(workers, rule, grads, reuse, memory, eta, k, rngs, supports, uploads):
+def _worker_share(workers, rule, grads, memory, eta, k, rngs, supports, uploads):
     """Run the given workers' steps in order, storing results by worker index.
 
-    With reuse, the share's first gradient is drawn into a new array and
-    every later one into the same array, which the steps may overwrite.
     Returns None, or (m, error) for the first worker that raised.
     """
-    row = None
     for m in workers:
         try:
-            g = grads.draw(m, out=row) if reuse else grads[m]
-            row = g if reuse else None
-            supports[m], uploads[m] = _worker_step(rule, g, memory, m, eta, k, rngs[m], reuse)
+            supports[m], uploads[m] = _worker_step(rule, grads[m], memory, m, eta, k, rngs[m])
         except Exception as err:
             return m, err
     return None
 
 
-def _threaded_worker_phase(pool, threads, rule, grads, reuse, memory, eta, k, rngs):
+def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs):
     """The worker phase on this thread and the pool: (supports, uploads) by worker.
 
-    Share i holds workers i, i + T, i + 2T, ...; this thread runs
-    share 0.  Each share runs in a copy of this thread's context, so under
-    the caller's numpy error state, which is a context variable.  If workers
-    raise, the lowest one's error is raised: the sequential loop stops there.
+    Share i holds workers i, i + T, i + 2T, ...; this thread runs share 0,
+    so with T = 1 (pool None) all workers run here, one after another.
+    Each share runs in a copy of this thread's context, so under the
+    caller's numpy error state, which is a context variable.  If workers
+    raise, the lowest one's error is raised, as with one thread.
     """
     m_workers = len(rngs)
     supports, uploads = [None] * m_workers, [None] * m_workers
-    args = (rule, grads, reuse, memory, eta, k, rngs, supports, uploads)
+    args = (rule, grads, memory, eta, k, rngs, supports, uploads)
     futures = [
         pool.submit(contextvars.copy_context().run, _worker_share, range(i, m_workers, threads), *args)
         for i in range(1, threads)
@@ -613,10 +609,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
         delta = float(cfg.learning_rate)
     batch = _batch_size(cfg)
 
-    threads = min(_usable_cpus(), cfg.m) if dim >= _THREADED_MIN_DIM else 1
-    # A thread draws its quadratic gradients into one array of its own,
-    # unless the upload is the gradient itself.
-    reuse = isinstance(task, QuadraticTask) and not _keeps_gradient(rule)
+    # The speed-up was measured at T = 2 only.  With T forced up on a 2-CPU
+    # host, the quadratic at N = 1e5, M = 16 peaked at 134.7, 138.4 and
+    # 166.1 MiB RSS for T = 2, 4 and 16: each thread holds its own
+    # temporaries, about 2 MiB at that N.
+    threaded = isinstance(task, QuadraticTask) and dim >= _THREADED_MIN_DIM
+    threads = min(_usable_cpus(), cfg.m) if threaded else 1
 
     x = task.init_params()
     velocity = None
@@ -630,16 +628,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
             rngs = [worker_rng(cfg.seed, m, t) for m in range(cfg.m)]
             (train_loss, test_metric, gbar_l1), grads = task.round_pass(x, batch, rngs)
 
-            if pool is None:
-                supports, uploads = [], []
-                for m, (g, rng) in enumerate(zip(grads, rngs)):
-                    support, upload = _worker_step(rule, g, memory, m, cfg.eta, k, rng)
-                    supports.append(support)
-                    uploads.append(upload)
-            else:
-                supports, uploads = _threaded_worker_phase(
-                    pool, threads, rule, grads, reuse, memory, cfg.eta, k, rngs
-                )
+            supports, uploads = _worker_phase(pool, threads, rule, grads, memory, cfg.eta, k, rngs)
 
             up, down = analytic_round_cost(cfg.algorithm, cfg.m, dim, k)
             if rule.server == "mean":

@@ -204,9 +204,9 @@ def test_threaded_worker_phase_matches_reference_loop(monkeypatch, threads, make
     count = cfg.m if threads == "M" else int(threads)
     ran = threaded(monkeypatch, count)
     got = engine_run(cfg)
-    # T = 1 is the sequential loop.
-    if count == 1:
-        assert not ran
+    # A classifier's worker phase stays on one thread at any N.
+    if count == 1 or make is logistic_noniid:
+        assert ran == {(threading.get_ident(), tuple(range(cfg.m)))}
     else:
         assert_shares(ran, count, cfg.m)
     assert len(got) == len(expected) == cfg.t
@@ -215,11 +215,17 @@ def test_threaded_worker_phase_matches_reference_loop(monkeypatch, threads, make
         assert np.array_equal(ours[-1], ref[-1])
 
 
+def no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was built")
+
+
 def test_no_threads_below_the_gate(monkeypatch):
     ran = threaded(monkeypatch, 2)
     monkeypatch.setattr(simulator, "_THREADED_MIN_DIM", 2001)
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", no_pool)
     run_experiment(quadratic_wide_batch(algorithm="S3GD_MV"))
-    assert not ran
+    # One share of all the workers, on the calling thread.
+    assert ran == {(threading.get_ident(), tuple(range(8)))}
 
 
 class NaNStream:
@@ -283,7 +289,8 @@ def test_no_thread_outlives_a_run(monkeypatch):
 @pytest.mark.parametrize("alg", ALGORITHMS)
 def test_threaded_worker_phase_on_this_hosts_cpus(monkeypatch, alg):
     """The gate forced down with the real CPU count: under a one-CPU affinity
-    mask T = 1 and the sequential loop runs, otherwise the threads do."""
+    mask T = 1 and every worker runs on the calling thread, otherwise the
+    threads run them."""
     monkeypatch.setattr(simulator, "_THREADED_MIN_DIM", 1)
     cpus = simulator._usable_cpus()
     if hasattr(os, "sched_getaffinity"):

@@ -491,18 +491,6 @@ class TestQuadraticTask:
         assert vars(task).keys() == state.keys()
         assert all(vars(task)[key] is value for key, value in state.items())
 
-    def test_gradients_drawn_into_a_row_equal_fresh_ones(self):
-        cfg = quad_cfg(m=3, n=50, model={"kind": "quadratic", "noise_std": 2.0,
-                                         "lipschitz": {"log_min": -1, "log_max": 1}})
-        task = QuadraticTask(cfg)
-        x = np.linspace(-1.0, 1.0, 50)
-        fresh = task.round_pass(x, 4, [worker_rng(3, m, 2) for m in range(3)])[1]
-        rows = task.round_pass(x, 4, [worker_rng(3, m, 2) for m in range(3)])[1]
-        row = np.empty(50)
-        for m in range(3):
-            assert rows.draw(m, out=row) is row
-            assert row.tobytes() == fresh[m].tobytes()
-
 
 @st.composite
 def tasks(draw):
