@@ -150,6 +150,9 @@ def main(argv: list[str] | None = None) -> int:
     except (ValueError, OSError, ArithmeticError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
+    except MemoryError as err:  # numpy's names the size it could not allocate
+        print(f"error: out of memory: {err}", file=sys.stderr)
+        return 1
 
 
 if __name__ == "__main__":

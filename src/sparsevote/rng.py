@@ -9,6 +9,9 @@ is what makes whole trajectories bit-identical for a fixed config.
 from __future__ import annotations
 
 import numpy as np
+# numpy 2 loads numpy.random on first use; every run draws from it, so it
+# loads with the package rather than inside the first task build.
+import numpy.random  # noqa: F401
 
 # Namespace tags keep streams for different purposes disjoint even when the
 # integer indices collide (e.g. worker 3 vs round 3).

@@ -610,9 +610,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
     batch = _batch_size(cfg)
 
     # The speed-up was measured at T = 2 only.  With T forced up on a 2-CPU
-    # host, the quadratic at N = 1e5, M = 16 peaked at 134.7, 138.4 and
-    # 166.1 MiB RSS for T = 2, 4 and 16: each thread holds its own
-    # temporaries, about 2 MiB at that N.
+    # host, the quadratic at N = 1e5, M = 16 peaked 1.9, 5.6 and 30.7 MiB
+    # RSS above its T = 1 peak (73.0 MiB) for T = 2, 4 and 16: each thread
+    # holds its own temporaries, about 2 MiB at that N.
     threaded = isinstance(task, QuadraticTask) and dim >= _THREADED_MIN_DIM
     threads = min(_usable_cpus(), cfg.m) if threaded else 1
 

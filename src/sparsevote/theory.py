@@ -9,6 +9,10 @@ Throughout, gamma = K/N is the sparsity ratio, M the worker count, and
 epsilon in [0, 1] the constant relating the selection threshold to the mean
 gradient magnitude.  Binomial terms are evaluated in log space (scipy), so
 everything stays finite for M up to at least 1e4.
+
+Importing this module loads numpy only.  scipy is loaded by the binomial
+bounds alone (beta, m_participation_pmf, vote_error_exact, and the two
+convergence bounds through beta), on the first call of one of them.
 """
 
 from __future__ import annotations
@@ -18,7 +22,6 @@ import numbers
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats
 
 __all__ = [
     "BoundInputs",
@@ -39,6 +42,17 @@ __all__ = [
 
 # Counts reach numpy and scipy as int64.
 _COUNT_MAX = 2**63 - 1
+
+
+def _binom():
+    """scipy.stats.binom, imported on the first call of a binomial bound.
+
+    Importing scipy.stats costs ~0.6 s and ~60 MiB, and no run uses it, so
+    `import sparsevote`, `run` and `sweep` leave it unloaded.
+    """
+    from scipy import stats
+
+    return stats.binom
 
 
 def _check_real(value, name: str) -> None:
@@ -94,7 +108,7 @@ def beta(m: int, gamma: float) -> float:
     _check_count(m, "worker count")
     _check_gamma(gamma)
     u = np.arange(1, m + 1)
-    pmf = stats.binom.pmf(u, m, gamma)
+    pmf = _binom().pmf(u, m, gamma)
     return float(np.sum(pmf / np.sqrt(u)))
 
 
@@ -105,7 +119,7 @@ def m_participation_pmf(m: int, gamma: float, u: int) -> float:
     _check_count(u, "u", low=0)
     if u > m:
         raise ValueError(f"u must be in [0, {m}], got {u}")
-    return float(stats.binom.pmf(u, m, gamma))
+    return float(_binom().pmf(u, m, gamma))
 
 
 def empty_coordinate_prob(m: int, gamma: float) -> tuple[float, float]:
@@ -181,7 +195,7 @@ def vote_error_exact(p: float, u: int) -> float:
         raise ValueError(f"p must be in [0, 1], got {p}")
     _check_count(u, "u")
     lo = math.ceil(u / 2)
-    return float(stats.binom.sf(lo - 1, u, p))
+    return float(_binom().sf(lo - 1, u, p))
 
 
 @dataclass(frozen=True)

@@ -168,6 +168,8 @@ class TestRun:
              "idx data needs train_images as a file path"),
             ({"model": {"kind": "quadratic", "lipschitz": {"log_min": 400, "log_max": 400}}},
              "lipschitz {'log_min': 400, 'log_max': 400} has values too large for a float"),
+            # Over 2**47 bytes: the allocation fails at once and touches no memory.
+            ({"n": 10 ** 15}, "out of memory: "),
         ],
     )
     def test_mistyped_config_is_one_error_line(self, quad_config, override, message, capsys):
@@ -286,6 +288,8 @@ class TestTheoryEval:
             ("convergence_bound_topk", {"m": 8, "gamma": 0.1, "epsilon": 1.0,
                                         "l1_smoothness": 16.0, "sigma_l1": 1.0,
                                         "f0_minus_fstar": 1.0, "t": 100.5}),
+            # Over 2**47 bytes: the allocation fails at once and touches no memory.
+            ("beta", {"m": 10 ** 15, "gamma": 0.5}),
         ],
     )
     def test_bad_count_is_one_error_line(self, capsys, bound, params):
