@@ -1,0 +1,70 @@
+"""What the package accepts from outside: counts, reals, flags and batch sizes.
+
+Each check returns its value unchanged or raises one ValueError line that
+names the argument; `within` names an optional range in that line's words.
+"""
+
+from __future__ import annotations
+
+import math
+import numbers
+
+# Counts reach numpy and scipy as int64.
+_INT64_MAX = 2**63 - 1
+
+_RANGES = {
+    "positive": lambda v: v > 0,
+    "non-negative": lambda v: v >= 0,
+    "in [0, 1]": lambda v: 0 <= v <= 1,
+    "in (0, 1]": lambda v: 0 < v <= 1,
+    "in [0, 1)": lambda v: 0 <= v < 1,
+}
+
+
+def is_count(value) -> bool:
+    """A non-bool integer, numpy integers included."""
+    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+
+
+def is_real(value) -> bool:
+    """A finite non-bool int or float; an int past the float range is not finite."""
+    if not isinstance(value, numbers.Real) or isinstance(value, bool):
+        return False
+    try:
+        return math.isfinite(value)
+    except OverflowError:
+        return False
+
+
+def _within(value, name: str, within: str | None):
+    if within is not None and not _RANGES[within](value):
+        raise ValueError(f"{name} must be {within}, got {value}")
+    return value
+
+
+def count(value, name: str, within: str = "positive", high: int | None = _INT64_MAX):
+    """A count in range, at most high unless high is None."""
+    if not is_count(value):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    if high is not None and value > high:
+        raise ValueError(f"{name} must be at most {high}, got {value}")
+    return _within(value, name, within)
+
+
+def real(value, name: str, within: str | None = None):
+    if not is_real(value):
+        raise ValueError(f"{name} must be a finite number, got {value!r}")
+    return _within(value, name, within)
+
+
+def flag(value, name: str) -> bool:
+    if not isinstance(value, bool):
+        raise ValueError(f"{name} must be true or false, got {value!r}")
+    return value
+
+
+def batch_size(value, name: str):
+    """A positive count or integral float such as 4.0, in the float range (its root is taken)."""
+    if not (is_count(value) or is_real(value) and float(value).is_integer()):
+        raise ValueError(f"{name} must be an integer, got {value!r}")
+    return real(value, name, "positive")

@@ -19,7 +19,7 @@ import sys
 
 import numpy as np
 
-from . import theory
+from . import _checks, theory
 from .simulator import (
     ExperimentConfig,
     emit_results,
@@ -101,6 +101,9 @@ def _cmd_theory_eval(args) -> int:
     except TypeError as err:  # wrong or missing argument names
         print(f"error: {err}", file=sys.stderr)
         return 2
+    # A bound can overflow at finite inputs, and JSON has no Infinity.
+    if not all(map(_checks.is_real, value if isinstance(value, tuple) else [value])):
+        raise OverflowError(f"{args.bound} is not finite at these params, got {value}")
     if isinstance(value, tuple):  # empty_coordinate_prob returns (exact, approx)
         value = {"exact": value[0], "approx": value[1]}
     print(json.dumps({"bound": args.bound, "params": params, "value": value}))

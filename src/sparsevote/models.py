@@ -141,7 +141,7 @@ def quadratic_loss(x: np.ndarray, l_diag: np.ndarray) -> float:
 # labels (..., n), and return one gradient per batch, shape (..., N); each
 # equals the gradient of its batch alone bit for bit.
 
-def _check_batch(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def _as_batch(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     features = np.asarray(features, dtype=np.float64)
     labels = np.asarray(labels, dtype=np.int64)
     if features.ndim < 2 or labels.shape != features.shape[:-1]:
@@ -264,7 +264,7 @@ def _mlp_backward(layers, acts, delta) -> np.ndarray:
 
 def mlp_grad(x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mean cross-entropy gradient via backprop, flattened to the layout above."""
-    features, labels = _check_batch(features, labels)
+    features, labels = _as_batch(features, labels)
     layers = _mlp_unpack(np.asarray(x, dtype=np.float64), arch)
     acts, logits = _mlp_forward(layers, features)
     _, e, sums = _softmax_parts(logits)
@@ -272,7 +272,7 @@ def mlp_grad(x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.nd
 
 
 def mlp_loss(x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray) -> float:
-    features, labels = _check_batch(features, labels)
+    features, labels = _as_batch(features, labels)
     _, logits = _mlp_forward(_mlp_unpack(np.asarray(x, dtype=np.float64), arch), features)
     z, _, sums = _softmax_parts(logits)
     return _xent_loss(z, sums, labels)
@@ -282,7 +282,7 @@ def mlp_loss_grad(
     x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
     """mlp_loss and mlp_grad of one batch from one forward pass, each bit for bit."""
-    features, labels = _check_batch(features, labels)
+    features, labels = _as_batch(features, labels)
     layers = _mlp_unpack(np.asarray(x, dtype=np.float64), arch)
     acts, logits = _mlp_forward(layers, features)
     z, e, sums = _softmax_parts(logits)
@@ -290,7 +290,7 @@ def mlp_loss_grad(
 
 
 def mlp_accuracy(x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray) -> float:
-    features, labels = _check_batch(features, labels)
+    features, labels = _as_batch(features, labels)
     _, logits = _mlp_forward(_mlp_unpack(np.asarray(x, dtype=np.float64), arch), features)
     return float(np.mean(logits.argmax(axis=1) == labels))
 

@@ -37,7 +37,6 @@ import contextvars
 import csv
 import json
 import math
-import numbers
 import os
 import time
 from collections.abc import Sequence
@@ -46,7 +45,7 @@ from dataclasses import MISSING, dataclass, field, fields, replace
 
 import numpy as np
 
-from . import models
+from . import _checks, models
 from .aggregation import average_aggregate, majority_vote, participation_count
 from .codec import ALGORITHMS, _Rule, analytic_round_cost, decode_round, encode_round, encode_sparse_sign
 from .compression import error_feedback_step, rand_k_sign, top_k_sign
@@ -91,22 +90,23 @@ SWEEP_AXES = ("GAMMA", "M", "ETA", "MU")
 
 def resolve_k(gamma: float, dim: int) -> int:
     """Message size K = round(gamma * N), forced to >= 1 whenever gamma > 0."""
-    if not 0 <= gamma <= 1:
-        raise ValueError(f"gamma must be in [0, 1], got {gamma}")
+    _checks.real(gamma, "gamma", "in [0, 1]")
     k = int(math.floor(gamma * dim + 0.5))
     if gamma > 0:
         k = max(k, 1)
     return min(k, dim)
 
 
-@dataclass
+@dataclass(frozen=True)
 class ExperimentConfig:
     """Everything a run needs; JSON configs mirror these field names.
 
     learning_rate and batch_size accept the literal "theory" for the
     horizon-matched schedules delta = 1/sqrt(T * L1) and B = T (quadratic
     model only, where L1 is known exactly).  n = None infers the model size
-    from the model spec where possible.
+    from the model spec where possible.  Building a config (from_dict,
+    directly or by dataclasses.replace) checks its top-level fields; a run
+    checks the model and data specs when it builds its task.
     """
 
     algorithm: str
@@ -123,6 +123,29 @@ class ExperimentConfig:
     record_selection: bool = True
     model: dict = field(default_factory=lambda: {"kind": "quadratic"})
     data: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        if not isinstance(self.algorithm, str) or self.algorithm not in ALGORITHMS:
+            raise ValueError(f"unknown algorithm {self.algorithm!r}")
+        _checks.count(self.m, "m")
+        _checks.count(self.t, "t")
+        _checks.count(self.seed, "seed", "non-negative", high=None)  # SeedSequence takes any size
+        _checks.real(self.gamma, "gamma", "in [0, 1]")
+        _checks.real(self.eta, "eta", "non-negative")
+        _checks.real(self.mu, "mu", "in [0, 1)")
+        if self.n is not None and not (_checks.is_count(self.n) and self.n >= 1):
+            raise ValueError(f"n must be a positive integer or null, got {self.n!r}")
+        _checks.flag(self.record_selection, "record_selection")
+        for name in ("model", "data"):
+            if not isinstance(getattr(self, name), dict):
+                raise ValueError(f"{name} must be a JSON object, got {getattr(self, name)!r}")
+        if self.cost_mode not in ("ANALYTIC", "WIRE"):
+            raise ValueError(f"cost_mode must be ANALYTIC or WIRE, got {self.cost_mode!r}")
+        lr = self.learning_rate
+        if not (lr is None or lr == "theory" or _checks.is_real(lr) and lr > 0):
+            raise ValueError(f"learning_rate must be a positive number, 'theory' or null, got {lr!r}")
+        if self.batch_size != "theory":
+            _checks.batch_size(self.batch_size, "batch_size")
 
     @classmethod
     def from_dict(cls, raw: dict) -> "ExperimentConfig":
@@ -217,7 +240,7 @@ class QuadraticTask:
     """Diagonal quadratic with synthetic per-worker gradient noise."""
 
     def __init__(self, cfg: ExperimentConfig):
-        if cfg.n is None or cfg.n < 1:
+        if cfg.n is None:
             raise ValueError("quadratic model needs an explicit positive n")
         if cfg.data:
             raise ValueError(f"the quadratic model takes no data, got data keys {sorted(cfg.data)}")
@@ -302,10 +325,8 @@ class ClassificationTask:
             n_samples = _positive_int(data.pop("n_samples", 1000), "n_samples")
             d = _positive_int(data.pop("d", 16), "d")
             classes = _positive_int(data.pop("num_classes", 10), "num_classes")
-            separation = _finite(data.pop("separation", 3.0), "separation")
-            test_fraction = _finite(data.pop("test_fraction", 0.2), "test_fraction")
-            if not 0 <= test_fraction < 1:
-                raise ValueError(f"test_fraction must be in [0, 1), got {test_fraction}")
+            separation = float(_checks.real(data.pop("separation", 3.0), "separation"))
+            test_fraction = float(_checks.real(data.pop("test_fraction", 0.2), "test_fraction", "in [0, 1)"))
             full = models.synth_classification(
                 n_samples, d, classes, separation, derive_rng(cfg.seed, "data")
             )
@@ -330,7 +351,7 @@ class ClassificationTask:
             hidden = []
         elif kind == "mlp":
             hidden = spec.pop("hidden", [32])
-            if not (isinstance(hidden, list) and all(_is_int(h) and h >= 1 for h in hidden)):
+            if not (isinstance(hidden, list) and all(_checks.is_count(h) and h >= 1 for h in hidden)):
                 raise ValueError(f"hidden must be a list of positive integers, got {hidden!r}")
         else:
             raise ValueError(f"unknown model kind {kind!r}")
@@ -338,7 +359,7 @@ class ClassificationTask:
         self.dim = models.mlp_param_count(self.arch)
         self._logistic = kind == "logistic"
         default_scale = 0.0 if self._logistic else 0.5
-        self.init_scale = _finite(spec.pop("init_scale", default_scale), "init_scale")
+        self.init_scale = float(_checks.real(spec.pop("init_scale", default_scale), "init_scale"))
         if spec:
             raise ValueError(f"unknown model keys: {sorted(spec)}")
         if cfg.n is not None and cfg.n != self.dim:
@@ -403,15 +424,9 @@ _IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
 def _positive_int(value, name: str) -> int:
-    if not (_is_int(value) and value >= 1):
+    if not (_checks.is_count(value) and value >= 1):
         raise ValueError(f"{name} must be a positive integer, got {value!r}")
     return int(value)
-
-
-def _finite(value, name: str) -> float:
-    if not _is_number(value):
-        raise ValueError(f"{name} must be a finite number, got {value!r}")
-    return float(value)
 
 
 def _coefficients(spec, n: int, name: str) -> np.ndarray:
@@ -420,14 +435,14 @@ def _coefficients(spec, n: int, name: str) -> np.ndarray:
         extra = set(spec) - {"log_min", "log_max"}
         if extra:
             raise ValueError(f"unknown {name} keys: {sorted(extra)}")
-        if not (_is_number(spec.get("log_min")) and _is_number(spec.get("log_max"))):
+        if not (_checks.is_real(spec.get("log_min")) and _checks.is_real(spec.get("log_max"))):
             raise ValueError(f"{name} needs numeric log_min and log_max, got {spec}")
         with np.errstate(over="ignore"):
             arr = np.logspace(spec["log_min"], spec["log_max"], n)
         if not np.isfinite(arr).all():
             raise ValueError(f"{name} {spec} has values too large for a float")
         return arr
-    if not all(map(_is_number, spec if isinstance(spec, list) else [spec])):
+    if not all(map(_checks.is_real, spec if isinstance(spec, list) else [spec])):
         raise ValueError(
             f"{name} must be a number, a list of numbers or a log_min/log_max object, got {spec!r}"
         )
@@ -446,56 +461,6 @@ def _build_task(cfg: ExperimentConfig):
     if kind in ("logistic", "mlp"):
         return ClassificationTask(cfg)
     raise ValueError(f"unknown model kind {kind!r}")
-
-
-def _is_int(value) -> bool:
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
-
-
-def _is_number(value) -> bool:
-    """A finite int or float, not a bool."""
-    return isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value)
-
-
-def _validate(cfg: ExperimentConfig) -> None:
-    if not isinstance(cfg.algorithm, str) or cfg.algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {cfg.algorithm!r}")
-    for name in ("m", "t", "seed"):
-        if not _is_int(getattr(cfg, name)):
-            raise ValueError(f"{name} must be an integer, got {getattr(cfg, name)!r}")
-    for name in ("gamma", "eta", "mu"):
-        if not _is_number(getattr(cfg, name)):
-            raise ValueError(f"{name} must be a finite number, got {getattr(cfg, name)!r}")
-    if cfg.n is not None and not (_is_int(cfg.n) and cfg.n >= 1):
-        raise ValueError(f"n must be a positive integer or null, got {cfg.n!r}")
-    if not isinstance(cfg.record_selection, bool):
-        raise ValueError(f"record_selection must be true or false, got {cfg.record_selection!r}")
-    for name in ("model", "data"):
-        if not isinstance(getattr(cfg, name), dict):
-            raise ValueError(f"{name} must be a JSON object, got {getattr(cfg, name)!r}")
-    if cfg.m < 1:
-        raise ValueError(f"m must be positive, got {cfg.m}")
-    if cfg.t < 1:
-        raise ValueError(f"t must be positive, got {cfg.t}")
-    if not 0 <= cfg.gamma <= 1:
-        raise ValueError(f"gamma must be in [0, 1], got {cfg.gamma}")
-    if cfg.eta < 0:
-        raise ValueError(f"eta must be non-negative, got {cfg.eta}")
-    if not 0 <= cfg.mu < 1:
-        raise ValueError(f"mu must be in [0, 1), got {cfg.mu}")
-    if cfg.seed < 0:
-        raise ValueError(f"seed must be non-negative, got {cfg.seed}")
-    if cfg.cost_mode not in ("ANALYTIC", "WIRE"):
-        raise ValueError(f"cost_mode must be ANALYTIC or WIRE, got {cfg.cost_mode!r}")
-    lr = cfg.learning_rate
-    if not (lr is None or lr == "theory" or _is_number(lr) and lr > 0):
-        raise ValueError(f"learning_rate must be a positive number, 'theory' or null, got {lr!r}")
-    if cfg.batch_size != "theory":
-        b = cfg.batch_size
-        if not (_is_int(b) or isinstance(b, float) and b.is_integer()):
-            raise ValueError(f"batch_size must be an integer or 'theory', got {b!r}")
-        if b < 1:
-            raise ValueError(f"batch_size must be positive, got {b}")
 
 
 def _batch_size(cfg: ExperimentConfig) -> int:
@@ -592,7 +557,6 @@ def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs):
 
 def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
     """Run one configured experiment and return its per-round metrics."""
-    _validate(cfg)
     task = _build_task(cfg)
     dim = task.dim
     k = resolve_k(cfg.gamma, dim)
@@ -692,9 +656,8 @@ def sweep(
         if axis == "M" and cast.is_integer():
             cast = int(cast)  # a non-integral M stays a float and fails validation
         for seed in seeds if seeds is not None else [template.seed]:
-            cfg = replace(template, **{field_name: cast, "seed": seed})
             try:
-                metrics = run_experiment(cfg)
+                metrics = run_experiment(replace(template, **{field_name: cast, "seed": seed}))
             except ValueError as err:
                 raise ValueError(f"axis {axis} value {value!r}: {err}") from err
             last = metrics[-1]

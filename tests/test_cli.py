@@ -1,28 +1,37 @@
 """Command-line behavior through main(argv): outputs, files, exit codes."""
 
+import contextlib
+import io
 import json
+import math
+import re
 import warnings
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from sparsevote import simulator
 from sparsevote.cli import main
+from sparsevote.codec import ALGORITHMS
 from sparsevote.simulator import CSV_COLUMNS
+
+QUAD = {
+    "algorithm": "S3GD_MV",
+    "m": 3,
+    "t": 8,
+    "gamma": 0.5,
+    "n": 8,
+    "learning_rate": 0.01,
+    "seed": 3,
+    "model": {"kind": "quadratic", "noise_std": 0.5, "init": 1.0},
+}
 
 
 @pytest.fixture
 def quad_config(tmp_path):
     path = tmp_path / "cfg.json"
-    path.write_text(json.dumps({
-        "algorithm": "S3GD_MV",
-        "m": 3,
-        "t": 8,
-        "gamma": 0.5,
-        "n": 8,
-        "learning_rate": 0.01,
-        "seed": 3,
-        "model": {"kind": "quadratic", "noise_std": 0.5, "init": 1.0},
-    }))
+    path.write_text(json.dumps(QUAD))
     return path
 
 
@@ -30,6 +39,39 @@ def logistic(model=None, data=None):
     """Overrides that turn quad_config into a small logistic run."""
     base = {"n_samples": 60, "d": 3, "num_classes": 3}
     return {"n": None, "model": model or {"kind": "logistic"}, "data": {**base, **(data or {})}}
+
+
+# Bad values of each top-level config field: the wrong type, a bool for a
+# number, a non-finite float, a value out of range, an int past the float
+# range.  Each is rejected when the config is built, before anything runs.
+_TEXT = st.text(max_size=4)
+_LISTS = st.lists(st.integers(0, 3), max_size=2)
+_OTHER = st.none() | _LISTS
+_NON_FINITE = st.sampled_from([math.inf, -math.inf, math.nan])
+_PAST_FLOAT = st.integers(2 ** 1024, 10 ** 400) | st.integers(-10 ** 400, -2 ** 1024)
+_NEGATIVE = st.floats(max_value=-5e-324, allow_infinity=False) | st.integers(max_value=-1)
+_NON_INTEGRAL = st.floats(allow_nan=False, allow_infinity=False).filter(lambda v: not v.is_integer())
+_NOT_A_COUNT = _TEXT | _OTHER | st.booleans() | _NON_FINITE | _NON_INTEGRAL | st.integers(1, 64).map(float)
+_NOT_THEORY = _TEXT.filter(lambda v: v != "theory")
+_NOT_A_REAL = _NOT_THEORY | _OTHER | st.booleans() | _NON_FINITE | _PAST_FLOAT
+_ABOVE_ONE = st.floats(min_value=1, exclude_min=True, allow_infinity=False)
+BAD_VALUES = {
+    "algorithm": _TEXT.filter(lambda v: v not in ALGORITHMS) | _OTHER | st.integers(),
+    "m": _NOT_A_COUNT | st.integers(max_value=0) | st.integers(min_value=2 ** 63),
+    "t": _NOT_A_COUNT | st.integers(max_value=0) | st.integers(min_value=2 ** 63),
+    "seed": _NOT_A_COUNT | st.integers(max_value=-1),
+    "n": _TEXT | _LISTS | st.booleans() | _NON_FINITE | _NON_INTEGRAL | st.integers(max_value=0),
+    "gamma": _NOT_A_REAL | _NEGATIVE | _ABOVE_ONE,
+    "eta": _NOT_A_REAL | _NEGATIVE,
+    "mu": _NOT_A_REAL | _NEGATIVE | st.floats(min_value=1, allow_infinity=False),
+    "learning_rate": _NOT_THEORY | _LISTS | st.booleans() | _NON_FINITE | _PAST_FLOAT | _NEGATIVE
+    | st.just(0.0),
+    "batch_size": _NOT_THEORY | _NOT_A_REAL | _NON_INTEGRAL | st.integers(max_value=0),
+    "record_selection": _TEXT | _OTHER | st.integers(),
+    "cost_mode": _TEXT.filter(lambda v: v not in ("ANALYTIC", "WIRE")) | _OTHER | st.integers(),
+    "model": _TEXT | _OTHER | st.booleans() | st.integers(),
+    "data": _TEXT | _OTHER | st.booleans() | st.integers(),
+}
 
 
 class TestRun:
@@ -170,6 +212,11 @@ class TestRun:
              "lipschitz {'log_min': 400, 'log_max': 400} has values too large for a float"),
             # Over 2**47 bytes: the allocation fails at once and touches no memory.
             ({"n": 10 ** 15}, "out of memory: "),
+            # An int past the float range is not a finite number.
+            ({"gamma": 10 ** 400}, "gamma must be a finite number"),
+            ({"learning_rate": 10 ** 400}, "learning_rate must be a positive number"),
+            ({"model": {"kind": "quadratic", "noise_std": 10 ** 400}}, "noise_std must be a number"),
+            (logistic(data={"separation": 10 ** 400}), "separation must be a finite number"),
         ],
     )
     def test_mistyped_config_is_one_error_line(self, quad_config, override, message, capsys):
@@ -178,6 +225,19 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    @given(field_and_value=st.sampled_from(sorted(BAD_VALUES)).flatmap(
+        lambda name: st.tuples(st.just(name), BAD_VALUES[name])))
+    @settings(max_examples=200, deadline=None)
+    def test_bad_top_level_field_is_one_error_line_naming_it(self, field_and_value, tmp_path_factory):
+        name, value = field_and_value
+        path = tmp_path_factory.mktemp("bad") / "cfg.json"
+        path.write_text(json.dumps({**QUAD, name: value}))
+        out, err = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            assert main(["run", "--config", str(path)]) == 1
+        assert out.getvalue() == "" and err.getvalue().count("\n") == 1
+        assert re.match(rf"error: (unknown )?{name} ", err.getvalue()), err.getvalue()
 
 
 class TestSweep:
@@ -330,6 +390,14 @@ class TestTheoryEval:
             ("convergence_bound_randk", {"m": 8, "gamma": 0.1, "epsilon": 1.0,
                                          "l1_smoothness": 16.0, "sigma_l1": 1.0,
                                          "f0_minus_fstar": 1.0, "t": 100, "batch": True}),
+            # Finite inputs whose bound overflows: JSON has no Infinity.
+            ("gamma_star", {"m": 8, "epsilon": 1.0, "f0_minus_fstar": 1e308,
+                            "l1_smoothness": 1e308, "sigma_l1": 1e-308}),
+            ("sparsity_surrogate", {"gamma": 5e-324, "m": 8, "epsilon": 1.0, "f0_minus_fstar": 1e300,
+                                    "l1_smoothness": 16.0, "sigma_l1": 1.0}),
+            ("sign_flip_bound", {"sigma_n": 1e308, "g_bar_abs": 1e-308, "batch": 1,
+                                 "gamma": 0.5, "epsilon": 0.5, "clamp": False}),
+            ("rho_lower_bound", {"gamma": 5e-324, "epsilon": 1.0, "g_bar_abs": 1e308}),
         ],
     )
     def test_bad_argument_is_one_error_line(self, capsys, bound, params):

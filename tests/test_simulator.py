@@ -2,7 +2,7 @@
 
 import json
 import math
-from dataclasses import replace
+from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsevote.aggregation import majority_vote
-from sparsevote.codec import analytic_round_cost, count_field_width
+from sparsevote.codec import ALGORITHMS, analytic_round_cost, count_field_width
 from sparsevote.compression import rand_k_sign
 from sparsevote.models import quadratic_grad
 from sparsevote.rng import worker_rng
@@ -428,6 +428,41 @@ class TestConfig:
     def test_validation_rejects(self, overrides):
         with pytest.raises(ValueError):
             run_experiment(quad_cfg(**overrides))
+
+    def test_checked_when_built_and_frozen(self):
+        valid = quad_cfg()
+        builds = [
+            lambda: replace(valid, m=0),
+            lambda: replace(valid, gamma="0.5"),
+            lambda: ExperimentConfig(algorithm="S3GD_MV", m="3", t=1),
+        ]
+        for build in builds:
+            with pytest.raises(ValueError):
+                build()
+        with pytest.raises(FrozenInstanceError):
+            valid.m = 2
+
+    # Configs are only built here, never run.
+    @given(st.builds(
+        ExperimentConfig,
+        algorithm=st.sampled_from(sorted(ALGORITHMS)),
+        m=st.integers(1, 16),
+        t=st.integers(1, 8),
+        gamma=st.floats(0, 1),
+        n=st.none() | st.integers(1, 64),
+        learning_rate=st.none() | st.just("theory") | st.floats(5e-324, allow_infinity=False),
+        batch_size=st.just("theory") | st.integers(1, 64) | st.integers(1, 64).map(float),
+        eta=st.floats(0, allow_infinity=False),
+        mu=st.floats(0, 1, exclude_max=True),
+        seed=st.integers(0, 2**70),
+        cost_mode=st.sampled_from(["ANALYTIC", "WIRE"]),
+        record_selection=st.booleans(),
+        model=st.sampled_from([{"kind": "quadratic", "noise_std": 0.5}, {"kind": "logistic"}]),
+        data=st.sampled_from([{}, {"n_samples": 60, "mode": "NONIID"}]),
+    ))
+    @settings(max_examples=100, deadline=None)
+    def test_valid_config_round_trips_through_json(self, cfg):
+        assert ExperimentConfig.from_dict(json.loads(json.dumps(asdict(cfg)))) == cfg
 
     def test_quadratic_needs_n(self):
         with pytest.raises(ValueError, match="n"):

@@ -152,6 +152,21 @@ class TestThresholdAndFlip:
         assert all(a < b for a, b in zip(vals, vals[1:]))
 
 
+@pytest.mark.parametrize(
+    "name, call",
+    [
+        # An int past the float range is not a finite real.
+        ("epsilon", lambda: rho_lower_bound(0.5, 10 ** 400, 1.0)),
+        ("f0_minus_fstar", lambda: sparsity_surrogate(0.1, 8, 1.0, 10 ** 400, 16.0, 1.0)),
+        ("sigma_n", lambda: sign_flip_bound(math.inf, 1.0, 4, 0.25, 1.0)),
+        ("l1_smoothness", lambda: gamma_star(8, 1.0, 1.0, "16", 1.0)),
+    ],
+)
+def test_real_arguments_must_be_finite_numbers(name, call):
+    with pytest.raises(ValueError, match=f"{name} must be a finite number"):
+        call()
+
+
 class TestVoteError:
     def test_bound_example(self):
         assert vote_error_bound(0.1, 3) == pytest.approx(0.36 ** 1.5, abs=1e-15)
