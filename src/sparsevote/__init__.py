@@ -21,9 +21,11 @@ from .codec import (
     encode_sparse_sign,
 )
 from .compression import (
+    SignBatch,
     SparseSignVector,
     ThresholdReport,
     error_feedback_step,
+    rand_k_select,
     rand_k_sign,
     top_k_select,
     top_k_sign,

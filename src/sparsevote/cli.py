@@ -67,10 +67,17 @@ def _cmd_run(args) -> int:
     return 0
 
 
+def _split(text: str, cast, option: str) -> list:
+    try:
+        return [cast(v) for v in text.split(",") if v]
+    except ValueError:
+        raise ValueError(f"{option} must be comma separated {cast.__name__}s, got {text!r}") from None
+
+
 def _cmd_sweep(args) -> int:
     cfg = _load_config(args)
-    values = [float(v) for v in args.values.split(",") if v]
-    seeds = [int(s) for s in args.seeds.split(",") if s] if args.seeds else None
+    values = _split(args.values, float, "--values")
+    seeds = _split(args.seeds, int, "--seeds") if args.seeds else None
     rows = sweep(cfg, args.axis, values, seeds)
     if args.out:
         emit_sweep(rows, args.out, args.format)

@@ -34,9 +34,9 @@ index >= N raise FormatError.  Encoding is lossless:
 decode(encode(v), N) == v.  Both directions work on numpy bit arrays.
 Indices are int64, so N is at most 2**63.
 
-encode_round and decode_round do the same for the M messages of a round
-in one pass, with the same bytes per message: message m is row m of one
-bit matrix, and the Rice rows are handled once per distinct parameter.
+encode_round and decode_round do the same for a round's SignBatch in one
+pass, with the same bytes per message: message m is row m of one bit
+matrix, and the Rice rows are handled once per distinct parameter.
 
 ALGORITHMS is the table of the five algorithms, one row each: which
 coordinates a worker sends (all, top-K or random-K), whether it keeps an
@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import SparseSignVector
+from .compression import SignBatch, SparseSignVector
 
 __all__ = [
     "FormatError",
@@ -245,39 +245,30 @@ def decode_sparse_sign(stream: Bitstream, dim: int) -> SparseSignVector:
     return SparseSignVector(dim, indices.view(np.int64), _SIGN_OF_BIT[rows & np.uint64(1)])
 
 
-def _round_dim(messages: list[SparseSignVector]) -> int:
-    dim = messages[0].dim
-    for i, v in enumerate(messages):
-        if v.dim != dim:
-            raise ValueError(f"message {i} has dim {v.dim}, message 0 has {dim}")
-    _check_dim(dim)
-    return dim
+def encode_round(batch: SignBatch) -> list[Bitstream]:
+    """encode_sparse_sign of each message of a batch, byte for byte, in one pass.
 
-
-def encode_round(messages: list[SparseSignVector]) -> list[Bitstream]:
-    """encode_sparse_sign of each message of a round, byte for byte, in one pass.
-
-    The messages share one dim.  Message m is row m of one (M, L) bit matrix,
-    so each stream starts on a byte boundary: its count, its Rice rows, then
-    its unary codes as zeros on a background of ones.  Messages whose exact
-    zeros were dropped have fewer entries, and may have another Rice
-    parameter; the Rice rows are written once per distinct parameter, and an
-    entry a message lacks is a row of ones with an empty unary code.
+    Message m is row m of one (M, L) bit matrix, so each stream starts on a
+    byte boundary: its count, its Rice rows, then its unary codes as zeros
+    on a background of ones.  Messages whose exact zeros were dropped have
+    fewer entries, and may have another Rice parameter; the Rice rows are
+    written once per distinct parameter, and an entry a message lacks is a
+    row of ones with an empty unary code.
     """
-    if not messages:
+    m, dim, counts = len(batch), batch.dim, batch.counts
+    if not m:
         return []
-    dim = _round_dim(messages)
+    _check_dim(dim)
     wc = count_field_width(dim)
-    counts = np.array([v.indices.size for v in messages])
     params = np.array([rice_parameter(k, dim) for k in counts.tolist()])
-    m, k = len(messages), int(counts.max())
+    k = int(counts.max())
     ragged = int(counts.min()) < k
     present = np.arange(k) < counts[:, None] if ragged else None
-    # The indices, turned into gaps in place (the arrays are all fresh, and
-    # the work is done in place to keep a round's peak memory down).
-    gaps = _padded(np.concatenate([v.indices for v in messages]), present, (m, k))
-    gaps[:, 1:] -= gaps[:, :-1] + 1
-    positive = _padded(np.concatenate([v.signs for v in messages]) > 0, present, (m, k))
+    # The gaps, on a fresh array: the first index, then each step less one.
+    # The work below is done in place to keep a round's peak memory down.
+    gaps = np.diff(_padded(batch.indices, present, (m, k)), axis=1, prepend=-1)
+    gaps -= 1
+    positive = _padded(batch.signs > 0, present, (m, k))
     if ragged:
         # A gap of -1 has quotient -1 (no unary bits) and, with sign bit 1,
         # a row of ones.
@@ -326,8 +317,8 @@ def _padded(values: np.ndarray, present: np.ndarray | None, shape) -> np.ndarray
     return out
 
 
-def decode_round(streams: list[Bitstream], dim: int) -> list[SparseSignVector]:
-    """decode_sparse_sign of each stream of a round, in one pass.
+def decode_round(streams: list[Bitstream], dim: int) -> SignBatch:
+    """The SignBatch of the messages decode_sparse_sign reads from each stream, in one pass.
 
     Every stream gets every check of decode_sparse_sign; the first malformed
     stream found raises its FormatError, prefixed with "message i: ".  Stream
@@ -338,7 +329,7 @@ def decode_round(streams: list[Bitstream], dim: int) -> list[SparseSignVector]:
     """
     _check_dim(dim)
     if not streams:
-        return []
+        return SignBatch(dim, [], [], [])
     wc = count_field_width(dim)
     counts, params = [], []
     for i, stream in enumerate(streams):
@@ -397,8 +388,9 @@ def decode_round(streams: list[Bitstream], dim: int) -> list[SparseSignVector]:
             i = int(bad[0])
             raise FormatError(f"message {i}: {_range_error(indices[i, :counts[i]], dim)}")
     indices, signs = indices.view(np.int64), _SIGN_OF_BIT[rows & np.uint64(1)]
-    return [SparseSignVector(dim, indices[i, :count], signs[i, :count])
-            for i, count in enumerate(counts.tolist())]
+    if present is not None:
+        indices, signs = indices[present], signs[present]
+    return SignBatch(dim, indices.reshape(-1), signs.reshape(-1), counts)
 
 
 def analytic_uplink_bits(dim: int, k: int) -> float:

@@ -1,8 +1,9 @@
-"""Gradient compression operators.
+"""Gradient compression operators and the sign messages they produce.
 
 Magnitude top-K selection with a deterministic tie rule, sign quantization
 of the selected coordinates, uniform random-K selection, and the error
-feedback step that carries unsent mass forward.
+feedback step that carries unsent mass forward.  A SparseSignVector is one
+message, a SignBatch a round's M messages back to back, checked alike.
 
 Top-K selection is one exact routine.  It finds the K-th largest magnitude
 with an in-place ``ndarray.partition`` of a copy of |u|, and takes the
@@ -11,8 +12,8 @@ so neither an index partition nor a sort is needed.  When ties at the K-th
 magnitude give more than K candidates, the surplus tied entries are dropped
 from the high-index end, so ties go to lower coordinate indices and results
 are reproducible.  The error feedback step runs in place in the worker's
-memory row: it forms g + eta * e there, reads the signs from it and zeroes
-the sent coordinates, so the only (N,) arrays it allocates are |g| and the
+memory row: it forms g + eta * e there, reads the sent values from it and
+zeroes them, so the only (N,) arrays it allocates are |g| and the
 partitioned copy, and only the copy when the caller lets it form |g| in
 the gradient's own array.
 """
@@ -20,18 +21,55 @@ the gradient's own array.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 
 import numpy as np
 
 __all__ = [
     "SparseSignVector",
+    "SignBatch",
     "ThresholdReport",
     "top_k_select",
     "top_k_sign",
+    "rand_k_select",
     "rand_k_sign",
     "error_feedback_step",
 ]
+
+
+def _checked(dim: int, indices, signs, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indices, signs, counts) as int64, int8 and int64 arrays, checked to
+    hold messages over dim back to back, counts[m] entries in message m."""
+    idx = np.asarray(indices, dtype=np.int64)
+    sgn = np.asarray(signs, dtype=np.int8)
+    if dim < 0:
+        raise ValueError(f"dim must be non-negative, got {dim}")
+    if idx.ndim != 1 or sgn.ndim != 1 or idx.size != sgn.size:
+        raise ValueError("indices and signs must be 1-D arrays of equal length")
+    rows = np.asarray(counts, dtype=np.int64)
+    if rows.ndim != 1 or np.count_nonzero(rows < 0) or rows.sum() != idx.size:
+        raise ValueError(
+            f"counts must be non-negative and sum to the {idx.size} entries, got {rows}")
+    if idx.size:
+        if idx.min() < 0 or idx.max() >= dim:
+            raise ValueError(f"indices out of range for dim={dim}")
+        falls = idx[1:] <= idx[:-1]
+        # Entry s may fall below entry s - 1 when it starts a message.
+        starts = rows.cumsum()
+        falls[starts[(starts > 0) & (starts < idx.size)] - 1] = False
+        # np.count_nonzero rather than .any(): the method call costs more.
+        if np.count_nonzero(falls):
+            raise ValueError("indices must be strictly increasing")
+        # Exact in int8: abs(-128) stays -128, so only -1 and +1 pass.
+        if np.count_nonzero(np.abs(sgn) != 1):
+            raise ValueError("signs must be -1 or +1")
+    return idx, sgn, rows
+
+
+def _equal_fields(self, other) -> bool:
+    if type(other) is not type(self):
+        return NotImplemented
+    return all(np.array_equal(getattr(self, f.name), getattr(other, f.name)) for f in fields(self))
 
 
 @dataclass(frozen=True, eq=False)
@@ -48,36 +86,14 @@ class SparseSignVector:
     signs: np.ndarray
 
     def __post_init__(self):
-        idx = np.asarray(self.indices, dtype=np.int64)
-        sgn = np.asarray(self.signs, dtype=np.int8)
-        if self.dim < 0:
-            raise ValueError(f"dim must be non-negative, got {self.dim}")
-        if idx.ndim != 1 or sgn.ndim != 1 or idx.size != sgn.size:
-            raise ValueError("indices and signs must be 1-D arrays of equal length")
-        if idx.size:
-            if idx[0] < 0 or idx[-1] >= self.dim:
-                raise ValueError(f"indices out of range for dim={self.dim}")
-            # np.count_nonzero rather than .any(): a message is built for
-            # every worker and round, and the method call costs more.
-            if np.count_nonzero(idx[1:] <= idx[:-1]):
-                raise ValueError("indices must be strictly increasing")
-            # Exact in int8: abs(-128) stays -128, so only -1 and +1 pass.
-            if np.count_nonzero(np.abs(sgn) != 1):
-                raise ValueError("signs must be -1 or +1")
-        object.__setattr__(self, "indices", idx)
-        object.__setattr__(self, "signs", sgn)
+        for name, value in zip(("indices", "signs"), _checked(
+                self.dim, self.indices, self.signs, [np.size(self.indices)])):
+            object.__setattr__(self, name, value)
+
+    __eq__ = _equal_fields
 
     def __len__(self) -> int:
         return int(self.indices.size)
-
-    def __eq__(self, other) -> bool:
-        if not isinstance(other, SparseSignVector):
-            return NotImplemented
-        return (
-            self.dim == other.dim
-            and np.array_equal(self.indices, other.indices)
-            and np.array_equal(self.signs, other.signs)
-        )
 
     @property
     def entries(self) -> list[tuple[int, int]]:
@@ -87,6 +103,60 @@ class SparseSignVector:
         out = np.zeros(self.dim, dtype=np.int8)
         out[self.indices] = self.signs
         return out
+
+
+@dataclass(frozen=True, eq=False)
+class SignBatch:
+    """The M sign messages of a round, back to back: message m, batch[m] as
+    a SparseSignVector, is the counts[m] entries after those of messages
+    0..m-1, so indices may fall only where a message starts.
+    """
+
+    dim: int
+    indices: np.ndarray
+    signs: np.ndarray
+    counts: np.ndarray
+
+    def __post_init__(self):
+        for name, value in zip(("indices", "signs", "counts"), _checked(
+                self.dim, self.indices, self.signs, self.counts)):
+            object.__setattr__(self, name, value)
+
+    __eq__ = _equal_fields
+
+    @classmethod
+    def stack(cls, messages: list[SparseSignVector], dim: int) -> "SignBatch":
+        """The messages as one batch; each must be over dim."""
+        for i, v in enumerate(messages):
+            if v.dim != dim:
+                raise ValueError(f"message {i} has dim {v.dim}, expected {dim}")
+        if not messages:
+            return cls(dim, [], [], [])
+        return cls(dim, np.concatenate([v.indices for v in messages]),
+                   np.concatenate([v.signs for v in messages]), [len(v) for v in messages])
+
+    @classmethod
+    def quantize(cls, dim: int, supports: list[np.ndarray], values: list[np.ndarray]) -> "SignBatch":
+        """Message m: the signs of values[m] on supports[m], exact zeros (no sign) dropped."""
+        counts = np.array([s.size for s in supports], dtype=np.int64)
+        indices, values = np.concatenate(supports), np.concatenate(values)
+        # Straight into int8: a fresh (or in-place) float sign array is several
+        # times slower at N = 1e5, where the new pages cost more than the sign.
+        signs = np.sign(values, out=np.empty(values.size, dtype=np.int8), casting="unsafe")
+        if not signs.all():
+            keep = signs != 0
+            indices, signs = indices[keep], signs[keep]
+            kept = np.concatenate(([0], keep.cumsum()))
+            counts = np.diff(kept[np.concatenate(([0], counts.cumsum()))])
+        return cls(dim, indices, signs, counts)
+
+    def __len__(self) -> int:
+        return int(self.counts.size)
+
+    def __getitem__(self, m: int) -> SparseSignVector:
+        m = range(len(self))[m]  # IndexError past either end
+        start, end = int(self.counts[:m].sum()), int(self.counts[:m + 1].sum())
+        return SparseSignVector(self.dim, self.indices[start:end], self.signs[start:end])
 
 
 @dataclass(frozen=True)
@@ -156,53 +226,48 @@ def top_k_select(u: np.ndarray, k: int) -> tuple[np.ndarray, ThresholdReport]:
     return support, ThresholdReport((kth + kplus1) / 2.0, kth, kplus1)
 
 
-def _sign_message(dim: int, support: np.ndarray, values: np.ndarray) -> SparseSignVector:
-    # sgn maps to {-1, 0, +1}; exact zeros carry no sign and are dropped.
-    signs = np.sign(values).astype(np.int8)
-    if not signs.all():
-        keep = signs != 0
-        support, signs = support[keep], signs[keep]
-    return SparseSignVector(dim, support, signs)
-
-
 def top_k_sign(u: np.ndarray, k: int) -> SparseSignVector:
     """Signs of the k largest-magnitude coordinates of u."""
     u = np.asarray(u, dtype=np.float64)
     support, _ = top_k_select(u, k)
-    return _sign_message(u.size, support, u[support])
+    return SignBatch.quantize(u.size, [support], [u[support]])[0]
 
 
-def rand_k_sign(u: np.ndarray, k: int, rng: np.random.Generator) -> SparseSignVector:
-    """Signs of k coordinates drawn uniformly without replacement.
-
-    Every coordinate is selected with marginal probability exactly k/N.
-    """
-    u = np.asarray(u, dtype=np.float64)
+def rand_k_select(u: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+    """Ascending indices of k coordinates of u drawn uniformly without
+    replacement, so each is selected with marginal probability exactly k/N."""
+    u = np.asarray(u)
     if u.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {u.shape}")
     if not 0 <= k <= u.size:
         raise ValueError(f"k must be in [0, {u.size}], got {k}")
-    support = np.sort(rng.choice(u.size, size=k, replace=False)).astype(np.int64)
-    return _sign_message(u.size, support, u[support])
+    return np.sort(rng.choice(u.size, size=k, replace=False)).astype(np.int64)
+
+
+def rand_k_sign(u: np.ndarray, k: int, rng: np.random.Generator) -> SparseSignVector:
+    """Signs of k coordinates drawn by rand_k_select."""
+    u = np.asarray(u, dtype=np.float64)
+    support = rand_k_select(u, k, rng)
+    return SignBatch.quantize(u.size, [support], [u[support]])[0]
 
 
 def error_feedback_step(
     g_tilde: np.ndarray, e: np.ndarray, eta: float, k: int, overwrite_g: bool = False
-) -> tuple[SparseSignVector, np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray]:
     """One worker-side compression step with error accumulation, in place in e.
 
     e is the worker's error memory, a float64 array that the step rewrites:
-    it forms the corrected gradient g = g_tilde + eta * e in e, emits the
-    sign message on the top-k support of g, and zeroes that support, so e
-    ends holding exactly the mass that was not selected:
+    it forms the corrected gradient g = g_tilde + eta * e in e, selects the
+    top-k support of g and zeroes it, so e ends holding exactly the mass
+    that was not selected:
 
-        msg, support, sent  with  sent == g[support], e[support] == 0 and
+        support, sent  with  sent == g[support], e[support] == 0 and
         e == g elsewhere.
 
-    support is the full top-k selection; msg omits its exact zeros, which
-    carry no sign.  With eta = 0 the old memory is ignored and the new one
-    depends on g_tilde alone.  With overwrite_g the step also uses g_tilde's
-    array as scratch, which then holds |g| in place of g_tilde.
+    The worker's message is the signs of sent on support (SignBatch.quantize).
+    With eta = 0 the old memory is ignored and the new one depends on g_tilde
+    alone.  With overwrite_g the step also uses g_tilde's array as scratch,
+    which then holds |g| in place of g_tilde.
     """
     g_tilde = np.asarray(g_tilde, dtype=np.float64)
     if not isinstance(e, np.ndarray) or e.dtype != np.float64:
@@ -219,4 +284,4 @@ def error_feedback_step(
     support, _ = _top_k_support(np.abs(e, out=g_tilde if overwrite_g else None), k)
     sent = e[support]
     e[support] = 0.0
-    return _sign_message(e.size, support, sent), support, sent
+    return support, sent

@@ -21,8 +21,9 @@ the codec).  Fixing the config and seed fixes the whole trajectory bit for
 bit, because each (worker, round) pair owns its random stream.
 
 A round runs as whole-round passes where it can: the task's round_pass
-evaluates the iterate and draws the M worker gradients in one call, and on
-the wire encode_round and decode_round carry all M uplink messages at once.
+evaluates the iterate and draws the M worker gradients in one call, a vote
+server takes the M uploads as one SignBatch, which the codec carries on
+the wire and majority_vote reads, and no per-message object is built.
 Each pass gives the same bits as its per-worker, per-message counterpart.
 For the quadratic task at large N the worker phase (each worker's
 gradient draw and compression step) runs on min(usable CPUs, M) threads,
@@ -48,7 +49,7 @@ import numpy as np
 from . import _checks, models
 from .aggregation import average_aggregate, majority_vote, participation_count
 from .codec import ALGORITHMS, _Rule, analytic_round_cost, decode_round, encode_round, encode_sparse_sign
-from .compression import error_feedback_step, rand_k_sign, top_k_sign
+from .compression import SignBatch, error_feedback_step, rand_k_select
 from .rng import derive_rng, worker_rng
 
 __all__ = [
@@ -133,8 +134,8 @@ class ExperimentConfig:
         _checks.real(self.gamma, "gamma", "in [0, 1]")
         _checks.real(self.eta, "eta", "non-negative")
         _checks.real(self.mu, "mu", "in [0, 1)")
-        if self.n is not None and not (_checks.is_count(self.n) and self.n >= 1):
-            raise ValueError(f"n must be a positive integer or null, got {self.n!r}")
+        if self.n is not None:
+            _checks.count(self.n, "n")
         _checks.flag(self.record_selection, "record_selection")
         for name in ("model", "data"):
             if not isinstance(getattr(self, name), dict):
@@ -322,9 +323,9 @@ class ClassificationTask:
         mode = data.pop("mode", "IID")
         source = data.pop("source", "synthetic")
         if source == "synthetic":
-            n_samples = _positive_int(data.pop("n_samples", 1000), "n_samples")
-            d = _positive_int(data.pop("d", 16), "d")
-            classes = _positive_int(data.pop("num_classes", 10), "num_classes")
+            n_samples = _checks.count(data.pop("n_samples", 1000), "n_samples")
+            d = _checks.count(data.pop("d", 16), "d")
+            classes = _checks.count(data.pop("num_classes", 10), "num_classes")
             separation = float(_checks.real(data.pop("separation", 3.0), "separation"))
             test_fraction = float(_checks.real(data.pop("test_fraction", 0.2), "test_fraction", "in [0, 1)"))
             full = models.synth_classification(
@@ -351,8 +352,10 @@ class ClassificationTask:
             hidden = []
         elif kind == "mlp":
             hidden = spec.pop("hidden", [32])
-            if not (isinstance(hidden, list) and all(_checks.is_count(h) and h >= 1 for h in hidden)):
+            if not isinstance(hidden, list):
                 raise ValueError(f"hidden must be a list of positive integers, got {hidden!r}")
+            for i, width in enumerate(hidden):
+                _checks.count(width, f"hidden[{i}]")
         else:
             raise ValueError(f"unknown model kind {kind!r}")
         self.arch = [self.train.features.shape[1], *hidden, self.train.num_classes]
@@ -423,12 +426,6 @@ class ClassificationTask:
 _IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
 
 
-def _positive_int(value, name: str) -> int:
-    if not (_checks.is_count(value) and value >= 1):
-        raise ValueError(f"{name} must be a positive integer, got {value!r}")
-    return int(value)
-
-
 def _coefficients(spec, n: int, name: str) -> np.ndarray:
     """Expand a scalar / list / logspace spec into an (n,) float array."""
     if isinstance(spec, dict):
@@ -468,28 +465,30 @@ def _batch_size(cfg: ExperimentConfig) -> int:
 
 
 def _worker_step(rule: _Rule, g: np.ndarray, memory, m: int, eta: float, k: int, rng):
-    """Worker m's upload from its stochastic gradient g: (coordinates sent, upload).
+    """Worker m's upload from its stochastic gradient g: (support, sent).
 
-    A vote server receives a SparseSignVector, which leaves out exact zeros
-    because they carry no sign; a mean server receives the corrected
-    gradient with every unselected coordinate zeroed.  Error memory is
-    updated in place in the row memory[m].  g is the worker's own array and
-    nothing reads it after the step, so the error memory step overwrites it
-    with |g + eta * e| rather than allocate an array for that.
+    support holds the ascending coordinates the worker selected and sent
+    their values: the corrected gradient's under error memory, g's
+    otherwise.  Error memory is updated in place in the row memory[m].  g
+    is the worker's own array and nothing reads it after the step, so the
+    error memory step overwrites it with |g + eta * e| rather than allocate
+    an array for that.
     """
     if rule.memory:
-        msg, support, sent = error_feedback_step(g, memory[m], eta, k, overwrite_g=True)
-    elif rule.selector == "randk":
-        msg = rand_k_sign(g, k, rng)
-    elif rule.server == "mean":
-        return np.arange(g.size), g
-    else:
-        msg = top_k_sign(g, g.size)
-    if rule.server == "vote":
-        return msg.indices, msg
-    upload = np.zeros_like(g)
+        return error_feedback_step(g, memory[m], eta, k, overwrite_g=True)
+    if rule.selector == "randk":
+        support = rand_k_select(g, k, rng)
+        return support, g[support]
+    return np.arange(g.size), g
+
+
+def _dense_upload(support: np.ndarray, sent: np.ndarray, dim: int) -> np.ndarray:
+    """A mean server's view of an upload: sent on support, zero elsewhere."""
+    if support.size == dim:  # every coordinate, in order
+        return sent
+    upload = np.zeros(dim)
     upload[support] = sent
-    return support, upload
+    return upload
 
 
 # The worker phase runs on min(usable CPUs, M) threads from this model
@@ -518,21 +517,21 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_share(workers, rule, grads, memory, eta, k, rngs, supports, uploads):
+def _worker_share(workers, rule, grads, memory, eta, k, rngs, supports, sents):
     """Run the given workers' steps in order, storing results by worker index.
 
     Returns None, or (m, error) for the first worker that raised.
     """
     for m in workers:
         try:
-            supports[m], uploads[m] = _worker_step(rule, grads[m], memory, m, eta, k, rngs[m])
+            supports[m], sents[m] = _worker_step(rule, grads[m], memory, m, eta, k, rngs[m])
         except Exception as err:
             return m, err
     return None
 
 
 def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs):
-    """The worker phase on this thread and the pool: (supports, uploads) by worker.
+    """The worker phase on this thread and the pool: (supports, sents) by worker.
 
     Share i holds workers i, i + T, i + 2T, ...; this thread runs share 0,
     so with T = 1 (pool None) all workers run here, one after another.
@@ -541,8 +540,8 @@ def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs):
     raise, the lowest one's error is raised, as with one thread.
     """
     m_workers = len(rngs)
-    supports, uploads = [None] * m_workers, [None] * m_workers
-    args = (rule, grads, memory, eta, k, rngs, supports, uploads)
+    supports, sents = [None] * m_workers, [None] * m_workers
+    args = (rule, grads, memory, eta, k, rngs, supports, sents)
     futures = [
         pool.submit(contextvars.copy_context().run, _worker_share, range(i, m_workers, threads), *args)
         for i in range(1, threads)
@@ -552,7 +551,7 @@ def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs):
     failed = [f for f in failed if f is not None]
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
-    return supports, uploads
+    return supports, sents
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
@@ -583,6 +582,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
     x = task.init_params()
     velocity = None
     memory = np.zeros((cfg.m, dim)) if rule.memory else None
+    count_dtype = np.min_scalar_type(cfg.m)  # at most the M workers send a coordinate
     metrics: list[RoundMetrics] = []
     cumulative = 0.0
     # No pool below the gate, and none outlives the run.
@@ -592,18 +592,21 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
             rngs = [worker_rng(cfg.seed, m, t) for m in range(cfg.m)]
             (train_loss, test_metric, gbar_l1), grads = task.round_pass(x, batch, rngs)
 
-            supports, uploads = _worker_phase(pool, threads, rule, grads, memory, cfg.eta, k, rngs)
+            supports, sents = _worker_phase(pool, threads, rule, grads, memory, cfg.eta, k, rngs)
 
             up, down = analytic_round_cost(cfg.algorithm, cfg.m, dim, k)
             if rule.server == "mean":
+                uploads = [_dense_upload(support, sent, dim) for support, sent in zip(supports, sents)]
                 direction = average_aggregate(uploads)
                 counts = participation_count(supports, dim) if cfg.record_selection else None
             else:
+                messages = SignBatch.quantize(dim, supports, sents)
+                del supports, sents  # in the batch now; not kept into the next round
                 if wire:
-                    streams = encode_round(uploads)
-                    uploads = decode_round(streams, dim)
+                    streams = encode_round(messages)
+                    messages = decode_round(streams, dim)
                     up = float(sum(s.bit_len for s in streams))
-                vote = majority_vote(uploads, dim)
+                vote = majority_vote(messages, dim)
                 if wire:
                     down = float(cfg.m * encode_sparse_sign(vote.nonzero_message()).bit_len)
                 direction = vote.ternary
@@ -627,7 +630,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
                     downlink_bits=down,
                     cumulative_bits=cumulative,
                     wall_ms=(time.perf_counter() - started) * 1e3,
-                    selection_counts=counts,
+                    selection_counts=None if counts is None else counts.astype(count_dtype),
                 )
             )
     return metrics
@@ -685,7 +688,7 @@ def selection_histogram(metrics: list[RoundMetrics]) -> SelectionStats:
     recorded = [m.selection_counts for m in metrics if m.selection_counts is not None]
     if not recorded:
         raise ValueError("no selection counts recorded (record_selection off?)")
-    counts = np.sum(recorded, axis=0)
+    counts = np.sum(recorded, axis=0, dtype=np.int64)
     low, high = counts.min(), counts.max()
     ratio = float(high) / float(low) if low > 0 else math.inf
     total = counts.sum()

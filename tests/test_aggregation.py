@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsevote.aggregation import average_aggregate, majority_vote, participation_count
-from sparsevote.compression import SparseSignVector
+from sparsevote.compression import SignBatch, SparseSignVector
 
 
 def msg(dim, *entries):
@@ -48,8 +48,10 @@ class TestMajorityVote:
         assert vote.union_support.size == 0
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
+        with pytest.raises(ValueError, match="message 1 has dim 3, expected 2"):
             majority_vote([msg(2, (0, 1)), msg(3, (0, 1))], 2)
+        with pytest.raises(ValueError, match="the messages have dim 3, expected 2"):
+            majority_vote(SignBatch.stack([msg(3, (0, 1))], 3), 2)
 
     def test_order_invariance(self):
         msgs = [msg(4, (0, 1), (2, -1)), msg(4, (1, 1)), msg(4, (0, -1), (1, 1), (3, 1))]
@@ -68,10 +70,12 @@ class TestMajorityVote:
         for m in msgs:
             dense_sum += m.to_dense().astype(int)
             mentioned[m.indices] = True
-        vote = majority_vote(msgs, dim)
-        assert (vote.tallies == dense_sum).all()
-        assert (vote.ternary == np.sign(dense_sum)).all()
-        assert vote.union_support.tolist() == np.flatnonzero(mentioned).tolist()
+        for given in (msgs, SignBatch.stack(msgs, dim)):
+            vote = majority_vote(given, dim)
+            assert vote.tallies.dtype == vote.counts.dtype == np.int64
+            assert (vote.tallies == dense_sum).all()
+            assert (vote.ternary == np.sign(dense_sum)).all()
+            assert vote.union_support.tolist() == np.flatnonzero(mentioned).tolist()
 
     def test_nonzero_message_roundtrip(self):
         vote = majority_vote([msg(4, (0, 1), (1, 1)), msg(4, (1, -1), (3, -1))], 4)
@@ -97,9 +101,10 @@ class TestParticipationCount:
     @settings(max_examples=200, deadline=None)
     def test_vote_carries_the_counts(self, dim_msgs):
         dim, msgs = dim_msgs
-        vote = majority_vote(msgs, dim)
-        assert np.array_equal(vote.counts, participation_count([m.indices for m in msgs], dim))
-        assert np.array_equal(vote.union_support, np.flatnonzero(vote.counts))
+        for given in (msgs, SignBatch.stack(msgs, dim)):
+            vote = majority_vote(given, dim)
+            assert np.array_equal(vote.counts, participation_count([m.indices for m in msgs], dim))
+            assert np.array_equal(vote.union_support, np.flatnonzero(vote.counts))
 
 
 class TestAverageAggregate:

@@ -181,9 +181,9 @@ class TestRun:
             ({"mu": "0"}, "mu must be a finite number"),
             ({"learning_rate": [0.01]}, "learning_rate must be a positive number"),
             ({"learning_rate": True}, "learning_rate must be a positive number"),
-            ({"n": "64"}, "n must be a positive integer"),
-            ({"n": 64.0}, "n must be a positive integer"),
-            ({"n": True}, "n must be a positive integer"),
+            ({"n": "64"}, "n must be an integer"),
+            ({"n": 64.0}, "n must be an integer"),
+            ({"n": True}, "n must be an integer"),
             ({"record_selection": "no"}, "record_selection must be true or false"),
             ({"model": "quadratic"}, "model must be a JSON object"),
             ({"data": []}, "data must be a JSON object"),
@@ -195,8 +195,9 @@ class TestRun:
              "lipschitz needs numeric log_min and log_max"),
             ({"model": {"kind": "quadratic", "lipschitz": {"log_min": "0", "log_max": 1}}},
              "lipschitz needs numeric log_min and log_max"),
-            (logistic(data={"n_samples": "60"}), "n_samples must be a positive integer"),
-            (logistic(data={"d": 3.5}), "d must be a positive integer"),
+            (logistic(data={"n_samples": "60"}), "n_samples must be an integer"),
+            (logistic(data={"d": 3.5}), "d must be an integer"),
+            (logistic(model={"kind": "mlp", "hidden": [4, 0]}), "hidden[1] must be positive"),
             (logistic(data={"separation": "4"}), "separation must be a finite number"),
             (logistic(model={"kind": "mlp", "hidden": "32"}), "hidden must be a list of positive"),
             (logistic(model={"kind": "logistic", "init_scale": "0.5"}),
@@ -212,6 +213,13 @@ class TestRun:
              "lipschitz {'log_min': 400, 'log_max': 400} has values too large for a float"),
             # Over 2**47 bytes: the allocation fails at once and touches no memory.
             ({"n": 10 ** 15}, "out of memory: "),
+            # Past int64, and so past any numpy array size.
+            ({"n": 10 ** 20}, "n must be at most 9223372036854775807"),
+            (logistic(data={"n_samples": 10 ** 20}), "n_samples must be at most 9223372036854775807"),
+            (logistic(data={"d": 10 ** 20}), "d must be at most 9223372036854775807"),
+            (logistic(data={"num_classes": 10 ** 20}), "num_classes must be at most 9223372036854775807"),
+            (logistic(model={"kind": "mlp", "hidden": [10 ** 20]}),
+             "hidden[0] must be at most 9223372036854775807"),
             # An int past the float range is not a finite number.
             ({"gamma": 10 ** 400}, "gamma must be a finite number"),
             ({"learning_rate": 10 ** 400}, "learning_rate must be a positive number"),
@@ -273,6 +281,23 @@ class TestSweep:
         assert main(["sweep", "--config", str(quad_config), "--axis", "delta",
                      "--values", "0.1"]) == 1
         assert "axis" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "option, text, message",
+        [
+            ("--values", "abc", "error: --values must be comma separated floats, got 'abc'"),
+            ("--values", "0.1,x", "error: --values must be comma separated floats, got '0.1,x'"),
+            ("--seeds", "x", "error: --seeds must be comma separated ints, got 'x'"),
+            ("--seeds", "1.5", "error: --seeds must be comma separated ints, got '1.5'"),
+        ],
+    )
+    def test_unreadable_list_is_one_error_line_naming_its_option(
+            self, quad_config, option, text, message, capsys):
+        argv = {"--values": "0.1", option: text}
+        assert main(["sweep", "--config", str(quad_config), "--axis", "gamma",
+                     *[word for pair in argv.items() for word in pair]]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == "" and captured.err == message + "\n"
 
 
 class TestTheoryEval:

@@ -22,7 +22,7 @@ from sparsevote.codec import (
     encode_sparse_sign,
     rice_parameter,
 )
-from sparsevote.compression import SparseSignVector
+from sparsevote.compression import SignBatch, SparseSignVector
 
 
 def random_message(rng, dim=None):
@@ -563,19 +563,22 @@ class TestRoundCodec:
     @example(_mixed_counts(1000, 1000, 30, 1, 0, 30))  # Rice parameters 0, 5, 9, 0 and 5
     @example(_mixed_counts(1, *[0] * 12))
     def test_same_bytes_as_the_message_codec_and_round_trips(self, msgs):
-        streams = encode_round(msgs)
+        batch = SignBatch.stack(msgs, msgs[0].dim)
+        streams = encode_round(batch)
         assert [(s.data, s.bit_len) for s in streams] == [
             (s.data, s.bit_len) for s in map(encode_sparse_sign, msgs)]
-        assert decode_round(streams, msgs[0].dim) == msgs
+        decoded = decode_round(streams, msgs[0].dim)
+        assert decoded == batch
+        assert list(decoded) == msgs
 
     def test_empty_round(self):
-        assert encode_round([]) == []
-        assert decode_round([], 8) == []
+        assert encode_round(SignBatch.stack([], 8)) == []
+        assert decode_round([], 8) == SignBatch.stack([], 8)
 
     def test_one_dim_per_round(self):
         msgs = [_message(8, 2, np.random.default_rng(0)), _message(9, 2, np.random.default_rng(0))]
-        with pytest.raises(ValueError, match="message 1 has dim 9"):
-            encode_round(msgs)
+        with pytest.raises(ValueError, match="message 1 has dim 9, expected 8"):
+            SignBatch.stack(msgs, 8)
 
     def test_every_case_is_malformed_alone(self):
         for stream, dim in MALFORMED.values():

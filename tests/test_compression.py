@@ -8,9 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from sparsevote.compression import (
+    SignBatch,
     SparseSignVector,
     ThresholdReport,
     error_feedback_step,
+    rand_k_select,
     rand_k_sign,
     top_k_select,
     top_k_sign,
@@ -199,8 +201,8 @@ class TestAgainstArgpartitionReference:
         eta = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
         k = edge_or_any_k(data, n)
         ref_msg, ref_e_next, ref_g, ref_support = ref_error_feedback_step(g_tilde, e, eta, k)
-        msg, support, sent = error_feedback_step(g_tilde, e, eta, k)
-        assert msg == ref_msg
+        support, sent = error_feedback_step(g_tilde, e, eta, k)
+        assert SignBatch.quantize(n, [support], [sent])[0] == ref_msg
         assert support.tolist() == ref_support.tolist()
         assert e.tobytes() == ref_e_next.tobytes()
         assert sent.tobytes() == ref_g[ref_support].tobytes()
@@ -215,8 +217,8 @@ class TestAgainstArgpartitionReference:
         k = edge_or_any_k(data, n)
         ref_msg, ref_e_next, ref_g, ref_support = ref_error_feedback_step(g_tilde, e, eta, k)
         given_g = g_tilde.copy()
-        msg, support, sent = error_feedback_step(given_g, e, eta, k, overwrite_g=overwrite_g)
-        assert msg == ref_msg
+        support, sent = error_feedback_step(given_g, e, eta, k, overwrite_g=overwrite_g)
+        assert SignBatch.quantize(n, [support], [sent])[0] == ref_msg
         assert support.tolist() == ref_support.tolist()
         assert e.tobytes() == ref_e_next.tobytes()
         assert sent.tobytes() == ref_g[ref_support].tobytes()
@@ -272,6 +274,13 @@ class TestRandKSign:
         msg = rand_k_sign(np.zeros(6), 6, rng)
         assert len(msg) == 0
 
+    def test_signs_on_the_selection(self):
+        u = np.array([1.0, -2.0, 3.0, -4.0, 5.0])
+        support = rand_k_select(u, 3, np.random.default_rng(9))
+        msg = rand_k_sign(u, 3, np.random.default_rng(9))
+        assert msg.indices.tolist() == support.tolist()
+        assert msg.signs.tolist() == np.sign(u[support]).tolist()
+
 
 def feedback(g_tilde, e, eta, k):
     """error_feedback_step on a float copy of e, as (msg, e_next, g, support).
@@ -280,10 +289,10 @@ def feedback(g_tilde, e, eta, k):
     returns: the new memory, with the sent values at the support.
     """
     e_next = np.array(e, dtype=np.float64)
-    msg, support, sent = error_feedback_step(g_tilde, e_next, eta, k)
+    support, sent = error_feedback_step(g_tilde, e_next, eta, k)
     g = e_next.copy()
     g[support] = sent
-    return msg, e_next, g, support
+    return SignBatch.quantize(g.size, [support], [sent])[0], e_next, g, support
 
 
 class TestErrorFeedbackStep:
@@ -346,7 +355,7 @@ class TestErrorFeedbackStep:
         memory = rng.normal(size=(3, 50))
         before = memory.copy()
         g_tilde = rng.normal(size=50)
-        msg, support, sent = error_feedback_step(g_tilde, memory[1], 0.5, 7)
+        support, sent = error_feedback_step(g_tilde, memory[1], 0.5, 7)
         g = g_tilde + 0.5 * before[1]
         assert support.tolist() == top_k_select(g, 7)[0].tolist()
         assert sent.tolist() == g[support].tolist()
@@ -354,7 +363,7 @@ class TestErrorFeedbackStep:
         expected[support] = 0.0
         assert memory[1].tolist() == expected.tolist()
         assert np.array_equal(memory[[0, 2]], before[[0, 2]])
-        assert msg == top_k_sign(g, 7)
+        assert SignBatch.quantize(50, [support], [sent])[0] == top_k_sign(g, 7)
 
     def test_memory_must_be_a_float64_array(self):
         for e in ([0.0, 0.0], np.zeros(2, dtype=np.float32), np.zeros(2, dtype=np.int64)):
@@ -397,3 +406,57 @@ class TestSparseSignVector:
         b = SparseSignVector(4, np.array([1, 3]), np.array([1, -1]))
         assert a == b and len(a) == 2
         assert a.to_dense().tolist() == [0, 1, 0, -1]
+
+
+@st.composite
+def selections(draw):
+    """(dim, supports, values) of up to 5 workers, with exact zeros among the values."""
+    dim = draw(st.integers(1, 12))
+    supports, values = [], []
+    for _ in range(draw(st.integers(1, 5))):
+        chosen = sorted(draw(st.sets(st.integers(0, dim - 1))))
+        supports.append(np.array(chosen, dtype=np.int64))
+        values.append(np.array([draw(st.sampled_from([-2.5, 0.0, 1.0])) for _ in chosen]))
+    return dim, supports, values
+
+
+class TestSignBatch:
+    @pytest.mark.parametrize(
+        "dim, indices, signs, counts, message",
+        [
+            (-1, [], [], [], "dim must be non-negative"),
+            (4, [0, 1], [1], [2], "indices and signs must be 1-D arrays of equal length"),
+            (4, [[0, 1]], [[1, 1]], [2], "indices and signs must be 1-D arrays of equal length"),
+            (4, [0, 1], [1, 1], [1], "counts must be non-negative and sum to the 2 entries"),
+            (4, [0, 1], [1, 1], [3, -1], "counts must be non-negative and sum to the 2 entries"),
+            (4, [0, 1], [1, 1], [[1, 1]], "counts must be non-negative and sum to the 2 entries"),
+            (4, [0, 4], [1, 1], [1, 1], "indices out of range for dim=4"),
+            (4, [2, -1], [1, 1], [1, 1], "indices out of range for dim=4"),
+            (4, [1, 0], [1, 1], [2], "indices must be strictly increasing"),
+            (4, [3, 0, 2, 2], [1, 1, 1, 1], [1, 3], "indices must be strictly increasing"),
+            (4, [3, 1, 0], [1, 1, 1], [1, 0, 2, 0], "indices must be strictly increasing"),
+            (4, [0, 1], [1, 0], [1, 1], "signs must be -1 or +1"),
+            (4, [0, 1], [1, -128], [1, 1], "signs must be -1 or +1"),
+        ],
+    )
+    def test_each_broken_rule_is_one_error_line(self, dim, indices, signs, counts, message):
+        with pytest.raises(ValueError) as err:
+            SignBatch(dim, np.array(indices), np.array(signs, dtype=np.int8), counts)
+        assert str(err.value).startswith(message) and "\n" not in str(err.value)
+
+    def test_indices_fall_where_a_message_starts_and_rows_may_be_empty(self):
+        batch = SignBatch(4, [3, 0, 1, 2, 0], [1, -1, 1, 1, -1], [0, 1, 0, 3, 1, 0])
+        rows = [msg.entries for msg in batch]
+        assert rows == [[], [(3, 1)], [], [(0, -1), (1, 1), (2, 1)], [(0, -1)], []]
+        assert len(batch) == 6 and batch[-3] == batch[3]
+        assert SignBatch.stack(list(batch), 4) == batch
+        with pytest.raises(IndexError):
+            batch[6]
+
+    @given(selections())
+    @settings(max_examples=200, deadline=None)
+    def test_quantize_is_the_stacked_per_message_signs(self, selection):
+        dim, supports, values = selection
+        expected = [SparseSignVector(dim, s[v != 0], np.sign(v[v != 0]).astype(np.int8))
+                    for s, v in zip(supports, values)]
+        assert SignBatch.quantize(dim, supports, values) == SignBatch.stack(expected, dim)

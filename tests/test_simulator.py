@@ -12,7 +12,7 @@ from hypothesis import strategies as st
 
 from sparsevote.aggregation import majority_vote
 from sparsevote.codec import ALGORITHMS, analytic_round_cost, count_field_width
-from sparsevote.compression import rand_k_sign
+from sparsevote.compression import SparseSignVector, rand_k_sign
 from sparsevote.models import quadratic_grad
 from sparsevote.rng import worker_rng
 from sparsevote.simulator import (
@@ -216,6 +216,22 @@ class TestCostAccounting:
         for m, (dim, decisive) in zip(metrics, votes):
             assert m.downlink_bits <= cfg.m * (count_field_width(dim) + dim + decisive), m.round
 
+    @pytest.mark.parametrize("name", ["quadratic_s3gd", "logistic_noniid"])
+    def test_a_wire_round_builds_one_message_object(self, name, monkeypatch):
+        # The M uploads travel as one SignBatch; only the vote broadcast is
+        # a SparseSignVector of its own.
+        built = []
+        check = SparseSignVector.__post_init__
+
+        def counting(self):
+            built.append(self.dim)
+            check(self)
+
+        monkeypatch.setattr(SparseSignVector, "__post_init__", counting)
+        cfg = replace(ExperimentConfig.from_json(CONFIGS / f"{name}.json"), cost_mode="WIRE", t=5)
+        run_experiment(cfg)
+        assert len(built) == cfg.t
+
     def test_cumulative_is_running_sum(self):
         metrics = run_experiment(quad_cfg(t=10))
         running = 0.0
@@ -309,6 +325,17 @@ class TestSelection:
         assert all(m.selection_counts is None for m in metrics)
         with pytest.raises(ValueError):
             selection_histogram(metrics)
+
+    @pytest.mark.parametrize("algorithm", ["S3GD_MV", "VANILLA_SGD"])
+    @pytest.mark.parametrize("m, dtype", [(4, np.uint8), (255, np.uint8), (256, np.uint16)])
+    def test_counts_kept_in_the_narrowest_unsigned_dtype(self, algorithm, m, dtype):
+        # gamma = 1 and noisy gradients: every worker sends every coordinate.
+        metrics = run_experiment(quad_cfg(algorithm=algorithm, m=m, t=2, n=4, gamma=1.0))
+        for r in metrics:
+            assert r.selection_counts.dtype == dtype
+            assert r.selection_counts.tolist() == [m] * 4
+        stats = selection_histogram(metrics)
+        assert stats.counts.dtype == np.int64 and stats.counts.tolist() == [2 * m] * 4
 
     def test_stats_shape(self):
         stats = selection_histogram(run_experiment(quad_cfg(t=10)))
