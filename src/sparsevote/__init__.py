@@ -14,7 +14,6 @@ from .codec import (
     CommLedger,
     FormatError,
     analytic_round_cost,
-    analytic_uplink_bits,
     decode_round,
     decode_sparse_sign,
     encode_round,
@@ -36,7 +35,6 @@ from .models import (
     WorkerShard,
     load_idx_dataset,
     partition_dataset,
-    sample_minibatch,
     synth_classification,
 )
 from .rng import derive_rng, worker_rng

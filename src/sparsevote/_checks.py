@@ -11,6 +11,8 @@ import numbers
 
 # Counts reach numpy and scipy as int64.
 _INT64_MAX = 2**63 - 1
+# numpy refuses an array of more bytes than an int64 counts: at most this many floats.
+FLOATS_MAX = _INT64_MAX // 8
 
 _RANGES = {
     "positive": lambda v: v > 0,

@@ -28,20 +28,8 @@ from .simulator import (
     sweep,
 )
 
-_BOUNDS = {
-    "alpha": theory.alpha,
-    "beta": theory.beta,
-    "m_participation_pmf": theory.m_participation_pmf,
-    "empty_coordinate_prob": theory.empty_coordinate_prob,
-    "rho_lower_bound": theory.rho_lower_bound,
-    "sign_flip_bound": theory.sign_flip_bound,
-    "vote_error_bound": theory.vote_error_bound,
-    "vote_error_exact": theory.vote_error_exact,
-    "gamma_star": theory.gamma_star,
-    "sparsity_surrogate": theory.sparsity_surrogate,
-    "convergence_bound_topk": theory.convergence_bound_topk,
-    "convergence_bound_randk": theory.convergence_bound_randk,
-}
+# Every function theory exports is a bound; BoundInputs groups the inputs of two.
+_BOUNDS = {name: getattr(theory, name) for name in theory.__all__ if name != "BoundInputs"}
 
 
 def _load_config(args) -> ExperimentConfig:

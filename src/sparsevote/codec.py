@@ -50,12 +50,12 @@ per round and worker
     downlink w * N                          the aggregate, one value a
                                             coordinate, to every worker
 
-CommLedger keeps a round-by-round record of bits and exports it as CSV.
+CommLedger keeps a round-by-round record of bits and their total; the runs
+write their per-round bits with simulator.emit_results.
 """
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 
@@ -72,7 +72,6 @@ __all__ = [
     "decode_sparse_sign",
     "encode_round",
     "decode_round",
-    "analytic_uplink_bits",
     "analytic_round_cost",
     "CommLedger",
     "ALGORITHMS",
@@ -393,17 +392,6 @@ def decode_round(streams: list[Bitstream], dim: int) -> SignBatch:
     return SignBatch(dim, indices.reshape(-1), signs.reshape(-1), counts)
 
 
-def analytic_uplink_bits(dim: int, k: int) -> float:
-    """Nominal bits for one K-sparse sign message: K + K * log2(N / K)."""
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    if not 0 <= k <= dim:
-        raise ValueError(f"k must be in [0, {dim}], got {k}")
-    if k == 0:
-        return 0.0
-    return k + k * math.log2(dim / k)
-
-
 def analytic_round_cost(algorithm: str, m: int, dim: int, k: int) -> tuple[float, float]:
     """Per-round (uplink, downlink) bit budget across all M workers.
 
@@ -435,7 +423,6 @@ class CommLedger:
     def __init__(self, algorithm: str):
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        self.algorithm = algorithm
         self.rounds: list[tuple[int, float, float]] = []
 
     def record(self, round_index: int, uplink_bits: float, downlink_bits: float) -> None:
@@ -447,22 +434,5 @@ class CommLedger:
         self.rounds.append((round_index, float(uplink_bits), float(downlink_bits)))
 
     @property
-    def uplink_total(self) -> float:
-        return sum(r[1] for r in self.rounds)
-
-    @property
-    def downlink_total(self) -> float:
-        return sum(r[2] for r in self.rounds)
-
-    @property
     def cumulative_bits(self) -> float:
-        return self.uplink_total + self.downlink_total
-
-    def export_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["round", "algorithm", "uplink_bits", "downlink_bits", "cumulative_bits"])
-            running = 0.0
-            for rnd, up, down in self.rounds:
-                running += up + down
-                writer.writerow([rnd, self.algorithm, up, down, running])
+        return sum(r[1] for r in self.rounds) + sum(r[2] for r in self.rounds)

@@ -1,17 +1,18 @@
 """Desk-scale objectives and data handling for the simulator.
 
-Three objectives, each exposing loss and an exact analytic gradient:
+Two objectives, each exposing loss and an exact analytic gradient:
 
-  * diagonal quadratic   f(x) = 0.5 * sum_n L_n x_n^2, stochastic gradients
-    are L*x plus per-coordinate Gaussian noise
+  * diagonal quadratic   f(x) = 0.5 * sum_n L_n x_n^2; a stochastic gradient
+    is add_gaussian_noise(L * x, noise_std, rng), per-coordinate Gaussian
+    noise around the exact gradient
   * small fully-connected net with tanh hidden units and a softmax
     cross-entropy head; per layer l the slice [W_l.ravel(), b_l], layers
-    concatenated first to last
-  * multinomial logistic regression, the net without a hidden layer: layout
-    [W.ravel(), b] with W of shape (classes, features)
+    concatenated first to last.  Multinomial logistic regression is the net
+    without a hidden layer, arch [features, classes]: layout [W.ravel(), b]
+    with W of shape (classes, features)
 
 plus dataset partitioning across workers (IID or label-skewed), minibatch
-sampling with replacement, a big-endian IDX image/label reader, and a
+rows drawn with replacement, a big-endian IDX image/label reader, and a
 Gaussian-blob synthetic classification generator.
 """
 
@@ -26,12 +27,8 @@ __all__ = [
     "IdxFormatError",
     "Dataset",
     "WorkerShard",
-    "quadratic_grad",
     "add_gaussian_noise",
     "quadratic_loss",
-    "logistic_grad",
-    "logistic_loss",
-    "logistic_accuracy",
     "mlp_param_count",
     "mlp_grad",
     "mlp_loss",
@@ -39,7 +36,6 @@ __all__ = [
     "mlp_accuracy",
     "partition_dataset",
     "minibatch_indices",
-    "sample_minibatch",
     "load_idx_dataset",
     "synth_classification",
 ]
@@ -100,25 +96,10 @@ class WorkerShard:
 # --------------------------------------------------------------------------
 # diagonal quadratic
 
-def quadratic_grad(
-    x: np.ndarray, l_diag: np.ndarray, noise_std: float | np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """Stochastic gradient L*x + z with z ~ N(0, noise_std^2) per coordinate.
-
-    z is drawn as noise_std times a standard normal draw, scaled and shifted
-    in place in the array that is returned.
-    """
-    x = np.asarray(x, dtype=np.float64)
-    l_diag = np.asarray(l_diag, dtype=np.float64)
-    if x.shape != l_diag.shape:
-        raise ValueError(f"shape mismatch: x {x.shape} vs l_diag {l_diag.shape}")
-    return add_gaussian_noise(l_diag * x, noise_std, rng)
-
-
 def add_gaussian_noise(
     mean: np.ndarray, noise_std: float | np.ndarray, rng: np.random.Generator
 ) -> np.ndarray:
-    """mean + z with z ~ N(0, noise_std^2) per coordinate, as quadratic_grad draws it."""
+    """mean + noise_std * z, z a standard normal draw scaled and shifted in place."""
     g = rng.standard_normal(mean.size)
     g *= noise_std
     g += mean
@@ -187,34 +168,6 @@ def _layer_grad(delta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """[dW.ravel(), db] of one dense layer from its output delta and its inputs."""
     dw = np.swapaxes(delta, -1, -2) @ inputs
     return np.concatenate([dw.reshape(*dw.shape[:-2], -1), delta.sum(axis=-2)], axis=-1)
-
-
-# --------------------------------------------------------------------------
-# multinomial logistic regression: the net below without a hidden layer
-
-def _logistic_arch(x: np.ndarray, d: int) -> list[int]:
-    if x.size % (d + 1) != 0:
-        raise ValueError(f"parameter size {x.size} not divisible by features+1 = {d + 1}")
-    return [d, x.size // (d + 1)]
-
-
-def logistic_grad(x: np.ndarray, features: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Mean cross-entropy gradient; one sample reduces to (softmax - onehot) x features."""
-    x = np.asarray(x, dtype=np.float64)
-    features = np.asarray(features, dtype=np.float64)
-    return mlp_grad(x, _logistic_arch(x, features.shape[-1]), features, labels)
-
-
-def logistic_loss(x: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    features = np.asarray(features, dtype=np.float64)
-    return mlp_loss(x, _logistic_arch(x, features.shape[-1]), features, labels)
-
-
-def logistic_accuracy(x: np.ndarray, features: np.ndarray, labels: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    features = np.asarray(features, dtype=np.float64)
-    return mlp_accuracy(x, _logistic_arch(x, features.shape[-1]), features, labels)
 
 
 # --------------------------------------------------------------------------
@@ -339,14 +292,6 @@ def minibatch_indices(shard: WorkerShard, batch: int, rng: np.random.Generator) 
     if len(shard) == 0:
         raise ValueError(f"worker {shard.worker_id} has an empty shard")
     return shard.indices[rng.integers(0, len(shard), size=batch)]
-
-
-def sample_minibatch(
-    ds: Dataset, shard: WorkerShard, batch: int, rng: np.random.Generator
-) -> tuple[np.ndarray, np.ndarray]:
-    """Draw batch samples from the shard uniformly with replacement."""
-    picks = minibatch_indices(shard, batch, rng)
-    return ds.features[picks], ds.labels[picks]
 
 
 _IDX_IMAGES_MAGIC = 0x00000803

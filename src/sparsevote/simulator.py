@@ -74,18 +74,6 @@ __all__ = [
 _DEFAULT_LR_SIGN = 1e-3
 _DEFAULT_LR_FULL = 1e-1
 
-CSV_COLUMNS = (
-    "round",
-    "algorithm",
-    "train_loss",
-    "test_metric",
-    "gbar_l1",
-    "uplink_bits",
-    "downlink_bits",
-    "cumulative_bits",
-    "wall_ms",
-)
-
 SWEEP_AXES = ("GAMMA", "M", "ETA", "MU")
 
 
@@ -184,6 +172,10 @@ class RoundMetrics:
     selection_counts: np.ndarray | None = None
 
 
+# emit_results writes every field but the (N,) selection counts.
+CSV_COLUMNS = tuple(f.name for f in fields(RoundMetrics) if f.name != "selection_counts")
+
+
 @dataclass(frozen=True)
 class SweepRow:
     axis: str
@@ -245,7 +237,7 @@ class QuadraticTask:
             raise ValueError("quadratic model needs an explicit positive n")
         if cfg.data:
             raise ValueError(f"the quadratic model takes no data, got data keys {sorted(cfg.data)}")
-        n = cfg.n
+        n = _checks.count(cfg.n, "n", high=_checks.FLOATS_MAX)
         spec = dict(cfg.model)
         spec.pop("kind")
         self.l_diag = _coefficients(spec.pop("lipschitz", 1.0), n, "lipschitz")
@@ -266,7 +258,7 @@ class QuadraticTask:
         return float(self.l_diag.sum())
 
     def worker_grad(self, x, worker, batch, rng) -> np.ndarray:
-        return models.quadratic_grad(x, self.l_diag, self._noise_scale(batch), rng)
+        return models.add_gaussian_noise(self.l_diag * x, self._noise_scale(batch), rng)
 
     def _noise_scale(self, batch: int) -> np.ndarray:
         # Averaging a size-B minibatch of noisy gradients shrinks the noise
@@ -325,6 +317,7 @@ class ClassificationTask:
         if source == "synthetic":
             n_samples = _checks.count(data.pop("n_samples", 1000), "n_samples")
             d = _checks.count(data.pop("d", 16), "d")
+            _checks.count(n_samples * d, "n_samples * d", high=_checks.FLOATS_MAX)  # the features array
             classes = _checks.count(data.pop("num_classes", 10), "num_classes")
             separation = float(_checks.real(data.pop("separation", 3.0), "separation"))
             test_fraction = float(_checks.real(data.pop("test_fraction", 0.2), "test_fraction", "in [0, 1)"))
@@ -359,7 +352,8 @@ class ClassificationTask:
         else:
             raise ValueError(f"unknown model kind {kind!r}")
         self.arch = [self.train.features.shape[1], *hidden, self.train.num_classes]
-        self.dim = models.mlp_param_count(self.arch)
+        self.dim = _checks.count(models.mlp_param_count(self.arch), f"the parameter count of hidden {hidden}",
+                                 high=_checks.FLOATS_MAX)
         self._logistic = kind == "logistic"
         default_scale = 0.0 if self._logistic else 0.5
         self.init_scale = float(_checks.real(spec.pop("init_scale", default_scale), "init_scale"))
@@ -367,6 +361,9 @@ class ClassificationTask:
             raise ValueError(f"unknown model keys: {sorted(spec)}")
         if cfg.n is not None and cfg.n != self.dim:
             raise ValueError(f"config n = {cfg.n} but model has {self.dim} parameters")
+        # The stacked minibatches and their activations, (M, B, width) each.
+        _checks.count(cfg.m * _batch_size(cfg) * max(self.arch), "m * batch_size * the widest layer",
+                      high=_checks.FLOATS_MAX)
         self.shards = models.partition_dataset(
             self.train, cfg.m, mode, derive_rng(cfg.seed, "partition")
         )
@@ -392,8 +389,8 @@ class ClassificationTask:
         raise ValueError("theory schedules need the quadratic model (L1 unknown here)")
 
     def worker_grad(self, x, worker, batch, rng) -> np.ndarray:
-        feats, labels = models.sample_minibatch(self.train, self.shards[worker], batch, rng)
-        return models.mlp_grad(x, self.arch, feats, labels)
+        rows = models.minibatch_indices(self.shards[worker], batch, rng)
+        return models.mlp_grad(x, self.arch, self.train.features[rows], self.train.labels[rows])
 
     def train_loss(self, x) -> float:
         return models.mlp_loss(x, self.arch, self.train.features, self.train.labels)
@@ -560,6 +557,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
     dim = task.dim
     k = resolve_k(cfg.gamma, dim)
     rule = ALGORITHMS[cfg.algorithm]
+    _checks.count(cfg.m * dim, "m * n", high=_checks.FLOATS_MAX)  # the (M, N) memory, uploads or gradients
     # Only sparse sign messages have a wire format; the others are always
     # charged their analytic budget.
     wire = cfg.cost_mode == "WIRE" and rule.server == "vote" and rule.selector != "all"

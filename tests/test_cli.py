@@ -220,6 +220,15 @@ class TestRun:
             (logistic(data={"num_classes": 10 ** 20}), "num_classes must be at most 9223372036854775807"),
             (logistic(model={"kind": "mlp", "hidden": [10 ** 20]}),
              "hidden[0] must be at most 9223372036854775807"),
+            # Within int64 but past numpy's array size, 2**60 - 1 floats.
+            ({"n": 2 ** 62}, "n must be at most 1152921504606846975"),
+            (logistic(data={"d": 2 ** 62}), "n_samples * d must be at most 1152921504606846975"),
+            (logistic(data={"n_samples": 2 ** 62}), "n_samples * d must be at most 1152921504606846975"),
+            (logistic(model={"kind": "mlp", "hidden": [2 ** 62]}),
+             "the parameter count of hidden [4611686018427387904] must be at most 1152921504606846975"),
+            ({"n": 2 ** 20, "m": 2 ** 41}, "m * n must be at most 1152921504606846975"),
+            ({**logistic(), "batch_size": 2 ** 62},
+             "m * batch_size * the widest layer must be at most 1152921504606846975"),
             # An int past the float range is not a finite number.
             ({"gamma": 10 ** 400}, "gamma must be a finite number"),
             ({"learning_rate": 10 ** 400}, "learning_rate must be a positive number"),
@@ -344,7 +353,14 @@ class TestTheoryEval:
     def test_unknown_bound(self, capsys):
         code = main(["theory", "eval", "--bound", "lyapunov", "--params", "{}"])
         assert code == 2
-        assert "unknown bound" in capsys.readouterr().err
+        # The bounds come from theory.__all__; the full list pins them, so a
+        # bound added to or dropped from there shows up here.
+        bounds = [
+            "alpha", "beta", "convergence_bound_randk", "convergence_bound_topk",
+            "empty_coordinate_prob", "gamma_star", "m_participation_pmf", "rho_lower_bound",
+            "sign_flip_bound", "sparsity_surrogate", "vote_error_bound", "vote_error_exact",
+        ]
+        assert capsys.readouterr().err == f"unknown bound 'lyapunov'; one of {bounds}\n"
 
     def test_params_must_be_object(self, capsys):
         code = main(["theory", "eval", "--bound", "alpha", "--params", "[1, 2]"])

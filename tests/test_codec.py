@@ -14,7 +14,6 @@ from sparsevote.codec import (
     CommLedger,
     FormatError,
     analytic_round_cost,
-    analytic_uplink_bits,
     count_field_width,
     decode_round,
     decode_sparse_sign,
@@ -390,17 +389,19 @@ class TestAgainstBitLoopReference:
 
 
 class TestAnalyticCosts:
+    # One worker's S3GD_MV uplink is a K-sparse sign message: K + K * log2(N / K) bits.
+
     def test_uplink_examples(self):
-        assert analytic_uplink_bits(8, 2) == 6.0
-        assert analytic_uplink_bits(1024, 1) == 11.0
-        assert analytic_uplink_bits(16, 0) == 0.0
-        assert analytic_uplink_bits(16, 16) == 16.0
+        assert analytic_round_cost("S3GD_MV", 1, 8, 2)[0] == 6.0
+        assert analytic_round_cost("S3GD_MV", 1, 1024, 1)[0] == 11.0
+        assert analytic_round_cost("S3GD_MV", 1, 16, 0)[0] == 0.0
+        assert analytic_round_cost("S3GD_MV", 1, 16, 16)[0] == 16.0
 
     def test_uplink_errors(self):
         with pytest.raises(ValueError):
-            analytic_uplink_bits(8, 9)
+            analytic_round_cost("S3GD_MV", 1, 8, 9)
         with pytest.raises(ValueError):
-            analytic_uplink_bits(8, -1)
+            analytic_round_cost("S3GD_MV", 1, 8, -1)
 
     @pytest.mark.parametrize("algorithm", ALGORITHMS)
     def test_round_cost_is_two_floats(self, algorithm):
@@ -421,7 +422,7 @@ class TestAnalyticCosts:
             k = int(rng.integers(1, dim + 1))
             idx = np.sort(rng.choice(dim, size=k, replace=False)).astype(np.int64)
             v = SparseSignVector(dim, idx, rng.choice([-1, 1], size=k).astype(np.int8))
-            assert encode_sparse_sign(v).bit_len >= analytic_uplink_bits(dim, k) - 1e-9
+            assert encode_sparse_sign(v).bit_len >= analytic_round_cost("S3GD_MV", 1, dim, k)[0] - 1e-9
 
     def test_wire_overhead_bounded_for_sparse_messages(self):
         # Rice coding costs at most 2x the analytic budget plus the count
@@ -432,7 +433,7 @@ class TestAnalyticCosts:
             k = int(rng.integers(1, math.isqrt(dim) + 1))
             idx = np.sort(rng.choice(dim, size=k, replace=False)).astype(np.int64)
             v = SparseSignVector(dim, idx, rng.choice([-1, 1], size=k).astype(np.int8))
-            bound = 2 * analytic_uplink_bits(dim, k) + count_field_width(dim)
+            bound = 2 * analytic_round_cost("S3GD_MV", 1, dim, k)[0] + count_field_width(dim)
             assert encode_sparse_sign(v).bit_len <= bound + 1e-9
 
 
@@ -474,25 +475,12 @@ class TestCommLedger:
         downs = rng.integers(0, 100, size=20).astype(float)
         for t, (u, d) in enumerate(zip(ups, downs)):
             ledger.record(t, u, d)
-        assert ledger.uplink_total == ups.sum()
-        assert ledger.downlink_total == downs.sum()
         assert ledger.cumulative_bits == ups.sum() + downs.sum()
 
     def test_negative_bits_rejected(self):
         ledger = CommLedger("VANILLA_SGD")
         with pytest.raises(ValueError):
             ledger.record(0, -1.0, 0.0)
-
-    def test_csv_export(self, tmp_path):
-        ledger = CommLedger("SIGNSGD_MV")
-        ledger.record(0, 10.0, 10.0)
-        ledger.record(1, 10.0, 10.0)
-        path = tmp_path / "ledger.csv"
-        ledger.export_csv(path)
-        lines = path.read_text().strip().splitlines()
-        assert lines[0] == "round,algorithm,uplink_bits,downlink_bits,cumulative_bits"
-        assert lines[1] == "0,SIGNSGD_MV,10.0,10.0,20.0"
-        assert lines[2] == "1,SIGNSGD_MV,10.0,10.0,40.0"
 
 
 # --------------------------------------------------------------------------

@@ -11,19 +11,16 @@ from sparsevote.models import (
     Dataset,
     IdxFormatError,
     WorkerShard,
+    add_gaussian_noise,
     load_idx_dataset,
-    logistic_accuracy,
-    logistic_grad,
-    logistic_loss,
+    minibatch_indices,
     mlp_accuracy,
     mlp_grad,
     mlp_loss,
     mlp_loss_grad,
     mlp_param_count,
     partition_dataset,
-    quadratic_grad,
     quadratic_loss,
-    sample_minibatch,
     synth_classification,
 )
 
@@ -50,7 +47,7 @@ class TestQuadratic:
         l_diag = np.array([1.0, 2.0, 4.0])
         x = np.array([1.0, -1.0, 0.5])
         rng = np.random.default_rng(0)
-        g = quadratic_grad(x, l_diag, 0.0, rng)
+        g = add_gaussian_noise(l_diag * x, 0.0, rng)
         assert np.array_equal(g, l_diag * x)
 
     def test_loss_value(self):
@@ -63,14 +60,14 @@ class TestQuadratic:
         l_diag = rng.uniform(0.5, 4.0, size=6)
         x = rng.normal(size=6)
         fd = central_difference(lambda z: quadratic_loss(z, l_diag), x)
-        g = quadratic_grad(x, l_diag, 0.0, np.random.default_rng(0))
+        g = add_gaussian_noise(l_diag * x, 0.0, np.random.default_rng(0))
         assert np.allclose(g, fd, atol=1e-8)
 
     def test_noise_is_unbiased(self):
         rng = np.random.default_rng(7)
         l_diag = np.ones(4)
         x = np.zeros(4)
-        draws = np.stack([quadratic_grad(x, l_diag, 2.0, rng) for _ in range(100_000)])
+        draws = np.stack([add_gaussian_noise(l_diag * x, 2.0, rng) for _ in range(100_000)])
         mean = draws.mean(axis=0)
         # 3 sigma band for the empirical mean of N(0, 4) over 1e5 draws
         assert np.all(np.abs(mean) < 3 * 2.0 / np.sqrt(100_000))
@@ -78,13 +75,15 @@ class TestQuadratic:
 
 
 class TestLogistic:
+    # Logistic regression is the net without a hidden layer, arch [d, C].
+
     def test_matches_finite_differences(self):
         rng = np.random.default_rng(11)
         d, c = 4, 3
         feats, labels = small_batch(rng, 6, d, c)
         x = rng.normal(scale=0.5, size=c * (d + 1))
-        fd = central_difference(lambda z: logistic_loss(z, feats, labels), x)
-        g = logistic_grad(x, feats, labels)
+        fd = central_difference(lambda z: mlp_loss(z, [d, c], feats, labels), x)
+        g = mlp_grad(x, [d, c], feats, labels)
         assert np.allclose(g, fd, rtol=1e-6, atol=1e-8)
 
     def test_single_sample_closed_form(self):
@@ -93,7 +92,7 @@ class TestLogistic:
         feats = np.array([[1.0, 2.0, -1.0]])
         labels = np.array([2])
         x = np.zeros(c * (d + 1))
-        g = logistic_grad(x, feats, labels)
+        g = mlp_grad(x, [d, c], feats, labels)
         w_grad = g[: c * d].reshape(c, d)
         b_grad = g[c * d:]
         resid = np.full(c, 1.0 / c)
@@ -106,7 +105,7 @@ class TestLogistic:
         d, c = 2, 3
         feats = np.zeros((c, d))
         labels = np.arange(c)
-        g = logistic_grad(np.zeros(c * (d + 1)), feats, labels)
+        g = mlp_grad(np.zeros(c * (d + 1)), [d, c], feats, labels)
         assert np.allclose(g[c * d:], 0.0, atol=1e-15)
 
     def test_accuracy(self):
@@ -115,13 +114,13 @@ class TestLogistic:
         labels = np.array([0, 1])
         # weights that score class 0 by +x0, class 1 by -x0
         x = np.array([1.0, 0.0, -1.0, 0.0, 0.0, 0.0])
-        assert logistic_accuracy(x, feats, labels) == 1.0
+        assert mlp_accuracy(x, [d, c], feats, labels) == 1.0
 
     def test_loss_at_uniform(self):
         d, c = 3, 5
         feats = np.ones((4, d))
         labels = np.zeros(4, dtype=np.int64)
-        assert logistic_loss(np.zeros(c * (d + 1)), feats, labels) == pytest.approx(np.log(c))
+        assert mlp_loss(np.zeros(c * (d + 1)), [d, c], feats, labels) == pytest.approx(np.log(c))
 
 
 class TestMlp:
@@ -174,8 +173,6 @@ class TestMlp:
             loss, grad = mlp_loss_grad(x, arch, feats[i], labels[i])
             assert loss == mlp_loss(x, arch, feats[i], labels[i])
             assert grad.tobytes() == grads[i].tobytes()
-        if len(arch) == 2:  # logistic regression is the net without a hidden layer
-            assert logistic_grad(x, feats, labels).tobytes() == grads.tobytes()
 
     def test_accuracy_and_loss_finite(self):
         rng = np.random.default_rng(19)
@@ -241,26 +238,19 @@ class TestPartition:
 
 class TestMinibatch:
     def test_draws_from_shard_only(self):
-        ds = toy_dataset(n=30)
         shard = WorkerShard(0, np.arange(10, 20))
-        feats, labels = sample_minibatch(ds, shard, 8, np.random.default_rng(1))
-        assert feats.shape == (8, 3)
-        for row, lab in zip(feats, labels):
-            matches = np.where((ds.features == row).all(axis=1))[0]
-            assert np.any((matches >= 10) & (matches < 20))
-            assert lab in ds.labels[10:20]
+        rows = minibatch_indices(shard, 8, np.random.default_rng(1))
+        assert rows.shape == (8,)
+        assert np.all((rows >= 10) & (rows < 20))
 
     def test_uniform_over_shard(self):
-        ds = toy_dataset(n=8, d=1)
         shard = WorkerShard(0, np.arange(8))
         rng = np.random.default_rng(5)
-        counts = np.zeros(8)
         trials = 40_000
-        for _ in range(trials // 100):
-            feats, _ = sample_minibatch(ds, shard, 100, rng)
-            for row in feats:
-                idx = np.where(ds.features[:, 0] == row[0])[0][0]
-                counts[idx] += 1
+        counts = np.bincount(
+            np.concatenate([minibatch_indices(shard, 100, rng) for _ in range(trials // 100)]),
+            minlength=8,
+        )
         expected = trials / 8
         assert np.all(np.abs(counts - expected) < 4 * np.sqrt(expected))
 

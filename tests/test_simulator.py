@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 from sparsevote.aggregation import majority_vote
 from sparsevote.codec import ALGORITHMS, analytic_round_cost, count_field_width
 from sparsevote.compression import SparseSignVector, rand_k_sign
-from sparsevote.models import quadratic_grad
+from sparsevote.models import add_gaussian_noise
 from sparsevote.rng import worker_rng
 from sparsevote.simulator import (
     CSV_COLUMNS,
@@ -534,7 +534,7 @@ class TestQuadraticTask:
         task = QuadraticTask(cfg)
         x = np.linspace(-1.0, 1.0, 16)
         got = task.worker_grad(x, 0, batch, np.random.default_rng(5))
-        expected = quadratic_grad(x, task.l_diag, 6.0 / scale, np.random.default_rng(5))
+        expected = add_gaussian_noise(task.l_diag * x, 6.0 / scale, np.random.default_rng(5))
         assert got.tobytes() == expected.tobytes()
 
     def test_worker_grad_keeps_no_batch_state(self):
