@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import SignBatch, SparseSignVector
+from .compression import SignBatch, SparseSignVector, _trusted
 
 __all__ = ["VoteResult", "majority_vote", "participation_count", "average_aggregate"]
 
@@ -36,8 +36,9 @@ class VoteResult:
 
     def nonzero_message(self) -> SparseSignVector:
         """The vote as a sparse sign message (tied coordinates dropped)."""
-        keep = np.flatnonzero(self.ternary)
-        return SparseSignVector(self.dim, keep, self.ternary[keep])
+        keep = np.flatnonzero(self.ternary).astype(np.int64, copy=False)
+        # Ascending, in range, and majority_vote's int8 signs: valid as built.
+        return _trusted(SparseSignVector, self.dim, keep, self.ternary[keep])
 
 
 def majority_vote(msgs: SignBatch | list[SparseSignVector], dim: int) -> VoteResult:
@@ -55,24 +56,19 @@ def majority_vote(msgs: SignBatch | list[SparseSignVector], dim: int) -> VoteRes
     return VoteResult(dim, ternary, np.flatnonzero(counts), tallies, counts)
 
 
-def participation_count(supports: list[np.ndarray], dim: int) -> np.ndarray:
+def participation_count(supports, dim: int) -> np.ndarray:
     """How many of the index sets hold each coordinate (0 outside their union).
 
-    Each support is an array of distinct coordinate indices in [0, dim).
+    Each support (an item or row) holds distinct coordinate indices in [0, dim).
     """
-    flat = np.concatenate(supports) if supports else np.empty(0, dtype=np.int64)
+    flat = np.concatenate(supports) if len(supports) else np.empty(0, dtype=np.int64)
     return np.bincount(flat, minlength=dim)
 
 
-def average_aggregate(grads: list[np.ndarray]) -> np.ndarray:
-    """Mean of dense gradient vectors (full-precision baselines)."""
-    if not grads:
-        raise ValueError("average_aggregate needs at least one gradient")
-    first = np.asarray(grads[0], dtype=np.float64)
-    stacked = np.empty((len(grads), first.size))
-    for i, g in enumerate(grads):
-        g = np.asarray(g, dtype=np.float64)
-        if g.shape != first.shape:
-            raise ValueError(f"gradient {i} has shape {g.shape}, expected {first.shape}")
-        stacked[i] = g
+def average_aggregate(grads) -> np.ndarray:
+    """Mean of dense gradient vectors (full-precision baselines), a list of
+    them or the rows of an (M, N) array."""
+    stacked = np.asarray(grads, dtype=np.float64)  # ValueError if their shapes differ
+    if stacked.ndim != 2 or not len(stacked):
+        raise ValueError(f"average_aggregate needs one or more gradient vectors, got shape {stacked.shape}")
     return stacked.mean(axis=0)

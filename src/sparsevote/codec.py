@@ -61,7 +61,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import SignBatch, SparseSignVector
+from .compression import SignBatch, SparseSignVector, _trusted
 
 __all__ = [
     "FormatError",
@@ -389,7 +389,8 @@ def decode_round(streams: list[Bitstream], dim: int) -> SignBatch:
     indices, signs = indices.view(np.int64), _SIGN_OF_BIT[rows & np.uint64(1)]
     if present is not None:
         indices, signs = indices[present], signs[present]
-    return SignBatch(dim, indices.reshape(-1), signs.reshape(-1), counts)
+    # The checks above cover every rule SignBatch checks: no second pass.
+    return _trusted(SignBatch, dim, indices.reshape(-1), signs.reshape(-1), counts)
 
 
 def analytic_round_cost(algorithm: str, m: int, dim: int, k: int) -> tuple[float, float]:

@@ -5,17 +5,13 @@ of the selected coordinates, uniform random-K selection, and the error
 feedback step that carries unsent mass forward.  A SparseSignVector is one
 message, a SignBatch a round's M messages back to back, checked alike.
 
-Top-K selection is one exact routine.  It finds the K-th largest magnitude
-with an in-place ``ndarray.partition`` of a copy of |u|, and takes the
-support as ``flatnonzero(|u| >= kth)``, which is already in ascending order,
-so neither an index partition nor a sort is needed.  When ties at the K-th
-magnitude give more than K candidates, the surplus tied entries are dropped
-from the high-index end, so ties go to lower coordinate indices and results
-are reproducible.  The error feedback step runs in place in the worker's
-memory row: it forms g + eta * e there, reads the sent values from it and
-zeroes them, so the only (N,) arrays it allocates are |g| and the
-partitioned copy, and only the copy when the caller lets it form |g| in
-the gradient's own array.
+Top-K selection is one exact routine over a block of rows of |u|: one
+``partition`` along the rows finds each row's K-th magnitude and one
+``flatnonzero(|u| >= kth)`` the supports, ascending.  Ties at the K-th
+magnitude go to lower indices.  The error feedback step runs it in place on
+workers' memory rows.  A round's uploads are checked once, when
+SignBatch.quantize builds their batch; the decoded batch and the vote's
+broadcast are valid as built and are not rechecked.
 """
 
 from __future__ import annotations
@@ -64,6 +60,13 @@ def _checked(dim: int, indices, signs, counts) -> tuple[np.ndarray, np.ndarray, 
         if np.count_nonzero(np.abs(sgn) != 1):
             raise ValueError("signs must be -1 or +1")
     return idx, sgn, rows
+
+
+def _trusted(cls, *values):
+    """A cls message from fields already in the form _checked returns, unchecked."""
+    message = object.__new__(cls)
+    message.__dict__.update(zip(cls.__dataclass_fields__, values))
+    return message
 
 
 def _equal_fields(self, other) -> bool:
@@ -136,10 +139,15 @@ class SignBatch:
                    np.concatenate([v.signs for v in messages]), [len(v) for v in messages])
 
     @classmethod
-    def quantize(cls, dim: int, supports: list[np.ndarray], values: list[np.ndarray]) -> "SignBatch":
-        """Message m: the signs of values[m] on supports[m], exact zeros (no sign) dropped."""
-        counts = np.array([s.size for s in supports], dtype=np.int64)
-        indices, values = np.concatenate(supports), np.concatenate(values)
+    def quantize(cls, dim: int, supports, values) -> "SignBatch":
+        """Message m: the signs of values[m] on supports[m] (lists of arrays or
+        (M, K) arrays), exact zeros (no sign) dropped."""
+        if isinstance(supports, np.ndarray) and supports.ndim == 2:
+            counts = np.full(len(supports), supports.shape[1])
+            indices, values = supports.reshape(-1), values.reshape(-1)
+        else:
+            counts = np.array([s.size for s in supports], dtype=np.int64)
+            indices, values = np.concatenate(supports), np.concatenate(values)
         # Straight into int8: a fresh (or in-place) float sign array is several
         # times slower at N = 1e5, where the new pages cost more than the sign.
         signs = np.sign(values, out=np.empty(values.size, dtype=np.int8), casting="unsafe")
@@ -174,28 +182,35 @@ class ThresholdReport:
     kplus1_mag: float
 
 
-def _top_k_support(mags: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray | None]:
-    """Ascending indices of the k largest entries of mags, ties to lower indices.
-
-    mags holds non-negative magnitudes and 0 <= k <= mags.size.  For 0 < k < N
-    the second value is a copy of mags partitioned about position N - k, so
-    its element N - k is the k-th largest magnitude; it is None for k = 0 or N.
-    """
-    n = mags.size
-    if k == 0:
-        return np.empty(0, dtype=np.int64), None
-    if k == n:
-        return np.arange(n, dtype=np.int64), None
+def _top_k_rows(mags: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray | None]:
+    """(flat, columns, part): each C-contiguous row's k largest, ties to lower
+    indices, as ascending positions in mags.ravel() and as (R, k) columns; for
+    0 < k < N column N - k of part, a partitioned copy, holds the k-th."""
+    r, n = mags.shape
+    if k in (0, n):  # nothing to rank
+        return np.arange(r * k, dtype=np.int64), np.tile(np.arange(k, dtype=np.int64), (r, 1)), None
     part = mags.copy()
-    part.partition(n - k)
-    support = np.flatnonzero(mags >= part[n - k])
-    surplus = support.size - k
-    if surplus < 0:
+    part.partition(n - k, axis=1)
+    kth = part[:, n - k]
+    flat = np.flatnonzero(mags >= kth[:, None])
+    if r == 1 and flat.size == k:
+        return flat, flat.reshape(1, k), part
+    offsets = np.arange(0, r * n, n)
+    if flat.size == r * k:
+        columns = flat.reshape(r, k) - offsets[:, None]
+        # Ascending: each row holds k when each run of k starts and ends in it.
+        if columns[:, 0].min() >= 0 and columns[:, -1].max() < n:
+            return flat, columns, part
+    starts = flat.searchsorted(np.append(offsets, r * n))
+    surplus = starts[1:] - starts[:-1] - k
+    if surplus.min() < 0:
         raise ValueError("cannot rank NaN magnitudes")
-    if surplus:
-        tied = np.flatnonzero(mags[support] == part[n - k])
-        support = np.delete(support, tied[-surplus:])
-    return support, part
+    keep = np.ones(flat.size, dtype=bool)
+    for i in np.flatnonzero(surplus):  # its last entries tied at the k-th magnitude go
+        row = slice(starts[i], starts[i + 1])
+        keep[row][np.flatnonzero(mags.ravel()[flat[row]] == kth[i])[-surplus[i]:]] = False
+    flat = flat[keep]
+    return flat, flat.reshape(r, k) - offsets[:, None], part
 
 
 def top_k_select(u: np.ndarray, k: int) -> tuple[np.ndarray, ThresholdReport]:
@@ -212,7 +227,7 @@ def top_k_select(u: np.ndarray, k: int) -> tuple[np.ndarray, ThresholdReport]:
     if not 0 <= k <= n:
         raise ValueError(f"k must be in [0, {n}], got {k}")
     mags = np.abs(u)
-    support, part = _top_k_support(mags, k)
+    _, (support,), part = _top_k_rows(mags.reshape(1, n), k)
     if k == 0:
         top = mags.max() if n else 0.0
         return support, ThresholdReport(math.inf, math.inf, float(top))
@@ -221,8 +236,8 @@ def top_k_select(u: np.ndarray, k: int) -> tuple[np.ndarray, ThresholdReport]:
         return support, ThresholdReport(kth, kth, 0.0)
     # The partition leaves the N - k smallest magnitudes in front of the
     # k-th largest, so the (k+1)-th largest is the greatest of them.
-    kth = float(part[n - k])
-    kplus1 = float(part[: n - k].max())
+    kth = float(part[0, n - k])
+    kplus1 = float(part[0, : n - k].max())
     return support, ThresholdReport((kth + kplus1) / 2.0, kth, kplus1)
 
 
@@ -251,23 +266,28 @@ def rand_k_sign(u: np.ndarray, k: int, rng: np.random.Generator) -> SparseSignVe
     return SignBatch.quantize(u.size, [support], [u[support]])[0]
 
 
+def _error_feedback_rows(g_tilde: np.ndarray, memory: np.ndarray, eta: float, k: int):
+    """error_feedback_step on each row of (R, N) arrays, unchecked, memory
+    C-contiguous and g_tilde its scratch: (columns, sent), each (R, k)."""
+    if eta != 1.0:  # x * 1.0 == x exactly, so the product is skipped
+        memory *= eta
+    memory += g_tilde
+    flat, columns, _ = _top_k_rows(np.abs(memory, out=g_tilde), k)
+    values = memory.reshape(-1, copy=False)
+    sent = values[flat]
+    values[flat] = 0.0
+    return columns, sent.reshape(columns.shape)
+
+
 def error_feedback_step(
     g_tilde: np.ndarray, e: np.ndarray, eta: float, k: int, overwrite_g: bool = False
 ) -> tuple[np.ndarray, np.ndarray]:
     """One worker-side compression step with error accumulation, in place in e.
 
-    e is the worker's error memory, a float64 array that the step rewrites:
-    it forms the corrected gradient g = g_tilde + eta * e in e, selects the
-    top-k support of g and zeroes it, so e ends holding exactly the mass
-    that was not selected:
-
-        support, sent  with  sent == g[support], e[support] == 0 and
-        e == g elsewhere.
-
-    The worker's message is the signs of sent on support (SignBatch.quantize).
-    With eta = 0 the old memory is ignored and the new one depends on g_tilde
-    alone.  With overwrite_g the step also uses g_tilde's array as scratch,
-    which then holds |g| in place of g_tilde.
+    e, the worker's float64 error memory, takes g = g_tilde + eta * e less
+    its top-k support, so it keeps exactly the mass not selected.  Returns
+    (support, sent), sent == g[support], whose signs are the message.  With
+    overwrite_g, g_tilde's array is scratch and ends holding |g|.
     """
     g_tilde = np.asarray(g_tilde, dtype=np.float64)
     if not isinstance(e, np.ndarray) or e.dtype != np.float64:
@@ -278,10 +298,5 @@ def error_feedback_step(
         raise ValueError(f"eta must be non-negative, got {eta}")
     if not 0 <= k <= e.size:
         raise ValueError(f"k must be in [0, {e.size}], got {k}")
-    if eta != 1.0:  # x * 1.0 == x exactly, so the product is skipped
-        e *= eta
-    e += g_tilde
-    support, _ = _top_k_support(np.abs(e, out=g_tilde if overwrite_g else None), k)
-    sent = e[support]
-    e[support] = 0.0
-    return support, sent
+    support, sent = _error_feedback_rows((g_tilde if overwrite_g else g_tilde.copy())[None], e[None], eta, k)
+    return support[0], sent[0]

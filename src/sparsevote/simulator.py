@@ -25,10 +25,10 @@ evaluates the iterate and draws the M worker gradients in one call, a vote
 server takes the M uploads as one SignBatch, which the codec carries on
 the wire and majority_vote reads, and no per-message object is built.
 Each pass gives the same bits as its per-worker, per-message counterpart.
-For the quadratic task at large N the worker phase (each worker's
-gradient draw and compression step) runs on min(usable CPUs, M) threads,
-each owning a fixed share of the workers, and the server step then runs
-in worker order, so results do not depend on the thread count.
+The worker phase runs in blocks of workers, one compression pass a block;
+for the quadratic task at large N it runs on min(usable CPUs, M) threads,
+each owning a fixed share of the workers, and the server step then runs in
+worker order, so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -49,7 +49,7 @@ import numpy as np
 from . import _checks, models
 from .aggregation import average_aggregate, majority_vote, participation_count
 from .codec import ALGORITHMS, _Rule, analytic_round_cost, decode_round, encode_round, encode_sparse_sign
-from .compression import SignBatch, error_feedback_step, rand_k_select
+from .compression import SignBatch, _error_feedback_rows, rand_k_select
 from .rng import derive_rng, worker_rng
 
 __all__ = [
@@ -280,10 +280,9 @@ class QuadraticTask:
 
         Returns ((train_loss, test_metric, gbar_l1), grads), equal bit for bit
         to those methods at x and to worker_grad(x, m, batch, rngs[m]) for each
-        worker m.  grads is a sequence whose item m draws worker m's gradient
-        from rngs[m] when it is read, so no (M, N) array is built, a worker's
-        later draws follow its own, and each worker's gradient can be drawn
-        on the thread that owns the worker.
+        worker m.  grads draws worker m's gradient from rngs[m] when item m or
+        a block of rows holding it is read, so a worker's later draws follow
+        its own, on the thread that owns the worker.
         """
         lx = self.l_diag * x
         gbar_l1 = float(np.abs(lx).sum())
@@ -303,6 +302,18 @@ class _NoisyGradients(Sequence):
 
     def __getitem__(self, m: int) -> np.ndarray:
         return models.add_gaussian_noise(self._mean, self._scale, self._rngs[m])
+
+    def rows(self, workers: range) -> tuple[np.ndarray, tuple | None]:
+        """(g, failed): the items as rows; if worker m's raised, the rows before and (m, error)."""
+        g = np.empty((len(workers), self._mean.size))
+        for i, m in enumerate(workers):
+            try:
+                self._rngs[m].standard_normal(out=g[i])
+            except Exception as err:
+                return g[:i] * self._scale + self._mean, (m, err)
+        g *= self._scale
+        g += self._mean
+        return g, None
 
 
 class ClassificationTask:
@@ -461,31 +472,15 @@ def _batch_size(cfg: ExperimentConfig) -> int:
     return cfg.t if cfg.batch_size == "theory" else int(cfg.batch_size)
 
 
-def _worker_step(rule: _Rule, g: np.ndarray, memory, m: int, eta: float, k: int, rng):
-    """Worker m's upload from its stochastic gradient g: (support, sent).
-
-    support holds the ascending coordinates the worker selected and sent
-    their values: the corrected gradient's under error memory, g's
-    otherwise.  Error memory is updated in place in the row memory[m].  g
-    is the worker's own array and nothing reads it after the step, so the
-    error memory step overwrites it with |g + eta * e| rather than allocate
-    an array for that.
-    """
+def _worker_step(rule: _Rule, g: np.ndarray, memory, rows: slice, eta: float, k: int, rngs):
+    """(columns, sent) of workers rows from their (R, N) gradients g, which
+    error memory overwrites: row r worker r's ascending selection and values."""
     if rule.memory:
-        return error_feedback_step(g, memory[m], eta, k, overwrite_g=True)
+        return _error_feedback_rows(g, memory[rows], eta, k)
     if rule.selector == "randk":
-        support = rand_k_select(g, k, rng)
-        return support, g[support]
-    return np.arange(g.size), g
-
-
-def _dense_upload(support: np.ndarray, sent: np.ndarray, dim: int) -> np.ndarray:
-    """A mean server's view of an upload: sent on support, zero elsewhere."""
-    if support.size == dim:  # every coordinate, in order
-        return sent
-    upload = np.zeros(dim)
-    upload[support] = sent
-    return upload
+        columns = np.stack([rand_k_select(row, k, rngs[m]) for m, row in enumerate(g, rows.start)])
+        return columns, np.take_along_axis(g, columns, axis=1)
+    return np.arange(g.shape[1]), g
 
 
 # The worker phase runs on min(usable CPUs, M) threads from this model
@@ -504,6 +499,11 @@ def _dense_upload(support: np.ndarray, sent: np.ndarray, dim: int) -> np.ndarray
 # per round (median of 7), where the quadratic at the same N went
 # 41.1 -> 29.8 ms; logistic and MLP configs at N = 4110 to 79510 ran
 # 0.90-1.08x as fast.  So classifiers keep one thread at any N.
+# A block of the error feedback step holds as many entries, 16384 // N rows:
+# step and quantize, K = N / 10, median us, per-worker loop / one-row blocks /
+# blocks, N = 170, M = 10: 207 / 234 / 100; M = 16: N = 1000 463 / 520 / 276,
+# 2048 665 / 693 / 506, 4096 1042 / 1066 / 973, 8192 1571 / 1586 / 1561 (2
+# rows), 1e5 16913 / 16471 (1 row).  From 2 rows up a block never lost.
 _THREADED_MIN_DIM = 16384
 
 
@@ -514,41 +514,50 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_share(workers, rule, grads, memory, eta, k, rngs, supports, sents):
-    """Run the given workers' steps in order, storing results by worker index.
-
-    Returns None, or (m, error) for the first worker that raised.
-    """
-    for m in workers:
-        try:
-            supports[m], sents[m] = _worker_step(rule, grads[m], memory, m, eta, k, rngs[m])
-        except Exception as err:
-            return m, err
+def _worker_share(workers, rule, grads, memory, eta, k, rngs, block, columns, sent):
+    """Run the given workers' steps in order, in blocks of up to block
+    workers, storing results by worker index.  Returns None, or (m, error)
+    for the first worker that raised, a block's first for its step; rows
+    read before a read that raised take their step first."""
+    for start in range(0, len(workers), block):
+        rows = workers[start:start + block]
+        drawn = isinstance(grads, np.ndarray)  # a classifier's, by round_pass
+        g, failed = (grads[rows[0]:rows[-1] + 1], None) if drawn else grads.rows(rows)
+        if len(g):
+            done = slice(rows[0], rows[0] + len(g))
+            try:
+                columns[done], sent[done] = _worker_step(rule, g, memory, done, eta, k, rngs)
+            except Exception as err:
+                return rows[0], err
+        if failed:
+            return failed
     return None
 
 
-def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs):
-    """The worker phase on this thread and the pool: (supports, sents) by worker.
+def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs, dim):
+    """The worker phase on this thread and the pool: (columns, sent), a row a worker.
 
     Share i holds workers i, i + T, i + 2T, ...; this thread runs share 0,
-    so with T = 1 (pool None) all workers run here, one after another.
-    Each share runs in a copy of this thread's context, so under the
-    caller's numpy error state, which is a context variable.  If workers
-    raise, the lowest one's error is raised, as with one thread.
+    so with T = 1 (pool None) all workers run here, in blocks.  Each share
+    runs in a copy of this thread's context, so under the caller's numpy
+    error state, which is a context variable.  If workers raise, the lowest
+    one's error is raised, as with one thread.
     """
     m_workers = len(rngs)
-    supports, sents = [None] * m_workers, [None] * m_workers
-    args = (rule, grads, memory, eta, k, rngs, supports, sents)
+    width = dim if rule.selector == "all" else k
+    columns, sent = np.empty((m_workers, width), dtype=np.int64), np.empty((m_workers, width))
+    # A share's workers are consecutive only at T = 1.
+    block = max(1, _THREADED_MIN_DIM // dim) if threads == 1 else 1
+    args = (rule, grads, memory, eta, k, rngs, block, columns, sent)
     futures = [
         pool.submit(contextvars.copy_context().run, _worker_share, range(i, m_workers, threads), *args)
         for i in range(1, threads)
     ]
-    failed = [_worker_share(range(0, m_workers, threads), *args)]
-    failed += [future.result() for future in futures]
-    failed = [f for f in failed if f is not None]
+    failed = [f for f in [_worker_share(range(0, m_workers, threads), *args),
+                          *(future.result() for future in futures)] if f is not None]
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
-    return supports, sents
+    return columns, sent
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
@@ -590,16 +599,19 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
             rngs = [worker_rng(cfg.seed, m, t) for m in range(cfg.m)]
             (train_loss, test_metric, gbar_l1), grads = task.round_pass(x, batch, rngs)
 
-            supports, sents = _worker_phase(pool, threads, rule, grads, memory, cfg.eta, k, rngs)
+            columns, sent = _worker_phase(pool, threads, rule, grads, memory, cfg.eta, k, rngs, dim)
 
             up, down = analytic_round_cost(cfg.algorithm, cfg.m, dim, k)
             if rule.server == "mean":
-                uploads = [_dense_upload(support, sent, dim) for support, sent in zip(supports, sents)]
+                uploads = sent  # sent on columns, zero elsewhere
+                if columns.shape[1] < dim:
+                    uploads = np.zeros((cfg.m, dim))
+                    np.put_along_axis(uploads, columns, sent, axis=1)
                 direction = average_aggregate(uploads)
-                counts = participation_count(supports, dim) if cfg.record_selection else None
+                counts = participation_count(columns, dim) if cfg.record_selection else None
             else:
-                messages = SignBatch.quantize(dim, supports, sents)
-                del supports, sents  # in the batch now; not kept into the next round
+                messages = SignBatch.quantize(dim, columns, sent)
+                del columns, sent  # in the batch now; not kept into the next round
                 if wire:
                     streams = encode_round(messages)
                     messages = decode_round(streams, dim)

@@ -64,14 +64,25 @@ def alpha(m: int, gamma: float) -> float:
     return 1.0 - (1.0 - gamma) ** m
 
 
+def _beta_terms(m: int, gamma: float) -> np.ndarray:
+    """The u in 1..m that beta sums, at most 2**20 (8 MiB).  By Bernstein's
+    inequality U ~ Binomial(m, gamma) falls t or more from m gamma with chance
+    at most 2 exp(-t^2 / (2 m gamma (1 - gamma) + 2t/3)), 1e-17 at this t."""
+    mean, log_tail = m * gamma, math.log(2e17)
+    t = log_tail / 3 + math.sqrt(log_tail**2 / 9 + 2 * log_tail * mean * (1 - gamma))
+    lo, hi = max(1, math.floor(mean - t)), min(m, math.ceil(mean + t))
+    _checks.count(hi - lo + 1, f"the terms beta sums at worker count {m}", high=1 << 20)
+    return np.arange(lo, hi + 1)
+
+
 def beta(m: int, gamma: float) -> float:
     """Expected 1/sqrt(participation), counting only voted coordinates.
 
-    beta = sum_{u=1..m} (1/sqrt(u)) C(m,u) gamma^u (1-gamma)^(m-u).
-    """
+    beta = sum_{u=1..m} (1/sqrt(u)) C(m,u) gamma^u (1-gamma)^(m-u) over the u
+    of _beta_terms, less than 1e-17 short: a term is at most its mass."""
     _checks.count(m, "worker count")
     _checks.real(gamma, "gamma", "in [0, 1]")
-    u = np.arange(1, m + 1)
+    u = _beta_terms(m, gamma)
     pmf = _binom().pmf(u, m, gamma)
     return float(np.sum(pmf / np.sqrt(u)))
 

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 
 from sparsevote.compression import (
     SignBatch,
+    _error_feedback_rows,
     SparseSignVector,
     ThresholdReport,
     error_feedback_step,
@@ -375,6 +376,84 @@ class TestErrorFeedbackStep:
         with pytest.raises(ValueError):
             error_feedback_step(np.ones(3), e, 0.5, 4)
         assert e.tolist() == [1.0, 1.0, 1.0]
+
+
+@st.composite
+def worker_rows(draw, rows=None):
+    """(g_tilde, memory, eta, k): R = 1 or several rows of N, each of small
+    integers (ties at the K-th magnitude and exact zeros), distinct
+    magnitudes, or one magnitude throughout."""
+    n = draw(st.integers(1, 24))
+    r = draw(st.sampled_from([1, draw(st.integers(2, 6))])) if rows is None else rows
+
+    def row():
+        kind = draw(st.sampled_from(["small_int", "distinct", "one_magnitude"]))
+        if kind == "small_int":
+            return draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n))
+        signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=n, max_size=n))
+        if kind == "distinct":
+            return [s * m for s, m in zip(signs, draw(st.permutations(range(1, n + 1))))]
+        return [s * 0.5 for s in signs]
+
+    g_tilde = np.array([row() for _ in range(r)], dtype=np.float64)
+    memory = np.array([row() for _ in range(r)], dtype=np.float64)
+    eta = draw(st.sampled_from([0.0, 1.0, 0.7]))
+    k = draw(st.one_of(st.sampled_from(sorted({0, 1, n})), st.integers(0, n)))
+    return g_tilde, memory, eta, k
+
+
+def ref_rows(g_tilde, memory, eta, k):
+    """Row by row from top_k_select: (columns, sent, memory after, |g|)."""
+    g = eta * memory + g_tilde
+    columns = [top_k_select(row, k)[0] for row in g]
+    after = g.copy()
+    for row, support in zip(after, columns):
+        row[support] = 0.0
+    sent = [row[support] for row, support in zip(g, columns)]
+    return columns, sent, after, np.abs(g)
+
+
+class TestErrorFeedbackRows:
+    @given(worker_rows())
+    @settings(max_examples=400, deadline=None)
+    def test_equals_the_per_row_reference(self, block):
+        g_tilde, memory, eta, k = block
+        columns, sent, after, mags = ref_rows(g_tilde, memory, eta, k)
+        got_columns, got_sent = _error_feedback_rows(g_tilde, memory, eta, k)
+        assert got_columns.shape == got_sent.shape == (len(memory), k)
+        assert got_columns.dtype == np.int64
+        for r in range(len(memory)):
+            assert got_columns[r].tolist() == columns[r].tolist()
+            assert got_sent[r].tobytes() == sent[r].tobytes()
+        assert memory.tobytes() == after.tobytes()
+        assert g_tilde.tobytes() == mags.tobytes()
+
+    @given(worker_rows(), st.data())
+    @settings(max_examples=300, deadline=None)
+    def test_a_nan_raises_as_in_its_row(self, block, data):
+        g_tilde, memory, eta, k = block
+        r, n = memory.shape
+        g_tilde[data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, n - 1))] = np.nan
+        raising = []
+        for g_row, e_row in zip(g_tilde, memory):
+            try:
+                top_k_select(eta * e_row + g_row, k)
+            except ValueError as err:
+                raising.append(str(err))
+        if raising:
+            assert raising[0] == "cannot rank NaN magnitudes"
+            with pytest.raises(ValueError, match="^cannot rank NaN magnitudes$"):
+                _error_feedback_rows(g_tilde, memory, eta, k)
+        else:
+            _error_feedback_rows(g_tilde, memory, eta, k)
+
+    @given(st.integers(2, 24), st.sampled_from([1, 6]), st.data())
+    @settings(max_examples=100, deadline=None)
+    def test_a_nan_among_distinct_magnitudes_raises(self, n, r, data):
+        g_tilde = np.arange(1.0, r * n + 1).reshape(r, n)
+        g_tilde[data.draw(st.integers(0, r - 1)), data.draw(st.integers(0, n - 1))] = np.nan
+        with pytest.raises(ValueError, match="^cannot rank NaN magnitudes$"):
+            _error_feedback_rows(g_tilde, np.zeros((r, n)), 1.0, data.draw(st.integers(1, n - 1)))
 
 
 class TestSparseSignVector:

@@ -318,3 +318,46 @@ def test_threaded_worker_phase_under_frequent_thread_switches(monkeypatch, alg):
     for ours, ref in zip(got, expected, strict=True):
         assert ours[:-1] == ref[:-1]
         assert np.array_equal(ours[-1], ref[-1])
+
+
+# Below the gate a round's error feedback step runs as blocks of consecutive
+# rows, _THREADED_MIN_DIM // N of them, on the calling thread; from the gate
+# up a block is one row.
+
+def block_spy(monkeypatch):
+    """Record (thread id, rows) for each error feedback block."""
+    blocks = []
+    step = simulator._error_feedback_rows
+
+    def spy(g_tilde, memory, eta, k):
+        blocks.append((threading.get_ident(), memory.shape[0]))
+        return step(g_tilde, memory, eta, k)
+
+    monkeypatch.setattr(simulator, "_error_feedback_rows", spy)
+    return blocks
+
+
+@pytest.mark.parametrize("make", [quadratic, quadratic_wide_batch, logistic_noniid])
+@pytest.mark.parametrize("alg", ["TOPK_SGD_MEM", "S3GD_MV"])
+def test_below_the_budget_one_block_of_all_workers(monkeypatch, make, alg):
+    cfg = make(algorithm=alg, cost_mode="WIRE")
+    task = QuadraticTask(cfg) if cfg.model["kind"] == "quadratic" else ClassificationTask(cfg)
+    assert cfg.m * task.dim <= simulator._THREADED_MIN_DIM
+    expected = reference_run(cfg)
+    blocks = block_spy(monkeypatch)
+    got = engine_run(cfg)
+    assert blocks == [(threading.get_ident(), cfg.m)] * cfg.t
+    for ours, ref in zip(got, expected, strict=True):
+        assert ours[:-1] == ref[:-1]
+        assert np.array_equal(ours[-1], ref[-1])
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_at_the_gate_each_block_is_one_row(monkeypatch, cpus):
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+    cfg = quadratic(algorithm="S3GD_MV", n=simulator._THREADED_MIN_DIM, m=3, t=2)
+    blocks = block_spy(monkeypatch)
+    run_experiment(cfg)
+    assert [rows for _, rows in blocks] == [1] * cfg.m * cfg.t
+    if cpus == 1:
+        assert {ident for ident, _ in blocks} == {threading.get_ident()}

@@ -10,6 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsevote import aggregation, codec, compression
 from sparsevote.aggregation import majority_vote
 from sparsevote.codec import ALGORITHMS, analytic_round_cost, count_field_width
 from sparsevote.compression import SparseSignVector, rand_k_sign
@@ -219,18 +220,43 @@ class TestCostAccounting:
     @pytest.mark.parametrize("name", ["quadratic_s3gd", "logistic_noniid"])
     def test_a_wire_round_builds_one_message_object(self, name, monkeypatch):
         # The M uploads travel as one SignBatch; only the vote broadcast is
-        # a SparseSignVector of its own.
+        # a SparseSignVector of its own, built checked or as valid by
+        # construction.
         built = []
         check = SparseSignVector.__post_init__
 
         def counting(self):
-            built.append(self.dim)
+            built.append(type(self))
             check(self)
 
+        def counting_trusted(cls, *values):
+            built.append(cls)
+            return compression._trusted(cls, *values)
+
         monkeypatch.setattr(SparseSignVector, "__post_init__", counting)
+        monkeypatch.setattr(aggregation, "_trusted", counting_trusted)
+        monkeypatch.setattr(codec, "_trusted", counting_trusted)
         cfg = replace(ExperimentConfig.from_json(CONFIGS / f"{name}.json"), cost_mode="WIRE", t=5)
         run_experiment(cfg)
-        assert len(built) == cfg.t
+        assert built.count(SparseSignVector) == cfg.t
+
+    @pytest.mark.parametrize("name", ["quadratic_s3gd", "logistic_noniid"])
+    def test_a_wire_round_checks_its_batch_once(self, name, monkeypatch):
+        # The uploads are checked when the worker phase's batch is built; the
+        # decoded batch and the vote broadcast are valid as the codec and the
+        # vote build them.
+        calls = []
+        check = compression._checked
+
+        def counting(*args):
+            calls.append(args[0])
+            return check(*args)
+
+        monkeypatch.setattr(compression, "_checked", counting)
+        cfg = replace(ExperimentConfig.from_json(CONFIGS / f"{name}.json"), cost_mode="WIRE", t=5)
+        assert cfg.algorithm == "S3GD_MV"
+        run_experiment(cfg)
+        assert len(calls) == cfg.t
 
     def test_cumulative_is_running_sum(self):
         metrics = run_experiment(quad_cfg(t=10))

@@ -7,10 +7,13 @@ computed once by direct evaluation; optimizers against grid search.
 
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
+from scipy import stats
 
+from sparsevote import theory
 from sparsevote.theory import (
     BoundInputs,
     alpha,
@@ -26,6 +29,9 @@ from sparsevote.theory import (
     vote_error_bound,
     vote_error_exact,
 )
+
+
+BETA_GAMMAS = [1e-4, 0.01, 0.1, 0.5, 0.9, 0.999, 1.0]
 
 
 def enumerate_vote_error(p, u):
@@ -67,6 +73,48 @@ class TestParticipationStatistics:
         # log-space binomials keep the sum finite and normalized-ish
         b = beta(10_000, 0.001)
         assert 0.0 < b < 1.0 and math.isfinite(b)
+
+    @pytest.mark.parametrize("gamma", BETA_GAMMAS)
+    def test_beta_window_leaves_out_at_most_1e_17_of_the_mass(self, gamma):
+        # For every m <= 1e4 the window's gap to the full sum is at most the
+        # binomial mass outside it (each term is at most its mass).
+        binom = stats.binom
+        m = np.arange(1, 10_001)
+        lo, hi = np.array([theory._beta_terms(int(w), gamma)[[0, -1]] for w in m]).T
+        outside = np.where(lo > 1, binom.cdf(lo - 1, m, gamma), 0.0) + binom.sf(hi, m, gamma)
+        assert outside.max() <= 1e-17
+
+    @pytest.mark.parametrize("gamma", BETA_GAMMAS)
+    def test_beta_equals_the_full_sum_within_rounding(self, gamma):
+        binom = stats.binom
+        for m in [*range(1, 401), *range(401, 10_001, 97), 10_000]:
+            u = np.arange(1, m + 1)
+            full = float(np.sum(binom.pmf(u, m, gamma) / np.sqrt(u)))
+            # The left-out mass, then the rounding of two sums taken in a different order.
+            assert abs(beta(m, gamma) - full) <= 1e-17 + 1e-15 * full, m
+
+    def test_beta_at_a_billion_workers_in_bounded_memory(self):
+        tracemalloc.start()
+        try:
+            b = beta(10**9, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        # The full sum held three 1e9-long arrays, 24 GB.
+        assert peak < 64 * 2**20
+        # E[1/sqrt(U)] = (1 + 3 var / (8 mean^2) + ...) / sqrt(mean).
+        assert b == pytest.approx((1 + 3 / (8 * 10**9)) / math.sqrt(5e8), rel=1e-12)
+
+    def test_beta_refuses_a_window_past_its_term_cap(self):
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="^the terms beta sums at worker count 1000000000000000 "
+                                                 "must be at most 1048576, got 282266193$"):
+                beta(10**15, 0.5)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 2**20
 
     def test_pmf_example_and_normalization(self):
         assert m_participation_pmf(3, 0.5, 2) == pytest.approx(0.375, abs=1e-15)
