@@ -36,9 +36,13 @@ class VoteResult:
 
     def nonzero_message(self) -> SparseSignVector:
         """The vote as a sparse sign message (tied coordinates dropped)."""
-        keep = np.flatnonzero(self.ternary).astype(np.int64, copy=False)
-        # Ascending, in range, and majority_vote's int8 signs: valid as built.
-        return _trusted(SparseSignVector, self.dim, keep, self.ternary[keep])
+        ternary = np.asarray(self.ternary)
+        keep = np.flatnonzero(ternary).astype(np.int64, copy=False)
+        # Ascending and in range at shape (dim,); a hand-built result's signs may not be ±1.
+        signs = ternary[keep] if ternary.shape == (self.dim,) else None
+        if signs is None or np.count_nonzero(np.abs(signs) != 1):
+            raise ValueError(f"ternary must be a ({self.dim},) array of -1, 0 and +1")
+        return _trusted(SparseSignVector, self.dim, keep, signs.astype(np.int8, copy=False))
 
 
 def majority_vote(msgs: SignBatch | list[SparseSignVector], dim: int) -> VoteResult:

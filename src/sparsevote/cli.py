@@ -117,12 +117,12 @@ def build_parser() -> argparse.ArgumentParser:
     run_p.add_argument("--cost-mode", choices=["analytic", "wire"], default=None)
     run_p.set_defaults(fn=_cmd_run)
 
-    sweep_p = sub.add_parser("sweep", help="run the config across one axis")
+    # No abbreviations here: --seed would be read as --seeds.
+    sweep_p = sub.add_parser("sweep", help="run the config across one axis", allow_abbrev=False)
     sweep_p.add_argument("--config", required=True)
     sweep_p.add_argument("--axis", required=True, help="gamma, m, eta, or mu")
     sweep_p.add_argument("--values", required=True, help="comma separated values")
     sweep_p.add_argument("--seeds", default=None, help="comma separated seeds")
-    sweep_p.add_argument("--seed", type=int, default=None)
     sweep_p.add_argument("--out", default=None)
     sweep_p.add_argument("--format", choices=["csv", "json"], default="csv")
     sweep_p.add_argument("--cost-mode", choices=["analytic", "wire"], default=None)

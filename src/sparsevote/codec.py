@@ -34,9 +34,13 @@ index >= N raise FormatError.  Encoding is lossless:
 decode(encode(v), N) == v.  Both directions work on numpy bit arrays.
 Indices are int64, so N is at most 2**63.
 
-encode_round and decode_round do the same for a round's SignBatch in one
-pass, with the same bytes per message: message m is row m of one bit
-matrix, and the Rice rows are handled once per distinct parameter.
+encode_round and decode_round do the same for a round's SignBatch, with the
+same bytes per message.  An S3GD-MV worker sends K entries, so a round's
+messages share one count and one Rice parameter, and the round is one pass:
+message m is row m of one bit matrix, and the Rice rows of all M messages
+are one (M, K, b + 1) block of it.  A round whose counts differ (a message
+dropped an exact zero) goes message by message through encode_sparse_sign
+and decode_sparse_sign.
 
 ALGORITHMS is the table of the five algorithms, one row each: which
 coordinates a worker sends (all, top-K or random-K), whether it keeps an
@@ -245,152 +249,115 @@ def decode_sparse_sign(stream: Bitstream, dim: int) -> SparseSignVector:
 
 
 def encode_round(batch: SignBatch) -> list[Bitstream]:
-    """encode_sparse_sign of each message of a batch, byte for byte, in one pass.
+    """encode_sparse_sign of each message of a batch, byte for byte.
 
-    Message m is row m of one (M, L) bit matrix, so each stream starts on a
-    byte boundary: its count, its Rice rows, then its unary codes as zeros
-    on a background of ones.  Messages whose exact zeros were dropped have
-    fewer entries, and may have another Rice parameter; the Rice rows are
-    written once per distinct parameter, and an entry a message lacks is a
-    row of ones with an empty unary code.
+    When all M messages hold K entries, message m is row m of one (M, L) bit
+    matrix, written in one pass: its count, its Rice rows (with the others,
+    one (M, K, b + 1) block), then its unary codes as zeros on a background
+    of ones.  A batch whose counts differ goes message by message.
     """
     m, dim, counts = len(batch), batch.dim, batch.counts
     if not m:
         return []
+    k = int(counts[0])
+    if np.count_nonzero(counts != k):
+        return [encode_sparse_sign(v) for v in batch]
     _check_dim(dim)
-    wc = count_field_width(dim)
-    params = np.array([rice_parameter(k, dim) for k in counts.tolist()])
-    k = int(counts.max())
-    ragged = int(counts.min()) < k
-    present = np.arange(k) < counts[:, None] if ragged else None
+    wc, b = count_field_width(dim), rice_parameter(k, dim)
+    head = wc + k * (b + 1)
     # The gaps, on a fresh array: the first index, then each step less one.
     # The work below is done in place to keep a round's peak memory down.
-    gaps = np.diff(_padded(batch.indices, present, (m, k)), axis=1, prepend=-1)
+    gaps = np.diff(batch.indices.reshape(m, k), axis=1, prepend=-1)
     gaps -= 1
-    positive = _padded(batch.signs > 0, present, (m, k))
-    if ragged:
-        # A gap of -1 has quotient -1 (no unary bits) and, with sign bit 1,
-        # a row of ones.
-        gaps[~present] = -1
-        positive[~present] = True
     # Each quotient q is q ones and a zero, so the zeros of a unary section
     # sit at cumsum(q + 1) - 1 within it.
-    ends = gaps >> params[:, None]
+    ends = gaps >> b
     ends += 1
     ends.cumsum(axis=1, out=ends)
-    heads = wc + counts * (params + 1)
-    lengths = heads + (ends[:, -1] if k else 0)
+    lengths = ends[:, -1] + head if k else np.full(m, head)
     columns = np.arange(-(-int(lengths.max()) // 8) * 8)
     bits = (columns < lengths[:, None]).view(np.uint8)
-    bits[:, :wc] = _field_bits(counts, wc)
-    for b in set(params.tolist()):
-        group = params == b
-        most = int(counts[group].max())
-        rows = gaps[group, :most]  # a copy, as group is a mask
-        rows &= (1 << b) - 1
-        rows <<= 1
-        rows |= positive[group, :most]
-        bits[:, wc:wc + most * (b + 1)].reshape(m, most, b + 1)[group] = (
-            _field_bits(rows, b + 1).reshape(*rows.shape, b + 1))
-    # Flat positions of the zeros.  A lacking entry repeats the zero before
-    # it; in a message without entries it falls on the last count bit, 0.
-    ends += (np.arange(m) * bits.shape[1] + heads - 1)[:, None]
+    bits[:, :wc] = _field_bits(k, wc)
+    gaps &= (1 << b) - 1
+    gaps <<= 1
+    gaps |= batch.signs.reshape(m, k) > 0
+    bits[:, wc:head].reshape(m, k, b + 1)[:] = _field_bits(gaps, b + 1).reshape(m, k, b + 1)
+    ends += (np.arange(m) * bits.shape[1] + head - 1)[:, None]  # flat positions of the zeros
     bits.reshape(-1)[ends] = 0
-    if ragged:
-        bits &= columns < lengths[:, None]  # lacking entries' rows can run past a stream's end
     packed = np.packbits(bits, axis=1)
     return [Bitstream(row[:(length + 7) // 8].tobytes(), length)
             for row, length in zip(packed, lengths.tolist())]
 
 
-def _padded(values: np.ndarray, present: np.ndarray | None, shape) -> np.ndarray:
-    """The concatenated entries of M messages as an (M, max count) array.
-
-    present marks the cells that hold an entry (None: all of them); the
-    other cells are zero.
-    """
-    if present is None:
-        return values.reshape(shape)
-    out = np.zeros(shape, dtype=values.dtype)
-    out[present] = values
+def _each_stream(read, streams: list[Bitstream]) -> list:
+    """read(stream) for each stream; a FormatError is prefixed with "message i: "."""
+    out = []
+    for i, stream in enumerate(streams):
+        try:
+            out.append(read(stream))
+        except FormatError as err:
+            raise FormatError(f"message {i}: {err}") from None
     return out
 
 
 def decode_round(streams: list[Bitstream], dim: int) -> SignBatch:
-    """The SignBatch of the messages decode_sparse_sign reads from each stream, in one pass.
+    """The SignBatch of the messages decode_sparse_sign reads from each stream.
 
-    Every stream gets every check of decode_sparse_sign; the first malformed
-    stream found raises its FormatError, prefixed with "message i: ".  Stream
-    m is row m of one bit matrix, padded with ones, and entry j of message m
-    is cell (m, j) of the gap, sign and index matrices, so each running sum
-    of gaps restarts at its stream.  The Rice rows are read once per distinct
-    Rice parameter.
+    Every stream gets every check of decode_sparse_sign, and a malformed one
+    raises its FormatError prefixed with "message i: ".  Streams whose counts
+    differ are decoded one by one.  When all hold K entries, stream m is row
+    m of one bit matrix padded with ones, read in one pass, and entry j of
+    message m is cell (m, j) of the gap, sign and index matrices.  The stream
+    named is the first to fail the length and count checks, else (one pass)
+    the first with malformed unary codes, then the first with an index past
+    dim, or (one by one) the first that decode_sparse_sign refuses.
     """
     _check_dim(dim)
     if not streams:
         return SignBatch(dim, [], [], [])
     wc = count_field_width(dim)
-    counts, params = [], []
-    for i, stream in enumerate(streams):
-        try:
-            count, b = _read_header(stream, dim, wc)
-        except FormatError as err:
-            raise FormatError(f"message {i}: {err}") from None
-        counts.append(count)
-        params.append(b)
-    m = len(streams)
-    counts, params = np.array(counts), np.array(params)
+    counts = [count for count, _ in _each_stream(lambda s: _read_header(s, dim, wc), streams)]
+    k = counts[0]
+    if counts.count(k) < len(counts):
+        return SignBatch.stack(_each_stream(lambda s: decode_sparse_sign(s, dim), streams), dim)
+    m, b = len(streams), rice_parameter(k, dim)
+    head = wc + k * (b + 1)
     lengths = np.array([s.bit_len for s in streams])
     width = max(len(s.data) for s in streams)
     octets = np.frombuffer(bytearray(b"".join(s.data.ljust(width, b"\xff") for s in streams)),
                            dtype=np.uint8)
-    # Ones past each stream, so that past its Rice rows only its unary codes hold zeros.
+    # Ones past each stream, so that past the Rice rows only its unary codes hold zeros.
     sizes = (lengths + 7) // 8
     octets[np.arange(m) * width + sizes - 1] |= (0xFF >> (lengths - 8 * sizes + 8)).astype(np.uint8)
     bits = np.unpackbits(octets).reshape(m, -1)
-    heads = wc + counts * (params + 1)
-    first = int(heads.min())
-    unary = bits[:, first:] == 0
-    if first < int(heads.max()):
-        unary &= np.arange(first, bits.shape[1]) >= heads[:, None]
+    unary = bits[:, head:] == 0
     zeros = unary.sum(axis=1)
-    # A stream's unary codes are well formed when it has exactly count zeros
+    # A stream's unary codes are well formed when it has exactly k zeros
     # there and, unless it has no entries and so no unary bits, ends in one.
-    last_bit = bits[np.arange(m), lengths - 1]
-    well_formed = (zeros == counts) & np.where(counts > 0, last_bit == 0, heads == lengths)
+    well_formed = (zeros == k) & ((bits[np.arange(m), lengths - 1] == 0) if k else (lengths == head))
     if not well_formed.all():
         i = int(np.flatnonzero(~well_formed)[0])
-        raise FormatError(f"message {i}: {_unary_error(int(zeros[i]), int(counts[i]))}")
-    k = int(counts.max())
-    present = np.arange(k) < counts[:, None] if int(counts.min()) < k else None
-    rows = np.zeros((m, k), dtype=np.uint64)
-    for b in set(params.tolist()):
-        group = params == b
-        most = int(counts[group].max())
-        rows[group, :most] = _field_values(bits[:, wc:wc + most * (b + 1)].reshape(m, most, b + 1)[group])
+        raise FormatError(f"message {i}: {_unary_error(int(zeros[i]), k)}")
+    rows = _field_values(bits[:, wc:head].reshape(m, k, b + 1))
     # Where each unary code ends within its section, then in place its
     # quotient, gap and index.
-    indices = _padded(np.flatnonzero(unary), present, (m, k))
-    indices -= (np.arange(m) * unary.shape[1] + heads - first)[:, None]
+    indices = np.flatnonzero(unary).reshape(m, k)
+    indices -= (np.arange(m) * unary.shape[1])[:, None]
     indices[:, 1:] -= indices[:, :-1] + 1
-    # Every quotient is non-negative; cells past a stream's count hold
-    # values that are never read.
-    indices = indices.view(np.uint64)
-    indices <<= params[:, None].astype(np.uint64)
+    indices = indices.view(np.uint64)  # every quotient is non-negative
+    indices <<= np.uint64(b)
     indices |= rows >> np.uint64(1)
     indices += np.uint64(1)
     indices.cumsum(axis=1, out=indices)
     indices -= np.uint64(1)
     if k:
-        bad = np.flatnonzero((counts > 0) & (indices[np.arange(m), counts - 1] >= dim))
+        bad = np.flatnonzero(indices[:, -1] >= dim)
         if bad.size:
             i = int(bad[0])
-            raise FormatError(f"message {i}: {_range_error(indices[i, :counts[i]], dim)}")
-    indices, signs = indices.view(np.int64), _SIGN_OF_BIT[rows & np.uint64(1)]
-    if present is not None:
-        indices, signs = indices[present], signs[present]
+            raise FormatError(f"message {i}: {_range_error(indices[i], dim)}")
     # The checks above cover every rule SignBatch checks: no second pass.
-    return _trusted(SignBatch, dim, indices.reshape(-1), signs.reshape(-1), counts)
+    return _trusted(SignBatch, dim, indices.view(np.int64).reshape(-1),
+                    _SIGN_OF_BIT[rows & np.uint64(1)].reshape(-1), np.full(m, k, dtype=np.int64))
 
 
 def analytic_round_cost(algorithm: str, m: int, dim: int, k: int) -> tuple[float, float]:

@@ -211,19 +211,21 @@ def update_model(
     velocity argument is returned unchanged.
     """
     x = np.asarray(x, dtype=np.float64)
-    direction = np.asarray(direction, dtype=np.float64)
+    direction = np.asarray(direction)
     if x.shape != direction.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs direction {direction.shape}")
     if delta <= 0:
         raise ValueError(f"delta must be positive, got {delta}")
     if not 0 <= mu < 1:
         raise ValueError(f"mu must be in [0, 1), got {mu}")
-    if mu == 0.0:
-        return x - delta * direction, velocity
-    if velocity is None:
-        velocity = np.zeros_like(x)
-    v = mu * velocity + direction
-    return x - delta * v, v
+    v = direction
+    if mu != 0.0:
+        v = np.zeros(x.shape) if velocity is None else np.multiply(velocity, mu, dtype=np.float64)
+        v += direction
+        velocity = v
+    # One fresh array, delta * v then the new iterate: it costs more than its passes.
+    step = np.multiply(v, delta, dtype=np.float64)
+    return np.subtract(x, step, out=step), velocity
 
 
 # --------------------------------------------------------------------------

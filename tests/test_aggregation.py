@@ -5,7 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsevote.aggregation import average_aggregate, majority_vote, participation_count
+from sparsevote.aggregation import VoteResult, average_aggregate, majority_vote, participation_count
 from sparsevote.compression import SignBatch, SparseSignVector
 
 
@@ -81,6 +81,24 @@ class TestMajorityVote:
         vote = majority_vote([msg(4, (0, 1), (1, 1)), msg(4, (1, -1), (3, -1))], 4)
         sparse = vote.nonzero_message()
         assert (sparse.to_dense() == vote.ternary).all()
+
+    @pytest.mark.parametrize("ternary", [
+        np.array([2, 0, -1]),
+        np.array([1.5, 0.0, -1.0]),
+        np.array([-128, 0, 1], dtype=np.int8),
+        np.array([1, 0]),
+        np.array([[1, 0, -1]]),
+    ])
+    def test_nonzero_message_refuses_a_hand_built_ternary_that_is_not_one(self, ternary):
+        zeros = np.zeros(3, dtype=np.int64)
+        vote = VoteResult(3, ternary, np.arange(3), zeros, zeros)
+        with pytest.raises(ValueError, match=r"^ternary must be a \(3,\) array of -1, 0 and \+1$"):
+            vote.nonzero_message()
+
+    def test_nonzero_message_of_a_hand_built_float_ternary_has_int8_signs(self):
+        zeros = np.zeros(3, dtype=np.int64)
+        sparse = VoteResult(3, np.array([1.0, 0.0, -1.0]), np.arange(3), zeros, zeros).nonzero_message()
+        assert sparse.signs.dtype == np.int8 and sparse.entries == [(0, 1), (2, -1)]
 
 
 class TestParticipationCount:

@@ -286,6 +286,14 @@ class TestSweep:
                      "--values", "2"]) == 0
         assert capsys.readouterr().out.startswith("M=2 ")
 
+    def test_seed_is_refused(self, quad_config, capsys):
+        # --seeds picks the seeds, and --seed is not read as its abbreviation.
+        with pytest.raises(SystemExit) as exit_:
+            main(["sweep", "--config", str(quad_config), "--axis", "gamma",
+                  "--values", "0.1", "--seed", "3"])
+        assert exit_.value.code == 2
+        assert "unrecognized arguments: --seed 3" in capsys.readouterr().err
+
     def test_bad_axis(self, quad_config, capsys):
         assert main(["sweep", "--config", str(quad_config), "--axis", "delta",
                      "--values", "0.1"]) == 1

@@ -8,6 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sparsevote import codec
 from sparsevote.codec import (
     ALGORITHMS,
     Bitstream,
@@ -587,3 +588,90 @@ class TestRoundCodec:
         with pytest.raises(FormatError) as err:
             decode_round(streams, dim)
         assert str(err.value) == f"message {position}: {alone.value}"
+
+
+@st.composite
+def equal_count_rounds(draw):
+    """1 to 16 messages over one dim up to 2**20 that all hold K entries, K
+    being 0, 1, N or some: the rounds S3GD-MV sends, which the round codec
+    codes in one pass.  K = N only up to N = 4096, to keep the examples small."""
+    dim = draw(st.integers(1, 64) | st.integers(1, 4096) | st.integers(1, 2**20))
+    every = [0, 1, dim] if dim <= 4096 else [0, 1]
+    k = draw(st.sampled_from(every) | st.integers(0, min(dim, 200)))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    return [_message(dim, k, rng) for _ in range(draw(st.integers(1, 16)))]
+
+
+# The benchmark's round shapes: logistic_noniid_wire and quad_large_wire.
+SMALL_ROUND = _mixed_counts(170, *[17] * 10)
+BULK_ROUND = _mixed_counts(100_000, *[1000] * 16)
+
+
+def _stream_bits(stream):
+    return "".join(f"{b:08b}" for b in stream.data)[:stream.bit_len]
+
+
+def _corrupted(stream, dim, how):
+    """stream with the same count, malformed: its last unary bit set, or its
+    last unary code lengthened until its index passes dim."""
+    bits = _stream_bits(stream)
+    if how == "last unary bit":
+        return bitstream(bits[:-1] + "1")
+    while True:
+        bits = bits[:-1] + "10"
+        try:
+            decode_sparse_sign(bitstream(bits), dim)
+        except FormatError as err:
+            assert "out of range" in str(err)
+            return bitstream(bits)
+
+
+class TestOneCountRound:
+    @given(equal_count_rounds())
+    @settings(max_examples=200, deadline=None)
+    @example(SMALL_ROUND)
+    @example(BULK_ROUND)
+    @example(_mixed_counts(2**20, *[1] * 16))
+    @example(_mixed_counts(4096, *[4096] * 3))
+    @example(_mixed_counts(1, *[0] * 16))
+    def test_same_bytes_as_the_message_codec_and_round_trips(self, msgs):
+        batch = SignBatch.stack(msgs, msgs[0].dim)
+        streams = encode_round(batch)
+        assert [(s.data, s.bit_len) for s in streams] == [
+            (s.data, s.bit_len) for s in map(encode_sparse_sign, msgs)]
+        decoded = decode_round(streams, msgs[0].dim)
+        assert decoded == batch
+        assert list(decoded) == msgs
+
+    @pytest.mark.parametrize("how", ["last unary bit", "index past dim"])
+    @pytest.mark.parametrize("msgs", [SMALL_ROUND, BULK_ROUND], ids=["small", "bulk"])
+    def test_a_malformed_stream_of_the_same_count_is_named(self, msgs, how):
+        dim = msgs[0].dim
+        streams = [encode_sparse_sign(v) for v in msgs]
+        for i, stream in enumerate(streams):
+            bad = _corrupted(stream, dim, how)
+            with pytest.raises(FormatError) as alone:
+                decode_sparse_sign(bad, dim)
+            with pytest.raises(FormatError) as err:
+                decode_round([*streams[:i], bad, *streams[i + 1:]], dim)
+            assert str(err.value) == f"message {i}: {alone.value}"
+
+    def test_only_a_ragged_round_goes_message_by_message(self, monkeypatch):
+        calls = Counter()
+        for name in ("encode_sparse_sign", "decode_sparse_sign"):
+            def spy(*args, _name=name, _real=getattr(codec, name)):
+                calls[_name] += 1
+                return _real(*args)
+            monkeypatch.setattr(codec, name, spy)
+
+        batch = SignBatch.stack(SMALL_ROUND, 170)
+        assert decode_round(encode_round(batch), 170) == batch
+        assert not calls
+
+        ragged = _mixed_counts(170, 17, 16, 0, 17)  # as when exact zeros are dropped
+        batch = SignBatch.stack(ragged, 170)
+        streams = encode_round(batch)
+        assert [(s.data, s.bit_len) for s in streams] == [
+            (s.data, s.bit_len) for s in map(ref_encode, ragged)]
+        assert decode_round(streams, 170) == batch
+        assert calls == {"encode_sparse_sign": 4, "decode_sparse_sign": 4}

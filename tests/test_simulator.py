@@ -110,6 +110,27 @@ class TestUpdateModel:
         assert x2[0] == -1.0
         assert out is state
 
+    @pytest.mark.parametrize("dtype", [np.int8, np.float64])
+    @pytest.mark.parametrize("mu, has_velocity", [(0.0, True), (0.5, True), (0.5, False)])
+    def test_bytes_of_the_formula_and_the_inputs_untouched(self, dtype, mu, has_velocity):
+        rng = np.random.default_rng(5)
+        x = rng.standard_normal(1000)
+        direction = rng.integers(-1, 2, 1000).astype(dtype)
+        if dtype is np.float64:
+            direction *= rng.standard_normal(1000)
+        velocity = rng.standard_normal(1000) if has_velocity else None
+        before = [a.copy() for a in (x, direction, velocity) if a is not None]
+        x2, v2 = update_model(x, direction, 0.3, velocity, mu)
+        d = direction.astype(np.float64)
+        if mu:
+            v = mu * (velocity if has_velocity else np.zeros(1000)) + d
+            assert v2.tobytes() == v.tobytes() and v2 is not velocity
+        else:
+            v = d
+            assert v2 is velocity
+        assert x2.tobytes() == (x - 0.3 * v).tobytes()
+        assert all(np.array_equal(a, b) for a, b in zip(before, (x, direction, velocity)))
+
     def test_errors(self):
         with pytest.raises(ValueError):
             update_model(np.zeros(2), np.zeros(3), 0.1)
