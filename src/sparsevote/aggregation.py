@@ -4,6 +4,8 @@ Majority vote over a round's SignBatch (sign of the per-coordinate tally,
 ties yield zero and therefore no update), participation counting, and plain
 averaging for the full-precision baselines.  The vote is two bincounts over
 the batch's indices, all votes and the positive ones: two passes, not M.
+Full sign vectors (SIGNSGD_MV) are voted as dense (M, N) int8 rows: a sum
+and a nonzero count down the rows, with no index array.
 """
 
 from __future__ import annotations
@@ -45,17 +47,26 @@ class VoteResult:
         return _trusted(SparseSignVector, self.dim, keep, signs.astype(np.int8, copy=False))
 
 
-def majority_vote(msgs: SignBatch | list[SparseSignVector], dim: int) -> VoteResult:
-    """Coordinate-wise sign of the summed sign messages, a batch or a list of them."""
-    batch = msgs if isinstance(msgs, SignBatch) else SignBatch.stack(msgs, dim)
-    if batch.dim != dim:
-        raise ValueError(f"the messages have dim {batch.dim}, expected {dim}")
-    counts = np.bincount(batch.indices, minlength=dim)
-    # The positive votes less the negative ones, all in int64 arrays updated
-    # in place: at N = 1e5 each fresh (N,) array costs more than its pass.
-    tallies = np.bincount(batch.indices[batch.signs > 0], minlength=dim)
-    tallies *= 2
-    tallies -= counts
+def majority_vote(msgs: SignBatch | list[SparseSignVector] | np.ndarray, dim: int) -> VoteResult:
+    """Coordinate-wise sign of the summed sign messages: a batch, a list of
+    them, or (M, dim) int8 rows of dense signs in {-1, 0, +1} (0: no vote)."""
+    if isinstance(msgs, np.ndarray):
+        if msgs.dtype != np.int8 or msgs.ndim != 2 or msgs.shape[1] != dim:
+            raise ValueError(f"dense sign rows must be an (M, {dim}) int8 array, got {msgs.dtype} {msgs.shape}")
+        if msgs.size and (msgs.min() < -1 or msgs.max() > 1):
+            raise ValueError("dense sign rows must hold -1, 0 and +1")
+        counts = np.count_nonzero(msgs, axis=0)
+        tallies = msgs.sum(axis=0, dtype=np.int64)
+    else:
+        batch = msgs if isinstance(msgs, SignBatch) else SignBatch.stack(msgs, dim)
+        if batch.dim != dim:
+            raise ValueError(f"the messages have dim {batch.dim}, expected {dim}")
+        counts = np.bincount(batch.indices, minlength=dim)
+        # The positive votes less the negative ones, all in int64 arrays updated
+        # in place: at N = 1e5 each fresh (N,) array costs more than its pass.
+        tallies = np.bincount(batch.indices[batch.signs > 0], minlength=dim)
+        tallies *= 2
+        tallies -= counts
     ternary = np.sign(tallies, out=np.empty(dim, dtype=np.int8), casting="unsafe")
     return VoteResult(dim, ternary, np.flatnonzero(counts), tallies, counts)
 

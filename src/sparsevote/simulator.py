@@ -18,7 +18,9 @@ update direction feeds a momentum step x <- x - delta * v.  Every round is
 charged either the analytic per-round budgets or the actual encoded wire
 lengths (cost_mode WIRE, which also routes every sparse sign message through
 the codec).  Fixing the config and seed fixes the whole trajectory bit for
-bit, because each (worker, round) pair owns its random stream.
+bit, because each (worker, round) pair owns its random stream; the run keeps
+M generators and re-seeds them each round with those streams' states, which
+rng.WorkerStreams derives a block of rounds at a time.
 
 A round runs as whole-round passes where it can: the task's round_pass
 evaluates the iterate and draws the M worker gradients in one call, a vote
@@ -50,7 +52,7 @@ from . import _checks, models
 from .aggregation import average_aggregate, majority_vote, participation_count
 from .codec import ALGORITHMS, _Rule, analytic_round_cost, decode_round, encode_round, encode_sparse_sign
 from .compression import SignBatch, _error_feedback_rows, rand_k_select
-from .rng import derive_rng, worker_rng
+from .rng import WorkerStreams, derive_rng, worker_rngs
 
 __all__ = [
     "ExperimentConfig",
@@ -476,13 +478,14 @@ def _batch_size(cfg: ExperimentConfig) -> int:
 
 def _worker_step(rule: _Rule, g: np.ndarray, memory, rows: slice, eta: float, k: int, rngs):
     """(columns, sent) of workers rows from their (R, N) gradients g, which
-    error memory overwrites: row r worker r's ascending selection and values."""
+    error memory overwrites: row r worker r's ascending selection and values,
+    columns None where every worker sends every coordinate."""
     if rule.memory:
         return _error_feedback_rows(g, memory[rows], eta, k)
     if rule.selector == "randk":
         columns = np.stack([rand_k_select(row, k, rngs[m]) for m, row in enumerate(g, rows.start)])
         return columns, np.take_along_axis(g, columns, axis=1)
-    return np.arange(g.shape[1]), g
+    return None, g
 
 
 # The worker phase runs on min(usable CPUs, M) threads from this model
@@ -528,7 +531,9 @@ def _worker_share(workers, rule, grads, memory, eta, k, rngs, block, columns, se
         if len(g):
             done = slice(rows[0], rows[0] + len(g))
             try:
-                columns[done], sent[done] = _worker_step(rule, g, memory, done, eta, k, rngs)
+                picked, sent[done] = _worker_step(rule, g, memory, done, eta, k, rngs)
+                if columns is not None:
+                    columns[done] = picked
             except Exception as err:
                 return rows[0], err
         if failed:
@@ -537,7 +542,8 @@ def _worker_share(workers, rule, grads, memory, eta, k, rngs, block, columns, se
 
 
 def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs, dim):
-    """The worker phase on this thread and the pool: (columns, sent), a row a worker.
+    """The worker phase on this thread and the pool: (columns, sent), a row a
+    worker, columns None where every worker sends every coordinate.
 
     Share i holds workers i, i + T, i + 2T, ...; this thread runs share 0,
     so with T = 1 (pool None) all workers run here, in blocks.  Each share
@@ -546,8 +552,9 @@ def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs, dim):
     one's error is raised, as with one thread.
     """
     m_workers = len(rngs)
-    width = dim if rule.selector == "all" else k
-    columns, sent = np.empty((m_workers, width), dtype=np.int64), np.empty((m_workers, width))
+    dense = rule.selector == "all"
+    columns = None if dense else np.empty((m_workers, k), dtype=np.int64)
+    sent = np.empty((m_workers, dim if dense else k))
     # A share's workers are consecutive only at T = 1.
     block = max(1, _THREADED_MIN_DIM // dim) if threads == 1 else 1
     args = (rule, grads, memory, eta, k, rngs, block, columns, sent)
@@ -594,26 +601,33 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
     count_dtype = np.min_scalar_type(cfg.m)  # at most the M workers send a coordinate
     metrics: list[RoundMetrics] = []
     cumulative = 0.0
+    worker_streams = WorkerStreams(cfg.seed, cfg.m, cfg.t)
     # No pool below the gate, and none outlives the run.
     with ThreadPoolExecutor(threads - 1) if threads > 1 else contextlib.nullcontext() as pool:
         for t in range(cfg.t):
             started = time.perf_counter()
-            rngs = [worker_rng(cfg.seed, m, t) for m in range(cfg.m)]
+            rngs = worker_rngs(worker_streams, t)
             (train_loss, test_metric, gbar_l1), grads = task.round_pass(x, batch, rngs)
 
             columns, sent = _worker_phase(pool, threads, rule, grads, memory, cfg.eta, k, rngs, dim)
 
             up, down = analytic_round_cost(cfg.algorithm, cfg.m, dim, k)
             if rule.server == "mean":
-                uploads = sent  # sent on columns, zero elsewhere
-                if columns.shape[1] < dim:
+                uploads = sent
+                if columns is not None:  # sent on columns, zero elsewhere
                     uploads = np.zeros((cfg.m, dim))
                     np.put_along_axis(uploads, columns, sent, axis=1)
                 direction = average_aggregate(uploads)
-                counts = participation_count(columns, dim) if cfg.record_selection else None
+                counts = None
+                if cfg.record_selection:
+                    counts = np.full(dim, cfg.m) if columns is None else participation_count(columns, dim)
             else:
-                messages = SignBatch.quantize(dim, columns, sent)
-                del columns, sent  # in the batch now; not kept into the next round
+                if columns is None:
+                    # Dense sign rows, which the vote sums with no index list.
+                    messages = np.sign(sent, out=np.empty(sent.shape, dtype=np.int8), casting="unsafe")
+                else:
+                    messages = SignBatch.quantize(dim, columns, sent)
+                del columns, sent  # in the messages now; not kept into the next round
                 if wire:
                     streams = encode_round(messages)
                     messages = decode_round(streams, dim)

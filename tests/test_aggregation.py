@@ -77,6 +77,28 @@ class TestMajorityVote:
             assert (vote.ternary == np.sign(dense_sum)).all()
             assert vote.union_support.tolist() == np.flatnonzero(mentioned).tolist()
 
+    @given(message_lists())
+    @settings(max_examples=200, deadline=None)
+    def test_dense_sign_rows_vote_as_their_messages(self, dim_msgs):
+        dim, msgs = dim_msgs
+        rows = np.array([m.to_dense() for m in msgs], dtype=np.int8).reshape(len(msgs), dim)
+        vote, expected = majority_vote(rows, dim), majority_vote(msgs, dim)
+        for name in ("ternary", "union_support", "tallies", "counts"):
+            ours, ref = getattr(vote, name), getattr(expected, name)
+            assert ours.dtype == ref.dtype and np.array_equal(ours, ref), name
+        assert vote.dim == dim
+
+    @pytest.mark.parametrize("rows, error", [
+        (np.zeros((2, 3)), r"dense sign rows must be an \(M, 3\) int8 array, got float64 \(2, 3\)"),
+        (np.zeros((2, 4), dtype=np.int8), r"got int8 \(2, 4\)"),
+        (np.zeros(3, dtype=np.int8), r"got int8 \(3,\)"),
+        (np.array([[1, 2, 0]], dtype=np.int8), "dense sign rows must hold -1, 0 and \\+1"),
+        (np.array([[1, -128, 0]], dtype=np.int8), "dense sign rows must hold -1, 0 and \\+1"),
+    ])
+    def test_dense_sign_rows_that_are_not_signs_are_refused(self, rows, error):
+        with pytest.raises(ValueError, match=error):
+            majority_vote(rows, 3)
+
     def test_nonzero_message_roundtrip(self):
         vote = majority_vote([msg(4, (0, 1), (1, 1)), msg(4, (1, -1), (3, -1))], 4)
         sparse = vote.nonzero_message()

@@ -14,7 +14,7 @@ import threading
 import numpy as np
 import pytest
 
-from sparsevote import simulator
+from sparsevote import rng, simulator
 from sparsevote.aggregation import average_aggregate, majority_vote
 from sparsevote.codec import analytic_round_cost, decode_sparse_sign, encode_sparse_sign
 from sparsevote.compression import rand_k_sign, top_k_select, top_k_sign
@@ -244,10 +244,11 @@ class BrokenStream:
 
 def break_streams(monkeypatch, streams):
     """Replace worker m's stream at round 1 by streams[m]."""
-    derive = simulator.worker_rng
+    derive = simulator.worker_rngs
     monkeypatch.setattr(
-        simulator, "worker_rng",
-        lambda seed, m, t: streams[m]() if t == 1 and m in streams else derive(seed, m, t),
+        simulator, "worker_rngs",
+        lambda table, t: [streams[m]() if t == 1 and m in streams else rng
+                          for m, rng in enumerate(derive(table, t))],
     )
 
 
@@ -361,3 +362,30 @@ def test_at_the_gate_each_block_is_one_row(monkeypatch, cpus):
     assert [rows for _, rows in blocks] == [1] * cfg.m * cfg.t
     if cpus == 1:
         assert {ident for ident, _ in blocks} == {threading.get_ident()}
+
+
+@pytest.mark.parametrize("make", [quadratic, logistic_noniid])
+@pytest.mark.parametrize("alg", ["S3GD_MV", "S3GD_MV_RANDK"])
+def test_a_run_over_several_stream_blocks_matches_reference_loop(monkeypatch, make, alg):
+    # Blocks of one to three rounds, so the run re-derives its streams often.
+    monkeypatch.setattr(rng, "_BLOCK_STREAMS", 7)
+    cfg = make(algorithm=alg, t=9)
+    assert cfg.t > rng._BLOCK_STREAMS // cfg.m
+    for ours, ref in zip(engine_run(cfg), reference_run(cfg), strict=True):
+        assert ours[:-1] == ref[:-1]
+        assert np.array_equal(ours[-1], ref[-1])
+
+
+@pytest.mark.parametrize("alg", ["SIGNSGD_MV", "VANILLA_SGD"])
+def test_full_rows_build_no_columns_or_batch(monkeypatch, alg):
+    """Every worker sends every coordinate: no column array, no SignBatch."""
+    def refuse(*args, **kwargs):
+        raise AssertionError("a column list was built")
+
+    cfg = quadratic_wide_batch(algorithm=alg)
+    expected = reference_run(cfg)
+    monkeypatch.setattr(simulator.SignBatch, "quantize", refuse)
+    monkeypatch.setattr(simulator, "participation_count", refuse)
+    for ours, ref in zip(engine_run(cfg), expected, strict=True):
+        assert ours[:-1] == ref[:-1]
+        assert np.array_equal(ours[-1], ref[-1])
