@@ -14,10 +14,9 @@ from .codec import (
     CommLedger,
     FormatError,
     analytic_round_cost,
-    decode_round,
     decode_sparse_sign,
-    encode_round,
     encode_sparse_sign,
+    message_bit_lengths,
 )
 from .compression import (
     SignBatch,

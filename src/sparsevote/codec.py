@@ -34,13 +34,11 @@ index >= N raise FormatError.  Encoding is lossless:
 decode(encode(v), N) == v.  Both directions work on numpy bit arrays.
 Indices are int64, so N is at most 2**63.
 
-encode_round and decode_round do the same for a round's SignBatch, with the
-same bytes per message.  An S3GD-MV worker sends K entries, so a round's
-messages share one count and one Rice parameter, and the round is one pass:
-message m is row m of one bit matrix, and the Rice rows of all M messages
-are one (M, K, b + 1) block of it.  A round whose counts differ (a message
-dropped an exact zero) goes message by message through encode_sparse_sign
-and decode_sparse_sign.
+message_bit_lengths is that cost, written out once: the bit_len
+encode_sparse_sign gives each message of a support held back to back, as a
+SignBatch holds a round's uploads, each message with its own K and b.
+encode_sparse_sign sizes its stream with it, and a WIRE round charges its
+uplink and its vote broadcast with it without building a stream.
 
 ALGORITHMS is the table of the five algorithms, one row each: which
 coordinates a worker sends (all, top-K or random-K), whether it keeps an
@@ -65,17 +63,16 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import SignBatch, SparseSignVector, _trusted
+from .compression import SparseSignVector
 
 __all__ = [
     "FormatError",
     "Bitstream",
     "count_field_width",
     "rice_parameter",
+    "message_bit_lengths",
     "encode_sparse_sign",
     "decode_sparse_sign",
-    "encode_round",
-    "decode_round",
     "analytic_round_cost",
     "CommLedger",
     "ALGORITHMS",
@@ -175,16 +172,45 @@ def _field_values(bits: np.ndarray) -> np.ndarray:
     return values
 
 
+def message_bit_lengths(dim: int, indices, counts) -> np.ndarray:
+    """The bit_len encode_sparse_sign gives each message of a support, as int64.
+
+    Message m is the counts[m] indices after those of messages 0..m-1, each
+    message's ascending and in [0, dim), as a SignBatch holds them; the
+    indices are not checked again.  A message of K entries costs
+    Wc + K*(b + 2) + sum(gap >> b) bits, with the b of its own K.
+    """
+    _check_dim(dim)
+    wc = count_field_width(dim)
+    indices = np.asarray(indices, dtype=np.int64)
+    counts = np.asarray(counts, dtype=np.int64)
+    if counts.sum() != indices.size:
+        raise ValueError(f"counts must sum to the {indices.size} indices, got {counts}")
+    rice = [rice_parameter(k, dim) for k in counts.tolist()]
+    b = np.array(rice, dtype=np.int64)
+    nonempty = counts > 0
+    first = (counts.cumsum() - counts)[nonempty]
+    # The gaps: each step less one, and at the start of a message its first index.
+    gaps = np.empty_like(indices)
+    np.subtract(indices[1:], indices[:-1], out=gaps[1:])
+    gaps -= 1
+    gaps[first] = indices[first]
+    # One shift for all when the messages share their b, as equal counts do.
+    gaps >>= rice[0] if len(set(rice)) == 1 else np.repeat(b, counts)
+    quotients = np.zeros(counts.size, dtype=np.int64)
+    quotients[nonempty] = np.add.reduceat(gaps, first)
+    return wc + counts * (b + 2) + quotients
+
+
 def encode_sparse_sign(v: SparseSignVector) -> Bitstream:
     """Serialize a sparse sign message to its wire form."""
-    _check_dim(v.dim)
     k, wc, b = len(v), count_field_width(v.dim), rice_parameter(len(v), v.dim)
+    bits = np.ones(int(message_bit_lengths(v.dim, v.indices, [k])[0]), dtype=np.uint8)
     gaps = v.indices - np.concatenate(([-1], v.indices[:-1])) - 1
     # Each quotient q is q ones and a zero, so the zeros sit at cumsum(q + 1) - 1
     # within the unary section, which starts after the count and the k rows.
     ends = ((gaps >> b) + 1).cumsum()
     head = wc + k * (b + 1)
-    bits = np.ones(head + (int(ends[-1]) if k else 0), dtype=np.uint8)
     bits[:wc] = _field_bits(k, wc)
     # One (b + 1)-bit row per entry: the gap's low b bits, then the sign bit.
     bits[wc:head].reshape(k, b + 1)[:] = _field_bits(
@@ -246,118 +272,6 @@ def decode_sparse_sign(stream: Bitstream, dim: int) -> SparseSignVector:
     if count and indices[-1] >= dim:
         raise _range_error(indices, dim)
     return SparseSignVector(dim, indices.view(np.int64), _SIGN_OF_BIT[rows & np.uint64(1)])
-
-
-def encode_round(batch: SignBatch) -> list[Bitstream]:
-    """encode_sparse_sign of each message of a batch, byte for byte.
-
-    When all M messages hold K entries, message m is row m of one (M, L) bit
-    matrix, written in one pass: its count, its Rice rows (with the others,
-    one (M, K, b + 1) block), then its unary codes as zeros on a background
-    of ones.  A batch whose counts differ goes message by message.
-    """
-    m, dim, counts = len(batch), batch.dim, batch.counts
-    if not m:
-        return []
-    k = int(counts[0])
-    if np.count_nonzero(counts != k):
-        return [encode_sparse_sign(v) for v in batch]
-    _check_dim(dim)
-    wc, b = count_field_width(dim), rice_parameter(k, dim)
-    head = wc + k * (b + 1)
-    # The gaps, on a fresh array: the first index, then each step less one.
-    # The work below is done in place to keep a round's peak memory down.
-    gaps = np.diff(batch.indices.reshape(m, k), axis=1, prepend=-1)
-    gaps -= 1
-    # Each quotient q is q ones and a zero, so the zeros of a unary section
-    # sit at cumsum(q + 1) - 1 within it.
-    ends = gaps >> b
-    ends += 1
-    ends.cumsum(axis=1, out=ends)
-    lengths = ends[:, -1] + head if k else np.full(m, head)
-    columns = np.arange(-(-int(lengths.max()) // 8) * 8)
-    bits = (columns < lengths[:, None]).view(np.uint8)
-    bits[:, :wc] = _field_bits(k, wc)
-    gaps &= (1 << b) - 1
-    gaps <<= 1
-    gaps |= batch.signs.reshape(m, k) > 0
-    bits[:, wc:head].reshape(m, k, b + 1)[:] = _field_bits(gaps, b + 1).reshape(m, k, b + 1)
-    ends += (np.arange(m) * bits.shape[1] + head - 1)[:, None]  # flat positions of the zeros
-    bits.reshape(-1)[ends] = 0
-    packed = np.packbits(bits, axis=1)
-    return [Bitstream(row[:(length + 7) // 8].tobytes(), length)
-            for row, length in zip(packed, lengths.tolist())]
-
-
-def _each_stream(read, streams: list[Bitstream]) -> list:
-    """read(stream) for each stream; a FormatError is prefixed with "message i: "."""
-    out = []
-    for i, stream in enumerate(streams):
-        try:
-            out.append(read(stream))
-        except FormatError as err:
-            raise FormatError(f"message {i}: {err}") from None
-    return out
-
-
-def decode_round(streams: list[Bitstream], dim: int) -> SignBatch:
-    """The SignBatch of the messages decode_sparse_sign reads from each stream.
-
-    Every stream gets every check of decode_sparse_sign, and a malformed one
-    raises its FormatError prefixed with "message i: ".  Streams whose counts
-    differ are decoded one by one.  When all hold K entries, stream m is row
-    m of one bit matrix padded with ones, read in one pass, and entry j of
-    message m is cell (m, j) of the gap, sign and index matrices.  The stream
-    named is the first to fail the length and count checks, else (one pass)
-    the first with malformed unary codes, then the first with an index past
-    dim, or (one by one) the first that decode_sparse_sign refuses.
-    """
-    _check_dim(dim)
-    if not streams:
-        return SignBatch(dim, [], [], [])
-    wc = count_field_width(dim)
-    counts = [count for count, _ in _each_stream(lambda s: _read_header(s, dim, wc), streams)]
-    k = counts[0]
-    if counts.count(k) < len(counts):
-        return SignBatch.stack(_each_stream(lambda s: decode_sparse_sign(s, dim), streams), dim)
-    m, b = len(streams), rice_parameter(k, dim)
-    head = wc + k * (b + 1)
-    lengths = np.array([s.bit_len for s in streams])
-    width = max(len(s.data) for s in streams)
-    octets = np.frombuffer(bytearray(b"".join(s.data.ljust(width, b"\xff") for s in streams)),
-                           dtype=np.uint8)
-    # Ones past each stream, so that past the Rice rows only its unary codes hold zeros.
-    sizes = (lengths + 7) // 8
-    octets[np.arange(m) * width + sizes - 1] |= (0xFF >> (lengths - 8 * sizes + 8)).astype(np.uint8)
-    bits = np.unpackbits(octets).reshape(m, -1)
-    unary = bits[:, head:] == 0
-    zeros = unary.sum(axis=1)
-    # A stream's unary codes are well formed when it has exactly k zeros
-    # there and, unless it has no entries and so no unary bits, ends in one.
-    well_formed = (zeros == k) & ((bits[np.arange(m), lengths - 1] == 0) if k else (lengths == head))
-    if not well_formed.all():
-        i = int(np.flatnonzero(~well_formed)[0])
-        raise FormatError(f"message {i}: {_unary_error(int(zeros[i]), k)}")
-    rows = _field_values(bits[:, wc:head].reshape(m, k, b + 1))
-    # Where each unary code ends within its section, then in place its
-    # quotient, gap and index.
-    indices = np.flatnonzero(unary).reshape(m, k)
-    indices -= (np.arange(m) * unary.shape[1])[:, None]
-    indices[:, 1:] -= indices[:, :-1] + 1
-    indices = indices.view(np.uint64)  # every quotient is non-negative
-    indices <<= np.uint64(b)
-    indices |= rows >> np.uint64(1)
-    indices += np.uint64(1)
-    indices.cumsum(axis=1, out=indices)
-    indices -= np.uint64(1)
-    if k:
-        bad = np.flatnonzero(indices[:, -1] >= dim)
-        if bad.size:
-            i = int(bad[0])
-            raise FormatError(f"message {i}: {_range_error(indices[i], dim)}")
-    # The checks above cover every rule SignBatch checks: no second pass.
-    return _trusted(SignBatch, dim, indices.view(np.int64).reshape(-1),
-                    _SIGN_OF_BIT[rows & np.uint64(1)].reshape(-1), np.full(m, k, dtype=np.int64))
 
 
 def analytic_round_cost(algorithm: str, m: int, dim: int, k: int) -> tuple[float, float]:

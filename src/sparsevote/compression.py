@@ -10,9 +10,8 @@ Top-K selection is one exact routine over a block of rows of |u|: one
 ``flatnonzero(|u| >= kth)`` the supports, ascending.  Ties at the K-th
 magnitude go to lower indices.  The error feedback step runs it in place on
 workers' memory rows.  A round's uploads are checked once, when
-SignBatch.quantize builds their batch.  When its counts are equal, the
-decoded batch and the vote's broadcast are valid as built; when they differ,
-the codec checks each message again on both sides and the decoded batch.
+SignBatch.quantize builds their batch; the vote and the wire lengths read
+that batch as it is.
 """
 
 from __future__ import annotations

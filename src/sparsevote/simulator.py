@@ -15,17 +15,18 @@ Each algorithm is one row of codec.ALGORITHMS: which coordinates a worker
 selects (all, top-K or random-K), whether it keeps an error memory, and
 whether the server takes a majority vote on signs or averages values.  The
 update direction feeds a momentum step x <- x - delta * v.  Every round is
-charged either the analytic per-round budgets or the actual encoded wire
-lengths (cost_mode WIRE, which also routes every sparse sign message through
-the codec).  Fixing the config and seed fixes the whole trajectory bit for
-bit, because each (worker, round) pair owns its random stream; the run keeps
-M generators and re-seeds them each round with those streams' states, which
+charged either the analytic per-round budgets or the exact encoded wire
+lengths (cost_mode WIRE: the bit_len the codec would give each sparse sign
+message, from codec.message_bit_lengths, with no stream built).  Fixing the
+config and seed fixes the whole trajectory bit for bit, because each
+(worker, round) pair owns its random stream; the run keeps M generators and
+re-seeds them each round with those streams' states, which
 rng.WorkerStreams derives a block of rounds at a time.
 
 A round runs as whole-round passes where it can: the task's round_pass
 evaluates the iterate and draws the M worker gradients in one call, a vote
-server takes the M uploads as one SignBatch, which the codec carries on
-the wire and majority_vote reads, and no per-message object is built.
+server takes the M uploads as one SignBatch, which majority_vote reads and
+the WIRE lengths are measured on, and no per-message object is built.
 Each pass gives the same bits as its per-worker, per-message counterpart.
 The worker phase runs in blocks of workers, one compression pass a block;
 for the quadratic task at large N it runs on min(usable CPUs, M) threads,
@@ -50,7 +51,7 @@ import numpy as np
 
 from . import _checks, models
 from .aggregation import average_aggregate, majority_vote, participation_count
-from .codec import ALGORITHMS, _Rule, analytic_round_cost, decode_round, encode_round, encode_sparse_sign
+from .codec import ALGORITHMS, _Rule, analytic_round_cost, message_bit_lengths
 from .compression import SignBatch, _error_feedback_rows, rand_k_select
 from .rng import WorkerStreams, derive_rng, worker_rngs
 
@@ -111,7 +112,7 @@ class ExperimentConfig:
     mu: float = 0.0
     seed: int = 0
     cost_mode: str = "ANALYTIC"
-    record_selection: bool = True
+    record_selection: bool = False
     model: dict = field(default_factory=lambda: {"kind": "quadratic"})
     data: dict = field(default_factory=dict)
 
@@ -628,13 +629,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
                 else:
                     messages = SignBatch.quantize(dim, columns, sent)
                 del columns, sent  # in the messages now; not kept into the next round
-                if wire:
-                    streams = encode_round(messages)
-                    messages = decode_round(streams, dim)
-                    up = float(sum(s.bit_len for s in streams))
                 vote = majority_vote(messages, dim)
                 if wire:
-                    down = float(cfg.m * encode_sparse_sign(vote.nonzero_message()).bit_len)
+                    # The bit_len of each stream the codec would write; none is built.
+                    up = float(message_bit_lengths(dim, messages.indices, messages.counts).sum())
+                    broadcast = np.flatnonzero(vote.ternary)
+                    down = float(cfg.m * message_bit_lengths(dim, broadcast, [broadcast.size])[0])
                 direction = vote.ternary
                 # The vote counted who sent each coordinate; a sign message
                 # holds exactly the coordinates its worker sent.

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from sparsevote import codec
+from sparsevote.aggregation import majority_vote
 from sparsevote.codec import (
     ALGORITHMS,
     Bitstream,
@@ -16,10 +16,9 @@ from sparsevote.codec import (
     FormatError,
     analytic_round_cost,
     count_field_width,
-    decode_round,
     decode_sparse_sign,
-    encode_round,
     encode_sparse_sign,
+    message_bit_lengths,
     rice_parameter,
 )
 from sparsevote.compression import SignBatch, SparseSignVector
@@ -485,193 +484,82 @@ class TestCommLedger:
 
 
 # --------------------------------------------------------------------------
-# the round codec against the per-message codec
+# message_bit_lengths against the encoders
 
 def _message(dim, count, rng):
-    idx = np.sort(rng.choice(dim, size=count, replace=False)).astype(np.int64)
-    return SparseSignVector(dim, idx, rng.choice([-1, 1], size=count).astype(np.int8))
+    """A message of count random entries over dim, or (dim past 2**20) of up
+    to count entries drawn with replacement, for any dim up to 2**63."""
+    if dim <= 2**20:
+        idx = np.sort(rng.choice(dim, size=count, replace=False))
+    else:
+        idx = np.unique(rng.integers(0, dim, size=count, dtype=np.uint64))
+    idx = idx.astype(np.int64)
+    return SparseSignVector(dim, idx, rng.choice([-1, 1], size=idx.size).astype(np.int8))
 
 
-@st.composite
-def rounds(draw):
-    """1 to 12 messages over one dim up to 2**20, each with 0, 1, N or some
-    entries, so one round can mix counts and Rice parameters.  Full messages
-    only up to N = 4096, to keep the examples small."""
-    dim = draw(st.integers(1, 64) | st.integers(1, 4096) | st.integers(1, 2**20))
-    every = [0, 1, dim] if dim <= 4096 else [0, 1]
-    counts = draw(st.lists(st.sampled_from(every) | st.integers(0, min(dim, 200)),
-                           min_size=1, max_size=12))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return [_message(dim, k, rng) for k in counts]
-
-
-def _mixed_counts(dim, *counts):
+def _batch(dim, *counts):
     rng = np.random.default_rng(0)
-    return [_message(dim, k, rng) for k in counts]
+    return dim, [_message(dim, k, rng) for k in counts]
 
 
 @st.composite
-def messages_over(draw, dim):
-    """A short message over dim, for any dim up to 2**63."""
-    indices = sorted(draw(st.sets(st.integers(0, dim - 1), max_size=min(dim, 8))))
-    signs = draw(st.lists(st.sampled_from([-1, 1]), min_size=len(indices), max_size=len(indices)))
-    return SparseSignVector(dim, np.array(indices, dtype=np.int64), np.array(signs, dtype=np.int8))
-
-
-def _malformed():
-    """(stream, dim) for each malformed stream of TestMalformedStreams and
-    TestAgainstBitLoopReference."""
-    two = encode_sparse_sign(SparseSignVector(8, np.array([0, 5]), np.array([1, -1])))
-    one = encode_sparse_sign(SparseSignVector(8, np.array([3]), np.array([1])))
-    pair = encode_sparse_sign(SparseSignVector(8, np.array([1, 5]), np.array([1, -1])))
-    head = "0010" + "11" + "01"
-    cases = {
-        "truncated": (Bitstream(two.data[:1], 7), 8),
-        "overlong": (Bitstream(one.data + b"\x00", one.bit_len + 8), 8),
-        "index out of range": (Bitstream(bytes([int("001" + "10" + "1" + "10", 2)]), 8), 5),
-        "second index out of range": (bitstream("0010" + "1" + "1" + "1" + "1" + "110" + "10"), 8),
-        "quotient that would wrap": (bitstream(format(1, "064b") + "0" * 62 + "1" + "11110"), 2**63),
-        "short data": (Bitstream(pair.data[:-1], pair.bit_len), 8),
-        "long data": (Bitstream(pair.data + b"\x00", pair.bit_len), 8),
-        "count exceeds dim": (Bitstream(bytes([0b1110_0000]), 3), 5),
-        "huge count": (bitstream(format(2**50, f"0{count_field_width(2**62)}b")), 2**62),
-        "index past int64": (bitstream(format(2, "064b") + ("1" * 61 + "1") * 2 + "0" + "1110"), 2**63),
-    }
-    for tail in ("", "0", "11", "111", "0111", "000", "001", "0101", "01110", "011110"):
-        cases[f"unary tail {tail!r}"] = (bitstream(head + tail), 8)
-    return cases
-
-
-MALFORMED = _malformed()
-
-
-class TestRoundCodec:
-    @given(rounds())
-    @settings(max_examples=200, deadline=None)
-    @example(_mixed_counts(2**20, 2**20, 1, 0))
-    @example(_mixed_counts(1000, 1000, 30, 1, 0, 30))  # Rice parameters 0, 5, 9, 0 and 5
-    @example(_mixed_counts(1, *[0] * 12))
-    def test_same_bytes_as_the_message_codec_and_round_trips(self, msgs):
-        batch = SignBatch.stack(msgs, msgs[0].dim)
-        streams = encode_round(batch)
-        assert [(s.data, s.bit_len) for s in streams] == [
-            (s.data, s.bit_len) for s in map(encode_sparse_sign, msgs)]
-        decoded = decode_round(streams, msgs[0].dim)
-        assert decoded == batch
-        assert list(decoded) == msgs
-
-    def test_empty_round(self):
-        assert encode_round(SignBatch.stack([], 8)) == []
-        assert decode_round([], 8) == SignBatch.stack([], 8)
-
-    def test_one_dim_per_round(self):
-        msgs = [_message(8, 2, np.random.default_rng(0)), _message(9, 2, np.random.default_rng(0))]
-        with pytest.raises(ValueError, match="message 1 has dim 9, expected 8"):
-            SignBatch.stack(msgs, 8)
-
-    def test_every_case_is_malformed_alone(self):
-        for stream, dim in MALFORMED.values():
-            with pytest.raises(FormatError):
-                decode_sparse_sign(stream, dim)
-
-    @pytest.mark.parametrize("case", MALFORMED)
-    @given(data=st.data())
-    @settings(max_examples=20, deadline=None)
-    def test_one_malformed_stream_among_valid_ones_is_named(self, case, data):
-        stream, dim = MALFORMED[case]
-        with pytest.raises(FormatError) as alone:
-            decode_sparse_sign(stream, dim)
-        others = data.draw(st.lists(messages_over(dim), max_size=11))
-        position = data.draw(st.integers(0, len(others)))
-        streams = [encode_sparse_sign(v) for v in others]
-        streams.insert(position, stream)
-        with pytest.raises(FormatError) as err:
-            decode_round(streams, dim)
-        assert str(err.value) == f"message {position}: {alone.value}"
-
-
-@st.composite
-def equal_count_rounds(draw):
-    """1 to 16 messages over one dim up to 2**20 that all hold K entries, K
-    being 0, 1, N or some: the rounds S3GD-MV sends, which the round codec
-    codes in one pass.  K = N only up to N = 4096, to keep the examples small."""
-    dim = draw(st.integers(1, 64) | st.integers(1, 4096) | st.integers(1, 2**20))
+def batches(draw):
+    """(dim, messages): 0 to 16 messages over one dim up to 2**63, each with
+    0, 1, N or some entries, so a batch may mix counts and Rice parameters.
+    K = N only up to N = 4096, to keep the examples small."""
+    dim = draw(st.integers(1, 64) | st.integers(1, 4096) | st.integers(1, 2**20) | st.integers(1, 2**63))
     every = [0, 1, dim] if dim <= 4096 else [0, 1]
-    k = draw(st.sampled_from(every) | st.integers(0, min(dim, 200)))
+    k = st.sampled_from(every) | st.integers(0, min(dim, 200))
+    # Equal counts, as S3GD-MV sends them, or each its own.
+    counts = draw(st.lists(k, max_size=16) | k.flatmap(lambda c: st.lists(st.just(c), max_size=16)))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
-    return [_message(dim, k, rng) for _ in range(draw(st.integers(1, 16)))]
+    return dim, [_message(dim, c, rng) for c in counts]
 
 
-# The benchmark's round shapes: logistic_noniid_wire and quad_large_wire.
-SMALL_ROUND = _mixed_counts(170, *[17] * 10)
-BULK_ROUND = _mixed_counts(100_000, *[1000] * 16)
+class TestMessageBitLengths:
+    @given(batches())
+    @settings(max_examples=300, deadline=None)
+    # The benchmark's round shapes: logistic_noniid_wire and quad_large_wire.
+    @example(_batch(170, *[17] * 10))
+    @example(_batch(100_000, *[1000] * 16))
+    @example(_batch(8))                                 # M = 0
+    @example(_batch(1, *[0] * 3))                       # K = 0
+    @example(_batch(4096, *[4096] * 3))                 # K = N
+    @example(_batch(1000, 1000, 30, 1, 0, 30))          # Rice parameters 0, 5, 9, 0 and 5
+    @example((2**63, [SparseSignVector(2**63, np.array([0, 2**62, 2**63 - 1]), np.array([1, -1, 1])),
+                      SparseSignVector(2**63, np.array([2**63 - 1]), np.array([-1]))]))
+    def test_each_length_is_the_bit_len_of_its_stream(self, case):
+        dim, msgs = case
+        batch = SignBatch.stack(msgs, dim)
+        lengths = message_bit_lengths(dim, batch.indices, batch.counts)
+        assert lengths.dtype == np.int64 and lengths.shape == (len(msgs),)
+        assert lengths.tolist() == [encode_sparse_sign(v).bit_len for v in msgs]
+        # encode_sparse_sign sizes its stream with message_bit_lengths; the
+        # bit-at-a-time writer does not.
+        assert lengths.tolist() == [ref_encode(v).bit_len for v in msgs]
 
-
-def _stream_bits(stream):
-    return "".join(f"{b:08b}" for b in stream.data)[:stream.bit_len]
-
-
-def _corrupted(stream, dim, how):
-    """stream with the same count, malformed: its last unary bit set, or its
-    last unary code lengthened until its index passes dim."""
-    bits = _stream_bits(stream)
-    if how == "last unary bit":
-        return bitstream(bits[:-1] + "1")
-    while True:
-        bits = bits[:-1] + "10"
-        try:
-            decode_sparse_sign(bitstream(bits), dim)
-        except FormatError as err:
-            assert "out of range" in str(err)
-            return bitstream(bits)
-
-
-class TestOneCountRound:
-    @given(equal_count_rounds())
+    @given(batches().filter(lambda case: case[0] <= 2**20))
     @settings(max_examples=200, deadline=None)
-    @example(SMALL_ROUND)
-    @example(BULK_ROUND)
-    @example(_mixed_counts(2**20, *[1] * 16))
-    @example(_mixed_counts(4096, *[4096] * 3))
-    @example(_mixed_counts(1, *[0] * 16))
-    def test_same_bytes_as_the_message_codec_and_round_trips(self, msgs):
-        batch = SignBatch.stack(msgs, msgs[0].dim)
-        streams = encode_round(batch)
-        assert [(s.data, s.bit_len) for s in streams] == [
-            (s.data, s.bit_len) for s in map(encode_sparse_sign, msgs)]
-        decoded = decode_round(streams, msgs[0].dim)
-        assert decoded == batch
-        assert list(decoded) == msgs
+    @example(_batch(170, *[17] * 10))
+    @example(_batch(100_000, *[1000] * 16))
+    @example(_batch(8, 0, 0))                           # every coordinate tied at zero
+    @example(_batch(8, 8))                              # every coordinate decided
+    def test_the_broadcast_length_is_the_bit_len_of_the_vote_message(self, case):
+        dim, msgs = case
+        vote = majority_vote(msgs, dim)
+        support = np.flatnonzero(vote.ternary)
+        assert message_bit_lengths(dim, support, [support.size]).tolist() == [
+            encode_sparse_sign(vote.nonzero_message()).bit_len]
 
-    @pytest.mark.parametrize("how", ["last unary bit", "index past dim"])
-    @pytest.mark.parametrize("msgs", [SMALL_ROUND, BULK_ROUND], ids=["small", "bulk"])
-    def test_a_malformed_stream_of_the_same_count_is_named(self, msgs, how):
-        dim = msgs[0].dim
-        streams = [encode_sparse_sign(v) for v in msgs]
-        for i, stream in enumerate(streams):
-            bad = _corrupted(stream, dim, how)
-            with pytest.raises(FormatError) as alone:
-                decode_sparse_sign(bad, dim)
-            with pytest.raises(FormatError) as err:
-                decode_round([*streams[:i], bad, *streams[i + 1:]], dim)
-            assert str(err.value) == f"message {i}: {alone.value}"
+    def test_worked_example(self):
+        # Over dim 8: [0, 5] costs 4 + 2 * (1 + 2) + (0 >> 1) + (4 >> 1) = 12
+        # bits, an empty message its 4 count bits and [3] 4 + (2 + 2) + (3 >> 2) = 8.
+        assert message_bit_lengths(8, [0, 5, 3], [2, 0, 1]).tolist() == [12, 4, 8]
 
-    def test_only_a_ragged_round_goes_message_by_message(self, monkeypatch):
-        calls = Counter()
-        for name in ("encode_sparse_sign", "decode_sparse_sign"):
-            def spy(*args, _name=name, _real=getattr(codec, name)):
-                calls[_name] += 1
-                return _real(*args)
-            monkeypatch.setattr(codec, name, spy)
-
-        batch = SignBatch.stack(SMALL_ROUND, 170)
-        assert decode_round(encode_round(batch), 170) == batch
-        assert not calls
-
-        ragged = _mixed_counts(170, 17, 16, 0, 17)  # as when exact zeros are dropped
-        batch = SignBatch.stack(ragged, 170)
-        streams = encode_round(batch)
-        assert [(s.data, s.bit_len) for s in streams] == [
-            (s.data, s.bit_len) for s in map(ref_encode, ragged)]
-        assert decode_round(streams, 170) == batch
-        assert calls == {"encode_sparse_sign": 4, "decode_sparse_sign": 4}
+    def test_counts_must_cover_the_indices(self):
+        with pytest.raises(ValueError, match="counts must sum to the 3 indices"):
+            message_bit_lengths(8, [0, 5, 3], [2, 0])
+        with pytest.raises(ValueError, match="count must be in"):
+            message_bit_lengths(8, [0, 5, 3], [4, -1])
+        with pytest.raises(ValueError, match="at most 2\\*\\*63"):
+            message_bit_lengths(2**63 + 1, [], [])

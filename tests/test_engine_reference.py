@@ -108,14 +108,14 @@ def engine_run(cfg: ExperimentConfig) -> list[tuple]:
 def quadratic(**overrides):
     base = dict(
         m=4, t=20, gamma=0.25, n=16, learning_rate=1e-2, batch_size=1, seed=7,
-        model={"kind": "quadratic", "noise_std": 0.5, "init": 1.0},
+        model={"kind": "quadratic", "noise_std": 0.5, "init": 1.0}, record_selection=True,
     )
     return ExperimentConfig.from_dict({**base, **overrides})
 
 
 def logistic_noniid(**overrides):
     base = dict(
-        m=3, t=12, gamma=0.25, learning_rate=1e-2, batch_size=4, seed=5,
+        m=3, t=12, gamma=0.25, learning_rate=1e-2, batch_size=4, seed=5, record_selection=True,
         model={"kind": "logistic"},
         data={"n_samples": 120, "d": 3, "num_classes": 3, "mode": "NONIID"},
     )

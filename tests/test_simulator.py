@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsevote import aggregation, codec, compression
+from sparsevote import aggregation, compression
 from sparsevote.aggregation import majority_vote
 from sparsevote.codec import ALGORITHMS, analytic_round_cost, count_field_width
 from sparsevote.compression import SparseSignVector, rand_k_sign
@@ -163,8 +163,8 @@ class TestReductions:
 
 class TestDeterminism:
     def test_same_seed_bit_identical(self):
-        a = run_experiment(quad_cfg())
-        b = run_experiment(quad_cfg())
+        a = run_experiment(quad_cfg(record_selection=True))
+        b = run_experiment(quad_cfg(record_selection=True))
         assert trajectory(a) == trajectory(b)
         for ma, mb in zip(a, b):
             assert np.array_equal(ma.selection_counts, mb.selection_counts)
@@ -239,10 +239,10 @@ class TestCostAccounting:
             assert m.downlink_bits <= cfg.m * (count_field_width(dim) + dim + decisive), m.round
 
     @pytest.mark.parametrize("name", ["quadratic_s3gd", "logistic_noniid"])
-    def test_a_wire_round_builds_one_message_object(self, name, monkeypatch):
-        # The M uploads travel as one SignBatch; only the vote broadcast is
-        # a SparseSignVector of its own, built checked or as valid by
-        # construction.
+    def test_a_wire_round_builds_no_message_object(self, name, monkeypatch):
+        # The M uploads stay one SignBatch and the vote a dense array: the
+        # round charges their encoded lengths without building a
+        # SparseSignVector, checked or as valid by construction.
         built = []
         check = SparseSignVector.__post_init__
 
@@ -256,16 +256,15 @@ class TestCostAccounting:
 
         monkeypatch.setattr(SparseSignVector, "__post_init__", counting)
         monkeypatch.setattr(aggregation, "_trusted", counting_trusted)
-        monkeypatch.setattr(codec, "_trusted", counting_trusted)
         cfg = replace(ExperimentConfig.from_json(CONFIGS / f"{name}.json"), cost_mode="WIRE", t=5)
         run_experiment(cfg)
-        assert built.count(SparseSignVector) == cfg.t
+        assert built.count(SparseSignVector) == 0
 
     @pytest.mark.parametrize("name", ["quadratic_s3gd", "logistic_noniid"])
     def test_a_wire_round_checks_its_batch_once(self, name, monkeypatch):
-        # The uploads are checked when the worker phase's batch is built; the
-        # decoded batch and the vote broadcast are valid as the codec and the
-        # vote build them.
+        # The uploads are checked when the worker phase's batch is built;
+        # their wire lengths and the vote's are read from that batch and the
+        # vote's dense signs, with no second batch or message to check.
         calls = []
         check = compression._checked
 
@@ -289,7 +288,8 @@ class TestCostAccounting:
 
 class TestDynamics:
     def test_zero_gradient_fixed_point(self):
-        cfg = quad_cfg(model={"kind": "quadratic", "noise_std": 0.0, "init": 0.0}, t=10)
+        cfg = quad_cfg(model={"kind": "quadratic", "noise_std": 0.0, "init": 0.0}, t=10,
+                       record_selection=True)
         metrics = run_experiment(cfg)
         assert all(m.train_loss == 0.0 for m in metrics)
         assert all(m.gbar_l1 == 0.0 for m in metrics)
@@ -350,7 +350,7 @@ class TestDynamics:
 
 class TestSelection:
     def test_full_gamma_counts_everything(self):
-        cfg = quad_cfg(gamma=1.0, t=20)
+        cfg = quad_cfg(gamma=1.0, t=20, record_selection=True)
         stats = selection_histogram(run_experiment(cfg))
         assert stats.counts.sum() == cfg.m * cfg.t * cfg.n
         assert stats.max_min_ratio == 1.0
@@ -358,14 +358,18 @@ class TestSelection:
 
     def test_sparse_counts_budget(self):
         # noisy gradients have no zero entries, so every message carries K signs
-        cfg = quad_cfg(gamma=0.25, t=20)
+        cfg = quad_cfg(gamma=0.25, t=20, record_selection=True)
         stats = selection_histogram(run_experiment(cfg))
         assert stats.counts.sum() == cfg.m * cfg.t * resolve_k(cfg.gamma, cfg.n)
 
     def test_vanilla_counts_dense(self):
-        cfg = quad_cfg(algorithm="VANILLA_SGD", t=5)
+        cfg = quad_cfg(algorithm="VANILLA_SGD", t=5, record_selection=True)
         stats = selection_histogram(run_experiment(cfg))
         assert np.all(stats.counts == cfg.m * cfg.t)
+
+    def test_recording_is_off_by_default(self):
+        assert ExperimentConfig(algorithm="S3GD_MV", m=2, t=1).record_selection is False
+        assert all(m.selection_counts is None for m in run_experiment(quad_cfg(t=2)))
 
     def test_disabled_recording_raises(self):
         metrics = run_experiment(quad_cfg(record_selection=False, t=5))
@@ -377,7 +381,8 @@ class TestSelection:
     @pytest.mark.parametrize("m, dtype", [(4, np.uint8), (255, np.uint8), (256, np.uint16)])
     def test_counts_kept_in_the_narrowest_unsigned_dtype(self, algorithm, m, dtype):
         # gamma = 1 and noisy gradients: every worker sends every coordinate.
-        metrics = run_experiment(quad_cfg(algorithm=algorithm, m=m, t=2, n=4, gamma=1.0))
+        metrics = run_experiment(quad_cfg(algorithm=algorithm, m=m, t=2, n=4, gamma=1.0,
+                                          record_selection=True))
         for r in metrics:
             assert r.selection_counts.dtype == dtype
             assert r.selection_counts.tolist() == [m] * 4
@@ -385,7 +390,7 @@ class TestSelection:
         assert stats.counts.dtype == np.int64 and stats.counts.tolist() == [2 * m] * 4
 
     def test_stats_shape(self):
-        stats = selection_histogram(run_experiment(quad_cfg(t=10)))
+        stats = selection_histogram(run_experiment(quad_cfg(t=10, record_selection=True)))
         assert isinstance(stats, SelectionStats)
         assert stats.counts.shape == (16,)
         assert stats.max_min_ratio >= 1.0
