@@ -388,6 +388,84 @@ class TestAgainstBitLoopReference:
             decode_sparse_sign(stream, dim + 1)
 
 
+def _malformed():
+    """(stream, dim) for each malformed stream of TestMalformedStreams and
+    TestAgainstBitLoopReference."""
+    two = encode_sparse_sign(SparseSignVector(8, np.array([0, 5]), np.array([1, -1])))
+    one = encode_sparse_sign(SparseSignVector(8, np.array([3]), np.array([1])))
+    pair = encode_sparse_sign(SparseSignVector(8, np.array([1, 5]), np.array([1, -1])))
+    head = "0010" + "11" + "01"
+    cases = {
+        "truncated": (Bitstream(two.data[:1], 7), 8),
+        "overlong": (Bitstream(one.data + b"\x00", one.bit_len + 8), 8),
+        "index out of range": (Bitstream(bytes([int("001" + "10" + "1" + "10", 2)]), 8), 5),
+        "second index out of range": (bitstream("0010" + "1" + "1" + "1" + "1" + "110" + "10"), 8),
+        "quotient that would wrap": (bitstream(format(1, "064b") + "0" * 62 + "1" + "11110"), 2**63),
+        "short data": (Bitstream(pair.data[:-1], pair.bit_len), 8),
+        "long data": (Bitstream(pair.data + b"\x00", pair.bit_len), 8),
+        "count exceeds dim": (Bitstream(bytes([0b1110_0000]), 3), 5),
+        "huge count": (bitstream(format(2**50, f"0{count_field_width(2**62)}b")), 2**62),
+        "index past int64": (bitstream(format(2, "064b") + ("1" * 61 + "1") * 2 + "0" + "1110"), 2**63),
+    }
+    for tail in ("", "0", "11", "111", "0111", "000", "001", "0101", "01110", "011110"):
+        cases[f"unary tail {tail!r}"] = (bitstream(head + tail), 8)
+    return cases
+
+
+MALFORMED = _malformed()
+
+
+def _stream_bits(stream):
+    return "".join(f"{b:08b}" for b in stream.data)[:stream.bit_len]
+
+
+def _corrupted(stream, dim, how):
+    """stream with the same count, malformed: its last unary bit set, or its
+    last unary code lengthened until its index passes dim."""
+    bits = _stream_bits(stream)
+    if how == "last unary bit":
+        return bitstream(bits[:-1] + "1")
+    while True:
+        bits = bits[:-1] + "10"
+        try:
+            decode_sparse_sign(bitstream(bits), dim)
+        except FormatError as err:
+            assert "out of range" in str(err)
+            return bitstream(bits)
+
+
+class TestMalformedCases:
+    def test_every_case_is_malformed_alone(self):
+        for stream, dim in MALFORMED.values():
+            with pytest.raises(FormatError):
+                decode_sparse_sign(stream, dim)
+
+    @pytest.mark.parametrize("case", MALFORMED)
+    def test_each_case_is_rejected_by_both_decoders(self, case):
+        stream, dim = MALFORMED[case]
+        assert decode_outcome(decode_sparse_sign, stream, dim) == "FormatError"
+        assert decode_outcome(ref_decode, stream, dim) == "FormatError"
+
+    @pytest.mark.parametrize("how", ["last unary bit", "index past dim"])
+    @pytest.mark.parametrize("shape", [(170, 17, 10), (100_000, 1000, 16)], ids=["small", "bulk"])
+    def test_a_malformed_stream_of_the_same_count_is_rejected(self, shape, how):
+        # The benchmark's round shapes, logistic_noniid_wire and
+        # quad_large_wire: each message corrupted in turn keeps its count
+        # and is rejected by both decoders with the same error.
+        dim, k, m = shape
+        rng = np.random.default_rng(0)
+        for v in (_message(dim, k, rng) for _ in range(m)):
+            bad = _corrupted(encode_sparse_sign(v), dim, how)
+            with pytest.raises(FormatError) as got:
+                decode_sparse_sign(bad, dim)
+            if how == "index past dim":
+                with pytest.raises(FormatError) as want:
+                    ref_decode(bad, dim)
+                assert str(got.value) == str(want.value)
+            else:
+                assert decode_outcome(ref_decode, bad, dim) == "FormatError"
+
+
 class TestAnalyticCosts:
     # One worker's S3GD_MV uplink is a K-sparse sign message: K + K * log2(N / K) bits.
 
@@ -550,6 +628,21 @@ class TestMessageBitLengths:
         support = np.flatnonzero(vote.ternary)
         assert message_bit_lengths(dim, support, [support.size]).tolist() == [
             encode_sparse_sign(vote.nonzero_message()).bit_len]
+
+    @given(batches().filter(lambda case: case[0] <= 2**20))
+    @settings(max_examples=100, deadline=None)
+    @example(_batch(1000, 1000, 30, 1, 0, 30))
+    def test_each_message_of_a_batch_round_trips(self, case):
+        dim, msgs = case
+        batch = SignBatch.stack(msgs, dim)
+        assert list(batch) == msgs
+        for v in batch:
+            assert decode_sparse_sign(encode_sparse_sign(v), dim) == v
+
+    def test_one_dim_per_batch(self):
+        msgs = [_message(8, 2, np.random.default_rng(0)), _message(9, 2, np.random.default_rng(0))]
+        with pytest.raises(ValueError, match="message 1 has dim 9, expected 8"):
+            SignBatch.stack(msgs, 8)
 
     def test_worked_example(self):
         # Over dim 8: [0, 5] costs 4 + 2 * (1 + 2) + (0 >> 1) + (4 >> 1) = 12
