@@ -186,8 +186,7 @@ def message_bit_lengths(dim: int, indices, counts) -> np.ndarray:
     counts = np.asarray(counts, dtype=np.int64)
     if counts.sum() != indices.size:
         raise ValueError(f"counts must sum to the {indices.size} indices, got {counts}")
-    rice = [rice_parameter(k, dim) for k in counts.tolist()]
-    b = np.array(rice, dtype=np.int64)
+    b = np.array([rice_parameter(k, dim) for k in counts.tolist()], dtype=np.int64)
     nonempty = counts > 0
     first = (counts.cumsum() - counts)[nonempty]
     # The gaps: each step less one, and at the start of a message its first index.
@@ -195,8 +194,7 @@ def message_bit_lengths(dim: int, indices, counts) -> np.ndarray:
     np.subtract(indices[1:], indices[:-1], out=gaps[1:])
     gaps -= 1
     gaps[first] = indices[first]
-    # One shift for all when the messages share their b, as equal counts do.
-    gaps >>= rice[0] if len(set(rice)) == 1 else np.repeat(b, counts)
+    gaps >>= np.repeat(b, counts)
     quotients = np.zeros(counts.size, dtype=np.int64)
     quotients[nonempty] = np.add.reduceat(gaps, first)
     return wc + counts * (b + 2) + quotients
