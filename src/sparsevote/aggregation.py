@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .compression import SignBatch, SparseSignVector, _trusted
+from .compression import SignBatch, SparseSignVector
 
 __all__ = ["VoteResult", "majority_vote", "participation_count", "average_aggregate"]
 
@@ -25,26 +25,28 @@ class VoteResult:
 
     ternary is the dense {-1, 0, +1} update direction, tallies the raw
     per-coordinate sign sums, counts the number of messages holding each
-    coordinate (its participation count), union_support the sorted indices
-    that received at least one vote.  sgn(tallies) == ternary and
-    union_support == flatnonzero(counts) by construction.
+    coordinate (its participation count); sgn(tallies) == ternary by
+    construction.  union_support, the sorted indices that received at least
+    one vote, is derived from counts when it is read.
     """
 
     dim: int
     ternary: np.ndarray
-    union_support: np.ndarray
     tallies: np.ndarray
     counts: np.ndarray
+
+    @property
+    def union_support(self) -> np.ndarray:
+        return np.flatnonzero(self.counts)
 
     def nonzero_message(self) -> SparseSignVector:
         """The vote as a sparse sign message (tied coordinates dropped)."""
         ternary = np.asarray(self.ternary)
-        keep = np.flatnonzero(ternary).astype(np.int64, copy=False)
-        # Ascending and in range at shape (dim,); a hand-built result's signs may not be ±1.
-        signs = ternary[keep] if ternary.shape == (self.dim,) else None
-        if signs is None or np.count_nonzero(np.abs(signs) != 1):
+        keep = np.flatnonzero(ternary)
+        # A hand-built result's ternary may be misshapen or hold signs other than ±1.
+        if ternary.shape != (self.dim,) or np.count_nonzero(np.abs(ternary[keep]) != 1):
             raise ValueError(f"ternary must be a ({self.dim},) array of -1, 0 and +1")
-        return _trusted(SparseSignVector, self.dim, keep, signs.astype(np.int8, copy=False))
+        return SparseSignVector(self.dim, keep, ternary[keep])
 
 
 def majority_vote(msgs: SignBatch | list[SparseSignVector] | np.ndarray, dim: int) -> VoteResult:
@@ -68,7 +70,7 @@ def majority_vote(msgs: SignBatch | list[SparseSignVector] | np.ndarray, dim: in
         tallies *= 2
         tallies -= counts
     ternary = np.sign(tallies, out=np.empty(dim, dtype=np.int8), casting="unsafe")
-    return VoteResult(dim, ternary, np.flatnonzero(counts), tallies, counts)
+    return VoteResult(dim, ternary, tallies, counts)
 
 
 def participation_count(supports, dim: int) -> np.ndarray:

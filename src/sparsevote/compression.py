@@ -10,8 +10,9 @@ Top-K selection is one exact routine over a block of rows of |u|: one
 ``flatnonzero(|u| >= kth)`` the supports, ascending.  Ties at the K-th
 magnitude go to lower indices.  The error feedback step runs it in place on
 workers' memory rows.  A round's uploads are checked once, when
-SignBatch.quantize builds their batch; the vote and the wire lengths read
-that batch as it is.
+SignBatch.quantize builds their batch from the (M, K) rows of selected
+coordinates and values; the vote and the wire lengths read that batch as
+it is.  A one-message operator quantizes its support as one such row.
 """
 
 from __future__ import annotations
@@ -60,13 +61,6 @@ def _checked(dim: int, indices, signs, counts) -> tuple[np.ndarray, np.ndarray, 
         if np.count_nonzero(np.abs(sgn) != 1):
             raise ValueError("signs must be -1 or +1")
     return idx, sgn, rows
-
-
-def _trusted(cls, *values):
-    """A cls message from fields already in the form _checked returns, unchecked."""
-    message = object.__new__(cls)
-    message.__dict__.update(zip(cls.__dataclass_fields__, values))
-    return message
 
 
 def _equal_fields(self, other) -> bool:
@@ -139,15 +133,11 @@ class SignBatch:
                    np.concatenate([v.signs for v in messages]), [len(v) for v in messages])
 
     @classmethod
-    def quantize(cls, dim: int, supports, values) -> "SignBatch":
-        """Message m: the signs of values[m] on supports[m] (lists of arrays or
-        (M, K) arrays), exact zeros (no sign) dropped."""
-        if isinstance(supports, np.ndarray) and supports.ndim == 2:
-            counts = np.full(len(supports), supports.shape[1])
-            indices, values = supports.reshape(-1), values.reshape(-1)
-        else:
-            counts = np.array([s.size for s in supports], dtype=np.int64)
-            indices, values = np.concatenate(supports), np.concatenate(values)
+    def quantize(cls, dim: int, supports: np.ndarray, values: np.ndarray) -> "SignBatch":
+        """Message m: the signs of values[m] on supports[m], rows of (M, K)
+        arrays, exact zeros (no sign) dropped."""
+        counts = np.full(len(supports), supports.shape[1])
+        indices, values = supports.reshape(-1), values.reshape(-1)
         # Straight into int8: a fresh (or in-place) float sign array is several
         # times slower at N = 1e5, where the new pages cost more than the sign.
         signs = np.sign(values, out=np.empty(values.size, dtype=np.int8), casting="unsafe")
@@ -245,7 +235,7 @@ def top_k_sign(u: np.ndarray, k: int) -> SparseSignVector:
     """Signs of the k largest-magnitude coordinates of u."""
     u = np.asarray(u, dtype=np.float64)
     support, _ = top_k_select(u, k)
-    return SignBatch.quantize(u.size, [support], [u[support]])[0]
+    return SignBatch.quantize(u.size, support[None], u[support][None])[0]
 
 
 def rand_k_select(u: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -263,7 +253,7 @@ def rand_k_sign(u: np.ndarray, k: int, rng: np.random.Generator) -> SparseSignVe
     """Signs of k coordinates drawn by rand_k_select."""
     u = np.asarray(u, dtype=np.float64)
     support = rand_k_select(u, k, rng)
-    return SignBatch.quantize(u.size, [support], [u[support]])[0]
+    return SignBatch.quantize(u.size, support[None], u[support][None])[0]
 
 
 def _error_feedback_rows(g_tilde: np.ndarray, memory: np.ndarray, eta: float, k: int):
@@ -280,16 +270,16 @@ def _error_feedback_rows(g_tilde: np.ndarray, memory: np.ndarray, eta: float, k:
 
 
 def error_feedback_step(
-    g_tilde: np.ndarray, e: np.ndarray, eta: float, k: int, overwrite_g: bool = False
+    g_tilde: np.ndarray, e: np.ndarray, eta: float, k: int
 ) -> tuple[np.ndarray, np.ndarray]:
     """One worker-side compression step with error accumulation, in place in e.
 
     e, the worker's float64 error memory, takes g = g_tilde + eta * e less
     its top-k support, so it keeps exactly the mass not selected.  Returns
-    (support, sent), sent == g[support], whose signs are the message.  With
-    overwrite_g, g_tilde's array is scratch and ends holding |g|.
+    (support, sent), sent == g[support], whose signs are the message.
+    g_tilde is left as it was.
     """
-    g_tilde = np.asarray(g_tilde, dtype=np.float64)
+    g_tilde = np.array(g_tilde, dtype=np.float64)  # a copy: the step's scratch
     if not isinstance(e, np.ndarray) or e.dtype != np.float64:
         raise ValueError("memory must be a float64 array, it is updated in place")
     if g_tilde.shape != e.shape or e.ndim != 1:
@@ -298,5 +288,5 @@ def error_feedback_step(
         raise ValueError(f"eta must be non-negative, got {eta}")
     if not 0 <= k <= e.size:
         raise ValueError(f"k must be in [0, {e.size}], got {k}")
-    support, sent = _error_feedback_rows((g_tilde if overwrite_g else g_tilde.copy())[None], e[None], eta, k)
+    support, sent = _error_feedback_rows(g_tilde[None], e[None], eta, k)
     return support[0], sent[0]

@@ -43,7 +43,6 @@ import json
 import math
 import os
 import time
-from collections.abc import Sequence
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
 
@@ -285,9 +284,9 @@ class QuadraticTask:
 
         Returns ((train_loss, test_metric, gbar_l1), grads), equal bit for bit
         to those methods at x and to worker_grad(x, m, batch, rngs[m]) for each
-        worker m.  grads draws worker m's gradient from rngs[m] when item m or
-        a block of rows holding it is read, so a worker's later draws follow
-        its own, on the thread that owns the worker.
+        worker m.  grads draws worker m's gradient from rngs[m] when grads.rows
+        reads a block of rows holding it, so a worker's later draws follow its
+        own, on the thread that owns the worker.
         """
         lx = self.l_diag * x
         gbar_l1 = float(np.abs(lx).sum())
@@ -296,20 +295,15 @@ class QuadraticTask:
         return evaluation, _NoisyGradients(lx, self._noise_scale(batch), rngs)
 
 
-class _NoisyGradients(Sequence):
-    """Item m is mean + scale * z with z drawn from rngs[m] as it is read."""
+class _NoisyGradients:
+    """Worker m's gradient is mean + scale * z, z drawn from rngs[m] when rows reads it."""
 
     def __init__(self, mean: np.ndarray, scale: np.ndarray, rngs):
         self._mean, self._scale, self._rngs = mean, scale, rngs
 
-    def __len__(self) -> int:
-        return len(self._rngs)
-
-    def __getitem__(self, m: int) -> np.ndarray:
-        return models.add_gaussian_noise(self._mean, self._scale, self._rngs[m])
-
     def rows(self, workers: range) -> tuple[np.ndarray, tuple | None]:
-        """(g, failed): the items as rows; if worker m's raised, the rows before and (m, error)."""
+        """(g, failed): the workers' gradients as rows; if worker m's draw
+        raised, the rows before it and (m, error)."""
         g = np.empty((len(workers), self._mean.size))
         for i, m in enumerate(workers):
             try:
@@ -337,10 +331,13 @@ class ClassificationTask:
             classes = _checks.count(data.pop("num_classes", 10), "num_classes")
             separation = float(_checks.real(data.pop("separation", 3.0), "separation"))
             test_fraction = float(_checks.real(data.pop("test_fraction", 0.2), "test_fraction", "in [0, 1)"))
+            n_test = int(round(test_fraction * n_samples))
+            if not 0 < n_test < n_samples:
+                raise ValueError(f"test_fraction must leave a test and a training sample, "
+                                 f"got {test_fraction} of {n_samples} samples")
             full = models.synth_classification(
                 n_samples, d, classes, separation, derive_rng(cfg.seed, "data")
             )
-            n_test = int(round(test_fraction * n_samples))
             n_train = n_samples - n_test
             self.train = full.subset(np.arange(n_train))
             self.test = full.subset(np.arange(n_train, n_samples))
@@ -351,6 +348,8 @@ class ClassificationTask:
                     raise ValueError(f"idx data needs {key} as a file path, got {path!r}")
             self.train = models.load_idx_dataset(paths["train_images"], paths["train_labels"])
             self.test = models.load_idx_dataset(paths["test_images"], paths["test_labels"])
+            if not len(self.test):
+                raise ValueError(f"test_images {paths['test_images']} holds no samples")
         else:
             raise ValueError(f"unknown data source {source!r}")
         if data:
@@ -556,8 +555,9 @@ def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs, dim):
     dense = rule.selector == "all"
     columns = None if dense else np.empty((m_workers, k), dtype=np.int64)
     sent = np.empty((m_workers, dim if dense else k))
-    # A share's workers are consecutive only at T = 1.
-    block = max(1, _THREADED_MIN_DIM // dim) if threads == 1 else 1
+    # A share's workers are consecutive only at T = 1; threads run only from
+    # the gate up, where a block is one row.
+    block = max(1, _THREADED_MIN_DIM // dim)
     args = (rule, grads, memory, eta, k, rngs, block, columns, sent)
     futures = [
         pool.submit(contextvars.copy_context().run, _worker_share, range(i, m_workers, threads), *args)

@@ -164,8 +164,7 @@ class BoundInputs:
     l1_smoothness is the l1 norm of the coordinate-wise smoothness vector,
     sigma_l1 the l1 norm of the per-coordinate gradient-noise scales, and
     f0_minus_fstar the initial optimality gap.  The stated rates assume the
-    horizon-matched batch size B = T; batch is retained for reporting when a
-    run deviates from that.
+    horizon-matched batch size B = T.
     """
 
     m: int
@@ -175,7 +174,6 @@ class BoundInputs:
     sigma_l1: float
     f0_minus_fstar: float
     t: int
-    batch: int | None = None
 
     def __post_init__(self):
         _checks.count(self.m, "worker count")
@@ -185,8 +183,6 @@ class BoundInputs:
         _checks.real(self.sigma_l1, "sigma_l1", "non-negative")
         _checks.real(self.f0_minus_fstar, "f0_minus_fstar", "non-negative")
         _checks.count(self.t, "t")
-        if self.batch is not None:
-            _checks.batch_size(self.batch, "batch")
 
 
 def _bound(inp: BoundInputs, noise_factor: float) -> float:

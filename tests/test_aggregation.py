@@ -1,5 +1,7 @@
 """Majority vote and averaging against dense recount oracles."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -113,13 +115,13 @@ class TestMajorityVote:
     ])
     def test_nonzero_message_refuses_a_hand_built_ternary_that_is_not_one(self, ternary):
         zeros = np.zeros(3, dtype=np.int64)
-        vote = VoteResult(3, ternary, np.arange(3), zeros, zeros)
+        vote = VoteResult(3, ternary, zeros, zeros)
         with pytest.raises(ValueError, match=r"^ternary must be a \(3,\) array of -1, 0 and \+1$"):
             vote.nonzero_message()
 
     def test_nonzero_message_of_a_hand_built_float_ternary_has_int8_signs(self):
         zeros = np.zeros(3, dtype=np.int64)
-        sparse = VoteResult(3, np.array([1.0, 0.0, -1.0]), np.arange(3), zeros, zeros).nonzero_message()
+        sparse = VoteResult(3, np.array([1.0, 0.0, -1.0]), zeros, zeros).nonzero_message()
         assert sparse.signs.dtype == np.int8 and sparse.entries == [(0, 1), (2, -1)]
 
 
@@ -141,10 +143,13 @@ class TestParticipationCount:
     @settings(max_examples=200, deadline=None)
     def test_vote_carries_the_counts(self, dim_msgs):
         dim, msgs = dim_msgs
-        for given in (msgs, SignBatch.stack(msgs, dim)):
+        rows = np.array([m.to_dense() for m in msgs], dtype=np.int8).reshape(len(msgs), dim)
+        for given in (msgs, SignBatch.stack(msgs, dim), rows):
             vote = majority_vote(given, dim)
             assert np.array_equal(vote.counts, participation_count([m.indices for m in msgs], dim))
             assert np.array_equal(vote.union_support, np.flatnonzero(vote.counts))
+        # The union is derived from the counts, not stored beside them.
+        assert [f.name for f in dataclasses.fields(VoteResult)] == ["dim", "ternary", "tallies", "counts"]
 
 
 class TestAverageAggregate:

@@ -5,6 +5,7 @@ import io
 import json
 import math
 import re
+import struct
 import warnings
 
 import pytest
@@ -234,6 +235,13 @@ class TestRun:
             ({"learning_rate": 10 ** 400}, "learning_rate must be a positive number"),
             ({"model": {"kind": "quadratic", "noise_std": 10 ** 400}}, "noise_std must be a number"),
             (logistic(data={"separation": 10 ** 400}), "separation must be a finite number"),
+            # A test or training set with no sample is refused by name, not
+            # at round 0 or by the partition.
+            (logistic(data={"test_fraction": 0}), "test_fraction must leave a test and a training sample"),
+            (logistic(data={"n_samples": 100, "test_fraction": 0.004}),
+             "test_fraction must leave a test and a training sample, got 0.004 of 100 samples"),
+            (logistic(data={"n_samples": 10, "test_fraction": 0.99}),
+             "test_fraction must leave a test and a training sample, got 0.99 of 10 samples"),
         ],
     )
     def test_mistyped_config_is_one_error_line(self, quad_config, override, message, capsys):
@@ -242,6 +250,20 @@ class TestRun:
         err = capsys.readouterr().err
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
+
+    def test_idx_test_set_with_no_sample_is_one_error_line(self, quad_config, tmp_path, capsys):
+        def write_idx(stem, n):
+            images, labels = tmp_path / f"{stem}-images", tmp_path / f"{stem}-labels"
+            images.write_bytes(struct.pack(">IIII", 0x803, n, 2, 2) + bytes(range(4 * n)))
+            labels.write_bytes(struct.pack(">II", 0x801, n) + bytes(i % 2 for i in range(n)))
+            return str(images), str(labels)
+
+        train, test = write_idx("train", 6), write_idx("test", 0)
+        data = {"source": "idx", "train_images": train[0], "train_labels": train[1],
+                "test_images": test[0], "test_labels": test[1]}
+        quad_config.write_text(json.dumps({**QUAD, "n": None, "model": {"kind": "logistic"}, "data": data}))
+        assert main(["run", "--config", str(quad_config)]) == 1
+        assert capsys.readouterr().err == f"error: test_images {test[0]} holds no samples\n"
 
     @given(field_and_value=st.sampled_from(sorted(BAD_VALUES)).flatmap(
         lambda name: st.tuples(st.just(name), BAD_VALUES[name])))
@@ -381,10 +403,14 @@ class TestTheoryEval:
         assert "error:" in capsys.readouterr().err
 
     def test_wrong_argument_name(self, capsys):
-        code = main(["theory", "eval", "--bound", "alpha",
-                     "--params", json.dumps({"workers": 3, "gamma": 0.5})])
-        assert code == 2
-        assert "error:" in capsys.readouterr().err
+        bound_inputs = {"m": 8, "gamma": 0.1, "epsilon": 1.0, "l1_smoothness": 16.0,
+                        "sigma_l1": 1.0, "f0_minus_fstar": 1.0, "t": 100}
+        for bound, params, name in [("alpha", {"workers": 3, "gamma": 0.5}, "workers"),
+                                    ("convergence_bound_randk", {**bound_inputs, "batch": 4}, "batch")]:
+            code = main(["theory", "eval", "--bound", bound, "--params", json.dumps(params)])
+            assert code == 2
+            err = capsys.readouterr().err
+            assert err.startswith("error:") and f"'{name}'" in err
 
     @pytest.mark.parametrize(
         "bound, params",
@@ -436,9 +462,6 @@ class TestTheoryEval:
             ("convergence_bound_topk", {"m": 8, "gamma": 0.1, "epsilon": 1.0,
                                         "l1_smoothness": 16.0, "sigma_l1": True,
                                         "f0_minus_fstar": 1.0, "t": 100}),
-            ("convergence_bound_randk", {"m": 8, "gamma": 0.1, "epsilon": 1.0,
-                                         "l1_smoothness": 16.0, "sigma_l1": 1.0,
-                                         "f0_minus_fstar": 1.0, "t": 100, "batch": True}),
             # Finite inputs whose bound overflows: JSON has no Infinity.
             ("gamma_star", {"m": 8, "epsilon": 1.0, "f0_minus_fstar": 1e308,
                             "l1_smoothness": 1e308, "sigma_l1": 1e-308}),

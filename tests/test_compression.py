@@ -202,30 +202,13 @@ class TestAgainstArgpartitionReference:
         eta = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
         k = edge_or_any_k(data, n)
         ref_msg, ref_e_next, ref_g, ref_support = ref_error_feedback_step(g_tilde, e, eta, k)
-        support, sent = error_feedback_step(g_tilde, e, eta, k)
-        assert SignBatch.quantize(n, [support], [sent])[0] == ref_msg
-        assert support.tolist() == ref_support.tolist()
-        assert e.tobytes() == ref_e_next.tobytes()
-        assert sent.tobytes() == ref_g[ref_support].tobytes()
-
-    @pytest.mark.parametrize("overwrite_g", [False, True])
-    @given(tie_heavy_vectors(), st.data())
-    @settings(max_examples=150, deadline=None)
-    def test_overwrite_g_changes_only_g_tilde(self, overwrite_g, g_tilde, data):
-        n = g_tilde.size
-        e = np.array(data.draw(st.lists(st.integers(-3, 3), min_size=n, max_size=n)), dtype=float)
-        eta = data.draw(st.sampled_from([0.0, 0.5, 1.0]))
-        k = edge_or_any_k(data, n)
-        ref_msg, ref_e_next, ref_g, ref_support = ref_error_feedback_step(g_tilde, e, eta, k)
         given_g = g_tilde.copy()
-        support, sent = error_feedback_step(given_g, e, eta, k, overwrite_g=overwrite_g)
-        assert SignBatch.quantize(n, [support], [sent])[0] == ref_msg
+        support, sent = error_feedback_step(given_g, e, eta, k)
+        assert SignBatch.quantize(n, support[None], sent[None])[0] == ref_msg
         assert support.tolist() == ref_support.tolist()
         assert e.tobytes() == ref_e_next.tobytes()
         assert sent.tobytes() == ref_g[ref_support].tobytes()
-        # Scratch holds |g|; otherwise g_tilde is left as it was.
-        after = np.abs(ref_g) if overwrite_g else g_tilde
-        assert given_g.tobytes() == after.tobytes()
+        assert given_g.tobytes() == g_tilde.tobytes()
 
 
 class TestTopKSign:
@@ -293,7 +276,7 @@ def feedback(g_tilde, e, eta, k):
     support, sent = error_feedback_step(g_tilde, e_next, eta, k)
     g = e_next.copy()
     g[support] = sent
-    return SignBatch.quantize(g.size, [support], [sent])[0], e_next, g, support
+    return SignBatch.quantize(g.size, support[None], sent[None])[0], e_next, g, support
 
 
 class TestErrorFeedbackStep:
@@ -364,7 +347,7 @@ class TestErrorFeedbackStep:
         expected[support] = 0.0
         assert memory[1].tolist() == expected.tolist()
         assert np.array_equal(memory[[0, 2]], before[[0, 2]])
-        assert SignBatch.quantize(50, [support], [sent])[0] == top_k_sign(g, 7)
+        assert SignBatch.quantize(50, support[None], sent[None])[0] == top_k_sign(g, 7)
 
     def test_memory_must_be_a_float64_array(self):
         for e in ([0.0, 0.0], np.zeros(2, dtype=np.float32), np.zeros(2, dtype=np.int64)):
@@ -489,14 +472,15 @@ class TestSparseSignVector:
 
 @st.composite
 def selections(draw):
-    """(dim, supports, values) of up to 5 workers, with exact zeros among the values."""
+    """(dim, supports, values) of up to 5 workers as (M, K) rows, with exact
+    zeros among the values, so the messages' counts may differ."""
     dim = draw(st.integers(1, 12))
-    supports, values = [], []
-    for _ in range(draw(st.integers(1, 5))):
-        chosen = sorted(draw(st.sets(st.integers(0, dim - 1))))
-        supports.append(np.array(chosen, dtype=np.int64))
-        values.append(np.array([draw(st.sampled_from([-2.5, 0.0, 1.0])) for _ in chosen]))
-    return dim, supports, values
+    k = draw(st.integers(0, dim))
+    m = draw(st.integers(1, 5))
+    supports = np.array([sorted(draw(st.sets(st.integers(0, dim - 1), min_size=k, max_size=k)))
+                         for _ in range(m)], dtype=np.int64).reshape(m, k)
+    values = np.array(draw(st.lists(st.sampled_from([-2.5, 0.0, 1.0]), min_size=m * k, max_size=m * k)))
+    return dim, supports, values.reshape(m, k)
 
 
 class TestSignBatch:
