@@ -165,9 +165,15 @@ def _xent_delta(e: np.ndarray, sums: np.ndarray, labels: np.ndarray) -> np.ndarr
 
 
 def _layer_grad(delta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
-    """[dW.ravel(), db] of one dense layer from its output delta and its inputs."""
+    """[dW.ravel(), db] of one dense layer from its output delta and its inputs.
+
+    db is delta.sum(axis=-2) bit for bit.  Over two or more columns, einsum
+    adds the rows in order, as sum does, at under half sum's per-row cost; a
+    one-column delta takes sum, since einsum's unrolled loop would reorder it.
+    """
     dw = np.swapaxes(delta, -1, -2) @ inputs
-    return np.concatenate([dw.reshape(*dw.shape[:-2], -1), delta.sum(axis=-2)], axis=-1)
+    db = np.einsum("...ij->...j", delta) if delta.shape[-1] > 1 else delta.sum(axis=-2)
+    return np.concatenate([dw.reshape(*dw.shape[:-2], -1), db], axis=-1)
 
 
 # --------------------------------------------------------------------------
@@ -286,7 +292,11 @@ def partition_dataset(
 
 
 def minibatch_indices(shard: WorkerShard, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """Dataset rows of batch samples drawn from the shard uniformly with replacement."""
+    """Dataset rows of batch samples drawn from the shard uniformly with replacement.
+
+    The per-call form: a classifier's round_pass draws the same rows for all
+    M workers at once with rng.integers_rows.
+    """
     if batch < 1:
         raise ValueError(f"batch must be positive, got {batch}")
     if len(shard) == 0:
@@ -333,7 +343,7 @@ def synth_classification(
 ) -> Dataset:
     """Balanced Gaussian blobs: class means at distance ~separation, unit noise."""
     if n < num_classes:
-        raise ValueError(f"need at least one sample per class, got n={n}, classes={num_classes}")
+        raise ValueError(f"n_samples must be at least num_classes, got n_samples {n}, num_classes {num_classes}")
     means = rng.normal(size=(num_classes, d))
     means *= separation / np.linalg.norm(means, axis=1, keepdims=True)
     labels = rng.permutation(np.arange(n) % num_classes)

@@ -52,7 +52,7 @@ from . import _checks, models
 from .aggregation import average_aggregate, majority_vote, participation_count
 from .codec import ALGORITHMS, _Rule, analytic_round_cost, message_bit_lengths
 from .compression import SignBatch, _error_feedback_rows, rand_k_select
-from .rng import WorkerStreams, derive_rng, worker_rngs
+from .rng import WorkerStreams, derive_rng, integers_rows, worker_rngs
 
 __all__ = [
     "ExperimentConfig",
@@ -379,9 +379,22 @@ class ClassificationTask:
         # The stacked minibatches and their activations, (M, B, width) each.
         _checks.count(cfg.m * _batch_size(cfg) * max(self.arch), "m * batch_size * the widest layer",
                       high=_checks.FLOATS_MAX)
+        n_train = len(self.train)
+        train_set = (f"n_samples {n_samples} leaves {n_train} for training" if source == "synthetic"
+                     else f"train_images holds {n_train}")
+        if cfg.m > n_train:
+            raise ValueError(f"m must be at most the training sample count, got {cfg.m}: {train_set}")
         self.shards = models.partition_dataset(
             self.train, cfg.m, mode, derive_rng(cfg.seed, "partition")
         )
+        sizes = np.array([len(shard) for shard in self.shards])
+        if not sizes.all():
+            raise ValueError(
+                f"m {cfg.m} leaves worker {sizes.argmin()} an empty shard: NONIID gives the training samples "
+                f"of each of the num_classes {self.train.num_classes} classes to its workers, and {train_set}")
+        # The shards' rows end to end, and where each starts, for round_pass's draw.
+        self._shard_rows = np.concatenate([shard.indices for shard in self.shards])
+        self._shard_sizes, self._shard_starts = sizes, np.cumsum(sizes) - sizes
         self._seed = cfg.seed
 
     def init_params(self) -> np.ndarray:
@@ -423,14 +436,14 @@ class ClassificationTask:
         Returns ((train_loss, test_metric, gbar_l1), grads), equal bit for bit
         to those methods at x and to worker_grad(x, m, batch, rngs[m]) for each
         worker m.  One forward pass over the training set gives the loss and
-        the full-batch gradient; each worker draws its minibatch from its own
-        stream, and one pass over the (M, batch) stack gives the (M, N)
-        gradients.
+        the full-batch gradient; the M minibatches are drawn in one pass,
+        each from its worker's own stream (rng.integers_rows, so rngs must
+        hold no buffered uint32, as worker_rngs leaves them), and one pass
+        over the (M, batch) stack gives the (M, N) gradients.
         """
         train = self.train
         loss, gbar = models.mlp_loss_grad(x, self.arch, train.features, train.labels)
-        rows = np.stack([models.minibatch_indices(self.shards[m], batch, rng)
-                         for m, rng in enumerate(rngs)])
+        rows = self._shard_rows[self._shard_starts[:, None] + integers_rows(rngs, self._shard_sizes, batch)]
         grads = models.mlp_grad(x, self.arch, train.features[rows], train.labels[rows])
         return (loss, self.test_metric(x), float(np.abs(gbar).sum())), grads
 

@@ -242,6 +242,15 @@ class TestRun:
              "test_fraction must leave a test and a training sample, got 0.004 of 100 samples"),
             (logistic(data={"n_samples": 10, "test_fraction": 0.99}),
              "test_fraction must leave a test and a training sample, got 0.99 of 10 samples"),
+            # A split that leaves a worker no sample is refused by its fields
+            # when the task is built, not at round 0.
+            ({**logistic(data={"n_samples": 20}), "m": 20},
+             "m must be at most the training sample count, got 20: n_samples 20 leaves 16 for training"),
+            ({**logistic(data={"n_samples": 16, "num_classes": 10, "mode": "NONIID"}), "m": 12},
+             "m 12 leaves worker 8 an empty shard: NONIID gives the training samples of each of the "
+             "num_classes 10 classes to its workers, and n_samples 16 leaves 13 for training"),
+            (logistic(data={"n_samples": 20, "num_classes": 30}),
+             "n_samples must be at least num_classes, got n_samples 20, num_classes 30"),
         ],
     )
     def test_mistyped_config_is_one_error_line(self, quad_config, override, message, capsys):

@@ -136,6 +136,16 @@ def quadratic_wide_batch(**overrides):
                         "model": model, **overrides})
 
 
+def logistic_one_sample_shard(**overrides):
+    """M = 5 workers on 3 classes with an odd batch of 3: worker 3's shard is one sample."""
+    base = dict(
+        m=5, t=8, gamma=0.25, learning_rate=1e-2, batch_size=3, seed=1, record_selection=True,
+        model={"kind": "logistic"},
+        data={"n_samples": 15, "d": 3, "num_classes": 3, "mode": "NONIID"},
+    )
+    return ExperimentConfig.from_dict({**base, **overrides})
+
+
 @pytest.mark.parametrize("make", [quadratic, logistic_noniid])
 @pytest.mark.parametrize(
     "alg, cost_mode, mu",
@@ -151,7 +161,15 @@ def test_engine_matches_reference_loop(make, alg, cost_mode, mu):
         assert np.array_equal(ours[-1], ref[-1])
 
 
-@pytest.mark.parametrize("make", [quadratic_all_tied, quadratic_wide_batch])
+def test_one_sample_shard_premise():
+    # The one-sample shard takes numpy's own draw, which draws nothing; the
+    # odd batch leaves a high half buffered for random-K's draw after it.
+    cfg = logistic_one_sample_shard(algorithm="S3GD_MV_RANDK")
+    assert cfg.m > 3 and cfg.batch_size % 2 == 1
+    assert sorted(len(shard) for shard in ClassificationTask(cfg).shards) == [1, 2, 2, 3, 4]
+
+
+@pytest.mark.parametrize("make", [quadratic_all_tied, quadratic_wide_batch, logistic_one_sample_shard])
 @pytest.mark.parametrize("alg, cost_mode", list(itertools.product(ALGORITHMS, ("ANALYTIC", "WIRE"))))
 def test_engine_matches_reference_loop_on_ties_and_batches(make, alg, cost_mode):
     cfg = make(algorithm=alg, cost_mode=cost_mode)

@@ -11,6 +11,7 @@ from sparsevote.models import (
     Dataset,
     IdxFormatError,
     WorkerShard,
+    _layer_grad,
     add_gaussian_noise,
     load_idx_dataset,
     minibatch_indices,
@@ -182,6 +183,34 @@ class TestMlp:
         acc = mlp_accuracy(x, arch, feats, labels)
         assert 0.0 <= acc <= 1.0
         assert np.isfinite(mlp_loss(x, arch, feats, labels))
+
+
+def deltas(seed, shapes, count):
+    """count arrays of the given shapes in turn, magnitudes over 16 decades, both signs."""
+    rng = np.random.default_rng(seed)
+    for i in range(count):
+        shape = shapes[i % len(shapes)]
+        yield rng.standard_normal(shape) * 10.0 ** rng.uniform(-8, 8, shape)
+
+
+class TestBiasColumnSum:
+    """The bias gradient's column sum against delta.sum(axis=-2), bit for bit.
+
+    The full-batch delta is 2-D and the stacked minibatch delta 3-D; the
+    dependency-floor CI step runs these at the oldest numpy supported.
+    """
+
+    def test_einsum_adds_rows_in_sums_order_over_two_or_more_columns(self):
+        shapes = [(1600, 10), (10, 32, 10), (1600, 2), (10, 33, 32), (2, 3, 50, 7), (1, 5), (7, 1, 3)]
+        for delta in deltas(2024, shapes, 200):
+            assert np.einsum("...ij->...j", delta).tobytes() == delta.sum(axis=-2).tobytes()
+
+    @pytest.mark.parametrize("shape", [(1600, 10), (10, 32, 10), (1600, 1), (10, 32, 1), (257, 1), (1, 1)])
+    def test_layer_grad_bias_is_the_column_sum_at_every_width(self, shape):
+        for delta in deltas(shape[-1], [shape], 20):
+            inputs = np.ones((*shape[:-1], 3))
+            bias = _layer_grad(delta, inputs)[..., -shape[-1]:]
+            assert bias.tobytes() == delta.sum(axis=-2).tobytes()
 
 
 def toy_dataset(n=20, d=3, c=4, seed=0):

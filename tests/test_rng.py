@@ -1,8 +1,10 @@
-"""The block-derived worker streams against numpy's own derivation.
+"""The block-derived worker streams and draws against numpy's own.
 
 WorkerStreams runs SeedSequence's hash and PCG64's seeding step as array
 passes over a block of (worker, round) pairs; worker_rngs re-seeds the run's
 generators in place.  Every state must equal worker_rng's, the reference.
+integers_rows draws every worker's bounded integers in one pass; each row
+and each generator's later draws must equal numpy's own integers call's.
 """
 
 import numpy as np
@@ -11,7 +13,7 @@ from hypothesis import example, given
 from hypothesis import strategies as st
 
 from sparsevote import rng
-from sparsevote.rng import WorkerStreams, worker_rng, worker_rngs
+from sparsevote.rng import WorkerStreams, integers_rows, worker_rng, worker_rngs
 
 
 def state(generator) -> dict:
@@ -98,3 +100,38 @@ def test_the_generators_are_reused_in_place():
     streams = WorkerStreams(0, 3, 2)
     first = worker_rngs(streams, 0)
     assert [id(g) for g in worker_rngs(streams, 1)] == [id(g) for g in first]
+
+
+# 3 * 2**30 rejects a quarter of all words; 2**32 is numpy's plain uint32
+# path, and 2**32 + 1 its 64-bit one.
+BOUNDS = [1, 2, 160, 3 * 2**30, 2**32, 2**32 + 1]
+
+
+def live_state(generator) -> dict:
+    """The state with the uint32 buffer dropped when no draw reads it."""
+    full = state(generator)
+    return full if full["has_uint32"] else {**full, "uinteger": 0}
+
+
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    t=st.integers(0, 2**16),
+    bounds=st.lists(st.sampled_from(BOUNDS), min_size=1, max_size=6),
+    size=st.integers(1, 9),
+)
+@example(seed=0, t=0, bounds=BOUNDS, size=1)
+@example(seed=0, t=1, bounds=BOUNDS, size=8)
+@example(seed=3, t=2, bounds=BOUNDS, size=33)
+@example(seed=4, t=3, bounds=[3 * 2**30] * 4, size=32)
+def test_integers_rows_equal_each_generators_own_draw(seed, t, bounds, size):
+    streams = WorkerStreams(seed, len(bounds), t + 1)
+    generators = worker_rngs(streams, t)
+    rows = integers_rows(generators, np.array(bounds), size)
+    assert rows.dtype == np.int64 and rows.shape == (len(bounds), size)
+    for m, (generator, bound) in enumerate(zip(generators, bounds)):
+        reference = worker_rng(seed, m, t)
+        np.testing.assert_array_equal(rows[m], reference.integers(0, bound, size=size))
+        assert live_state(generator) == live_state(reference), (m, bound)
+        for draw in (lambda g: g.integers(0, bound, size=3), lambda g: g.choice(bound, 2),
+                     lambda g: g.random(2)):
+            np.testing.assert_array_equal(draw(generator), draw(reference))
