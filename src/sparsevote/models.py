@@ -1,19 +1,17 @@
-"""Desk-scale objectives and data handling for the simulator.
+"""Desk-scale classifiers and data handling for the simulator.
 
-Two objectives, each exposing loss and an exact analytic gradient:
+A small fully-connected net with tanh hidden units and a softmax
+cross-entropy head, with its mean loss and exact backprop gradient from one
+forward pass, the gradient alone (also of a stack of batches) and its
+accuracy.  Per layer l the parameters are the slice [W_l.ravel(), b_l],
+layers concatenated first to last.  Multinomial logistic regression is the
+net without a hidden layer, arch [features, classes]: layout [W.ravel(), b]
+with W of shape (classes, features).
 
-  * diagonal quadratic   f(x) = 0.5 * sum_n L_n x_n^2; a stochastic gradient
-    is add_gaussian_noise(L * x, noise_std, rng), per-coordinate Gaussian
-    noise around the exact gradient
-  * small fully-connected net with tanh hidden units and a softmax
-    cross-entropy head; per layer l the slice [W_l.ravel(), b_l], layers
-    concatenated first to last.  Multinomial logistic regression is the net
-    without a hidden layer, arch [features, classes]: layout [W.ravel(), b]
-    with W of shape (classes, features)
-
-plus dataset partitioning across workers (IID or label-skewed), minibatch
-rows drawn with replacement, a big-endian IDX image/label reader, and a
-Gaussian-blob synthetic classification generator.
+Plus dataset partitioning across workers (IID or label-skewed), a big-endian
+IDX image/label reader, and a Gaussian-blob synthetic classification
+generator.  The diagonal quadratic needs no model code: its task in the
+simulator forms L * x and the noise itself.
 """
 
 from __future__ import annotations
@@ -27,15 +25,11 @@ __all__ = [
     "IdxFormatError",
     "Dataset",
     "WorkerShard",
-    "add_gaussian_noise",
-    "quadratic_loss",
     "mlp_param_count",
     "mlp_grad",
-    "mlp_loss",
     "mlp_loss_grad",
     "mlp_accuracy",
     "partition_dataset",
-    "minibatch_indices",
     "load_idx_dataset",
     "synth_classification",
 ]
@@ -91,27 +85,6 @@ class WorkerShard:
 
     def __len__(self) -> int:
         return int(self.indices.size)
-
-
-# --------------------------------------------------------------------------
-# diagonal quadratic
-
-def add_gaussian_noise(
-    mean: np.ndarray, noise_std: float | np.ndarray, rng: np.random.Generator
-) -> np.ndarray:
-    """mean + noise_std * z, z a standard normal draw scaled and shifted in place."""
-    g = rng.standard_normal(mean.size)
-    g *= noise_std
-    g += mean
-    return g
-
-
-def quadratic_loss(x: np.ndarray, l_diag: np.ndarray) -> float:
-    x = np.asarray(x, dtype=np.float64)
-    l_diag = np.asarray(l_diag, dtype=np.float64)
-    if x.shape != l_diag.shape:
-        raise ValueError(f"shape mismatch: x {x.shape} vs l_diag {l_diag.shape}")
-    return float(0.5 * np.sum(l_diag * x * x))
 
 
 # --------------------------------------------------------------------------
@@ -230,17 +203,10 @@ def mlp_grad(x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.nd
     return _mlp_backward(layers, acts, _xent_delta(e, sums, labels))
 
 
-def mlp_loss(x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray) -> float:
-    features, labels = _as_batch(features, labels)
-    _, logits = _mlp_forward(_mlp_unpack(np.asarray(x, dtype=np.float64), arch), features)
-    z, _, sums = _softmax_parts(logits)
-    return _xent_loss(z, sums, labels)
-
-
 def mlp_loss_grad(
     x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray
 ) -> tuple[float, np.ndarray]:
-    """mlp_loss and mlp_grad of one batch from one forward pass, each bit for bit."""
+    """Mean cross-entropy and its gradient, mlp_grad bit for bit, of one batch from one forward pass."""
     features, labels = _as_batch(features, labels)
     layers = _mlp_unpack(np.asarray(x, dtype=np.float64), arch)
     acts, logits = _mlp_forward(layers, features)
@@ -255,7 +221,7 @@ def mlp_accuracy(x: np.ndarray, arch: list[int], features: np.ndarray, labels: n
 
 
 # --------------------------------------------------------------------------
-# partitioning, sampling, loading
+# partitioning, loading
 
 def partition_dataset(
     ds: Dataset, m: int, mode: str, rng: np.random.Generator
@@ -266,6 +232,7 @@ def partition_dataset(
     at most one).  NONIID groups by label: with M <= classes each worker
     takes whole classes round-robin (exactly one when M == classes); with
     M > classes the workers assigned to a class split its samples evenly.
+    A NONIID split that leaves a worker no sample is refused.
     """
     n = len(ds)
     if m < 1:
@@ -286,22 +253,14 @@ def partition_dataset(
                 for owner, chunk in zip(owners, np.array_split(members, len(owners))):
                     parts[owner].extend(chunk)
         parts = [np.asarray(p, dtype=np.int64) for p in parts]
+        empty = [w for w, part in enumerate(parts) if not part.size]
+        if empty:
+            raise ValueError(
+                f"m {m} leaves worker {empty[0]} an empty shard: NONIID gives the samples of each of the "
+                f"num_classes {c} classes to its workers, and {n} samples hold too few of class {empty[0] % c}")
     else:
         raise ValueError(f"unknown partition mode {mode!r}")
     return [WorkerShard(w, part) for w, part in enumerate(parts)]
-
-
-def minibatch_indices(shard: WorkerShard, batch: int, rng: np.random.Generator) -> np.ndarray:
-    """Dataset rows of batch samples drawn from the shard uniformly with replacement.
-
-    The per-call form: a classifier's round_pass draws the same rows for all
-    M workers at once with rng.integers_rows.
-    """
-    if batch < 1:
-        raise ValueError(f"batch must be positive, got {batch}")
-    if len(shard) == 0:
-        raise ValueError(f"worker {shard.worker_id} has an empty shard")
-    return shard.indices[rng.integers(0, len(shard), size=batch)]
 
 
 _IDX_IMAGES_MAGIC = 0x00000803

@@ -261,36 +261,24 @@ class QuadraticTask:
     def l1_smoothness(self) -> float:
         return float(self.l_diag.sum())
 
-    def worker_grad(self, x, worker, batch, rng) -> np.ndarray:
-        return models.add_gaussian_noise(self.l_diag * x, self._noise_scale(batch), rng)
-
     def _noise_scale(self, batch: int) -> np.ndarray:
         # Averaging a size-B minibatch of noisy gradients shrinks the noise
         # scale by sqrt(B); drawing once at the shrunk scale is equivalent.
         return self.noise_std / math.sqrt(batch)
 
-    def train_loss(self, x) -> float:
-        return models.quadratic_loss(x, self.l_diag)
-
-    def gbar_l1(self, x) -> float:
-        return float(np.abs(self.l_diag * x).sum())
-
-    def test_metric(self, x) -> float:
-        # No held-out data; report the exact mean-gradient l1 norm instead.
-        return self.gbar_l1(x)
-
     def round_pass(self, x, batch, rngs):
         """The round's evaluation and worker gradients from one L * x product.
 
-        Returns ((train_loss, test_metric, gbar_l1), grads), equal bit for bit
-        to those methods at x and to worker_grad(x, m, batch, rngs[m]) for each
-        worker m.  grads draws worker m's gradient from rngs[m] when grads.rows
-        reads a block of rows holding it, so a worker's later draws follow its
-        own, on the thread that owns the worker.
+        Returns ((train_loss, test_metric, gbar_l1), grads): the loss
+        0.5 * sum(L * x * x) and the exact mean gradient's l1 norm, which
+        also stands in for the test metric, as there is no held-out data.
+        Worker m's gradient is L * x plus Gaussian noise of scale
+        noise_std / sqrt(batch), drawn from rngs[m] when grads.rows reads a
+        block of rows holding it, so a worker's later draws follow its own,
+        on the thread that owns the worker.
         """
         lx = self.l_diag * x
         gbar_l1 = float(np.abs(lx).sum())
-        # quadratic_loss sums l_diag * x * x, which numpy evaluates as lx * x.
         evaluation = (float(0.5 * np.sum(lx * x)), gbar_l1, gbar_l1)
         return evaluation, _NoisyGradients(lx, self._noise_scale(batch), rngs)
 
@@ -384,16 +372,10 @@ class ClassificationTask:
                      else f"train_images holds {n_train}")
         if cfg.m > n_train:
             raise ValueError(f"m must be at most the training sample count, got {cfg.m}: {train_set}")
-        self.shards = models.partition_dataset(
-            self.train, cfg.m, mode, derive_rng(cfg.seed, "partition")
-        )
-        sizes = np.array([len(shard) for shard in self.shards])
-        if not sizes.all():
-            raise ValueError(
-                f"m {cfg.m} leaves worker {sizes.argmin()} an empty shard: NONIID gives the training samples "
-                f"of each of the num_classes {self.train.num_classes} classes to its workers, and {train_set}")
+        shards = models.partition_dataset(self.train, cfg.m, mode, derive_rng(cfg.seed, "partition"))
+        sizes = np.array([len(shard) for shard in shards])
         # The shards' rows end to end, and where each starts, for round_pass's draw.
-        self._shard_rows = np.concatenate([shard.indices for shard in self.shards])
+        self._shard_rows = np.concatenate([shard.indices for shard in shards])
         self._shard_sizes, self._shard_starts = sizes, np.cumsum(sizes) - sizes
         self._seed = cfg.seed
 
@@ -416,36 +398,26 @@ class ClassificationTask:
     def l1_smoothness(self) -> float:
         raise ValueError("theory schedules need the quadratic model (L1 unknown here)")
 
-    def worker_grad(self, x, worker, batch, rng) -> np.ndarray:
-        rows = models.minibatch_indices(self.shards[worker], batch, rng)
-        return models.mlp_grad(x, self.arch, self.train.features[rows], self.train.labels[rows])
-
-    def train_loss(self, x) -> float:
-        return models.mlp_loss(x, self.arch, self.train.features, self.train.labels)
-
-    def gbar_l1(self, x) -> float:
-        g = models.mlp_grad(x, self.arch, self.train.features, self.train.labels)
-        return float(np.abs(g).sum())
-
-    def test_metric(self, x) -> float:
-        return models.mlp_accuracy(x, self.arch, self.test.features, self.test.labels)
-
     def round_pass(self, x, batch, rngs):
         """The round's evaluation and worker gradients in two array passes.
 
-        Returns ((train_loss, test_metric, gbar_l1), grads), equal bit for bit
-        to those methods at x and to worker_grad(x, m, batch, rngs[m]) for each
-        worker m.  One forward pass over the training set gives the loss and
-        the full-batch gradient; the M minibatches are drawn in one pass,
-        each from its worker's own stream (rng.integers_rows, so rngs must
-        hold no buffered uint32, as worker_rngs leaves them), and one pass
-        over the (M, batch) stack gives the (M, N) gradients.
+        Returns ((train_loss, test_metric, gbar_l1), grads): the mean
+        cross-entropy on the training set, the accuracy on the test set, the
+        l1 norm of the full-batch gradient, and row m of grads the gradient
+        on worker m's minibatch, batch rows of its shard drawn uniformly with
+        replacement as rngs[m].integers(0, shard size, size=batch) would.
+        One forward pass over the training set gives the loss and the
+        full-batch gradient; the M minibatches are drawn in one pass, each
+        from its worker's own stream (rng.integers_rows, so rngs must hold no
+        buffered uint32, as worker_rngs leaves them), and one pass over the
+        (M, batch) stack gives the (M, N) gradients.
         """
         train = self.train
         loss, gbar = models.mlp_loss_grad(x, self.arch, train.features, train.labels)
         rows = self._shard_rows[self._shard_starts[:, None] + integers_rows(rngs, self._shard_sizes, batch)]
         grads = models.mlp_grad(x, self.arch, train.features[rows], train.labels[rows])
-        return (loss, self.test_metric(x), float(np.abs(gbar).sum())), grads
+        accuracy = models.mlp_accuracy(x, self.arch, self.test.features, self.test.labels)
+        return (loss, accuracy, float(np.abs(gbar).sum())), grads
 
 
 _IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")

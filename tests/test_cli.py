@@ -247,8 +247,8 @@ class TestRun:
             ({**logistic(data={"n_samples": 20}), "m": 20},
              "m must be at most the training sample count, got 20: n_samples 20 leaves 16 for training"),
             ({**logistic(data={"n_samples": 16, "num_classes": 10, "mode": "NONIID"}), "m": 12},
-             "m 12 leaves worker 8 an empty shard: NONIID gives the training samples of each of the "
-             "num_classes 10 classes to its workers, and n_samples 16 leaves 13 for training"),
+             "m 12 leaves worker 8 an empty shard: NONIID gives the samples of each of the "
+             "num_classes 10 classes to its workers, and 13 samples hold too few of class 8"),
             (logistic(data={"n_samples": 20, "num_classes": 30}),
              "n_samples must be at least num_classes, got n_samples 20, num_classes 30"),
         ],

@@ -1,7 +1,9 @@
 """The table-driven round engine against a per-worker reference loop.
 
 reference_run is the round loop written out per algorithm as an if-chain,
-from the public compression, aggregation and codec functions only.
+from the public compression, aggregation and codec functions only, with each
+round's evaluation and worker gradients from the per-call reference in
+task_reference.
 run_experiment must reproduce it bit for bit on every RoundMetrics field
 except wall_ms, selection counts included.
 """
@@ -26,6 +28,7 @@ from sparsevote.simulator import (
     resolve_k,
     run_experiment,
 )
+from task_reference import PerCallTask
 
 ALGORITHMS = ("VANILLA_SGD", "TOPK_SGD_MEM", "SIGNSGD_MV", "S3GD_MV", "S3GD_MV_RANDK")
 SIGN = ("SIGNSGD_MV", "S3GD_MV", "S3GD_MV_RANDK")
@@ -35,6 +38,7 @@ SPARSE_SIGN = ("S3GD_MV", "S3GD_MV_RANDK")
 def reference_run(cfg: ExperimentConfig) -> list[tuple]:
     """Per-round (round, algorithm, loss, metric, gbar_l1, up, down, cumulative, counts)."""
     task = QuadraticTask(cfg) if cfg.model["kind"] == "quadratic" else ClassificationTask(cfg)
+    per_call = PerCallTask(task, cfg)
     dim, alg, m_workers = task.dim, cfg.algorithm, cfg.m
     k = resolve_k(cfg.gamma, dim)
     delta = float(cfg.learning_rate)
@@ -45,12 +49,12 @@ def reference_run(cfg: ExperimentConfig) -> list[tuple]:
     cumulative = 0.0
     out = []
     for t in range(cfg.t):
-        row = (t, alg, task.train_loss(x), task.test_metric(x), task.gbar_l1(x))
+        row = (t, alg, *per_call.evaluation(x))
         msgs, dense = [], np.zeros((m_workers, dim))
         counts = np.zeros(dim, dtype=np.int64)
         for m in range(m_workers):
             rng = worker_rng(cfg.seed, m, t)
-            g_tilde = task.worker_grad(x, m, cfg.batch_size, rng)
+            g_tilde = per_call.worker_grad(x, m, cfg.batch_size, rng)
             if alg == "VANILLA_SGD":
                 dense[m] = g_tilde
                 counts += 1
@@ -166,7 +170,8 @@ def test_one_sample_shard_premise():
     # odd batch leaves a high half buffered for random-K's draw after it.
     cfg = logistic_one_sample_shard(algorithm="S3GD_MV_RANDK")
     assert cfg.m > 3 and cfg.batch_size % 2 == 1
-    assert sorted(len(shard) for shard in ClassificationTask(cfg).shards) == [1, 2, 2, 3, 4]
+    task = ClassificationTask(cfg)
+    assert sorted(len(shard) for shard in PerCallTask(task, cfg).shards) == [1, 2, 2, 3, 4]
 
 
 @pytest.mark.parametrize("make", [quadratic_all_tied, quadratic_wide_batch, logistic_one_sample_shard])

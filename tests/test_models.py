@@ -1,4 +1,8 @@
-"""Model gradients against finite differences; data plumbing against recounts."""
+"""Model gradients against finite differences; data plumbing against recounts.
+
+A classifier's loss is the first value mlp_loss_grad returns; the quadratic's
+loss and gradients are the ones its task's round_pass gives.
+"""
 
 import struct
 
@@ -12,18 +16,16 @@ from sparsevote.models import (
     IdxFormatError,
     WorkerShard,
     _layer_grad,
-    add_gaussian_noise,
     load_idx_dataset,
-    minibatch_indices,
     mlp_accuracy,
     mlp_grad,
-    mlp_loss,
     mlp_loss_grad,
     mlp_param_count,
     partition_dataset,
-    quadratic_loss,
     synth_classification,
 )
+from sparsevote.rng import derive_rng, integers_rows
+from sparsevote.simulator import ExperimentConfig, QuadraticTask
 
 
 def central_difference(loss_fn, x, step=1e-4):
@@ -37,38 +39,55 @@ def central_difference(loss_fn, x, step=1e-4):
     return grad
 
 
+def mlp_loss(x, arch, features, labels):
+    return mlp_loss_grad(x, arch, features, labels)[0]
+
+
 def small_batch(rng, n, d, c):
     feats = rng.normal(size=(n, d))
     labels = rng.integers(0, c, size=n)
     return feats, labels.astype(np.int64)
 
 
+def quadratic_task(lipschitz, noise_std=0.0):
+    cfg = ExperimentConfig.from_dict({"algorithm": "S3GD_MV", "m": 1, "t": 1, "n": len(lipschitz),
+                                      "model": {"kind": "quadratic", "lipschitz": list(lipschitz),
+                                                "noise_std": noise_std}})
+    return QuadraticTask(cfg)
+
+
+def quadratic_loss_and_grads(task, x, rngs):
+    """The loss at x and one gradient row per stream, batch 1."""
+    evaluation, grads = task.round_pass(x, 1, rngs)
+    rows, failed = grads.rows(range(len(rngs)))
+    assert failed is None
+    return evaluation[0], rows
+
+
 class TestQuadratic:
     def test_noiseless_gradient(self):
         l_diag = np.array([1.0, 2.0, 4.0])
         x = np.array([1.0, -1.0, 0.5])
-        rng = np.random.default_rng(0)
-        g = add_gaussian_noise(l_diag * x, 0.0, rng)
-        assert np.array_equal(g, l_diag * x)
+        _, g = quadratic_loss_and_grads(quadratic_task(l_diag), x, [np.random.default_rng(0)])
+        assert np.array_equal(g[0], l_diag * x)
 
     def test_loss_value(self):
-        l_diag = np.array([2.0, 4.0])
-        x = np.array([1.0, 1.0])
-        assert quadratic_loss(x, l_diag) == pytest.approx(3.0)
+        loss, _ = quadratic_loss_and_grads(quadratic_task([2.0, 4.0]), np.array([1.0, 1.0]), [])
+        assert loss == pytest.approx(3.0)
 
     def test_loss_gradient_consistent(self):
         rng = np.random.default_rng(3)
-        l_diag = rng.uniform(0.5, 4.0, size=6)
+        task = quadratic_task(rng.uniform(0.5, 4.0, size=6))
         x = rng.normal(size=6)
-        fd = central_difference(lambda z: quadratic_loss(z, l_diag), x)
-        g = add_gaussian_noise(l_diag * x, 0.0, np.random.default_rng(0))
-        assert np.allclose(g, fd, atol=1e-8)
+        fd = central_difference(lambda z: quadratic_loss_and_grads(task, z, [])[0], x)
+        _, g = quadratic_loss_and_grads(task, x, [np.random.default_rng(0)])
+        assert np.allclose(g[0], fd, atol=1e-8)
 
     def test_noise_is_unbiased(self):
         rng = np.random.default_rng(7)
-        l_diag = np.ones(4)
-        x = np.zeros(4)
-        draws = np.stack([add_gaussian_noise(l_diag * x, 2.0, rng) for _ in range(100_000)])
+        task = quadratic_task(np.ones(4), noise_std=2.0)
+        # 100 000 rows from one stream, each drawn after the last.
+        _, draws = quadratic_loss_and_grads(task, np.zeros(4), [rng] * 100_000)
         mean = draws.mean(axis=0)
         # 3 sigma band for the empirical mean of N(0, 4) over 1e5 draws
         assert np.all(np.abs(mean) < 3 * 2.0 / np.sqrt(100_000))
@@ -171,8 +190,7 @@ class TestMlp:
         assert grads.shape == (stack, x.size)
         for i in range(stack):
             assert grads[i].tobytes() == mlp_grad(x, arch, feats[i], labels[i]).tobytes()
-            loss, grad = mlp_loss_grad(x, arch, feats[i], labels[i])
-            assert loss == mlp_loss(x, arch, feats[i], labels[i])
+            _, grad = mlp_loss_grad(x, arch, feats[i], labels[i])
             assert grad.tobytes() == grads[i].tobytes()
 
     def test_accuracy_and_loss_finite(self):
@@ -255,6 +273,16 @@ class TestPartition:
             assert shard.indices.size > 0
             assert np.unique(ds.labels[shard.indices]).size == 1
 
+    def test_noniid_split_that_leaves_a_worker_no_sample_is_refused(self):
+        # The 13 training samples of the seed-0, 16-sample, 10-class synthetic set.
+        ds = synth_classification(16, 16, 10, 3.0, derive_rng(0, "data")).subset(np.arange(13))
+        assert np.bincount(ds.labels, minlength=10)[7] == 0
+        with pytest.raises(ValueError) as info:
+            partition_dataset(ds, 12, "NONIID", derive_rng(0, "partition"))
+        assert str(info.value) == (
+            "m 12 leaves worker 7 an empty shard: NONIID gives the samples of each of the num_classes 10 "
+            "classes to its workers, and 13 samples hold too few of class 7")
+
     def test_errors(self):
         ds = toy_dataset(n=10)
         with pytest.raises(ValueError):
@@ -265,10 +293,15 @@ class TestPartition:
             partition_dataset(ds, 2, "SORTED", np.random.default_rng(0))
 
 
+def minibatch_rows(shard, batch, rng):
+    """A classifier's minibatch: batch rows of the shard, drawn as a round draws them."""
+    return shard.indices[integers_rows([rng], np.array([len(shard)]), batch)[0]]
+
+
 class TestMinibatch:
     def test_draws_from_shard_only(self):
         shard = WorkerShard(0, np.arange(10, 20))
-        rows = minibatch_indices(shard, 8, np.random.default_rng(1))
+        rows = minibatch_rows(shard, 8, np.random.default_rng(1))
         assert rows.shape == (8,)
         assert np.all((rows >= 10) & (rows < 20))
 
@@ -277,7 +310,7 @@ class TestMinibatch:
         rng = np.random.default_rng(5)
         trials = 40_000
         counts = np.bincount(
-            np.concatenate([minibatch_indices(shard, 100, rng) for _ in range(trials // 100)]),
+            np.concatenate([minibatch_rows(shard, 100, rng) for _ in range(trials // 100)]),
             minlength=8,
         )
         expected = trials / 8

@@ -14,7 +14,6 @@ from sparsevote import compression
 from sparsevote.aggregation import majority_vote
 from sparsevote.codec import ALGORITHMS, analytic_round_cost, count_field_width
 from sparsevote.compression import SparseSignVector, rand_k_sign
-from sparsevote.models import add_gaussian_noise
 from sparsevote.rng import worker_rng
 from sparsevote.simulator import (
     CSV_COLUMNS,
@@ -31,6 +30,7 @@ from sparsevote.simulator import (
     sweep,
     update_model,
 )
+from task_reference import PerCallTask
 
 
 CONFIGS = Path(__file__).resolve().parent.parent / "configs"
@@ -581,11 +581,14 @@ class TestQuadraticTask:
         cfg = quad_cfg(t=16, batch_size=batch_size, model={"kind": "quadratic", "noise_std": 6.0})
         task = QuadraticTask(cfg)
         x = np.linspace(-1.0, 1.0, 16)
-        got = task.worker_grad(x, 0, batch, np.random.default_rng(5))
-        expected = add_gaussian_noise(task.l_diag * x, 6.0 / scale, np.random.default_rng(5))
-        assert got.tobytes() == expected.tobytes()
+        _, grads = task.round_pass(x, batch, [np.random.default_rng(5)])
+        got, failed = grads.rows(range(1))
+        expected = np.random.default_rng(5).standard_normal(16)
+        expected *= 6.0 / scale
+        expected += task.l_diag * x
+        assert failed is None and got[0].tobytes() == expected.tobytes()
 
-    def test_worker_grad_keeps_no_batch_state(self):
+    def test_round_pass_keeps_no_batch_state(self):
         # Worker threads share the task, so a gradient at one batch size must
         # not change what another batch size gives.
         cfg = quad_cfg(t=16, batch_size=4, model={"kind": "quadratic", "noise_std": 6.0})
@@ -593,12 +596,11 @@ class TestQuadraticTask:
         state = dict(vars(task))
         x = np.linspace(-1.0, 1.0, 16)
         for batch in (4, 9, 4, 1, 9, 16):
-            got = task.worker_grad(x, 0, batch, np.random.default_rng(batch))
-            fresh = QuadraticTask(cfg).worker_grad(x, 0, batch, np.random.default_rng(batch))
-            assert got.tobytes() == fresh.tobytes()
             _, grads = task.round_pass(x, batch, [np.random.default_rng(batch)])
-            rows, failed = grads.rows(range(1))
-            assert failed is None and rows[0].tobytes() == fresh.tobytes()
+            _, fresh = QuadraticTask(cfg).round_pass(x, batch, [np.random.default_rng(batch)])
+            got, failed = grads.rows(range(1))
+            want, _ = fresh.rows(range(1))
+            assert failed is None and got.tobytes() == want.tobytes()
         assert vars(task).keys() == state.keys()
         assert all(vars(task)[key] is value for key, value in state.items())
 
@@ -626,12 +628,13 @@ def tasks(draw):
 
 
 class TestRoundPass:
-    """round_pass against the per-call task methods, bit for bit."""
+    """round_pass against the per-call reference (task_reference), bit for bit."""
 
     @given(tasks(), st.integers(1, 8), st.integers(0, 2**16), st.floats(0.0, 2.0))
     @settings(max_examples=60, deadline=None)
-    def test_equals_the_evaluation_methods_and_worker_grads(self, made, batch, t, scale):
+    def test_equals_the_per_call_reference(self, made, batch, t, scale):
         task, raw = made
+        per_call = PerCallTask(task, ExperimentConfig.from_dict(raw))
         x = task.init_params() + scale * np.random.default_rng(t).standard_normal(task.dim)
         k = resolve_k(0.3, task.dim)
         rngs = [worker_rng(raw["seed"], m, t) for m in range(raw["m"])]
@@ -642,12 +645,12 @@ class TestRoundPass:
         # Each worker's rand-K draw follows its gradient draw on its stream.
         got = [(g, rand_k_sign(g, k, rng)) for g, rng in zip(grads, rngs)]
 
-        expected = (task.train_loss(x), task.test_metric(x), task.gbar_l1(x))
+        expected = per_call.evaluation(x)
         assert np.array(evaluation).tobytes() == np.array(expected).tobytes()
         assert len(got) == raw["m"]
         for m, (g, msg) in enumerate(got):
             rng = worker_rng(raw["seed"], m, t)
-            want = task.worker_grad(x, m, batch, rng)
+            want = per_call.worker_grad(x, m, batch, rng)
             assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
             assert msg == rand_k_sign(want, k, rng)
 
