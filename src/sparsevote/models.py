@@ -1,12 +1,14 @@
 """Desk-scale classifiers and data handling for the simulator.
 
 A small fully-connected net with tanh hidden units and a softmax
-cross-entropy head, with its mean loss and exact backprop gradient from one
-forward pass, the gradient alone (also of a stack of batches) and its
-accuracy.  Per layer l the parameters are the slice [W_l.ravel(), b_l],
-layers concatenated first to last.  Multinomial logistic regression is the
-net without a hidden layer, arch [features, classes]: layout [W.ravel(), b]
-with W of shape (classes, features).
+cross-entropy head.  It has one forward, one softmax head and one backward,
+in mlp_pass: the mean loss of a batch, the exact backprop gradient of each
+of several batches (a stack of batches too) and the accuracy on a test set,
+all from one pass over their rows, each with the bits of its batch's own
+pass.  mlp_grad is its one-batch case.  Per layer l the parameters are the
+slice [W_l.ravel(), b_l], layers concatenated first to last.  Multinomial
+logistic regression is the net without a hidden layer, arch [features,
+classes]: layout [W.ravel(), b] with W of shape (classes, features).
 
 Plus dataset partitioning across workers (IID or label-skewed), a big-endian
 IDX image/label reader, and a Gaussian-blob synthetic classification
@@ -16,6 +18,7 @@ simulator forms L * x and the noise itself.
 
 from __future__ import annotations
 
+import math
 import struct
 from dataclasses import dataclass
 
@@ -26,9 +29,8 @@ __all__ = [
     "Dataset",
     "WorkerShard",
     "mlp_param_count",
+    "mlp_pass",
     "mlp_grad",
-    "mlp_loss_grad",
-    "mlp_accuracy",
     "partition_dataset",
     "load_idx_dataset",
     "synth_classification",
@@ -88,12 +90,11 @@ class WorkerShard:
 
 
 # --------------------------------------------------------------------------
-# softmax cross-entropy heads
+# small fully-connected net, tanh hidden units, softmax cross-entropy head
 #
-# The classifiers below take a batch as features (n, d) with labels (n,).
-# The gradients also take a stack of batches, features (..., n, d) with
-# labels (..., n), and return one gradient per batch, shape (..., N); each
-# equals the gradient of its batch alone bit for bit.
+# A batch is features (n, d) with labels (n,), or a stack of batches,
+# features (..., n, d) with labels (..., n), whose gradient is one per batch,
+# shape (..., N), each equal to the gradient of its batch alone bit for bit.
 
 def _as_batch(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     features = np.asarray(features, dtype=np.float64)
@@ -107,36 +108,6 @@ def _as_batch(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.
     return features, labels
 
 
-def _softmax_parts(logits: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Logits z shifted by their row max, exp(z) and its row sums (kept as a column).
-
-    z is logits itself, shifted in place.
-    """
-    # numpy reduces a short last axis row by row; with the classes moved to
-    # the front the max runs across rows, and a max is exact in any order.
-    logits -= np.ascontiguousarray(np.moveaxis(logits, -1, 0)).max(axis=0)[..., None]
-    e = np.exp(logits)
-    return logits, e, e.sum(axis=-1, keepdims=True)
-
-
-def _label_entries(logits: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """Flat positions in the logits of each sample's label entry."""
-    return np.arange(labels.size) * logits.shape[-1] + labels.reshape(-1)
-
-
-def _xent_loss(z: np.ndarray, sums: np.ndarray, labels: np.ndarray) -> float:
-    """Mean cross-entropy over one batch from _softmax_parts."""
-    return float(np.mean(np.log(sums[:, 0]) - z.reshape(-1)[_label_entries(z, labels)]))
-
-
-def _xent_delta(e: np.ndarray, sums: np.ndarray, labels: np.ndarray) -> np.ndarray:
-    """(softmax - onehot) / n: the mean cross-entropy's gradient in the logits, in place in e."""
-    e /= sums
-    e.reshape(-1)[_label_entries(e, labels)] -= 1.0
-    e /= labels.shape[-1]
-    return e
-
-
 def _layer_grad(delta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     """[dW.ravel(), db] of one dense layer from its output delta and its inputs.
 
@@ -148,9 +119,6 @@ def _layer_grad(delta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
     db = np.einsum("...ij->...j", delta) if delta.shape[-1] > 1 else delta.sum(axis=-2)
     return np.concatenate([dw.reshape(*dw.shape[:-2], -1), db], axis=-1)
 
-
-# --------------------------------------------------------------------------
-# small fully-connected net, tanh hidden units, manual backprop
 
 def mlp_param_count(arch: list[int]) -> int:
     if len(arch) < 2 or any(a < 1 for a in arch):
@@ -175,49 +143,107 @@ def _mlp_unpack(x: np.ndarray, arch: list[int]) -> list[tuple[np.ndarray, np.nda
     return layers
 
 
-def _mlp_forward(layers, features):
-    acts = [features]
-    for w, b in layers[:-1]:
-        acts.append(np.tanh(acts[-1] @ w.T + b))
-    w, b = layers[-1]
-    logits = acts[-1] @ w.T + b
-    return acts, logits
+def _split(buffer: np.ndarray, shapes: list[tuple], spans: list[tuple[int, int]]) -> list[np.ndarray]:
+    """Each batch's rows of a row buffer, as views in the batch's own shape."""
+    return [buffer[lo:hi].reshape(*shape, -1) for shape, (lo, hi) in zip(shapes, spans)]
 
 
-def _mlp_backward(layers, acts, delta) -> np.ndarray:
-    grads: list[np.ndarray] = []
+def mlp_pass(
+    x: np.ndarray,
+    arch: list[int],
+    batches: list[tuple[np.ndarray, np.ndarray]],
+    test: tuple[np.ndarray, np.ndarray] | None = None,
+) -> tuple[float, list[np.ndarray], float | None]:
+    """The net's loss, gradients and accuracy from one forward, softmax head and backward.
+
+    batches holds (features, labels) pairs, each a batch or a stack; test,
+    if given, is one more batch.  Returns (loss, grads, accuracy): the mean
+    cross-entropy over the rows of batches[0], each batch's mean
+    cross-entropy gradient in the layout above, and the fraction of test
+    rows whose largest logit is their label's (None without test).
+
+    Each layer's outputs are one row buffer, [batches in order | test rows].
+    Every matmul runs per batch, on that batch's operands in its own shape,
+    into the batch's slice of the buffer.  The steps that work on single
+    entries or single rows run once over all rows: + b and tanh; and over
+    the labelled rows, the row max, the shift, exp, the row sums, the divide
+    by them and the label's -1.  The test rows take their argmax before the
+    shift.  What adds over a batch's samples stays per batch: the loss
+    mean, the / n, the bias column sums, delta.T @ inputs and delta @ W.  So
+    each result has the bits its batch would give in a pass of its own.
+    """
+    layers = _mlp_unpack(np.asarray(x, dtype=np.float64), arch)
+    batches = [_as_batch(features, labels) for features, labels in batches]
+    if not batches:
+        raise ValueError("mlp_pass needs at least one batch")
+    inputs = [features for features, _ in batches]
+    if test is not None:
+        test = _as_batch(*test)
+        if test[0].ndim != 2:
+            raise ValueError(f"test set must be one batch, got features {test[0].shape}")
+        inputs.append(test[0])
+    shapes = [features.shape[:-1] for features in inputs]
+    bounds = [0]
+    for shape in shapes:
+        bounds.append(bounds[-1] + math.prod(shape))
+    spans = list(zip(bounds, bounds[1:]))
+    labelled = bounds[len(batches)]
+
+    # acts[i] holds each input's rows into layer i, outs[i] layer i's buffer.
+    acts, outs = [inputs], []
+    for i, (w, b) in enumerate(layers):
+        out = np.empty((bounds[-1], w.shape[0]))
+        views = _split(out, shapes, spans)
+        for rows, view in zip(acts[-1], views):
+            np.matmul(rows, w.T, out=view)
+        out += b
+        if i < len(layers) - 1:
+            np.tanh(out, out=out)
+        acts.append(views)
+        outs.append(out)
+
+    logits = outs[-1]
+    accuracy = None
+    if test is not None:
+        accuracy = float(np.mean(logits[labelled:].argmax(axis=1) == test[1]))
+    # numpy reduces a short last axis row by row; with the classes moved to
+    # the front the max runs across rows, and a max is exact in any order.
+    z = logits[:labelled]
+    z -= np.ascontiguousarray(z.T).max(axis=0)[:, None]
+    e = np.exp(z)
+    sums = e.sum(axis=1, keepdims=True)
+    # Flat positions in z of each labelled row's label entry.
+    entries = np.arange(0, z.size, z.shape[1])
+    entries += np.concatenate([labels.reshape(-1) for _, labels in batches])
+    first = bounds[1]
+    loss = float(np.mean(np.log(sums[:first, 0]) - z.reshape(-1)[entries[:first]]))
+    # delta = (softmax - onehot) / n, in place in e.
+    e /= sums
+    e.reshape(-1)[entries] -= 1.0
+    for (lo, hi), (_, labels) in zip(spans, batches):
+        e[lo:hi] /= labels.shape[-1]
+
+    shapes = shapes[:len(batches)]
+    grads: list[list[np.ndarray]] = [[] for _ in batches]
+    delta = e
     for i in range(len(layers) - 1, -1, -1):
-        grads.append(_layer_grad(delta, acts[i]))
+        deltas = _split(delta, shapes, spans)
+        for grad, d, rows in zip(grads, deltas, acts[i]):
+            grad.append(_layer_grad(d, rows))
         if i:
-            # tanh' = 1 - tanh^2, with acts[i] already the tanh output
-            delta = (delta @ layers[i][0]) * (1.0 - acts[i] ** 2)
-    return np.concatenate(grads[::-1], axis=-1)
+            delta = np.empty((labelled, arch[i]))
+            for d, view in zip(deltas, _split(delta, shapes, spans)):
+                np.matmul(d, layers[i][0], out=view)
+            # tanh' = 1 - tanh^2, with outs[i - 1] already the tanh output
+            slope = np.square(outs[i - 1][:labelled])
+            np.subtract(1.0, slope, out=slope)
+            delta *= slope
+    return loss, [np.concatenate(grad[::-1], axis=-1) for grad in grads], accuracy
 
 
 def mlp_grad(x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mean cross-entropy gradient via backprop, flattened to the layout above."""
-    features, labels = _as_batch(features, labels)
-    layers = _mlp_unpack(np.asarray(x, dtype=np.float64), arch)
-    acts, logits = _mlp_forward(layers, features)
-    _, e, sums = _softmax_parts(logits)
-    return _mlp_backward(layers, acts, _xent_delta(e, sums, labels))
-
-
-def mlp_loss_grad(
-    x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy and its gradient, mlp_grad bit for bit, of one batch from one forward pass."""
-    features, labels = _as_batch(features, labels)
-    layers = _mlp_unpack(np.asarray(x, dtype=np.float64), arch)
-    acts, logits = _mlp_forward(layers, features)
-    z, e, sums = _softmax_parts(logits)
-    return _xent_loss(z, sums, labels), _mlp_backward(layers, acts, _xent_delta(e, sums, labels))
-
-
-def mlp_accuracy(x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray) -> float:
-    features, labels = _as_batch(features, labels)
-    _, logits = _mlp_forward(_mlp_unpack(np.asarray(x, dtype=np.float64), arch), features)
-    return float(np.mean(logits.argmax(axis=1) == labels))
+    return mlp_pass(x, arch, [(features, labels)])[1][0]
 
 
 # --------------------------------------------------------------------------

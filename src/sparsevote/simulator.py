@@ -24,7 +24,8 @@ re-seeds them each round with those streams' states, which
 rng.WorkerStreams derives a block of rounds at a time.
 
 A round runs as whole-round passes where it can: the task's round_pass
-evaluates the iterate and draws the M worker gradients in one call, a vote
+evaluates the iterate and draws the M worker gradients in one call (for a
+classifier, one model pass over the training, minibatch and test rows), a vote
 server takes the M uploads as one SignBatch, which majority_vote reads and
 the WIRE lengths are measured on, and no per-message object is built.
 Each pass gives the same bits as its per-worker, per-message counterpart.
@@ -399,24 +400,25 @@ class ClassificationTask:
         raise ValueError("theory schedules need the quadratic model (L1 unknown here)")
 
     def round_pass(self, x, batch, rngs):
-        """The round's evaluation and worker gradients in two array passes.
+        """The round's evaluation and worker gradients from one draw and one model pass.
 
         Returns ((train_loss, test_metric, gbar_l1), grads): the mean
         cross-entropy on the training set, the accuracy on the test set, the
         l1 norm of the full-batch gradient, and row m of grads the gradient
         on worker m's minibatch, batch rows of its shard drawn uniformly with
         replacement as rngs[m].integers(0, shard size, size=batch) would.
-        One forward pass over the training set gives the loss and the
-        full-batch gradient; the M minibatches are drawn in one pass, each
-        from its worker's own stream (rng.integers_rows, so rngs must hold no
-        buffered uint32, as worker_rngs leaves them), and one pass over the
-        (M, batch) stack gives the (M, N) gradients.
+        The M minibatches are drawn in one pass, each from its worker's own
+        stream (rng.integers_rows, so rngs must hold no buffered uint32, as
+        worker_rngs leaves them).  Then one models.mlp_pass over the
+        training set, the (M, batch) stack and the test set gives the loss,
+        the full-batch gradient, the (M, N) gradients and the accuracy,
+        each with the bits of its batch's own pass.
         """
         train = self.train
-        loss, gbar = models.mlp_loss_grad(x, self.arch, train.features, train.labels)
         rows = self._shard_rows[self._shard_starts[:, None] + integers_rows(rngs, self._shard_sizes, batch)]
-        grads = models.mlp_grad(x, self.arch, train.features[rows], train.labels[rows])
-        accuracy = models.mlp_accuracy(x, self.arch, self.test.features, self.test.labels)
+        loss, (gbar, grads), accuracy = models.mlp_pass(
+            x, self.arch, [(train.features, train.labels), (train.features[rows], train.labels[rows])],
+            (self.test.features, self.test.labels))
         return (loss, accuracy, float(np.abs(gbar).sum())), grads
 
 
@@ -567,12 +569,18 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
     wire = cfg.cost_mode == "WIRE" and rule.server == "vote" and rule.selector != "all"
 
     if cfg.learning_rate == "theory":
-        delta = 1.0 / math.sqrt(cfg.t * task.l1_smoothness())
+        l1 = task.l1_smoothness()
+        delta = 1.0 / math.sqrt(cfg.t * l1)
+        if not delta > 0:
+            raise ValueError(f"learning_rate 'theory' steps 1/sqrt(t * L1), which is 0 here: t {cfg.t} "
+                             f"times L1 {l1}, the sum of the lipschitz coefficients, overflows a float")
     elif cfg.learning_rate is None:
         delta = _DEFAULT_LR_SIGN if rule.server == "vote" else _DEFAULT_LR_FULL
     else:
         delta = float(cfg.learning_rate)
     batch = _batch_size(cfg)
+    # A WIRE vote round charges the encoded lengths instead.
+    analytic = analytic_round_cost(cfg.algorithm, cfg.m, dim, k)
 
     # The speed-up was measured at T = 2 only.  With T forced up on a 2-CPU
     # host, the quadratic at N = 1e5, M = 16 peaked 1.9, 5.6 and 30.7 MiB
@@ -597,7 +605,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
 
             columns, sent = _worker_phase(pool, threads, rule, grads, memory, cfg.eta, k, rngs, dim)
 
-            up, down = analytic_round_cost(cfg.algorithm, cfg.m, dim, k)
+            up, down = analytic
             if rule.server == "mean":
                 uploads = sent
                 if columns is not None:  # sent on columns, zero elsewhere
@@ -616,10 +624,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
                 del columns, sent  # in the messages now; not kept into the next round
                 vote = majority_vote(messages, dim)
                 if wire:
-                    # The bit_len of each stream the codec would write; none is built.
-                    up = float(message_bit_lengths(dim, messages.indices, messages.counts).sum())
+                    # The bit_len of each stream the codec would write, the M
+                    # uploads then the vote broadcast to each worker; none is built.
                     broadcast = np.flatnonzero(vote.ternary)
-                    down = float(cfg.m * message_bit_lengths(dim, broadcast, [broadcast.size])[0])
+                    lengths = message_bit_lengths(dim, np.concatenate([messages.indices, broadcast]),
+                                                  [*messages.counts, broadcast.size])
+                    up, down = float(lengths[:-1].sum()), float(cfg.m * lengths[-1])
                 direction = vote.ternary
                 # The vote counted who sent each coordinate; a sign message
                 # holds exactly the coordinates its worker sent.

@@ -233,6 +233,13 @@ class TestRun:
             # An int past the float range is not a finite number.
             ({"gamma": 10 ** 400}, "gamma must be a finite number"),
             ({"learning_rate": 10 ** 400}, "learning_rate must be a positive number"),
+            # A theory step 1/sqrt(t * L1) that is 0 because t * L1 overflows
+            # is refused by its fields before round 0, not by update_model.
+            ({"learning_rate": "theory", "model": {"kind": "quadratic", "lipschitz": 1e308}},
+             "learning_rate 'theory' steps 1/sqrt(t * L1), which is 0 here: t 8 times L1 inf, "
+             "the sum of the lipschitz coefficients, overflows a float"),
+            ({"learning_rate": "theory", "n": 1, "model": {"kind": "quadratic", "lipschitz": 1e308}},
+             "t 8 times L1 1e+308, the sum of the lipschitz coefficients, overflows a float"),
             ({"model": {"kind": "quadratic", "noise_std": 10 ** 400}}, "noise_std must be a number"),
             (logistic(data={"separation": 10 ** 400}), "separation must be a finite number"),
             # A test or training set with no sample is refused by name, not

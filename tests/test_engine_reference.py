@@ -126,6 +126,13 @@ def logistic_noniid(**overrides):
     return ExperimentConfig.from_dict({**base, **overrides})
 
 
+def logistic_noniid_wide(**overrides):
+    """The class and feature counts of configs/logistic_noniid.json: N = 170,
+    and rows of 10 classes, which numpy sums with eight accumulators."""
+    return logistic_noniid(**{"data": {"n_samples": 200, "d": 16, "num_classes": 10, "mode": "NONIID"},
+                              **overrides})
+
+
 def quadratic_all_tied(**overrides):
     """Every coordinate has the same magnitude at the start: top-K is all ties."""
     model = {"kind": "quadratic", "noise_std": 0.0, "init": 0.5, "lipschitz": 2.0}
@@ -150,7 +157,7 @@ def logistic_one_sample_shard(**overrides):
     return ExperimentConfig.from_dict({**base, **overrides})
 
 
-@pytest.mark.parametrize("make", [quadratic, logistic_noniid])
+@pytest.mark.parametrize("make", [quadratic, logistic_noniid, logistic_noniid_wide])
 @pytest.mark.parametrize(
     "alg, cost_mode, mu",
     list(itertools.product(ALGORITHMS, ("ANALYTIC", "WIRE"), (0.0, 0.5))),
@@ -216,7 +223,7 @@ def assert_shares(ran, threads, m):
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "M"])
-@pytest.mark.parametrize("make", [quadratic, quadratic_wide_batch, logistic_noniid])
+@pytest.mark.parametrize("make", [quadratic, quadratic_wide_batch, logistic_noniid, logistic_noniid_wide])
 @pytest.mark.parametrize(
     "alg, cost_mode, mu",
     list(itertools.product(ALGORITHMS, ("ANALYTIC", "WIRE"), (0.0, 0.5))),
@@ -228,7 +235,7 @@ def test_threaded_worker_phase_matches_reference_loop(monkeypatch, threads, make
     ran = threaded(monkeypatch, count)
     got = engine_run(cfg)
     # A classifier's worker phase stays on one thread at any N.
-    if count == 1 or make is logistic_noniid:
+    if count == 1 or cfg.model["kind"] != "quadratic":
         assert ran == {(threading.get_ident(), tuple(range(cfg.m)))}
     else:
         assert_shares(ran, count, cfg.m)
@@ -361,7 +368,7 @@ def block_spy(monkeypatch):
     return blocks
 
 
-@pytest.mark.parametrize("make", [quadratic, quadratic_wide_batch, logistic_noniid])
+@pytest.mark.parametrize("make", [quadratic, quadratic_wide_batch, logistic_noniid, logistic_noniid_wide])
 @pytest.mark.parametrize("alg", ["TOPK_SGD_MEM", "S3GD_MV"])
 def test_below_the_budget_one_block_of_all_workers(monkeypatch, make, alg):
     cfg = make(algorithm=alg, cost_mode="WIRE")
@@ -387,7 +394,7 @@ def test_at_the_gate_each_block_is_one_row(monkeypatch, cpus):
         assert {ident for ident, _ in blocks} == {threading.get_ident()}
 
 
-@pytest.mark.parametrize("make", [quadratic, logistic_noniid])
+@pytest.mark.parametrize("make", [quadratic, logistic_noniid, logistic_noniid_wide])
 @pytest.mark.parametrize("alg", ["S3GD_MV", "S3GD_MV_RANDK"])
 def test_a_run_over_several_stream_blocks_matches_reference_loop(monkeypatch, make, alg):
     # Blocks of one to three rounds, so the run re-derives its streams often.

@@ -1,7 +1,7 @@
 """Model gradients against finite differences; data plumbing against recounts.
 
-A classifier's loss is the first value mlp_loss_grad returns; the quadratic's
-loss and gradients are the ones its task's round_pass gives.
+A classifier's loss and accuracy are the ones mlp_pass returns; the
+quadratic's loss and gradients are the ones its task's round_pass gives.
 """
 
 import struct
@@ -17,15 +17,15 @@ from sparsevote.models import (
     WorkerShard,
     _layer_grad,
     load_idx_dataset,
-    mlp_accuracy,
     mlp_grad,
-    mlp_loss_grad,
     mlp_param_count,
+    mlp_pass,
     partition_dataset,
     synth_classification,
 )
 from sparsevote.rng import derive_rng, integers_rows
 from sparsevote.simulator import ExperimentConfig, QuadraticTask
+from task_reference import written_out
 
 
 def central_difference(loss_fn, x, step=1e-4):
@@ -40,7 +40,12 @@ def central_difference(loss_fn, x, step=1e-4):
 
 
 def mlp_loss(x, arch, features, labels):
-    return mlp_loss_grad(x, arch, features, labels)[0]
+    return mlp_pass(x, arch, [(features, labels)])[0]
+
+
+def mlp_accuracy(x, arch, features, labels):
+    """The accuracy on features and labels as mlp_pass's test set."""
+    return mlp_pass(x, arch, [(features, labels)], (features, labels))[2]
 
 
 def small_batch(rng, n, d, c):
@@ -190,7 +195,7 @@ class TestMlp:
         assert grads.shape == (stack, x.size)
         for i in range(stack):
             assert grads[i].tobytes() == mlp_grad(x, arch, feats[i], labels[i]).tobytes()
-            _, grad = mlp_loss_grad(x, arch, feats[i], labels[i])
+            _, (grad,), _ = mlp_pass(x, arch, [(feats[i], labels[i])], (feats[i], labels[i]))
             assert grad.tobytes() == grads[i].tobytes()
 
     def test_accuracy_and_loss_finite(self):
@@ -201,6 +206,63 @@ class TestMlp:
         acc = mlp_accuracy(x, arch, feats, labels)
         assert 0.0 <= acc <= 1.0
         assert np.isfinite(mlp_loss(x, arch, feats, labels))
+
+
+class TestSharedPass:
+    """mlp_pass over a training batch, a stack of minibatches and a test set
+    against each batch's steps written out alone, bit for bit.
+
+    From eight classes up numpy sums a row with eight accumulators; the
+    benchmark's logistic workload has ten.
+    """
+
+    @given(st.integers(1, 16), st.lists(st.integers(1, 9), max_size=2), st.integers(2, 39),
+           st.integers(1, 80), st.integers(1, 6), st.integers(1, 9), st.integers(1, 40),
+           st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_each_batch_has_the_bits_of_its_own_pass(self, d, hidden, c, n, m, b, n_test, seed):
+        rng = np.random.default_rng(seed)
+        arch = [d, *hidden, c]
+        x = rng.normal(scale=rng.uniform(0.1, 3.0), size=mlp_param_count(arch))
+        feats, labels = small_batch(rng, n, d, c)
+        rows = rng.integers(0, n, size=(m, b))
+        test_feats, test_labels = small_batch(rng, n_test, d, c)
+        loss, (gbar, grads), accuracy = mlp_pass(
+            x, arch, [(feats, labels), (feats[rows], labels[rows])], (test_feats, test_labels))
+
+        want_loss, want_gbar, _ = written_out(x, arch, feats, labels)
+        _, want_grads, _ = written_out(x, arch, feats[rows], labels[rows])
+        _, _, predicted = written_out(x, arch, test_feats, test_labels)
+        assert loss == want_loss
+        assert gbar.tobytes() == want_gbar.tobytes()
+        assert grads.shape == (m, x.size) and grads.tobytes() == want_grads.tobytes()
+        assert accuracy == np.mean(predicted == test_labels)
+
+    def test_workload_shape(self):
+        # The benchmark's logistic round: 1600 training rows, ten minibatches
+        # of 32, 400 test rows, 10 classes over 16 features.
+        rng = np.random.default_rng(5)
+        arch = [16, 10]
+        x = rng.normal(scale=0.5, size=mlp_param_count(arch))
+        feats, labels = small_batch(rng, 1600, 16, 10)
+        rows = rng.integers(0, 1600, size=(10, 32))
+        loss, (gbar, grads), _ = mlp_pass(x, arch, [(feats, labels), (feats[rows], labels[rows])])
+        want_loss, want_gbar, _ = written_out(x, arch, feats, labels)
+        assert loss == want_loss and gbar.tobytes() == want_gbar.tobytes()
+        assert grads.tobytes() == written_out(x, arch, feats[rows], labels[rows])[1].tobytes()
+
+    def test_without_a_test_set_the_accuracy_is_none(self):
+        feats, labels = small_batch(np.random.default_rng(0), 4, 2, 3)
+        assert mlp_pass(np.zeros(9), [2, 3], [(feats, labels)])[2] is None
+
+    def test_bad_inputs(self):
+        feats, labels = small_batch(np.random.default_rng(0), 4, 2, 3)
+        with pytest.raises(ValueError, match="at least one batch"):
+            mlp_pass(np.zeros(9), [2, 3], [])
+        with pytest.raises(ValueError, match="test set must be one batch"):
+            mlp_pass(np.zeros(9), [2, 3], [(feats, labels)], (feats[None], labels[None]))
+        with pytest.raises(ValueError, match="bad batch"):
+            mlp_pass(np.zeros(9), [2, 3], [(feats, labels[:3])])
 
 
 def deltas(seed, shapes, count):

@@ -621,7 +621,7 @@ def tasks(draw):
         if kind == "mlp":
             raw["model"]["hidden"] = draw(st.sampled_from([[3], [4, 3]]))
         raw["data"] = {"n_samples": draw(st.integers(60, 150)), "d": draw(st.integers(1, 5)),
-                       "num_classes": draw(st.integers(2, 4)),
+                       "num_classes": draw(st.integers(2, 12)),
                        "mode": draw(st.sampled_from(["IID", "NONIID"]))}
         task = ClassificationTask(ExperimentConfig.from_dict(raw))
     return task, raw
