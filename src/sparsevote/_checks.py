@@ -1,13 +1,19 @@
-"""What the package accepts from outside: counts, reals, flags and batch sizes.
+"""The library's one set of argument checks: counts, reals, flags, batch sizes
+and index arrays.
 
-Each check returns its value unchanged or raises one ValueError line that
-names the argument; `within` names an optional range in that line's words.
+Every module's public functions check their scalar arguments and index
+arrays here; structural checks (shapes, order, sums) stay beside the code
+they guard.  Each check returns its value unchanged (an index array as int64) or
+raises one ValueError line that names the argument; `within` names an
+optional range in that line's words.  A bool is neither a count nor a real.
 """
 
 from __future__ import annotations
 
 import math
 import numbers
+
+import numpy as np
 
 # Counts reach numpy and scipy as int64.
 _INT64_MAX = 2**63 - 1
@@ -25,11 +31,14 @@ _RANGES = {
 
 def is_count(value) -> bool:
     """A non-bool integer, numpy integers included."""
-    return isinstance(value, numbers.Integral) and not isinstance(value, bool)
+    # The exact type first: most calls pass an int, and isinstance on an ABC costs more.
+    return type(value) is int or isinstance(value, numbers.Integral) and not isinstance(value, bool)
 
 
 def is_real(value) -> bool:
     """A finite non-bool int or float; an int past the float range is not finite."""
+    if type(value) is float:
+        return math.isfinite(value)
     if not isinstance(value, numbers.Real) or isinstance(value, bool):
         return False
     try:
@@ -70,3 +79,17 @@ def batch_size(value, name: str):
     if not (is_count(value) or is_real(value) and float(value).is_integer()):
         raise ValueError(f"{name} must be an integer, got {value!r}")
     return real(value, name, "positive")
+
+
+def indices(values, name: str, high: int | None = None, of: str = "") -> np.ndarray:
+    """An array of integers, in [0, high) unless high is None, as int64; an
+    empty array of any dtype passes.  of says where high comes from, as in "dim=4"."""
+    arr = np.asarray(values)
+    if arr.size and arr.dtype.kind not in "iu":
+        raise ValueError(f"{name} must be integers, got {arr.dtype} values")
+    arr = arr.astype(np.int64, copy=False)
+    # As uint64 a negative int64 (or a wrapped uint64 past it) is 2**63 or
+    # more, so one max finds a value out of range at either end.
+    if high is not None and arr.size and arr.view(np.uint64).max() >= min(high, 1 << 63):
+        raise ValueError(f"{name} out of range for {of}: must lie in [0, {high}), got [{arr.min()}, {arr.max()}]")
+    return arr

@@ -14,6 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .compression import SignBatch, SparseSignVector
 
 __all__ = ["VoteResult", "majority_vote", "participation_count", "average_aggregate"]
@@ -52,6 +53,7 @@ class VoteResult:
 def majority_vote(msgs: SignBatch | list[SparseSignVector] | np.ndarray, dim: int) -> VoteResult:
     """Coordinate-wise sign of the summed sign messages: a batch, a list of
     them, or (M, dim) int8 rows of dense signs in {-1, 0, +1} (0: no vote)."""
+    _checks.count(dim, "dim", "non-negative")
     if isinstance(msgs, np.ndarray):
         if msgs.dtype != np.int8 or msgs.ndim != 2 or msgs.shape[1] != dim:
             raise ValueError(f"dense sign rows must be an (M, {dim}) int8 array, got {msgs.dtype} {msgs.shape}")
@@ -78,8 +80,9 @@ def participation_count(supports, dim: int) -> np.ndarray:
 
     Each support (an item or row) holds distinct coordinate indices in [0, dim).
     """
-    flat = np.concatenate(supports) if len(supports) else np.empty(0, dtype=np.int64)
-    return np.bincount(flat, minlength=dim)
+    _checks.count(dim, "dim", "non-negative")
+    flat = np.concatenate(supports) if len(supports) else []
+    return np.bincount(_checks.indices(flat, "supports", dim, f"dim={dim}"), minlength=dim)
 
 
 def average_aggregate(grads) -> np.ndarray:

@@ -32,13 +32,16 @@ ceil(bit_len / 8) bytes, truncated or overlong streams, quotients summing
 past (N - 1) >> b (so any single quotient above it) and any reconstructed
 index >= N raise FormatError.  Encoding is lossless:
 decode(encode(v), N) == v.  Both directions work on numpy bit arrays.
-Indices are int64, so N is at most 2**63.
+Indices are int64, so N is at most 2**63.  A malformed stream is a
+FormatError; a malformed argument (N, K, a count, a bit length, M) is the
+ValueError of _checks, the package's one set of argument checks.
 
 message_bit_lengths is that cost, written out once: the bit_len
 encode_sparse_sign gives each message of a support held back to back, as a
 SignBatch holds a round's uploads, each message with its own K and b.
 encode_sparse_sign sizes its stream with it, and a WIRE round charges its
-uplink and its vote broadcast with it without building a stream.
+uplink and its vote broadcast with it without building a stream.  It checks
+N and the counts once a call, not once a message.
 
 ALGORITHMS is the table of the five algorithms, one row each: which
 coordinates a worker sends (all, top-K or random-K), whether it keeps an
@@ -63,6 +66,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _checks
 from .compression import SparseSignVector
 
 __all__ = [
@@ -124,30 +128,25 @@ class Bitstream:
     bit_len: int
 
     def __post_init__(self):
-        if self.bit_len < 0:
-            raise ValueError(f"bit_len must be non-negative, got {self.bit_len}")
+        _checks.count(self.bit_len, "bit_len", "non-negative", high=None)
 
 
 def count_field_width(dim: int) -> int:
-    """Bits needed for an entry count in [0, dim]."""
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    return dim.bit_length()
+    """Bits needed for an entry count in [0, dim]; decoded indices are int64,
+    which caps dim at 2**63."""
+    return int(_checks.count(dim, "dim", high=1 << 63)).bit_length()
+
+
+def _rice(count: int, dim: int) -> int:
+    """rice_parameter without its checks, for counts already known to be in [0, dim]
+    (a numpy integer dim too: int() gives the quotient its bit_length)."""
+    return max(int((dim - count) // count).bit_length() - 1, 0) if count else 0
 
 
 def rice_parameter(count: int, dim: int) -> int:
     """Low-bit width b of each Rice-coded gap: floor(log2((dim - count) // count)), at least 0."""
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    if not 0 <= count <= dim:
-        raise ValueError(f"count must be in [0, {dim}], got {count}")
-    return max(((dim - count) // count).bit_length() - 1, 0) if count else 0
-
-
-def _check_dim(dim: int) -> None:
-    """Decoded indices are int64, which caps dim at 2**63."""
-    if dim > 1 << 63:
-        raise ValueError(f"dim must be at most 2**63, got {dim}")
+    _checks.count(dim, "dim", high=None)
+    return _rice(_checks.count(count, "count", "non-negative", high=dim), dim)
 
 
 def _field_bits(values, width: int) -> np.ndarray:
@@ -180,13 +179,12 @@ def message_bit_lengths(dim: int, indices, counts) -> np.ndarray:
     indices are not checked again.  A message of K entries costs
     Wc + K*(b + 2) + sum(gap >> b) bits, with the b of its own K.
     """
-    _check_dim(dim)
     wc = count_field_width(dim)
     indices = np.asarray(indices, dtype=np.int64)
-    counts = np.asarray(counts, dtype=np.int64)
+    counts = _checks.indices(counts, "counts", int(dim) + 1, f"dim={dim}")
     if counts.sum() != indices.size:
         raise ValueError(f"counts must sum to the {indices.size} indices, got {counts}")
-    b = np.array([rice_parameter(k, dim) for k in counts.tolist()], dtype=np.int64)
+    b = np.array([_rice(k, dim) for k in counts.tolist()], dtype=np.int64)
     nonempty = counts > 0
     first = (counts.cumsum() - counts)[nonempty]
     # The gaps: each step less one, and at the start of a message its first index.
@@ -202,7 +200,7 @@ def message_bit_lengths(dim: int, indices, counts) -> np.ndarray:
 
 def encode_sparse_sign(v: SparseSignVector) -> Bitstream:
     """Serialize a sparse sign message to its wire form."""
-    k, wc, b = len(v), count_field_width(v.dim), rice_parameter(len(v), v.dim)
+    k, wc, b = len(v), count_field_width(v.dim), _rice(len(v), v.dim)
     bits = np.ones(int(message_bit_lengths(v.dim, v.indices, [k])[0]), dtype=np.uint8)
     gaps = v.indices - np.concatenate(([-1], v.indices[:-1])) - 1
     # Each quotient q is q ones and a zero, so the zeros sit at cumsum(q + 1) - 1
@@ -227,7 +225,7 @@ def _read_header(stream: Bitstream, dim: int, wc: int) -> tuple[int, int]:
     count = int.from_bytes(stream.data[:(wc + 7) // 8], "big") >> (-wc % 8)
     if count > dim:
         raise FormatError(f"count field {count} exceeds dim {dim}")
-    b = rice_parameter(count, dim)
+    b = _rice(count, dim)
     # Each entry takes its b + 1 row bits and at least the zero of its unary code.
     needed = wc + count * (b + 2)
     if stream.bit_len < needed:
@@ -255,7 +253,6 @@ def _range_error(indices: np.ndarray, dim: int) -> FormatError:
 
 def decode_sparse_sign(stream: Bitstream, dim: int) -> SparseSignVector:
     """Parse a wire stream back into the message; FormatError if malformed."""
-    _check_dim(dim)
     wc = count_field_width(dim)
     count, b = _read_header(stream, dim, wc)
     bits = np.unpackbits(np.frombuffer(stream.data, dtype=np.uint8), count=stream.bit_len)
@@ -283,12 +280,9 @@ def analytic_round_cost(algorithm: str, m: int, dim: int, k: int) -> tuple[float
     if algorithm not in ALGORITHMS:
         raise ValueError(f"unknown algorithm {algorithm!r}")
     rule = ALGORITHMS[algorithm]
-    if m < 1:
-        raise ValueError(f"m must be positive, got {m}")
-    if dim < 1:
-        raise ValueError(f"dim must be positive, got {dim}")
-    if not 0 <= k <= dim:
-        raise ValueError(f"k must be in [0, {dim}], got {k}")
+    _checks.count(m, "m")
+    _checks.count(dim, "dim")
+    _checks.count(k, "k", "non-negative", high=dim)
     width = FLOAT_BITS if rule.server == "mean" else 1
     if rule.selector == "all":
         up = width * dim
@@ -306,11 +300,8 @@ class CommLedger:
         self.rounds: list[tuple[int, float, float]] = []
 
     def record(self, round_index: int, uplink_bits: float, downlink_bits: float) -> None:
-        if uplink_bits < 0 or downlink_bits < 0:
-            raise ValueError(
-                f"negative bit count at round {round_index}: "
-                f"({uplink_bits}, {downlink_bits})"
-            )
+        _checks.real(uplink_bits, f"uplink_bits at round {round_index}", "non-negative")
+        _checks.real(downlink_bits, f"downlink_bits at round {round_index}", "non-negative")
         self.rounds.append((round_index, float(uplink_bits), float(downlink_bits)))
 
     @property

@@ -13,6 +13,10 @@ workers' memory rows.  A round's uploads are checked once, when
 SignBatch.quantize builds their batch from the (M, K) rows of selected
 coordinates and values; the vote and the wire lengths read that batch as
 it is.  A one-message operator quantizes its support as one such row.
+
+Scalar arguments (dim, k, eta) and the index range go through _checks, the
+package's one set of argument checks.  A sign must equal -1 or +1 before
+its int8 cast, so 1.5 or 257 is refused, not cast.
 """
 
 from __future__ import annotations
@@ -21,6 +25,8 @@ import math
 from dataclasses import dataclass, fields
 
 import numpy as np
+
+from . import _checks
 
 __all__ = [
     "SparseSignVector",
@@ -37,10 +43,9 @@ __all__ = [
 def _checked(dim: int, indices, signs, counts) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(indices, signs, counts) as int64, int8 and int64 arrays, checked to
     hold messages over dim back to back, counts[m] entries in message m."""
-    idx = np.asarray(indices, dtype=np.int64)
-    sgn = np.asarray(signs, dtype=np.int8)
-    if dim < 0:
-        raise ValueError(f"dim must be non-negative, got {dim}")
+    _checks.count(dim, "dim", "non-negative", high=None)
+    idx = _checks.indices(indices, "indices", dim, f"dim={dim}")
+    sgn = np.asarray(signs)
     if idx.ndim != 1 or sgn.ndim != 1 or idx.size != sgn.size:
         raise ValueError("indices and signs must be 1-D arrays of equal length")
     rows = np.asarray(counts, dtype=np.int64)
@@ -48,8 +53,6 @@ def _checked(dim: int, indices, signs, counts) -> tuple[np.ndarray, np.ndarray, 
         raise ValueError(
             f"counts must be non-negative and sum to the {idx.size} entries, got {rows}")
     if idx.size:
-        if idx.min() < 0 or idx.max() >= dim:
-            raise ValueError(f"indices out of range for dim={dim}")
         falls = idx[1:] <= idx[:-1]
         # Entry s may fall below entry s - 1 when it starts a message.
         starts = rows.cumsum()
@@ -57,10 +60,11 @@ def _checked(dim: int, indices, signs, counts) -> tuple[np.ndarray, np.ndarray, 
         # np.count_nonzero rather than .any(): the method call costs more.
         if np.count_nonzero(falls):
             raise ValueError("indices must be strictly increasing")
-        # Exact in int8: abs(-128) stays -128, so only -1 and +1 pass.
-        if np.count_nonzero(np.abs(sgn) != 1):
+        # Checked before the int8 cast, so 1.5 or 257 is not cast to a sign;
+        # in int8 abs(-128) stays -128, so only -1 and +1 pass.
+        if sgn.dtype.kind not in "iuf" or np.count_nonzero(np.abs(sgn) != 1):
             raise ValueError("signs must be -1 or +1")
-    return idx, sgn, rows
+    return idx, sgn.astype(np.int8, copy=False), rows
 
 
 def _equal_fields(self, other) -> bool:
@@ -214,8 +218,7 @@ def top_k_select(u: np.ndarray, k: int) -> tuple[np.ndarray, ThresholdReport]:
     if u.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {u.shape}")
     n = u.size
-    if not 0 <= k <= n:
-        raise ValueError(f"k must be in [0, {n}], got {k}")
+    _checks.count(k, "k", "non-negative", high=n)
     mags = np.abs(u)
     _, (support,), part = _top_k_rows(mags.reshape(1, n), k)
     if k == 0:
@@ -244,8 +247,7 @@ def rand_k_select(u: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     u = np.asarray(u)
     if u.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {u.shape}")
-    if not 0 <= k <= u.size:
-        raise ValueError(f"k must be in [0, {u.size}], got {k}")
+    _checks.count(k, "k", "non-negative", high=u.size)
     return np.sort(rng.choice(u.size, size=k, replace=False)).astype(np.int64)
 
 
@@ -284,9 +286,7 @@ def error_feedback_step(
         raise ValueError("memory must be a float64 array, it is updated in place")
     if g_tilde.shape != e.shape or e.ndim != 1:
         raise ValueError(f"shape mismatch: gradient {g_tilde.shape} vs memory {e.shape}")
-    if eta < 0:
-        raise ValueError(f"eta must be non-negative, got {eta}")
-    if not 0 <= k <= e.size:
-        raise ValueError(f"k must be in [0, {e.size}], got {k}")
+    _checks.real(eta, "eta", "non-negative")
+    _checks.count(k, "k", "non-negative", high=e.size)
     support, sent = _error_feedback_rows(g_tilde[None], e[None], eta, k)
     return support[0], sent[0]

@@ -19,10 +19,13 @@ simulator forms L * x and the noise itself.
 from __future__ import annotations
 
 import math
+import os
 import struct
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import _checks
 
 __all__ = [
     "IdxFormatError",
@@ -51,20 +54,12 @@ class Dataset:
 
     def __post_init__(self):
         feats = np.asarray(self.features, dtype=np.float64)
-        labels = np.asarray(self.labels, dtype=np.int64)
         if feats.ndim != 2:
             raise ValueError(f"features must be 2-D, got shape {feats.shape}")
+        _checks.count(self.num_classes, "num_classes")
+        labels = _checks.indices(self.labels, "labels", self.num_classes, f"num_classes={self.num_classes}")
         if labels.shape != (feats.shape[0],):
-            raise ValueError(
-                f"labels shape {labels.shape} does not match {feats.shape[0]} samples"
-            )
-        if self.num_classes < 1:
-            raise ValueError(f"num_classes must be positive, got {self.num_classes}")
-        if labels.size and (labels.min() < 0 or labels.max() >= self.num_classes):
-            raise ValueError(
-                f"labels must lie in [0, {self.num_classes}), "
-                f"got range [{labels.min()}, {labels.max()}]"
-            )
+            raise ValueError(f"labels shape {labels.shape} does not match {feats.shape[0]} samples")
         object.__setattr__(self, "features", feats)
         object.__setattr__(self, "labels", labels)
 
@@ -97,12 +92,11 @@ class WorkerShard:
 # shape (..., N), each equal to the gradient of its batch alone bit for bit.
 
 def _as_batch(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """features as float64, labels as int64; mlp_pass checks their range with the other batches'."""
     features = np.asarray(features, dtype=np.float64)
-    labels = np.asarray(labels, dtype=np.int64)
+    labels = _checks.indices(labels, "labels")
     if features.ndim < 2 or labels.shape != features.shape[:-1]:
-        raise ValueError(
-            f"bad batch: features {features.shape}, labels {labels.shape}"
-        )
+        raise ValueError(f"bad batch: features {features.shape}, labels {labels.shape}")
     if features.shape[-2] == 0:
         raise ValueError("batch is empty")
     return features, labels
@@ -121,17 +115,16 @@ def _layer_grad(delta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
 
 
 def mlp_param_count(arch: list[int]) -> int:
-    if len(arch) < 2 or any(a < 1 for a in arch):
+    if len(arch) < 2:
         raise ValueError(f"arch needs at least input and output sizes, got {arch}")
+    for i, width in enumerate(arch):
+        _checks.count(width, f"arch[{i}]")
     return sum(arch[i + 1] * (arch[i] + 1) for i in range(len(arch) - 1))
 
 
 def _mlp_unpack(x: np.ndarray, arch: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
     if x.size != mlp_param_count(arch):
-        raise ValueError(
-            f"parameter size {x.size} does not match arch {arch} "
-            f"({mlp_param_count(arch)} expected)"
-        )
+        raise ValueError(f"parameter size {x.size} does not match arch {arch} ({mlp_param_count(arch)} expected)")
     layers = []
     pos = 0
     for fan_in, fan_out in zip(arch[:-1], arch[1:]):
@@ -160,7 +153,8 @@ def mlp_pass(
     if given, is one more batch.  Returns (loss, grads, accuracy): the mean
     cross-entropy over the rows of batches[0], each batch's mean
     cross-entropy gradient in the layout above, and the fraction of test
-    rows whose largest logit is their label's (None without test).
+    rows whose largest logit is their label's (None without test).  Every
+    label, the test set's too, must be an integer in [0, arch[-1]).
 
     Each layer's outputs are one row buffer, [batches in order | test rows].
     Every matmul runs per batch, on that batch's operands in its own shape,
@@ -177,11 +171,15 @@ def mlp_pass(
     if not batches:
         raise ValueError("mlp_pass needs at least one batch")
     inputs = [features for features, _ in batches]
+    targets = [labels.reshape(-1) for _, labels in batches]
     if test is not None:
         test = _as_batch(*test)
         if test[0].ndim != 2:
             raise ValueError(f"test set must be one batch, got features {test[0].shape}")
         inputs.append(test[0])
+        targets.append(test[1])
+    # Every label, the batches' then the test set's, checked as one array.
+    labels = _checks.indices(np.concatenate(targets), "labels", arch[-1], f"{arch[-1]} classes")
     shapes = [features.shape[:-1] for features in inputs]
     bounds = [0]
     for shape in shapes:
@@ -205,7 +203,7 @@ def mlp_pass(
     logits = outs[-1]
     accuracy = None
     if test is not None:
-        accuracy = float(np.mean(logits[labelled:].argmax(axis=1) == test[1]))
+        accuracy = float(np.mean(logits[labelled:].argmax(axis=1) == labels[labelled:]))
     # numpy reduces a short last axis row by row; with the classes moved to
     # the front the max runs across rows, and a max is exact in any order.
     z = logits[:labelled]
@@ -214,14 +212,14 @@ def mlp_pass(
     sums = e.sum(axis=1, keepdims=True)
     # Flat positions in z of each labelled row's label entry.
     entries = np.arange(0, z.size, z.shape[1])
-    entries += np.concatenate([labels.reshape(-1) for _, labels in batches])
+    entries += labels[:labelled]
     first = bounds[1]
     loss = float(np.mean(np.log(sums[:first, 0]) - z.reshape(-1)[entries[:first]]))
     # delta = (softmax - onehot) / n, in place in e.
     e /= sums
     e.reshape(-1)[entries] -= 1.0
-    for (lo, hi), (_, labels) in zip(spans, batches):
-        e[lo:hi] /= labels.shape[-1]
+    for (lo, hi), (_, y) in zip(spans, batches):
+        e[lo:hi] /= y.shape[-1]
 
     shapes = shapes[:len(batches)]
     grads: list[list[np.ndarray]] = [[] for _ in batches]
@@ -261,10 +259,7 @@ def partition_dataset(
     A NONIID split that leaves a worker no sample is refused.
     """
     n = len(ds)
-    if m < 1:
-        raise ValueError(f"worker count must be positive, got {m}")
-    if m > n:
-        raise ValueError(f"cannot split {n} samples across {m} workers")
+    _checks.count(m, "m", high=n)
     if mode == "IID":
         parts = np.array_split(rng.permutation(n), m)
     elif mode == "NONIID":
@@ -293,11 +288,12 @@ _IDX_IMAGES_MAGIC = 0x00000803
 _IDX_LABELS_MAGIC = 0x00000801
 
 
-def _read_exact(fh, count: int, what: str) -> bytes:
-    data = fh.read(count)
-    if len(data) != count:
-        raise IdxFormatError(f"truncated {what}: wanted {count} bytes, got {len(data)}")
-    return data
+def _read(fh, size: int, what: str, rest: bool = False) -> bytes:
+    """The next size bytes, checked before the read to be there (and, for rest, to end the file)."""
+    left = os.fstat(fh.fileno()).st_size - fh.tell()
+    if left < size or rest and left != size:
+        raise IdxFormatError(f"{fh.name}: {what} of {size} bytes, but {left} are left in the file")
+    return fh.read(size)
 
 
 def load_idx_dataset(images_path, labels_path) -> Dataset:
@@ -307,18 +303,18 @@ def load_idx_dataset(images_path, labels_path) -> Dataset:
     files must agree on the sample count.
     """
     with open(images_path, "rb") as fh:
-        magic, n, rows, cols = struct.unpack(">IIII", _read_exact(fh, 16, "images header"))
+        magic, n, rows, cols = struct.unpack(">IIII", _read(fh, 16, "images header"))
         if magic != _IDX_IMAGES_MAGIC:
-            raise IdxFormatError(f"images magic 0x{magic:08x}, expected 0x{_IDX_IMAGES_MAGIC:08x}")
-        raw = _read_exact(fh, n * rows * cols, "images payload")
+            raise IdxFormatError(f"{images_path}: images magic 0x{magic:08x}, expected 0x{_IDX_IMAGES_MAGIC:08x}")
+        raw = _read(fh, n * rows * cols, "images payload", rest=True)
     pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n, rows * cols)
     with open(labels_path, "rb") as fh:
-        magic, n_labels = struct.unpack(">II", _read_exact(fh, 8, "labels header"))
+        magic, n_labels = struct.unpack(">II", _read(fh, 8, "labels header"))
         if magic != _IDX_LABELS_MAGIC:
-            raise IdxFormatError(f"labels magic 0x{magic:08x}, expected 0x{_IDX_LABELS_MAGIC:08x}")
-        labels = np.frombuffer(_read_exact(fh, n_labels, "labels payload"), dtype=np.uint8)
+            raise IdxFormatError(f"{labels_path}: labels magic 0x{magic:08x}, expected 0x{_IDX_LABELS_MAGIC:08x}")
+        labels = np.frombuffer(_read(fh, n_labels, "labels payload", rest=True), dtype=np.uint8)
     if n_labels != n:
-        raise IdxFormatError(f"sample count mismatch: {n} images vs {n_labels} labels")
+        raise IdxFormatError(f"sample count mismatch: {n} images in {images_path}, {n_labels} labels in {labels_path}")
     num_classes = int(labels.max()) + 1 if labels.size else 1
     return Dataset(pixels.astype(np.float64) / 255.0, labels.astype(np.int64), num_classes)
 
@@ -327,6 +323,10 @@ def synth_classification(
     n: int, d: int, num_classes: int, separation: float, rng: np.random.Generator
 ) -> Dataset:
     """Balanced Gaussian blobs: class means at distance ~separation, unit noise."""
+    _checks.count(n, "n_samples")
+    _checks.count(d, "d")
+    _checks.count(num_classes, "num_classes")
+    _checks.real(separation, "separation")
     if n < num_classes:
         raise ValueError(f"n_samples must be at least num_classes, got n_samples {n}, num_classes {num_classes}")
     means = rng.normal(size=(num_classes, d))

@@ -41,13 +41,12 @@ _KIND = {
 
 def derive_rng(master_seed: int, kind: str, *indices: int) -> Generator:
     """Return a Generator for the stream identified by (kind, *indices)."""
-    if master_seed < 0:
-        raise ValueError(f"master_seed must be non-negative, got {master_seed}")
+    _checks.count(master_seed, "master_seed", "non-negative", high=None)
     if kind not in _KIND:
         raise ValueError(f"unknown stream kind {kind!r}")
+    for i, index in enumerate(indices):
+        _checks.count(index, f"stream index {i}", "non-negative", high=None)
     entropy = [int(master_seed), _KIND[kind], *map(int, indices)]
-    if min(entropy) < 0:
-        raise ValueError(f"stream indices must be non-negative, got {indices}")
     # What np.random.default_rng does with a SeedSequence, without its dispatch.
     return Generator(PCG64(SeedSequence(entropy)))
 
@@ -134,8 +133,7 @@ class WorkerStreams:
     """
 
     def __init__(self, master_seed: int, workers: int, rounds: int):
-        if master_seed < 0:
-            raise ValueError(f"master_seed must be non-negative, got {master_seed}")
+        _checks.count(master_seed, "master_seed", "non-negative", high=None)
         # A worker id is one entropy word below 2**32, so every stream of a
         # block has the same number of words.
         self.workers = _checks.count(workers, "workers", high=2**32)
@@ -176,8 +174,7 @@ def worker_rngs(streams: WorkerStreams, round_index: int) -> list[Generator]:
     Generator m then draws exactly what worker_rng(seed, m, round_index)
     draws; a half-used uint32 from an earlier round is dropped.
     """
-    if not 0 <= round_index < streams.rounds:
-        raise ValueError(f"round index must be in [0, {streams.rounds}), got {round_index}")
+    _checks.count(round_index, "round index", "non-negative", high=streams.rounds - 1)
     m_workers = streams.workers
     offset = (round_index - streams._start) * m_workers
     if not 0 <= offset < len(streams._states):

@@ -83,6 +83,7 @@ SWEEP_AXES = ("GAMMA", "M", "ETA", "MU")
 def resolve_k(gamma: float, dim: int) -> int:
     """Message size K = round(gamma * N), forced to >= 1 whenever gamma > 0."""
     _checks.real(gamma, "gamma", "in [0, 1]")
+    _checks.count(dim, "dim")
     k = int(math.floor(gamma * dim + 0.5))
     if gamma > 0:
         k = max(k, 1)
@@ -217,10 +218,8 @@ def update_model(
     direction = np.asarray(direction)
     if x.shape != direction.shape:
         raise ValueError(f"shape mismatch: x {x.shape} vs direction {direction.shape}")
-    if delta <= 0:
-        raise ValueError(f"delta must be positive, got {delta}")
-    if not 0 <= mu < 1:
-        raise ValueError(f"mu must be in [0, 1), got {mu}")
+    _checks.real(delta, "delta", "positive")
+    _checks.real(mu, "mu", "in [0, 1)")
     v = direction
     if mu != 0.0:
         v = np.zeros(x.shape) if velocity is None else np.multiply(velocity, mu, dtype=np.float64)
@@ -317,8 +316,7 @@ class ClassificationTask:
             n_samples = _checks.count(data.pop("n_samples", 1000), "n_samples")
             d = _checks.count(data.pop("d", 16), "d")
             _checks.count(n_samples * d, "n_samples * d", high=_checks.FLOATS_MAX)  # the features array
-            classes = _checks.count(data.pop("num_classes", 10), "num_classes")
-            separation = float(_checks.real(data.pop("separation", 3.0), "separation"))
+            classes, separation = data.pop("num_classes", 10), data.pop("separation", 3.0)
             test_fraction = float(_checks.real(data.pop("test_fraction", 0.2), "test_fraction", "in [0, 1)"))
             n_test = int(round(test_fraction * n_samples))
             if not 0 < n_test < n_samples:
@@ -743,27 +741,48 @@ def emit_results(metrics: list[RoundMetrics], path, fmt: str = "csv") -> None:
     _write_table(records, CSV_COLUMNS, path, fmt)
 
 
+def _metrics_row(record, path, row: int) -> RoundMetrics:
+    """A results file's row: each column parsed from a string, or a JSON number its type holds exactly."""
+    # A column's type and the JSON types it takes beside a string; the other columns are floats.
+    types = {"round": (int, (int,)), "algorithm": (str, ())}
+    if not isinstance(record, dict) or set(record) - set(CSV_COLUMNS):
+        raise ValueError(f"{path}: row {row} must be a record of {', '.join(CSV_COLUMNS)}, got {record!r}")
+    values = {}
+    for column in CSV_COLUMNS:
+        value, (kind, numbers) = record.get(column), types.get(column, (float, (int, float)))
+        try:
+            if not (isinstance(value, str) or type(value) in numbers):
+                raise TypeError
+            values[column] = kind(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"{path}: row {row}, column {column}: "
+                             + (f"must be {kind.__name__}, got {value!r}" if column in record else "missing")) from None
+    return RoundMetrics(**values)
+
+
 def load_results(path, fmt: str | None = None) -> list[RoundMetrics]:
-    """Read metrics back; the inverse of emit_results for both formats."""
+    """Read metrics back; the inverse of emit_results for both formats.
+
+    A malformed file is one ValueError naming it, and the row (counted from 1,
+    after a CSV's header) and the column where there is one.
+    """
     if fmt is None:
         fmt = "json" if str(path).endswith(".json") else "csv"
     fmt = fmt.lower()
     if fmt == "json":
         with open(path) as fh:
-            records = json.load(fh)
+            try:
+                records = json.load(fh)
+            except json.JSONDecodeError as err:
+                raise ValueError(f"{path}: {err}") from None
+        if not isinstance(records, list):
+            raise ValueError(f"{path}: results must be a JSON list of records, got {type(records).__name__}")
     elif fmt == "csv":
         with open(path, newline="") as fh:
-            records = []
-            for row in csv.DictReader(fh):
-                rec = dict(row)
-                for key in CSV_COLUMNS:
-                    if key == "algorithm":
-                        continue
-                    rec[key] = int(rec[key]) if key == "round" else float(rec[key])
-                records.append(rec)
+            records = list(csv.DictReader(fh))
     else:
         raise ValueError(f"unknown format {fmt!r}")
-    return [RoundMetrics(**rec) for rec in records]
+    return [_metrics_row(record, path, row) for row, record in enumerate(records, 1)]
 
 
 def emit_sweep(rows: list[SweepRow], path, fmt: str = "csv") -> None:

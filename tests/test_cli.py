@@ -281,6 +281,16 @@ class TestRun:
         assert main(["run", "--config", str(quad_config)]) == 1
         assert capsys.readouterr().err == f"error: test_images {test[0]} holds no samples\n"
 
+    def test_idx_header_past_its_file_is_one_error_line_naming_it(self, quad_config, tmp_path, capsys):
+        images = tmp_path / "train_images.idx"
+        images.write_bytes(struct.pack(">IIII", 0x803, 2**20, 2**10, 2**10) + bytes(10))
+        data = {"source": "idx", "train_images": str(images), "train_labels": str(images),
+                "test_images": str(images), "test_labels": str(images)}
+        quad_config.write_text(json.dumps({**QUAD, "n": None, "model": {"kind": "logistic"}, "data": data}))
+        assert main(["run", "--config", str(quad_config)]) == 1
+        assert capsys.readouterr().err == (
+            f"error: {images}: images payload of {2**40} bytes, but 10 are left in the file\n")
+
     @given(field_and_value=st.sampled_from(sorted(BAD_VALUES)).flatmap(
         lambda name: st.tuples(st.just(name), BAD_VALUES[name])))
     @settings(max_examples=200, deadline=None)

@@ -4,6 +4,8 @@ A classifier's loss and accuracy are the ones mlp_pass returns; the
 quadratic's loss and gradients are the ones its task's round_pass gives.
 """
 
+import math
+import re
 import struct
 
 import numpy as np
@@ -431,6 +433,51 @@ class TestIdxLoader:
         raw[7] = 2
         lab_path.write_bytes(bytes(raw[:8]) + bytes(2))
         with pytest.raises(IdxFormatError, match="count"):
+            load_idx_dataset(img_path, lab_path)
+
+    # Each header claims more payload than the file holds: refused before any
+    # read, where a read of 2**40 bytes ran out of memory and one of 2**93
+    # ended in "cannot fit 'int' into an index-sized integer".
+    @pytest.mark.parametrize("dims", [(2**20, 2**10, 2**10), (2**31, 2**31, 2**31)])
+    def test_an_images_header_past_the_file_is_refused_by_its_sizes(self, tmp_path, dims):
+        img_path, lab_path = write_idx_pair(tmp_path, np.zeros((1, 1, 1), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+        img_path.write_bytes(struct.pack(">IIII", 0x00000803, *dims) + bytes(10))
+        message = f"{img_path}: images payload of {math.prod(dims)} bytes, but 10 are left in the file"
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(message)}$"):
+            load_idx_dataset(img_path, lab_path)
+
+    def test_a_labels_header_past_the_file_is_refused_by_its_sizes(self, tmp_path):
+        img_path, lab_path = write_idx_pair(tmp_path, np.zeros((3, 1, 1), dtype=np.uint8), np.zeros(3, dtype=np.uint8))
+        lab_path.write_bytes(struct.pack(">II", 0x00000801, 2**31) + bytes(3))
+        message = f"{lab_path}: labels payload of {2**31} bytes, but 3 are left in the file"
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(message)}$"):
+            load_idx_dataset(img_path, lab_path)
+
+    @pytest.mark.parametrize("which", ["images", "labels"])
+    def test_bytes_past_the_payload_are_refused(self, tmp_path, which):
+        paths = dict(zip(("images", "labels"), write_idx_pair(
+            tmp_path, np.zeros((2, 1, 1), dtype=np.uint8), np.zeros(2, dtype=np.uint8))))
+        paths[which].write_bytes(paths[which].read_bytes() + bytes(1))
+        message = f"{paths[which]}: {which} payload of 2 bytes, but 3 are left in the file"
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(message)}$"):
+            load_idx_dataset(paths["images"], paths["labels"])
+
+    def test_a_bad_magic_and_a_count_mismatch_name_their_files(self, tmp_path):
+        img_path, lab_path = write_idx_pair(tmp_path, np.zeros((2, 1, 1), dtype=np.uint8), np.zeros(2, dtype=np.uint8))
+        good = lab_path.read_bytes()
+        lab_path.write_bytes(b"\x00\x00\x08\x99" + good[4:])
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(str(lab_path))}: labels magic 0x00000899"):
+            load_idx_dataset(img_path, lab_path)
+        lab_path.write_bytes(struct.pack(">II", 0x00000801, 1) + bytes(1))
+        message = f"sample count mismatch: 2 images in {img_path}, 1 labels in {lab_path}"
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(message)}$"):
+            load_idx_dataset(img_path, lab_path)
+
+    def test_a_truncated_header_names_its_file(self, tmp_path):
+        img_path, lab_path = write_idx_pair(tmp_path, np.zeros((1, 1, 1), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+        lab_path.write_bytes(lab_path.read_bytes()[:5])
+        message = f"{lab_path}: labels header of 8 bytes, but 5 are left in the file"
+        with pytest.raises(IdxFormatError, match=f"^{re.escape(message)}$"):
             load_idx_dataset(img_path, lab_path)
 
 

@@ -449,6 +449,38 @@ class TestSerialization:
         back = load_results(path)
         assert trajectory(back) == trajectory(metrics)
 
+    @pytest.mark.parametrize("fmt, edit, message", [
+        ("csv", lambda text: "round,algorithm\n0,S3GD_MV\n", "row 1, column train_loss: missing"),
+        ("csv", lambda text: text.replace("\n1,", "\nx,"), "row 2, column round: must be int, got 'x'"),
+        ("csv", lambda text: text.rsplit(",", 1)[0], "row 2, column wall_ms: must be float, got None"),
+        ("csv", lambda text: text.rstrip() + ",7\n", "row 2 must be a record of round, algorithm, train_loss"),
+        ("json", lambda text: "[{}]", "row 1, column round: missing"),
+        ("json", lambda text: '{"round": 0}', "results must be a JSON list of records, got dict"),
+        ("json", lambda text: "[[0, 1]]", "row 1 must be a record of round, algorithm"),
+        ("json", lambda text: text.replace('"round": 0', '"round": 0.5'), "row 1, column round: must be int, got 0.5"),
+        ("json", lambda text: text.replace('"algorithm": "S3GD_MV"', '"algorithm": 3', 1),
+         "row 1, column algorithm: must be str, got 3"),
+        ("json", lambda text: text.replace('"round": 0', '"extra": 1, "round": 0'), "row 1 must be a record of round"),
+        ("json", lambda text: "[{", "Expecting property name"),
+    ])
+    def test_a_malformed_file_is_one_error_naming_it(self, tmp_path, fmt, edit, message):
+        path = tmp_path / f"results.{fmt}"
+        emit_results(run_experiment(quad_cfg(t=2)), path, fmt=fmt)
+        path.write_text(edit(path.read_text()))
+        with pytest.raises(ValueError) as err:
+            load_results(path)
+        assert str(err.value).startswith(f"{path}: ") and message in str(err.value), str(err.value)
+        assert "\n" not in str(err.value)
+
+    def test_a_json_bool_is_not_a_float(self, tmp_path):
+        path = tmp_path / "results.json"
+        emit_results(run_experiment(quad_cfg(t=1)), path, fmt="json")
+        records = json.loads(path.read_text())
+        records[0]["train_loss"] = True
+        path.write_text(json.dumps(records))
+        with pytest.raises(ValueError, match="row 1, column train_loss: must be float, got True$"):
+            load_results(path)
+
     def test_format_sniffing(self, tmp_path):
         metrics = run_experiment(quad_cfg(t=3))
         jpath = tmp_path / "res.json"
