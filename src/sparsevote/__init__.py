@@ -31,7 +31,6 @@ from .compression import (
 from .models import (
     Dataset,
     IdxFormatError,
-    WorkerShard,
     load_idx_dataset,
     partition_dataset,
     synth_classification,

@@ -41,12 +41,12 @@ encode_sparse_sign gives each message of a support held back to back, as a
 SignBatch holds a round's uploads, each message with its own K and b.
 encode_sparse_sign sizes its stream with it, and a WIRE round charges its
 uplink and its vote broadcast with it without building a stream.  It checks
-N and the counts once a call, not once a message.
+N, the counts and the indices once a call, not once a message.
 
-ALGORITHMS is the table of the five algorithms, one row each: which
-coordinates a worker sends (all, top-K or random-K), whether it keeps an
-error memory, and whether the server votes on signs or averages values.
-The simulator runs a row and analytic_round_cost prices it.  A value costs
+ALGORITHMS is the table of the five algorithms, one (selector, server) row
+each: which coordinates a worker sends (all, top-K with error feedback or
+random-K) and whether the server votes on signs or averages values.  The
+simulator runs a row and analytic_round_cost prices it.  A value costs
 w = 32 bits for a mean server and w = 1 bit (a sign) for a vote server, so
 per round and worker
 
@@ -55,8 +55,8 @@ per round and worker
     downlink w * N                          the aggregate, one value a
                                             coordinate, to every worker
 
-CommLedger keeps a round-by-round record of bits and their total; the runs
-write their per-round bits with simulator.emit_results.
+CommLedger keeps a run's running total of bits; the runs write their
+per-round bits with simulator.emit_results.
 """
 
 from __future__ import annotations
@@ -88,23 +88,22 @@ class _Rule:
     """One algorithm as data.
 
     selector is the set of coordinates a worker sends: "all", "topk" or
-    "randk".  memory marks error feedback: the worker selects the top-K of
-    g + eta * e and keeps what it did not send as its next e (so memory
-    implies "topk").  server is "vote" for a majority vote on the signs of
-    the sent coordinates, "mean" for the average of their values.
+    "randk".  "topk" is error feedback: the worker keeps an error memory e,
+    sends the top-K of g + eta * e and keeps what it did not send as its
+    next e.  server is "vote" for a majority vote on the signs of the sent
+    coordinates, "mean" for the average of their values.
     """
 
     selector: str
-    memory: bool
     server: str
 
 
 ALGORITHMS = {
-    "VANILLA_SGD": _Rule("all", memory=False, server="mean"),
-    "TOPK_SGD_MEM": _Rule("topk", memory=True, server="mean"),
-    "SIGNSGD_MV": _Rule("all", memory=False, server="vote"),
-    "S3GD_MV": _Rule("topk", memory=True, server="vote"),
-    "S3GD_MV_RANDK": _Rule("randk", memory=False, server="vote"),
+    "VANILLA_SGD": _Rule("all", server="mean"),
+    "TOPK_SGD_MEM": _Rule("topk", server="mean"),
+    "SIGNSGD_MV": _Rule("all", server="vote"),
+    "S3GD_MV": _Rule("topk", server="vote"),
+    "S3GD_MV_RANDK": _Rule("randk", server="vote"),
 }
 
 FLOAT_BITS = 32
@@ -174,13 +173,14 @@ def _field_values(bits: np.ndarray) -> np.ndarray:
 def message_bit_lengths(dim: int, indices, counts) -> np.ndarray:
     """The bit_len encode_sparse_sign gives each message of a support, as int64.
 
-    Message m is the counts[m] indices after those of messages 0..m-1, each
-    message's ascending and in [0, dim), as a SignBatch holds them; the
-    indices are not checked again.  A message of K entries costs
-    Wc + K*(b + 2) + sum(gap >> b) bits, with the b of its own K.
+    Message m is the counts[m] indices after those of messages 0..m-1, as a
+    SignBatch holds them; each message's indices must be integers in
+    [0, dim) and strictly increasing, or a ValueError says which is not.  A
+    message of K entries costs Wc + K*(b + 2) + sum(gap >> b) bits, with the
+    b of its own K.
     """
     wc = count_field_width(dim)
-    indices = np.asarray(indices, dtype=np.int64)
+    indices = _checks.indices(indices, "indices", int(dim), f"dim={dim}")
     counts = _checks.indices(counts, "counts", int(dim) + 1, f"dim={dim}")
     if counts.sum() != indices.size:
         raise ValueError(f"counts must sum to the {indices.size} indices, got {counts}")
@@ -192,6 +192,8 @@ def message_bit_lengths(dim: int, indices, counts) -> np.ndarray:
     np.subtract(indices[1:], indices[:-1], out=gaps[1:])
     gaps -= 1
     gaps[first] = indices[first]
+    if indices.size and gaps.min() < 0:
+        raise ValueError("indices must be strictly increasing within each message")
     gaps >>= np.repeat(b, counts)
     quotients = np.zeros(counts.size, dtype=np.int64)
     quotients[nonempty] = np.add.reduceat(gaps, first)
@@ -292,18 +294,14 @@ def analytic_round_cost(algorithm: str, m: int, dim: int, k: int) -> tuple[float
 
 
 class CommLedger:
-    """Round-by-round record of bits spent, uplink and downlink."""
+    """The running total of bits spent, uplink plus downlink, added round by round."""
 
     def __init__(self, algorithm: str):
         if algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {algorithm!r}")
-        self.rounds: list[tuple[int, float, float]] = []
+        self.cumulative_bits = 0.0
 
     def record(self, round_index: int, uplink_bits: float, downlink_bits: float) -> None:
         _checks.real(uplink_bits, f"uplink_bits at round {round_index}", "non-negative")
         _checks.real(downlink_bits, f"downlink_bits at round {round_index}", "non-negative")
-        self.rounds.append((round_index, float(uplink_bits), float(downlink_bits)))
-
-    @property
-    def cumulative_bits(self) -> float:
-        return sum(r[1] for r in self.rounds) + sum(r[2] for r in self.rounds)
+        self.cumulative_bits += float(uplink_bits) + float(downlink_bits)

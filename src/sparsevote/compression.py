@@ -139,7 +139,11 @@ class SignBatch:
     @classmethod
     def quantize(cls, dim: int, supports: np.ndarray, values: np.ndarray) -> "SignBatch":
         """Message m: the signs of values[m] on supports[m], rows of (M, K)
-        arrays, exact zeros (no sign) dropped."""
+        arrays of one shape, exact zeros (no sign) dropped."""
+        supports, values = np.asarray(supports), np.asarray(values)
+        if supports.ndim != 2 or values.shape != supports.shape:
+            raise ValueError(f"supports and values must be (M, K) arrays of one shape, "
+                             f"got {supports.shape} and {values.shape}")
         counts = np.full(len(supports), supports.shape[1])
         indices, values = supports.reshape(-1), values.reshape(-1)
         # Straight into int8: a fresh (or in-place) float sign array is several

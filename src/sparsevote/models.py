@@ -30,7 +30,6 @@ from . import _checks
 __all__ = [
     "IdxFormatError",
     "Dataset",
-    "WorkerShard",
     "mlp_param_count",
     "mlp_pass",
     "mlp_grad",
@@ -68,20 +67,6 @@ class Dataset:
 
     def subset(self, indices: np.ndarray) -> "Dataset":
         return Dataset(self.features[indices], self.labels[indices], self.num_classes)
-
-
-@dataclass(frozen=True)
-class WorkerShard:
-    """One worker's slice of a dataset, as indices into it."""
-
-    worker_id: int
-    indices: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "indices", np.asarray(self.indices, dtype=np.int64))
-
-    def __len__(self) -> int:
-        return int(self.indices.size)
 
 
 # --------------------------------------------------------------------------
@@ -249,8 +234,9 @@ def mlp_grad(x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.nd
 
 def partition_dataset(
     ds: Dataset, m: int, mode: str, rng: np.random.Generator
-) -> list[WorkerShard]:
-    """Split a dataset into M disjoint shards covering every sample.
+) -> list[np.ndarray]:
+    """Split a dataset into M disjoint shards covering every sample: worker
+    m's shard is item m, an int64 array of indices into the dataset.
 
     IID shuffles globally and splits into near-equal parts (sizes differ by
     at most one).  NONIID groups by label: with M <= classes each worker
@@ -281,7 +267,7 @@ def partition_dataset(
                 f"num_classes {c} classes to its workers, and {n} samples hold too few of class {empty[0] % c}")
     else:
         raise ValueError(f"unknown partition mode {mode!r}")
-    return [WorkerShard(w, part) for w, part in enumerate(parts)]
+    return parts
 
 
 _IDX_IMAGES_MAGIC = 0x00000803

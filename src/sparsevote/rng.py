@@ -199,8 +199,8 @@ def integers_rows(generators: list[Generator], bounds: np.ndarray, size: int) ->
     Each generator is left in the state that call leaves, but for the spent
     high half numpy keeps in uinteger beside has_uint32 0, which no draw
     reads; here uinteger keeps its old value.  The generators must hold no
-    buffered uint32, as worker_rngs leaves them, and every bound must be at
-    least 1.
+    buffered uint32, as worker_rngs leaves them; bounds holds one integer
+    of at least 1 for each generator, and size is a non-negative integer.
 
     Below 2**32, numpy draws each integer from a uint32 by Lemire's method
     (arXiv 1805.10941): u * b >> 32, rejecting u while the product's low word
@@ -212,10 +212,16 @@ def integers_rows(generators: list[Generator], bounds: np.ndarray, size: int) ->
     draws nothing), a bound above 2**32 or a rejected word takes numpy's own
     integers call, rewound first if it has drawn.
     """
-    bounds = np.asarray(bounds, dtype=np.int64)
+    bounds = _checks.indices(bounds, "bounds")
+    if bounds.shape != (len(generators),):
+        raise ValueError(f"bounds must hold one bound for each of the {len(generators)} generators, "
+                         f"got shape {bounds.shape}")
+    _checks.count(size, "size", "non-negative")
     out = np.empty((len(generators), size), dtype=np.int64)
     fast, slow = [], []
     for m, bound in enumerate(bounds.tolist()):
+        if bound < 1:
+            raise ValueError(f"bounds[{m}] must be at least 1, got {bound}")
         (fast if 1 < bound <= _TWO32 else slow).append(m)
     if fast:
         pairs = size // 2

@@ -11,28 +11,31 @@ the configured algorithm, and the server aggregates:
   S3GD_MV         top-K sign message with error accumulation, majority vote
   S3GD_MV_RANDK   uniform random-K sign message, no memory, majority vote
 
-Each algorithm is one row of codec.ALGORITHMS: which coordinates a worker
-selects (all, top-K or random-K), whether it keeps an error memory, and
-whether the server takes a majority vote on signs or averages values.  The
-update direction feeds a momentum step x <- x - delta * v.  Every round is
-charged either the analytic per-round budgets or the exact encoded wire
-lengths (cost_mode WIRE: the bit_len the codec would give each sparse sign
-message, from codec.message_bit_lengths, with no stream built).  Fixing the
-config and seed fixes the whole trajectory bit for bit, because each
-(worker, round) pair owns its random stream; the run keeps M generators and
-re-seeds them each round with those streams' states, which
-rng.WorkerStreams derives a block of rounds at a time.
+Each algorithm is one (selector, server) row of codec.ALGORITHMS: which
+coordinates a worker sends (all, top-K of its gradient plus error memory, or
+random-K) and whether the server takes a majority vote on signs or averages
+values.  The update direction feeds a momentum step x <- x - delta * v.
+Every round is charged either the analytic per-round budgets or the exact
+encoded wire lengths (cost_mode WIRE: the bit_len the codec would give each
+sparse sign message, from codec.message_bit_lengths, with no stream built),
+and a codec.CommLedger keeps the running total.  Fixing the config and seed
+fixes the whole trajectory bit for bit, because each (worker, round) pair
+owns its random stream; the run keeps M generators and re-seeds them each
+round with those streams' states, which rng.WorkerStreams derives a block of
+rounds at a time.
 
 A round runs as whole-round passes where it can: the task's round_pass
-evaluates the iterate and draws the M worker gradients in one call (for a
-classifier, one model pass over the training, minibatch and test rows), a vote
-server takes the M uploads as one SignBatch, which majority_vote reads and
-the WIRE lengths are measured on, and no per-message object is built.
-Each pass gives the same bits as its per-worker, per-message counterpart.
-The worker phase runs in blocks of workers, one compression pass a block;
-for the quadratic task at large N it runs on min(usable CPUs, M) threads,
-each owning a fixed share of the workers, and the server step then runs in
-worker order, so results do not depend on the thread count.
+evaluates the iterate and gives the M worker gradients, which slice as an
+(M, N) array (a classifier's from one model pass over the training,
+minibatch and test rows; the quadratic draws a slice's noise as it is read),
+a vote server takes the M uploads as one SignBatch, which majority_vote
+reads and the WIRE lengths are measured on, and no per-message object is
+built.  Each pass gives the same bits as its per-worker, per-message
+counterpart.  The worker phase runs in blocks of workers, one gradient slice
+and one compression pass a block; for the quadratic task at large N it runs
+on min(usable CPUs, M) threads, each owning a fixed share of the workers,
+and the server step then runs in worker order, so results do not depend on
+the thread count.
 """
 
 from __future__ import annotations
@@ -51,7 +54,7 @@ import numpy as np
 
 from . import _checks, models
 from .aggregation import average_aggregate, majority_vote, participation_count
-from .codec import ALGORITHMS, _Rule, analytic_round_cost, message_bit_lengths
+from .codec import ALGORITHMS, CommLedger, _Rule, analytic_round_cost, message_bit_lengths
 from .compression import SignBatch, _error_feedback_rows, rand_k_select
 from .rng import WorkerStreams, derive_rng, integers_rows, worker_rngs
 
@@ -95,11 +98,11 @@ class ExperimentConfig:
     """Everything a run needs; JSON configs mirror these field names.
 
     learning_rate and batch_size accept the literal "theory" for the
-    horizon-matched schedules delta = 1/sqrt(T * L1) and B = T (quadratic
-    model only, where L1 is known exactly).  n = None infers the model size
-    from the model spec where possible.  Building a config (from_dict,
-    directly or by dataclasses.replace) checks its top-level fields; a run
-    checks the model and data specs when it builds its task.
+    horizon-matched schedules delta = 1/sqrt(T * L1) and B = T; the step
+    needs the quadratic model, where L1 is known exactly.  n = None infers
+    the model size from the model spec where possible.  Building a config
+    (from_dict, directly or by dataclasses.replace) checks its top-level
+    fields; a run checks the model and data specs when it builds its task.
     """
 
     algorithm: str
@@ -272,10 +275,11 @@ class QuadraticTask:
         Returns ((train_loss, test_metric, gbar_l1), grads): the loss
         0.5 * sum(L * x * x) and the exact mean gradient's l1 norm, which
         also stands in for the test metric, as there is no held-out data.
-        Worker m's gradient is L * x plus Gaussian noise of scale
-        noise_std / sqrt(batch), drawn from rngs[m] when grads.rows reads a
-        block of rows holding it, so a worker's later draws follow its own,
-        on the thread that owns the worker.
+        grads slices like the classifier's (M, N) array: grads[a:b] holds
+        the gradients of workers a to b - 1, worker m's L * x plus Gaussian
+        noise of scale noise_std / sqrt(batch), drawn from rngs[m] when the
+        slice is read, so a worker's later draws follow its own, on the
+        thread that owns the worker.  Each row is read once.
         """
         lx = self.l_diag * x
         gbar_l1 = float(np.abs(lx).sum())
@@ -284,23 +288,19 @@ class QuadraticTask:
 
 
 class _NoisyGradients:
-    """Worker m's gradient is mean + scale * z, z drawn from rngs[m] when rows reads it."""
+    """Worker m's gradient is mean + scale * z, z drawn from rngs[m] when a slice reads it."""
 
     def __init__(self, mean: np.ndarray, scale: np.ndarray, rngs):
         self._mean, self._scale, self._rngs = mean, scale, rngs
 
-    def rows(self, workers: range) -> tuple[np.ndarray, tuple | None]:
-        """(g, failed): the workers' gradients as rows; if worker m's draw
-        raised, the rows before it and (m, error)."""
-        g = np.empty((len(workers), self._mean.size))
-        for i, m in enumerate(workers):
-            try:
-                self._rngs[m].standard_normal(out=g[i])
-            except Exception as err:
-                return g[:i] * self._scale + self._mean, (m, err)
+    def __getitem__(self, workers: slice) -> np.ndarray:
+        rngs = self._rngs[workers]
+        g = np.empty((len(rngs), self._mean.size))
+        for rng, row in zip(rngs, g):
+            rng.standard_normal(out=row)
         g *= self._scale
         g += self._mean
-        return g, None
+        return g
 
 
 class ClassificationTask:
@@ -372,9 +372,9 @@ class ClassificationTask:
         if cfg.m > n_train:
             raise ValueError(f"m must be at most the training sample count, got {cfg.m}: {train_set}")
         shards = models.partition_dataset(self.train, cfg.m, mode, derive_rng(cfg.seed, "partition"))
-        sizes = np.array([len(shard) for shard in shards])
+        sizes = np.array([shard.size for shard in shards])
         # The shards' rows end to end, and where each starts, for round_pass's draw.
-        self._shard_rows = np.concatenate([shard.indices for shard in shards])
+        self._shard_rows = np.concatenate(shards)
         self._shard_sizes, self._shard_starts = sizes, np.cumsum(sizes) - sizes
         self._seed = cfg.seed
 
@@ -463,9 +463,9 @@ def _batch_size(cfg: ExperimentConfig) -> int:
 
 def _worker_step(rule: _Rule, g: np.ndarray, memory, rows: slice, eta: float, k: int, rngs):
     """(columns, sent) of workers rows from their (R, N) gradients g, which
-    error memory overwrites: row r worker r's ascending selection and values,
+    error feedback overwrites: row r worker r's ascending selection and values,
     columns None where every worker sends every coordinate."""
-    if rule.memory:
+    if rule.selector == "topk":
         return _error_feedback_rows(g, memory[rows], eta, k)
     if rule.selector == "randk":
         columns = np.stack([rand_k_select(row, k, rngs[m]) for m, row in enumerate(g, rows.start)])
@@ -506,23 +506,18 @@ def _usable_cpus() -> int:
 
 def _worker_share(workers, rule, grads, memory, eta, k, rngs, block, columns, sent):
     """Run the given workers' steps in order, in blocks of up to block
-    workers, storing results by worker index.  Returns None, or (m, error)
-    for the first worker that raised, a block's first for its step; rows
-    read before a read that raised take their step first."""
+    workers, storing results by worker index.  A block reads all its
+    gradients, then steps.  Returns None, or (the block's first worker,
+    error) for the first block whose read or step raised."""
     for start in range(0, len(workers), block):
         rows = workers[start:start + block]
-        drawn = isinstance(grads, np.ndarray)  # a classifier's, by round_pass
-        g, failed = (grads[rows[0]:rows[-1] + 1], None) if drawn else grads.rows(rows)
-        if len(g):
-            done = slice(rows[0], rows[0] + len(g))
-            try:
-                picked, sent[done] = _worker_step(rule, g, memory, done, eta, k, rngs)
-                if columns is not None:
-                    columns[done] = picked
-            except Exception as err:
-                return rows[0], err
-        if failed:
-            return failed
+        done = slice(rows[0], rows[-1] + 1)
+        try:
+            picked, sent[done] = _worker_step(rule, grads[done], memory, done, eta, k, rngs)
+            if columns is not None:
+                columns[done] = picked
+        except Exception as err:
+            return rows[0], err
     return None
 
 
@@ -531,10 +526,11 @@ def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs, dim):
     worker, columns None where every worker sends every coordinate.
 
     Share i holds workers i, i + T, i + 2T, ...; this thread runs share 0,
-    so with T = 1 (pool None) all workers run here, in blocks.  Each share
-    runs in a copy of this thread's context, so under the caller's numpy
-    error state, which is a context variable.  If workers raise, the lowest
-    one's error is raised, as with one thread.
+    so with T = 1 (pool None) all workers run here, in blocks of
+    max(1, _THREADED_MIN_DIM // N) consecutive workers.  Each share runs in a
+    copy of this thread's context, so under the caller's numpy error state,
+    which is a context variable.  If blocks raise, the lowest one's error is
+    raised, as with one thread.
     """
     m_workers = len(rngs)
     dense = rule.selector == "all"
@@ -589,10 +585,10 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
 
     x = task.init_params()
     velocity = None
-    memory = np.zeros((cfg.m, dim)) if rule.memory else None
+    memory = np.zeros((cfg.m, dim)) if rule.selector == "topk" else None
     count_dtype = np.min_scalar_type(cfg.m)  # at most the M workers send a coordinate
     metrics: list[RoundMetrics] = []
-    cumulative = 0.0
+    ledger = CommLedger(cfg.algorithm)
     worker_streams = WorkerStreams(cfg.seed, cfg.m, cfg.t)
     # No pool below the gate, and none outlives the run.
     with ThreadPoolExecutor(threads - 1) if threads > 1 else contextlib.nullcontext() as pool:
@@ -637,7 +633,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
             if not np.all(np.isfinite(x)):
                 raise FloatingPointError(f"non-finite parameters after round {t}")
 
-            cumulative += up + down
+            ledger.record(t, up, down)
             metrics.append(
                 RoundMetrics(
                     round=t,
@@ -647,7 +643,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
                     gbar_l1=gbar_l1,
                     uplink_bits=up,
                     downlink_bits=down,
-                    cumulative_bits=cumulative,
+                    cumulative_bits=ledger.cumulative_bits,
                     wall_ms=(time.perf_counter() - started) * 1e3,
                     selection_counts=None if counts is None else counts.astype(count_dtype),
                 )

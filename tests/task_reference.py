@@ -56,8 +56,7 @@ class PerCallTask:
         self.quadratic = isinstance(task, QuadraticTask)
         if not self.quadratic:
             mode = cfg.data.get("mode", "IID")
-            split = partition_dataset(task.train, cfg.m, mode, derive_rng(cfg.seed, "partition"))
-            self.shards = [shard.indices for shard in split]
+            self.shards = partition_dataset(task.train, cfg.m, mode, derive_rng(cfg.seed, "partition"))
 
     def evaluation(self, x) -> tuple[float, float, float]:
         """(train_loss, test_metric, gbar_l1) at x."""

@@ -31,7 +31,7 @@ from sparsevote.compression import (
     top_k_select,
 )
 from sparsevote.models import Dataset, mlp_grad, mlp_param_count, mlp_pass, partition_dataset, synth_classification
-from sparsevote.rng import WorkerStreams, derive_rng, worker_rngs
+from sparsevote.rng import WorkerStreams, derive_rng, integers_rows, worker_rngs
 from sparsevote.simulator import resolve_k, update_model
 
 
@@ -69,6 +69,7 @@ COUNTS = [
     ("stream index 1", "derive_rng", lambda v: derive_rng(0, "worker", 2, v)),
     ("master_seed", "WorkerStreams", lambda v: WorkerStreams(v, 2, 3)),
     ("round index", "worker_rngs", lambda v: worker_rngs(WorkerStreams(0, 2, 3), v)),
+    ("size", "integers_rows", lambda v: integers_rows([np.random.default_rng(0)], [3], v)),
     ("dim", "resolve_k", lambda v: resolve_k(0.5, v)),
 ]
 
@@ -86,6 +87,8 @@ ARRAYS = [
     ("indices", "SparseSignVector", lambda v: SparseSignVector(8, v, [1] * len(v))),
     ("indices", "SignBatch", lambda v: SignBatch(8, v, [1] * len(v), [len(v)])),
     ("counts", "message_bit_lengths", lambda v: message_bit_lengths(8, [0] * len(v), v)),
+    ("indices", "message_bit_lengths", lambda v: message_bit_lengths(8, v, [len(v)])),
+    ("bounds", "integers_rows", lambda v: integers_rows([np.random.default_rng(0)] * len(v), v, 2)),
     ("supports", "participation_count", lambda v: participation_count([v], 8)),
     ("labels", "Dataset", lambda v: Dataset(np.zeros((len(v), 2)), v, 2)),
     ("labels", "mlp_grad", lambda v: mlp_grad(np.zeros(9), [2, 3], np.ones((len(v), 2)), np.array(v))),
@@ -96,6 +99,10 @@ ARRAYS = [
 NOT_COUNTS = [True, 2.5, math.nan, math.inf, "3"]
 NOT_REALS = [True, math.nan, math.inf, "3"]
 NOT_INTEGER_ARRAYS = [[True], [1.5], [math.nan], [math.inf], ["3"]]
+
+
+def generators(count):
+    return [np.random.default_rng(m) for m in range(count)]
 
 
 def refused(call, value, message):
@@ -142,6 +149,24 @@ def test_an_index_array_that_is_not_integers_is_refused_by_name(name, call, valu
     (lambda: synth_classification(20.5, 2, 2, 1.0, np.random.default_rng(0)),
      "n_samples must be an integer, got 20.5"),
     (lambda: participation_count([[0, 5]], 4), "supports out of range for dim=4: must lie in [0, 4), got [0, 5]"),
+    # integers_rows once gave a row of zeros, a bare TypeError, numpy's
+    # unnamed "high <= 0" or rows of uninitialised memory.
+    (lambda: integers_rows(generators(2), [1.5, 3], 4), "bounds must be integers, got float64 values"),
+    (lambda: integers_rows(generators(1), [3], 2.5), "size must be an integer, got 2.5"),
+    (lambda: integers_rows(generators(1), [0], 2), "bounds[0] must be at least 1, got 0"),
+    (lambda: integers_rows(generators(2), [3, -2], 2), "bounds[1] must be at least 1, got -2"),
+    (lambda: integers_rows(generators(3), [5], 2),
+     "bounds must hold one bound for each of the 3 generators, got shape (1,)"),
+    (lambda: integers_rows(generators(2), [3, 4], -1), "size must be non-negative, got -1"),
+    # message_bit_lengths once priced these as 12, 12 and 16 bits.
+    (lambda: message_bit_lengths(10, [5, 2], [2]), "indices must be strictly increasing within each message"),
+    (lambda: message_bit_lengths(10, [1.5, 2.5], [2]), "indices must be integers, got float64 values"),
+    (lambda: message_bit_lengths(10, [5, 20], [2]), "indices out of range for dim=10: must lie in [0, 10), got [5, 20]"),
+    # SignBatch.quantize once ended in IndexError on 1-D arrays.
+    (lambda: SignBatch.quantize(5, np.array([1, 2]), np.array([1.0, -2.0])),
+     "supports and values must be (M, K) arrays of one shape, got (2,) and (2,)"),
+    (lambda: SignBatch.quantize(5, [[1, 2]], [[1.0, -2.0, 3.0]]),
+     "supports and values must be (M, K) arrays of one shape, got (1, 2) and (1, 3)"),
 ])
 def test_each_case_that_was_wrong_is_refused_by_name(call, message):
     refused(lambda _: call(), None, re.escape(message))
@@ -223,3 +248,10 @@ class TestIndices:
         assert _checks.indices([2**63 - 1], "v", high, "dim").tolist() == [2**63 - 1]
         with pytest.raises(ValueError, match="out of range"):
             _checks.indices([-2**63], "v", high, "dim")
+
+
+def test_quantize_reads_lists_as_arrays():
+    # Lists once ended in AttributeError.
+    want = SignBatch.quantize(8, np.array([[1, 5], [0, 2]]), np.array([[1.0, -2.0], [0.0, 3.0]]))
+    assert SignBatch.quantize(8, [[1, 5], [0, 2]], [[1.0, -2.0], [0.0, 3.0]]) == want
+    assert want == SignBatch(8, [1, 5, 2], [1, -1, 1], [2, 1])

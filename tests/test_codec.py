@@ -555,6 +555,18 @@ class TestCommLedger:
             ledger.record(t, u, d)
         assert ledger.cumulative_bits == ups.sum() + downs.sum()
 
+    def test_a_running_total_in_record_order(self):
+        # Each round's up + down joins the total as it is recorded, the order
+        # a run adds its bits in: 1e16 absorbs each lone 1.0, where the sum of
+        # the downs, 2.0, would show.
+        ledger = CommLedger("S3GD_MV")
+        total = 0.0
+        for up, down in [(1e16, 1.0), (0.0, 1.0)]:
+            ledger.record(0, up, down)
+            total += up + down
+            assert ledger.cumulative_bits == total
+        assert vars(ledger) == {"cumulative_bits": total}
+
     def test_negative_bits_rejected(self):
         ledger = CommLedger("VANILLA_SGD")
         with pytest.raises(ValueError):

@@ -295,7 +295,6 @@ def raised(cfg):
         ({5: NaNStream}, (ValueError, "cannot rank NaN magnitudes")),
         # The sequential loop stops at worker 1, before worker 2 fails.
         ({2: NaNStream, 1: BrokenStream}, (RuntimeError, "stream broke")),
-        ({1: NaNStream, 2: BrokenStream}, (ValueError, "cannot rank NaN magnitudes")),
     ],
 )
 def test_a_failing_worker_raises_as_in_the_sequential_loop(monkeypatch, threads, streams, error):
@@ -306,6 +305,26 @@ def test_a_failing_worker_raises_as_in_the_sequential_loop(monkeypatch, threads,
     ran = threaded(monkeypatch, threads)
     assert raised(cfg) == error
     assert_shares(ran, threads, cfg.m)
+    assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("threads", [1, 2, 3, 8])
+def test_a_block_reads_all_its_gradients_before_it_steps(monkeypatch, threads):
+    """Worker 1's NaN gradient fails its step, worker 2's stream its read.
+    At the default gate the 8 workers of N = 2000 are one block, whose read
+    fails first; with the gate forced to 1 each worker is a block, and worker
+    1's fails first at any thread count."""
+    cfg = quadratic_wide_batch(algorithm="S3GD_MV")
+    assert simulator._THREADED_MIN_DIM // cfg.n >= cfg.m
+    break_streams(monkeypatch, {1: NaNStream, 2: BrokenStream})
+    assert raised(cfg) == (RuntimeError, "stream broke")
+    before = threading.active_count()
+    ran = threaded(monkeypatch, threads)
+    assert raised(cfg) == (ValueError, "cannot rank NaN magnitudes")
+    if threads == 1:
+        assert {workers for _, workers in ran} == {tuple(range(cfg.m))}
+    else:
+        assert_shares(ran, threads, cfg.m)
     assert threading.active_count() == before
 
 

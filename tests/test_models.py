@@ -16,7 +16,6 @@ from hypothesis import strategies as st
 from sparsevote.models import (
     Dataset,
     IdxFormatError,
-    WorkerShard,
     _layer_grad,
     load_idx_dataset,
     mlp_grad,
@@ -66,9 +65,7 @@ def quadratic_task(lipschitz, noise_std=0.0):
 def quadratic_loss_and_grads(task, x, rngs):
     """The loss at x and one gradient row per stream, batch 1."""
     evaluation, grads = task.round_pass(x, 1, rngs)
-    rows, failed = grads.rows(range(len(rngs)))
-    assert failed is None
-    return evaluation[0], rows
+    return evaluation[0], grads[0:len(rngs)]
 
 
 class TestQuadratic:
@@ -306,36 +303,36 @@ class TestPartition:
     def test_iid_sizes_and_cover(self):
         ds = toy_dataset(n=23)
         shards = partition_dataset(ds, 5, "IID", np.random.default_rng(0))
-        sizes = [s.indices.size for s in shards]
+        sizes = [s.size for s in shards]
         assert max(sizes) - min(sizes) <= 1
-        merged = np.concatenate([s.indices for s in shards])
+        merged = np.concatenate(shards)
         assert np.array_equal(np.sort(merged), np.arange(23))
-        assert [s.worker_id for s in shards] == list(range(5))
+        assert len(shards) == 5 and all(s.dtype == np.int64 for s in shards)
 
     def test_noniid_single_class_per_worker(self):
         ds = toy_dataset(n=40, c=4)
         shards = partition_dataset(ds, 4, "NONIID", np.random.default_rng(0))
         for shard in shards:
-            assert np.unique(ds.labels[shard.indices]).size == 1
+            assert np.unique(ds.labels[shard]).size == 1
 
     def test_noniid_fewer_workers_than_classes(self):
         ds = toy_dataset(n=40, c=4)
         shards = partition_dataset(ds, 2, "NONIID", np.random.default_rng(0))
-        merged = np.concatenate([s.indices for s in shards])
+        merged = np.concatenate(shards)
         assert np.array_equal(np.sort(merged), np.arange(40))
         # each worker holds whole classes only
         for shard in shards:
-            for cls in np.unique(ds.labels[shard.indices]):
-                assert np.sum(ds.labels[shard.indices] == cls) == np.sum(ds.labels == cls)
+            for cls in np.unique(ds.labels[shard]):
+                assert np.sum(ds.labels[shard] == cls) == np.sum(ds.labels == cls)
 
     def test_noniid_more_workers_than_classes(self):
         ds = toy_dataset(n=60, c=3)
         shards = partition_dataset(ds, 6, "NONIID", np.random.default_rng(0))
-        merged = np.concatenate([s.indices for s in shards])
+        merged = np.concatenate(shards)
         assert np.array_equal(np.sort(merged), np.arange(60))
         for shard in shards:
-            assert shard.indices.size > 0
-            assert np.unique(ds.labels[shard.indices]).size == 1
+            assert shard.dtype == np.int64 and shard.size > 0
+            assert np.unique(ds.labels[shard]).size == 1
 
     def test_noniid_split_that_leaves_a_worker_no_sample_is_refused(self):
         # The 13 training samples of the seed-0, 16-sample, 10-class synthetic set.
@@ -359,18 +356,18 @@ class TestPartition:
 
 def minibatch_rows(shard, batch, rng):
     """A classifier's minibatch: batch rows of the shard, drawn as a round draws them."""
-    return shard.indices[integers_rows([rng], np.array([len(shard)]), batch)[0]]
+    return shard[integers_rows([rng], np.array([shard.size]), batch)[0]]
 
 
 class TestMinibatch:
     def test_draws_from_shard_only(self):
-        shard = WorkerShard(0, np.arange(10, 20))
+        shard = np.arange(10, 20)
         rows = minibatch_rows(shard, 8, np.random.default_rng(1))
         assert rows.shape == (8,)
         assert np.all((rows >= 10) & (rows < 20))
 
     def test_uniform_over_shard(self):
-        shard = WorkerShard(0, np.arange(8))
+        shard = np.arange(8)
         rng = np.random.default_rng(5)
         trials = 40_000
         counts = np.bincount(

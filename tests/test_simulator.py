@@ -10,9 +10,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from sparsevote import compression
+from sparsevote import compression, simulator
 from sparsevote.aggregation import majority_vote
-from sparsevote.codec import ALGORITHMS, analytic_round_cost, count_field_width
+from sparsevote.codec import ALGORITHMS, CommLedger, analytic_round_cost, count_field_width
 from sparsevote.compression import SparseSignVector, rand_k_sign
 from sparsevote.rng import worker_rng
 from sparsevote.simulator import (
@@ -193,6 +193,25 @@ class TestCostAccounting:
             spent, cfg.t * sum(analytic_round_cost(alg, cfg.m, cfg.n, k)), rel_tol=1e-9
         )
         assert metrics[-1].cumulative_bits == pytest.approx(spent, rel=1e-12)
+
+    @pytest.mark.parametrize("cost_mode", ["ANALYTIC", "WIRE"])
+    def test_a_run_totals_its_bits_in_a_comm_ledger(self, monkeypatch, cost_mode):
+        ledgers = []
+
+        class Spy(CommLedger):
+            def __init__(self, algorithm):
+                super().__init__(algorithm)
+                self.recorded = []
+                ledgers.append(self)
+
+            def record(self, round_index, uplink_bits, downlink_bits):
+                super().record(round_index, uplink_bits, downlink_bits)
+                self.recorded.append((round_index, uplink_bits, downlink_bits, self.cumulative_bits))
+
+        monkeypatch.setattr(simulator, "CommLedger", Spy)
+        metrics = run_experiment(quad_cfg(t=6, cost_mode=cost_mode))
+        (ledger,) = ledgers
+        assert ledger.recorded == [(m.round, m.uplink_bits, m.downlink_bits, m.cumulative_bits) for m in metrics]
 
     def test_wire_mode_same_trajectory(self):
         a = run_experiment(quad_cfg(cost_mode="ANALYTIC"))
@@ -614,11 +633,11 @@ class TestQuadraticTask:
         task = QuadraticTask(cfg)
         x = np.linspace(-1.0, 1.0, 16)
         _, grads = task.round_pass(x, batch, [np.random.default_rng(5)])
-        got, failed = grads.rows(range(1))
+        got = grads[0:1]
         expected = np.random.default_rng(5).standard_normal(16)
         expected *= 6.0 / scale
         expected += task.l_diag * x
-        assert failed is None and got[0].tobytes() == expected.tobytes()
+        assert got[0].tobytes() == expected.tobytes()
 
     def test_round_pass_keeps_no_batch_state(self):
         # Worker threads share the task, so a gradient at one batch size must
@@ -630,9 +649,7 @@ class TestQuadraticTask:
         for batch in (4, 9, 4, 1, 9, 16):
             _, grads = task.round_pass(x, batch, [np.random.default_rng(batch)])
             _, fresh = QuadraticTask(cfg).round_pass(x, batch, [np.random.default_rng(batch)])
-            got, failed = grads.rows(range(1))
-            want, _ = fresh.rows(range(1))
-            assert failed is None and got.tobytes() == want.tobytes()
+            assert grads[0:1].tobytes() == fresh[0:1].tobytes()
         assert vars(task).keys() == state.keys()
         assert all(vars(task)[key] is value for key, value in state.items())
 
@@ -671,9 +688,8 @@ class TestRoundPass:
         k = resolve_k(0.3, task.dim)
         rngs = [worker_rng(raw["seed"], m, t) for m in range(raw["m"])]
         evaluation, grads = task.round_pass(x, batch, rngs)
-        if not isinstance(grads, np.ndarray):  # the quadratic's, drawn as rows are read
-            grads, failed = grads.rows(range(len(rngs)))
-            assert failed is None
+        # The quadratic's rows are drawn as the slice reads them.
+        grads = grads[0:len(rngs)]
         # Each worker's rand-K draw follows its gradient draw on its stream.
         got = [(g, rand_k_sign(g, k, rng)) for g, rng in zip(grads, rngs)]
 
