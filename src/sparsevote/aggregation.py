@@ -5,7 +5,9 @@ ties yield zero and therefore no update), participation counting, and plain
 averaging for the full-precision baselines.  The vote is two bincounts over
 the batch's indices, all votes and the positive ones: two passes, not M.
 Full sign vectors (SIGNSGD_MV) are voted as dense (M, N) int8 rows: a sum
-and a nonzero count down the rows, with no index array.
+and a nonzero count down the rows, with no index array.  A VoteResult keeps
+only the tallies and the participation counts; its direction, union and
+dimension are read from them.
 """
 
 from __future__ import annotations
@@ -22,19 +24,25 @@ __all__ = ["VoteResult", "majority_vote", "participation_count", "average_aggreg
 
 @dataclass(frozen=True)
 class VoteResult:
-    """Outcome of one majority vote.
+    """Outcome of one majority vote: what the vote counted.
 
-    ternary is the dense {-1, 0, +1} update direction, tallies the raw
-    per-coordinate sign sums, counts the number of messages holding each
-    coordinate (its participation count); sgn(tallies) == ternary by
-    construction.  union_support, the sorted indices that received at least
-    one vote, is derived from counts when it is read.
+    tallies holds the raw per-coordinate sign sums, counts the number of
+    messages holding each coordinate (its participation count).  The rest
+    is derived when it is read: dim, the length of tallies; ternary, the
+    dense {-1, 0, +1} update direction sgn(tallies), as int8; and
+    union_support, the sorted indices that received at least one vote.
     """
 
-    dim: int
-    ternary: np.ndarray
     tallies: np.ndarray
     counts: np.ndarray
+
+    @property
+    def dim(self) -> int:
+        return len(self.tallies)
+
+    @property
+    def ternary(self) -> np.ndarray:
+        return np.sign(self.tallies, out=np.empty(self.dim, dtype=np.int8), casting="unsafe")
 
     @property
     def union_support(self) -> np.ndarray:
@@ -42,11 +50,8 @@ class VoteResult:
 
     def nonzero_message(self) -> SparseSignVector:
         """The vote as a sparse sign message (tied coordinates dropped)."""
-        ternary = np.asarray(self.ternary)
+        ternary = self.ternary
         keep = np.flatnonzero(ternary)
-        # A hand-built result's ternary may be misshapen or hold signs other than ±1.
-        if ternary.shape != (self.dim,) or np.count_nonzero(np.abs(ternary[keep]) != 1):
-            raise ValueError(f"ternary must be a ({self.dim},) array of -1, 0 and +1")
         return SparseSignVector(self.dim, keep, ternary[keep])
 
 
@@ -71,8 +76,7 @@ def majority_vote(msgs: SignBatch | list[SparseSignVector] | np.ndarray, dim: in
         tallies = np.bincount(batch.indices[batch.signs > 0], minlength=dim)
         tallies *= 2
         tallies -= counts
-    ternary = np.sign(tallies, out=np.empty(dim, dtype=np.int8), casting="unsafe")
-    return VoteResult(dim, ternary, tallies, counts)
+    return VoteResult(tallies, counts)
 
 
 def participation_count(supports, dim: int) -> np.ndarray:

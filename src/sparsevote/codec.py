@@ -182,6 +182,8 @@ def message_bit_lengths(dim: int, indices, counts) -> np.ndarray:
     wc = count_field_width(dim)
     indices = _checks.indices(indices, "indices", int(dim), f"dim={dim}")
     counts = _checks.indices(counts, "counts", int(dim) + 1, f"dim={dim}")
+    if indices.ndim != 1 or counts.ndim != 1:
+        raise ValueError(f"indices and counts must be 1-D arrays, got shapes {indices.shape} and {counts.shape}")
     if counts.sum() != indices.size:
         raise ValueError(f"counts must sum to the {indices.size} indices, got {counts}")
     b = np.array([_rice(k, dim) for k in counts.tolist()], dtype=np.int64)

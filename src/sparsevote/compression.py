@@ -16,7 +16,8 @@ it is.  A one-message operator quantizes its support as one such row.
 
 Scalar arguments (dim, k, eta) and the index range go through _checks, the
 package's one set of argument checks.  A sign must equal -1 or +1 before
-its int8 cast, so 1.5 or 257 is refused, not cast.
+its int8 cast, so 1.5 or 257 is refused, not cast; a NaN value, which has
+no sign, is refused, not dropped as a zero.
 """
 
 from __future__ import annotations
@@ -151,6 +152,8 @@ class SignBatch:
         signs = np.sign(values, out=np.empty(values.size, dtype=np.int8), casting="unsafe")
         if not signs.all():
             keep = signs != 0
+            if np.isnan(values[~keep]).any():
+                raise ValueError("values must not hold NaN, which has no sign")
             indices, signs = indices[keep], signs[keep]
             kept = np.concatenate(([0], keep.cumsum()))
             counts = np.diff(kept[np.concatenate(([0], counts.cumsum()))])

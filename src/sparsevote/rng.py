@@ -11,7 +11,8 @@ runs numpy's SeedSequence hash (O'Neill's seed_seq mixing, whose constants do
 not depend on the data) and PCG64's seeding step as array passes over every
 (worker, round) pair of the block, and worker_rngs re-seeds the run's M
 generators in place each round, so generator m at round t has exactly the
-state of worker_rng(seed, m, t).
+state of worker_rng(seed, m, t).  A run has at most 2**32 workers and 2**32
+rounds, so that m and t are one entropy word each.
 
 integers_rows draws a bounded integer row from each of those generators in
 one array pass over their raw PCG64 words, equal to each generator's own
@@ -134,11 +135,10 @@ class WorkerStreams:
 
     def __init__(self, master_seed: int, workers: int, rounds: int):
         _checks.count(master_seed, "master_seed", "non-negative", high=None)
-        # A worker id is one entropy word below 2**32, so every stream of a
-        # block has the same number of words.
+        # A worker id and a round index are one entropy word each, below
+        # 2**32, so every stream has the same number of words.
         self.workers = _checks.count(workers, "workers", high=2**32)
-        self.rounds = _checks.count(rounds, "rounds", high=None)
-        self.master_seed = master_seed
+        self.rounds = _checks.count(rounds, "rounds", high=2**32)
         self._prefix = [*_words(int(master_seed)), _KIND["worker"]]
         # Placeholders until the first round re-seeds them; sharing one
         # SeedSequence halves what building them costs.
@@ -148,23 +148,14 @@ class WorkerStreams:
 
     def _derive(self, start: int) -> None:
         stop = min(self.rounds, start + max(1, _BLOCK_STREAMS // self.workers))
-        if stop > 2**32:
-            # A round index of 2**32 or more is two entropy words; such
-            # blocks take numpy's own derivation, stream by stream.
-            self._states = []
-            for t in range(start, stop):
-                for m in range(self.workers):
-                    state = worker_rng(self.master_seed, m, t).bit_generator.state["state"]
-                    self._states.append((state["state"], state["inc"]))
-        else:
-            # Stream (t - start) * M + m is worker m at round t.
-            rounds = np.arange(start, stop, dtype=np.uint32)
-            size = rounds.size * self.workers
-            self._states = _pcg64_states([
-                *(np.full(size, word, dtype=np.uint32) for word in self._prefix),
-                np.tile(np.arange(self.workers, dtype=np.uint32), rounds.size),
-                np.repeat(rounds, self.workers),
-            ])
+        # Stream (t - start) * M + m is worker m at round t.
+        rounds = np.arange(start, stop, dtype=np.uint32)
+        size = rounds.size * self.workers
+        self._states = _pcg64_states([
+            *(np.full(size, word, dtype=np.uint32) for word in self._prefix),
+            np.tile(np.arange(self.workers, dtype=np.uint32), rounds.size),
+            np.repeat(rounds, self.workers),
+        ])
         self._start = start
 
 

@@ -124,7 +124,7 @@ class ExperimentConfig:
         if not isinstance(self.algorithm, str) or self.algorithm not in ALGORITHMS:
             raise ValueError(f"unknown algorithm {self.algorithm!r}")
         _checks.count(self.m, "m")
-        _checks.count(self.t, "t")
+        _checks.count(self.t, "t", high=2**32)  # a round index is one stream word (rng.WorkerStreams)
         _checks.count(self.seed, "seed", "non-negative", high=None)  # SeedSequence takes any size
         _checks.real(self.gamma, "gamma", "in [0, 1]")
         _checks.real(self.eta, "eta", "non-negative")
@@ -256,6 +256,9 @@ class QuadraticTask:
             raise ValueError("lipschitz coefficients must be positive")
         if np.any(self.noise_std < 0):
             raise ValueError("noise_std must be non-negative")
+        # Averaging a size-B minibatch of noisy gradients shrinks the noise
+        # scale by sqrt(B); drawing once at the shrunk scale is equivalent.
+        self.batch_noise_std = self.noise_std / math.sqrt(_batch_size(cfg))
         self.dim = n
 
     def init_params(self) -> np.ndarray:
@@ -264,12 +267,7 @@ class QuadraticTask:
     def l1_smoothness(self) -> float:
         return float(self.l_diag.sum())
 
-    def _noise_scale(self, batch: int) -> np.ndarray:
-        # Averaging a size-B minibatch of noisy gradients shrinks the noise
-        # scale by sqrt(B); drawing once at the shrunk scale is equivalent.
-        return self.noise_std / math.sqrt(batch)
-
-    def round_pass(self, x, batch, rngs):
+    def round_pass(self, x, rngs):
         """The round's evaluation and worker gradients from one L * x product.
 
         Returns ((train_loss, test_metric, gbar_l1), grads): the loss
@@ -277,14 +275,14 @@ class QuadraticTask:
         also stands in for the test metric, as there is no held-out data.
         grads slices like the classifier's (M, N) array: grads[a:b] holds
         the gradients of workers a to b - 1, worker m's L * x plus Gaussian
-        noise of scale noise_std / sqrt(batch), drawn from rngs[m] when the
+        noise of scale batch_noise_std, drawn from rngs[m] when the
         slice is read, so a worker's later draws follow its own, on the
         thread that owns the worker.  Each row is read once.
         """
         lx = self.l_diag * x
         gbar_l1 = float(np.abs(lx).sum())
         evaluation = (float(0.5 * np.sum(lx * x)), gbar_l1, gbar_l1)
-        return evaluation, _NoisyGradients(lx, self._noise_scale(batch), rngs)
+        return evaluation, _NoisyGradients(lx, self.batch_noise_std, rngs)
 
 
 class _NoisyGradients:
@@ -337,6 +335,12 @@ class ClassificationTask:
             self.test = models.load_idx_dataset(paths["test_images"], paths["test_labels"])
             if not len(self.test):
                 raise ValueError(f"test_images {paths['test_images']} holds no samples")
+            if self.test.features.shape[1] != self.train.features.shape[1]:
+                raise ValueError(f"test_images {paths['test_images']} holds images of {self.test.features.shape[1]} "
+                                 f"pixels, train_images {paths['train_images']} of {self.train.features.shape[1]}")
+            if self.test.num_classes > self.train.num_classes:
+                raise ValueError(f"test_labels {paths['test_labels']} holds class {self.test.num_classes - 1}, "
+                                 f"train_labels {paths['train_labels']} only 0 to {self.train.num_classes - 1}")
         else:
             raise ValueError(f"unknown data source {source!r}")
         if data:
@@ -356,15 +360,14 @@ class ClassificationTask:
         self.arch = [self.train.features.shape[1], *hidden, self.train.num_classes]
         self.dim = _checks.count(models.mlp_param_count(self.arch), f"the parameter count of hidden {hidden}",
                                  high=_checks.FLOATS_MAX)
-        self._logistic = kind == "logistic"
-        default_scale = 0.0 if self._logistic else 0.5
-        self.init_scale = float(_checks.real(spec.pop("init_scale", default_scale), "init_scale"))
+        init_scale = float(_checks.real(spec.pop("init_scale", 0.0 if kind == "logistic" else 0.5), "init_scale"))
         if spec:
             raise ValueError(f"unknown model keys: {sorted(spec)}")
         if cfg.n is not None and cfg.n != self.dim:
             raise ValueError(f"config n = {cfg.n} but model has {self.dim} parameters")
+        self.batch = _batch_size(cfg)
         # The stacked minibatches and their activations, (M, B, width) each.
-        _checks.count(cfg.m * _batch_size(cfg) * max(self.arch), "m * batch_size * the widest layer",
+        _checks.count(cfg.m * self.batch * max(self.arch), "m * batch_size * the widest layer",
                       high=_checks.FLOATS_MAX)
         n_train = len(self.train)
         train_set = (f"n_samples {n_samples} leaves {n_train} for training" if source == "synthetic"
@@ -376,44 +379,38 @@ class ClassificationTask:
         # The shards' rows end to end, and where each starts, for round_pass's draw.
         self._shard_rows = np.concatenate(shards)
         self._shard_sizes, self._shard_starts = sizes, np.cumsum(sizes) - sizes
-        self._seed = cfg.seed
+        self.x0 = np.zeros(self.dim)
+        if init_scale != 0.0:
+            self.x0 = derive_rng(cfg.seed, "init").normal(0.0, 1.0, self.dim)
+            for w, b in models._mlp_unpack(self.x0, self.arch):
+                # A net's Xavier-style 1 / sqrt(fan_in) per layer keeps tanh units out of saturation.
+                scale = init_scale if kind == "logistic" else init_scale / math.sqrt(w.shape[1])
+                w *= scale
+                b *= scale
 
     def init_params(self) -> np.ndarray:
-        if self.init_scale == 0.0:
-            return np.zeros(self.dim)
-        rng = derive_rng(self._seed, "init")
-        x = rng.normal(0.0, 1.0, self.dim)
-        if self._logistic:
-            x *= self.init_scale
-        else:
-            # Xavier-style scaling per layer keeps tanh units out of saturation.
-            pos = 0
-            for fan_in, fan_out in zip(self.arch[:-1], self.arch[1:]):
-                span = fan_out * (fan_in + 1)
-                x[pos: pos + span] *= self.init_scale / math.sqrt(fan_in)
-                pos += span
-        return x
+        return self.x0.copy()
 
     def l1_smoothness(self) -> float:
         raise ValueError("theory schedules need the quadratic model (L1 unknown here)")
 
-    def round_pass(self, x, batch, rngs):
+    def round_pass(self, x, rngs):
         """The round's evaluation and worker gradients from one draw and one model pass.
 
         Returns ((train_loss, test_metric, gbar_l1), grads): the mean
         cross-entropy on the training set, the accuracy on the test set, the
         l1 norm of the full-batch gradient, and row m of grads the gradient
-        on worker m's minibatch, batch rows of its shard drawn uniformly with
-        replacement as rngs[m].integers(0, shard size, size=batch) would.
+        on worker m's minibatch, self.batch rows of its shard drawn uniformly
+        with replacement as rngs[m].integers(0, shard size, size=self.batch) would.
         The M minibatches are drawn in one pass, each from its worker's own
         stream (rng.integers_rows, so rngs must hold no buffered uint32, as
         worker_rngs leaves them).  Then one models.mlp_pass over the
-        training set, the (M, batch) stack and the test set gives the loss,
+        training set, the (M, B) stack and the test set gives the loss,
         the full-batch gradient, the (M, N) gradients and the accuracy,
         each with the bits of its batch's own pass.
         """
         train = self.train
-        rows = self._shard_rows[self._shard_starts[:, None] + integers_rows(rngs, self._shard_sizes, batch)]
+        rows = self._shard_rows[self._shard_starts[:, None] + integers_rows(rngs, self._shard_sizes, self.batch)]
         loss, (gbar, grads), accuracy = models.mlp_pass(
             x, self.arch, [(train.features, train.labels), (train.features[rows], train.labels[rows])],
             (self.test.features, self.test.labels))
@@ -572,7 +569,6 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
         delta = _DEFAULT_LR_SIGN if rule.server == "vote" else _DEFAULT_LR_FULL
     else:
         delta = float(cfg.learning_rate)
-    batch = _batch_size(cfg)
     # A WIRE vote round charges the encoded lengths instead.
     analytic = analytic_round_cost(cfg.algorithm, cfg.m, dim, k)
 
@@ -595,7 +591,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
         for t in range(cfg.t):
             started = time.perf_counter()
             rngs = worker_rngs(worker_streams, t)
-            (train_loss, test_metric, gbar_l1), grads = task.round_pass(x, batch, rngs)
+            (train_loss, test_metric, gbar_l1), grads = task.round_pass(x, rngs)
 
             columns, sent = _worker_phase(pool, threads, rule, grads, memory, cfg.eta, k, rngs, dim)
 
@@ -617,14 +613,14 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
                     messages = SignBatch.quantize(dim, columns, sent)
                 del columns, sent  # in the messages now; not kept into the next round
                 vote = majority_vote(messages, dim)
+                direction = vote.ternary
                 if wire:
                     # The bit_len of each stream the codec would write, the M
                     # uploads then the vote broadcast to each worker; none is built.
-                    broadcast = np.flatnonzero(vote.ternary)
+                    broadcast = np.flatnonzero(direction)
                     lengths = message_bit_lengths(dim, np.concatenate([messages.indices, broadcast]),
                                                   [*messages.counts, broadcast.size])
                     up, down = float(lengths[:-1].sum()), float(cfg.m * lengths[-1])
-                direction = vote.ternary
                 # The vote counted who sent each coordinate; a sign message
                 # holds exactly the coordinates its worker sent.
                 counts = vote.counts if cfg.record_selection else None

@@ -106,22 +106,10 @@ class TestMajorityVote:
         sparse = vote.nonzero_message()
         assert (sparse.to_dense() == vote.ternary).all()
 
-    @pytest.mark.parametrize("ternary", [
-        np.array([2, 0, -1]),
-        np.array([1.5, 0.0, -1.0]),
-        np.array([-128, 0, 1], dtype=np.int8),
-        np.array([1, 0]),
-        np.array([[1, 0, -1]]),
-    ])
-    def test_nonzero_message_refuses_a_hand_built_ternary_that_is_not_one(self, ternary):
-        zeros = np.zeros(3, dtype=np.int64)
-        vote = VoteResult(3, ternary, zeros, zeros)
-        with pytest.raises(ValueError, match=r"^ternary must be a \(3,\) array of -1, 0 and \+1$"):
-            vote.nonzero_message()
-
-    def test_nonzero_message_of_a_hand_built_float_ternary_has_int8_signs(self):
-        zeros = np.zeros(3, dtype=np.int64)
-        sparse = VoteResult(3, np.array([1.0, 0.0, -1.0]), zeros, zeros).nonzero_message()
+    def test_nonzero_message_of_hand_built_float_tallies_has_int8_signs(self):
+        vote = VoteResult(np.array([2.5, 0.0, -1.0]), np.array([3, 2, 1]))
+        sparse = vote.nonzero_message()
+        assert vote.dim == 3 and vote.ternary.dtype == np.int8
         assert sparse.signs.dtype == np.int8 and sparse.entries == [(0, 1), (2, -1)]
 
 
@@ -148,8 +136,8 @@ class TestParticipationCount:
             vote = majority_vote(given, dim)
             assert np.array_equal(vote.counts, participation_count([m.indices for m in msgs], dim))
             assert np.array_equal(vote.union_support, np.flatnonzero(vote.counts))
-        # The union is derived from the counts, not stored beside them.
-        assert [f.name for f in dataclasses.fields(VoteResult)] == ["dim", "ternary", "tallies", "counts"]
+        # The direction, union and dim are derived from the two counts, not stored beside them.
+        assert [f.name for f in dataclasses.fields(VoteResult)] == ["tallies", "counts"]
 
 
 class TestAverageAggregate:

@@ -162,11 +162,22 @@ def test_an_index_array_that_is_not_integers_is_refused_by_name(name, call, valu
     (lambda: message_bit_lengths(10, [5, 2], [2]), "indices must be strictly increasing within each message"),
     (lambda: message_bit_lengths(10, [1.5, 2.5], [2]), "indices must be integers, got float64 values"),
     (lambda: message_bit_lengths(10, [5, 20], [2]), "indices out of range for dim=10: must lie in [0, 10), got [5, 20]"),
+    # It once ended in numpy's unnamed broadcast error, a bare IndexError and a TypeError.
+    (lambda: message_bit_lengths(10, [[1, 2], [3, 4]], [4]),
+     "indices and counts must be 1-D arrays, got shapes (2, 2) and (1,)"),
+    (lambda: message_bit_lengths(10, [[1, 2], [3, 4]], [2, 2]),
+     "indices and counts must be 1-D arrays, got shapes (2, 2) and (2,)"),
+    (lambda: message_bit_lengths(10, [1, 2], [[2]]),
+     "indices and counts must be 1-D arrays, got shapes (2,) and (1, 1)"),
     # SignBatch.quantize once ended in IndexError on 1-D arrays.
     (lambda: SignBatch.quantize(5, np.array([1, 2]), np.array([1.0, -2.0])),
      "supports and values must be (M, K) arrays of one shape, got (2,) and (2,)"),
     (lambda: SignBatch.quantize(5, [[1, 2]], [[1.0, -2.0, 3.0]]),
      "supports and values must be (M, K) arrays of one shape, got (1, 2) and (1, 3)"),
+    # It once dropped a NaN value as if it were an exact zero.
+    pytest.param(lambda: SignBatch.quantize(4, [[0, 1]], [[math.nan, 1.0]]),
+                 "values must not hold NaN, which has no sign",
+                 marks=pytest.mark.filterwarnings("ignore:invalid value encountered in sign")),
 ])
 def test_each_case_that_was_wrong_is_refused_by_name(call, message):
     refused(lambda _: call(), None, re.escape(message))

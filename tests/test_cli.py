@@ -267,19 +267,46 @@ class TestRun:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert message in err
 
-    def test_idx_test_set_with_no_sample_is_one_error_line(self, quad_config, tmp_path, capsys):
-        def write_idx(stem, n):
-            images, labels = tmp_path / f"{stem}-images", tmp_path / f"{stem}-labels"
-            images.write_bytes(struct.pack(">IIII", 0x803, n, 2, 2) + bytes(range(4 * n)))
-            labels.write_bytes(struct.pack(">II", 0x801, n) + bytes(i % 2 for i in range(n)))
-            return str(images), str(labels)
+    @staticmethod
+    def write_idx(tmp_path, stem, labels, side=2):
+        """An IDX image/label pair of len(labels) side x side images."""
+        images, label_file = tmp_path / f"{stem}-images", tmp_path / f"{stem}-labels"
+        n = len(labels)
+        images.write_bytes(struct.pack(">IIII", 0x803, n, side, side) + bytes(i % 256 for i in range(side * side * n)))
+        label_file.write_bytes(struct.pack(">II", 0x801, n) + bytes(labels))
+        return str(images), str(label_file)
 
-        train, test = write_idx("train", 6), write_idx("test", 0)
+    def run_idx(self, quad_config, train, test):
         data = {"source": "idx", "train_images": train[0], "train_labels": train[1],
                 "test_images": test[0], "test_labels": test[1]}
         quad_config.write_text(json.dumps({**QUAD, "n": None, "model": {"kind": "logistic"}, "data": data}))
-        assert main(["run", "--config", str(quad_config)]) == 1
+        return main(["run", "--config", str(quad_config)])
+
+    def test_idx_test_set_with_no_sample_is_one_error_line(self, quad_config, tmp_path, capsys):
+        train, test = self.write_idx(tmp_path, "train", [0, 1] * 3), self.write_idx(tmp_path, "test", [])
+        assert self.run_idx(quad_config, train, test) == 1
         assert capsys.readouterr().err == f"error: test_images {test[0]} holds no samples\n"
+
+    # A test set that does not fit the training set once ended at round 0,
+    # in numpy's unnamed matmul error or a label error naming no file.
+    def test_idx_test_images_of_another_size_are_one_error_line(self, quad_config, tmp_path, capsys):
+        train = self.write_idx(tmp_path, "train", [0, 1, 2] * 2)
+        test = self.write_idx(tmp_path, "test", [0, 1], side=3)
+        assert self.run_idx(quad_config, train, test) == 1
+        assert capsys.readouterr().err == (
+            f"error: test_images {test[0]} holds images of 9 pixels, train_images {train[0]} of 4\n")
+
+    def test_idx_test_label_past_the_training_classes_is_one_error_line(self, quad_config, tmp_path, capsys):
+        train = self.write_idx(tmp_path, "train", [0, 1, 2] * 2)
+        test = self.write_idx(tmp_path, "test", [0, 3])
+        assert self.run_idx(quad_config, train, test) == 1
+        assert capsys.readouterr().err == (
+            f"error: test_labels {test[1]} holds class 3, train_labels {train[1]} only 0 to 2\n")
+
+    def test_idx_test_set_of_fewer_classes_runs(self, quad_config, tmp_path, capsys):
+        train = self.write_idx(tmp_path, "train", [0, 1, 2] * 2)
+        test = self.write_idx(tmp_path, "test", [1, 1])
+        assert self.run_idx(quad_config, train, test) == 0
 
     def test_idx_header_past_its_file_is_one_error_line_naming_it(self, quad_config, tmp_path, capsys):
         images = tmp_path / "train_images.idx"

@@ -64,7 +64,7 @@ def quadratic_task(lipschitz, noise_std=0.0):
 
 def quadratic_loss_and_grads(task, x, rngs):
     """The loss at x and one gradient row per stream, batch 1."""
-    evaluation, grads = task.round_pass(x, 1, rngs)
+    evaluation, grads = task.round_pass(x, rngs)
     return evaluation[0], grads[0:len(rngs)]
 
 

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 
 from sparsevote import rng
 from sparsevote.rng import WorkerStreams, integers_rows, worker_rng, worker_rngs
+from sparsevote.simulator import ExperimentConfig
 
 
 def state(generator) -> dict:
@@ -75,14 +76,24 @@ def test_a_buffered_uint32_is_dropped_on_reseeding():
         assert generator.standard_normal(4).tobytes() == fresh.standard_normal(4).tobytes()
 
 
-def test_round_indices_of_2_32_and_more_are_exact():
-    # Two entropy words, past the array pass's one: numpy derives these.
-    assert_rounds_match(2**32 + 5, 2, 2**32 + 3, [2**32 - 1, 2**32, 2**32 + 2, 2**32 - 600])
+def test_the_last_round_of_2_32_is_exact():
+    # Round 2**32 - 1 is the last round index of one entropy word.
+    assert_rounds_match(2**32 + 5, 2, 2**32, [2**32 - 1, 2**32 - 600])
 
 
 def test_more_than_2_32_workers_are_refused_by_name():
     with pytest.raises(ValueError, match="workers must be at most 4294967296"):
         WorkerStreams(0, 2**32 + 1, 1)
+
+
+def test_more_than_2_32_rounds_are_refused_by_name():
+    with pytest.raises(ValueError, match="^rounds must be at most 4294967296, got 4294967297$"):
+        WorkerStreams(0, 2, 2**32 + 1)
+
+
+def test_a_config_of_more_than_2_32_rounds_is_refused_by_name():
+    with pytest.raises(ValueError, match="^t must be at most 4294967296, got 4294967297$"):
+        ExperimentConfig(algorithm="S3GD_MV", m=2, t=2**32 + 1)
 
 
 @pytest.mark.parametrize("t", [-1, 3])

@@ -14,7 +14,7 @@ from sparsevote import compression, simulator
 from sparsevote.aggregation import majority_vote
 from sparsevote.codec import ALGORITHMS, CommLedger, analytic_round_cost, count_field_width
 from sparsevote.compression import SparseSignVector, rand_k_sign
-from sparsevote.rng import worker_rng
+from sparsevote.rng import derive_rng, worker_rng
 from sparsevote.simulator import (
     CSV_COLUMNS,
     ClassificationTask,
@@ -627,12 +627,13 @@ class TestConfig:
 
 
 class TestQuadraticTask:
-    @pytest.mark.parametrize("batch_size, batch, scale", [(4, 4, 2.0), (4, 9, 3.0), ("theory", 16, 4.0)])
-    def test_noise_scale_shrinks_with_the_batch(self, batch_size, batch, scale):
+    @pytest.mark.parametrize("batch_size, scale", [(4, 2.0), (9, 3.0), ("theory", 4.0)])
+    def test_noise_scale_shrinks_with_the_batch(self, batch_size, scale):
+        # One task for each batch size: B = 4, 9 and, as "theory", t = 16.
         cfg = quad_cfg(t=16, batch_size=batch_size, model={"kind": "quadratic", "noise_std": 6.0})
         task = QuadraticTask(cfg)
         x = np.linspace(-1.0, 1.0, 16)
-        _, grads = task.round_pass(x, batch, [np.random.default_rng(5)])
+        _, grads = task.round_pass(x, [np.random.default_rng(5)])
         got = grads[0:1]
         expected = np.random.default_rng(5).standard_normal(16)
         expected *= 6.0 / scale
@@ -640,18 +641,20 @@ class TestQuadraticTask:
         assert got[0].tobytes() == expected.tobytes()
 
     def test_round_pass_keeps_no_batch_state(self):
-        # Worker threads share the task, so a gradient at one batch size must
-        # not change what another batch size gives.
+        # Worker threads share the task, so a call must not change what a
+        # later call gives: repeated calls on one task equal a fresh task's.
         cfg = quad_cfg(t=16, batch_size=4, model={"kind": "quadratic", "noise_std": 6.0})
         task = QuadraticTask(cfg)
         state = dict(vars(task))
-        x = np.linspace(-1.0, 1.0, 16)
-        for batch in (4, 9, 4, 1, 9, 16):
-            _, grads = task.round_pass(x, batch, [np.random.default_rng(batch)])
-            _, fresh = QuadraticTask(cfg).round_pass(x, batch, [np.random.default_rng(batch)])
-            assert grads[0:1].tobytes() == fresh[0:1].tobytes()
+        arrays = {key: value.tobytes() for key, value in state.items() if isinstance(value, np.ndarray)}
+        for seed in (4, 9, 4, 1, 9, 16):
+            x = np.random.default_rng(seed).normal(size=16)
+            evaluation, grads = task.round_pass(x, [np.random.default_rng(seed)])
+            fresh_evaluation, fresh = QuadraticTask(cfg).round_pass(x, [np.random.default_rng(seed)])
+            assert evaluation == fresh_evaluation and grads[0:1].tobytes() == fresh[0:1].tobytes()
         assert vars(task).keys() == state.keys()
         assert all(vars(task)[key] is value for key, value in state.items())
+        assert all(state[key].tobytes() == data for key, data in arrays.items())
 
 
 @st.composite
@@ -659,7 +662,7 @@ def tasks(draw):
     """A quadratic, logistic or MLP task with its config."""
     kind = draw(st.sampled_from(["quadratic", "logistic", "mlp"]))
     raw = dict(algorithm="S3GD_MV_RANDK", m=draw(st.integers(1, 6)), t=4,
-               seed=draw(st.integers(0, 2**16)))
+               batch_size=draw(st.integers(1, 8)), seed=draw(st.integers(0, 2**16)))
     if kind == "quadratic":
         raw["n"] = draw(st.integers(1, 60))
         raw["model"] = {"kind": kind, "noise_std": draw(st.sampled_from([0.0, 0.5, 3.0])),
@@ -679,15 +682,15 @@ def tasks(draw):
 class TestRoundPass:
     """round_pass against the per-call reference (task_reference), bit for bit."""
 
-    @given(tasks(), st.integers(1, 8), st.integers(0, 2**16), st.floats(0.0, 2.0))
+    @given(tasks(), st.integers(0, 2**16), st.floats(0.0, 2.0))
     @settings(max_examples=60, deadline=None)
-    def test_equals_the_per_call_reference(self, made, batch, t, scale):
+    def test_equals_the_per_call_reference(self, made, t, scale):
         task, raw = made
         per_call = PerCallTask(task, ExperimentConfig.from_dict(raw))
         x = task.init_params() + scale * np.random.default_rng(t).standard_normal(task.dim)
         k = resolve_k(0.3, task.dim)
         rngs = [worker_rng(raw["seed"], m, t) for m in range(raw["m"])]
-        evaluation, grads = task.round_pass(x, batch, rngs)
+        evaluation, grads = task.round_pass(x, rngs)
         # The quadratic's rows are drawn as the slice reads them.
         grads = grads[0:len(rngs)]
         # Each worker's rand-K draw follows its gradient draw on its stream.
@@ -698,7 +701,7 @@ class TestRoundPass:
         assert len(got) == raw["m"]
         for m, (g, msg) in enumerate(got):
             rng = worker_rng(raw["seed"], m, t)
-            want = per_call.worker_grad(x, m, batch, rng)
+            want = per_call.worker_grad(x, m, raw["batch_size"], rng)
             assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
             assert msg == rand_k_sign(want, k, rng)
 
@@ -759,6 +762,20 @@ class TestClassificationRuns:
         assert np.array_equal(init(0.5), 0.5 * init(1.0))
         assert np.any(init(1.0) != 0.0)
         assert not np.any(init(0.0))
+
+    def test_mlp_init_scales_each_layer_by_its_fan_in(self):
+        cfg = quad_cfg(n=None, seed=9, model={"kind": "mlp", "hidden": [5, 4], "init_scale": 0.7},
+                       data={"n_samples": 60, "d": 3, "num_classes": 3})
+        task = ClassificationTask(cfg)
+        # arch [3, 5, 4, 3]: each layer's [W, b] span holds fan_out * (fan_in + 1) parameters.
+        want = derive_rng(9, "init").normal(0.0, 1.0, 20 + 24 + 15)
+        want[:20] *= 0.7 / math.sqrt(3)
+        want[20:44] *= 0.7 / math.sqrt(5)
+        want[44:] *= 0.7 / math.sqrt(4)
+        got = task.init_params()
+        assert got.tobytes() == want.tobytes()
+        got[:] = 0.0  # a fresh copy each call
+        assert task.init_params().tobytes() == want.tobytes()
 
     def test_n_mismatch_rejected(self):
         cfg = quad_cfg(
