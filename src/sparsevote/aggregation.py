@@ -82,11 +82,15 @@ def majority_vote(msgs: SignBatch | list[SparseSignVector] | np.ndarray, dim: in
 def participation_count(supports, dim: int) -> np.ndarray:
     """How many of the index sets hold each coordinate (0 outside their union).
 
-    Each support (an item or row) holds distinct coordinate indices in [0, dim).
+    Each support (an item or row) holds strictly increasing coordinate
+    indices in [0, dim), as every selector gives them; one that repeats an
+    index, which would count its worker twice, is refused.
     """
     _checks.count(dim, "dim", "non-negative")
-    flat = np.concatenate(supports) if len(supports) else []
-    return np.bincount(_checks.indices(flat, "supports", dim, f"dim={dim}"), minlength=dim)
+    flat = _checks.indices(np.concatenate(supports) if len(supports) else [], "supports", dim, f"dim={dim}")
+    if any(np.count_nonzero(np.diff(support) <= 0) for support in supports):
+        raise ValueError("supports must each hold strictly increasing indices")
+    return np.bincount(flat, minlength=dim)
 
 
 def average_aggregate(grads) -> np.ndarray:

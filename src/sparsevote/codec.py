@@ -150,24 +150,13 @@ def rice_parameter(count: int, dim: int) -> int:
 
 def _field_bits(values, width: int) -> np.ndarray:
     """One row of width bits per value, most significant bit first."""
-    octets = np.asarray(values, dtype=">u8").reshape(-1, 1).view(np.uint8)
-    nbytes = (width + 7) // 8
-    # Unpacked as one flat array: numpy unpacks along an axis row by row.
-    bits = np.unpackbits(octets[:, 8 - nbytes:]).reshape(-1, 8 * nbytes)
-    return bits[:, 8 * nbytes - width:]
+    shifts = np.arange(width - 1, -1, -1, dtype=np.uint64)
+    return np.asarray(values, dtype=np.uint64).reshape(-1, 1) >> shifts & np.uint64(1)
 
 
 def _field_values(bits: np.ndarray) -> np.ndarray:
     """Inverse of _field_bits: the uint64 value of each row (last axis) of bits."""
-    *rows, width = bits.shape
-    nbytes = (width + 7) // 8
-    padded = np.zeros((*rows, 8 * nbytes), dtype=np.uint8)
-    padded[..., 8 * nbytes - width:] = bits
-    octets = np.packbits(padded).reshape(*rows, nbytes)
-    values = octets[..., 0].astype(np.uint64)
-    for j in range(1, nbytes):
-        values = values << np.uint64(8) | octets[..., j]
-    return values
+    return bits @ (np.uint64(1) << np.arange(bits.shape[-1] - 1, -1, -1, dtype=np.uint64))
 
 
 def message_bit_lengths(dim: int, indices, counts) -> np.ndarray:

@@ -49,7 +49,7 @@ def _checked(dim: int, indices, signs, counts) -> tuple[np.ndarray, np.ndarray, 
     sgn = np.asarray(signs)
     if idx.ndim != 1 or sgn.ndim != 1 or idx.size != sgn.size:
         raise ValueError("indices and signs must be 1-D arrays of equal length")
-    rows = np.asarray(counts, dtype=np.int64)
+    rows = _checks.indices(counts, "counts")
     if rows.ndim != 1 or np.count_nonzero(rows < 0) or rows.sum() != idx.size:
         raise ValueError(
             f"counts must be non-negative and sum to the {idx.size} entries, got {rows}")
@@ -149,7 +149,9 @@ class SignBatch:
         indices, values = supports.reshape(-1), values.reshape(-1)
         # Straight into int8: a fresh (or in-place) float sign array is several
         # times slower at N = 1e5, where the new pages cost more than the sign.
-        signs = np.sign(values, out=np.empty(values.size, dtype=np.int8), casting="unsafe")
+        # A NaN casts to 0 and is refused below, with no warning beside the refusal.
+        with np.errstate(invalid="ignore"):
+            signs = np.sign(values, out=np.empty(values.size, dtype=np.int8), casting="unsafe")
         if not signs.all():
             keep = signs != 0
             if np.isnan(values[~keep]).any():

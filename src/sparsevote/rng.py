@@ -16,8 +16,8 @@ rounds, so that m and t are one entropy word each.
 
 integers_rows draws a bounded integer row from each of those generators in
 one array pass over their raw PCG64 words, equal to each generator's own
-integers call; workers whose bound or words that pass does not cover fall
-back to that call.
+integers call; workers whose bound, buffered uint32 or words that pass does
+not cover fall back to that call.
 """
 
 from __future__ import annotations
@@ -189,9 +189,8 @@ def integers_rows(generators: list[Generator], bounds: np.ndarray, size: int) ->
 
     Each generator is left in the state that call leaves, but for the spent
     high half numpy keeps in uinteger beside has_uint32 0, which no draw
-    reads; here uinteger keeps its old value.  The generators must hold no
-    buffered uint32, as worker_rngs leaves them; bounds holds one integer
-    of at least 1 for each generator, and size is a non-negative integer.
+    reads; here uinteger keeps its old value.  bounds holds one integer of
+    at least 1 for each generator, and size is a non-negative integer.
 
     Below 2**32, numpy draws each integer from a uint32 by Lemire's method
     (arXiv 1805.10941): u * b >> 32, rejecting u while the product's low word
@@ -200,8 +199,10 @@ def integers_rows(generators: list[Generator], bounds: np.ndarray, size: int) ->
     into halves by arithmetic, and for an odd size one uint32 from numpy,
     which buffers the last high half as the call would; one pass over the
     (M, size) array then scales them all.  A worker with bound 1 (numpy
-    draws nothing), a bound above 2**32 or a rejected word takes numpy's own
-    integers call, rewound first if it has drawn.
+    draws nothing), a bound above 2**32, a buffered uint32 (the call's
+    first draw, which the raw words skip; worker_rngs leaves none) or a
+    rejected word takes numpy's own integers call, rewound first if it has
+    drawn.
     """
     bounds = _checks.indices(bounds, "bounds")
     if bounds.shape != (len(generators),):
@@ -213,7 +214,8 @@ def integers_rows(generators: list[Generator], bounds: np.ndarray, size: int) ->
     for m, bound in enumerate(bounds.tolist()):
         if bound < 1:
             raise ValueError(f"bounds[{m}] must be at least 1, got {bound}")
-        (fast if 1 < bound <= _TWO32 else slow).append(m)
+        covered = 1 < bound <= _TWO32 and not generators[m].bit_generator.state["has_uint32"]
+        (fast if covered else slow).append(m)
     if fast:
         pairs = size // 2
         raw = np.array([generators[m].bit_generator.random_raw(pairs) for m in fast])

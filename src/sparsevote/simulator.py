@@ -31,11 +31,11 @@ minibatch and test rows; the quadratic draws a slice's noise as it is read),
 a vote server takes the M uploads as one SignBatch, which majority_vote
 reads and the WIRE lengths are measured on, and no per-message object is
 built.  Each pass gives the same bits as its per-worker, per-message
-counterpart.  The worker phase runs in blocks of workers, one gradient slice
-and one compression pass a block; for the quadratic task at large N it runs
-on min(usable CPUs, M) threads, each owning a fixed share of the workers,
-and the server step then runs in worker order, so results do not depend on
-the thread count.
+counterpart.  The worker phase runs in blocks of consecutive workers, one
+gradient slice and one compression pass a block; for the quadratic task at
+large N, where a block is one worker, it deals the blocks round-robin to
+min(usable CPUs, M) threads, and the server step then runs in worker order,
+so results do not depend on the thread count.
 """
 
 from __future__ import annotations
@@ -54,7 +54,7 @@ import numpy as np
 
 from . import _checks, models
 from .aggregation import average_aggregate, majority_vote, participation_count
-from .codec import ALGORITHMS, CommLedger, _Rule, analytic_round_cost, message_bit_lengths
+from .codec import ALGORITHMS, CommLedger, analytic_round_cost, message_bit_lengths
 from .compression import SignBatch, _error_feedback_rows, rand_k_select
 from .rng import WorkerStreams, derive_rng, integers_rows, worker_rngs
 
@@ -261,9 +261,6 @@ class QuadraticTask:
         self.batch_noise_std = self.noise_std / math.sqrt(_batch_size(cfg))
         self.dim = n
 
-    def init_params(self) -> np.ndarray:
-        return self.x0.copy()
-
     def l1_smoothness(self) -> float:
         return float(self.l_diag.sum())
 
@@ -388,9 +385,6 @@ class ClassificationTask:
                 w *= scale
                 b *= scale
 
-    def init_params(self) -> np.ndarray:
-        return self.x0.copy()
-
     def l1_smoothness(self) -> float:
         raise ValueError("theory schedules need the quadratic model (L1 unknown here)")
 
@@ -403,8 +397,7 @@ class ClassificationTask:
         on worker m's minibatch, self.batch rows of its shard drawn uniformly
         with replacement as rngs[m].integers(0, shard size, size=self.batch) would.
         The M minibatches are drawn in one pass, each from its worker's own
-        stream (rng.integers_rows, so rngs must hold no buffered uint32, as
-        worker_rngs leaves them).  Then one models.mlp_pass over the
+        stream (rng.integers_rows).  Then one models.mlp_pass over the
         training set, the (M, B) stack and the test set gives the loss,
         the full-batch gradient, the (M, N) gradients and the accuracy,
         each with the bits of its batch's own pass.
@@ -458,18 +451,6 @@ def _batch_size(cfg: ExperimentConfig) -> int:
     return cfg.t if cfg.batch_size == "theory" else int(cfg.batch_size)
 
 
-def _worker_step(rule: _Rule, g: np.ndarray, memory, rows: slice, eta: float, k: int, rngs):
-    """(columns, sent) of workers rows from their (R, N) gradients g, which
-    error feedback overwrites: row r worker r's ascending selection and values,
-    columns None where every worker sends every coordinate."""
-    if rule.selector == "topk":
-        return _error_feedback_rows(g, memory[rows], eta, k)
-    if rule.selector == "randk":
-        columns = np.stack([rand_k_select(row, k, rngs[m]) for m, row in enumerate(g, rows.start)])
-        return columns, np.take_along_axis(g, columns, axis=1)
-    return None, g
-
-
 # The worker phase runs on min(usable CPUs, M) threads from this model
 # dimension up.  Cross-over on a shared 2-CPU host, quadratic at M = 16,
 # median ms per round of 9 alternating runs, one thread -> 2 threads:
@@ -501,48 +482,43 @@ def _usable_cpus() -> int:
         return os.cpu_count() or 1
 
 
-def _worker_share(workers, rule, grads, memory, eta, k, rngs, block, columns, sent):
-    """Run the given workers' steps in order, in blocks of up to block
-    workers, storing results by worker index.  A block reads all its
-    gradients, then steps.  Returns None, or (the block's first worker,
-    error) for the first block whose read or step raised."""
-    for start in range(0, len(workers), block):
-        rows = workers[start:start + block]
-        done = slice(rows[0], rows[-1] + 1)
-        try:
-            picked, sent[done] = _worker_step(rule, grads[done], memory, done, eta, k, rngs)
-            if columns is not None:
-                columns[done] = picked
-        except Exception as err:
-            return rows[0], err
-    return None
-
-
 def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs, dim):
     """The worker phase on this thread and the pool: (columns, sent), a row a
     worker, columns None where every worker sends every coordinate.
 
-    Share i holds workers i, i + T, i + 2T, ...; this thread runs share 0,
-    so with T = 1 (pool None) all workers run here, in blocks of
-    max(1, _THREADED_MIN_DIM // N) consecutive workers.  Each share runs in a
-    copy of this thread's context, so under the caller's numpy error state,
-    which is a context variable.  If blocks raise, the lowest one's error is
-    raised, as with one thread.
+    The workers run in blocks of max(1, _THREADED_MIN_DIM // N) consecutive
+    workers, dealt round-robin: share i holds blocks i, i + T, i + 2T, ...,
+    and this thread runs share 0, so with T = 1 (pool None) all blocks run
+    here.  A block reads all its gradients, then steps.  Each pool share runs
+    in a copy of this thread's context, so under the caller's numpy error
+    state, which is a context variable.  If blocks raise, the lowest one's
+    error is raised, as with one thread.
     """
     m_workers = len(rngs)
     dense = rule.selector == "all"
     columns = None if dense else np.empty((m_workers, k), dtype=np.int64)
     sent = np.empty((m_workers, dim if dense else k))
-    # A share's workers are consecutive only at T = 1; threads run only from
-    # the gate up, where a block is one row.
-    block = max(1, _THREADED_MIN_DIM // dim)
-    args = (rule, grads, memory, eta, k, rngs, block, columns, sent)
-    futures = [
-        pool.submit(contextvars.copy_context().run, _worker_share, range(i, m_workers, threads), *args)
-        for i in range(1, threads)
-    ]
-    failed = [f for f in [_worker_share(range(0, m_workers, threads), *args),
-                          *(future.result() for future in futures)] if f is not None]
+    size = max(1, _THREADED_MIN_DIM // dim)
+    blocks = [slice(start, start + size) for start in range(0, m_workers, size)]
+
+    def run(share):
+        """None, or (the first worker, error) of the share's first block that raised."""
+        for rows in share:
+            try:
+                g = grads[rows]
+                if rule.selector == "topk":  # g is the step's scratch
+                    columns[rows], sent[rows] = _error_feedback_rows(g, memory[rows], eta, k)
+                elif rule.selector == "randk":
+                    columns[rows] = [rand_k_select(row, k, rngs[m]) for m, row in enumerate(g, rows.start)]
+                    sent[rows] = np.take_along_axis(g, columns[rows], axis=1)
+                else:
+                    sent[rows] = g
+            except Exception as err:
+                return rows.start, err
+        return None
+
+    futures = [pool.submit(contextvars.copy_context().run, run, blocks[i::threads]) for i in range(1, threads)]
+    failed = [f for f in [run(blocks[::threads]), *(future.result() for future in futures)] if f is not None]
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
     return columns, sent
@@ -579,7 +555,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
     threaded = isinstance(task, QuadraticTask) and dim >= _THREADED_MIN_DIM
     threads = min(_usable_cpus(), cfg.m) if threaded else 1
 
-    x = task.init_params()
+    x = task.x0.copy()
     velocity = None
     memory = np.zeros((cfg.m, dim)) if rule.selector == "topk" else None
     count_dtype = np.min_scalar_type(cfg.m)  # at most the M workers send a coordinate

@@ -174,10 +174,16 @@ def test_an_index_array_that_is_not_integers_is_refused_by_name(name, call, valu
      "supports and values must be (M, K) arrays of one shape, got (2,) and (2,)"),
     (lambda: SignBatch.quantize(5, [[1, 2]], [[1.0, -2.0, 3.0]]),
      "supports and values must be (M, K) arrays of one shape, got (1, 2) and (1, 3)"),
-    # It once dropped a NaN value as if it were an exact zero.
-    pytest.param(lambda: SignBatch.quantize(4, [[0, 1]], [[math.nan, 1.0]]),
-                 "values must not hold NaN, which has no sign",
-                 marks=pytest.mark.filterwarnings("ignore:invalid value encountered in sign")),
+    # It once dropped a NaN value as if it were an exact zero, then refused
+    # it after numpy's "invalid value encountered in sign" warning.
+    (lambda: SignBatch.quantize(4, [[0, 1]], [[math.nan, 1.0]]), "values must not hold NaN, which has no sign"),
+    # SignBatch once cast its counts to int64, so [2.7, -0.7] built counts [2, 0].
+    (lambda: SignBatch(4, [0, 1], [1, 1], [2.7, -0.7]), "counts must be integers, got float64 values"),
+    (lambda: SignBatch(4, [0, 1], [1, 1], ["1", "1"]), "counts must be integers, got <U1 values"),
+    (lambda: SignBatch(4, [0, 1], [1, 1], [True, True]), "counts must be integers, got bool values"),
+    # participation_count once counted a repeated index's worker twice, as [0, 2, 0].
+    (lambda: participation_count([[1, 1]], 3), "supports must each hold strictly increasing indices"),
+    (lambda: participation_count(np.array([[0, 2], [2, 1]]), 3), "supports must each hold strictly increasing indices"),
 ])
 def test_each_case_that_was_wrong_is_refused_by_name(call, message):
     refused(lambda _: call(), None, re.escape(message))

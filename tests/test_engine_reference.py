@@ -43,7 +43,7 @@ def reference_run(cfg: ExperimentConfig) -> list[tuple]:
     k = resolve_k(cfg.gamma, dim)
     delta = float(cfg.learning_rate)
     wire = cfg.cost_mode == "WIRE" and alg in SPARSE_SIGN
-    x = task.init_params()
+    x = task.x0
     v = np.zeros_like(x)
     memory = [np.zeros(dim) for _ in range(m_workers)]
     cumulative = 0.0
@@ -197,29 +197,60 @@ def test_engine_matches_reference_loop_on_ties_and_batches(make, alg, cost_mode)
 # CPU count set, so T = min(CPUs, M) threads run it on any host.
 
 def threaded(monkeypatch, cpus):
-    """Force the threaded worker phase; returns a set that collects
-    (thread id, workers) for each share run."""
+    """Force the threaded worker phase; returns a list that collects
+    (round's gradients, thread id, workers) for each quadratic gradient read."""
     monkeypatch.setattr(simulator, "_THREADED_MIN_DIM", 1)
     monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
-    ran = set()
-    run_share = simulator._worker_share
+    reads = []
+    read = simulator._NoisyGradients.__getitem__
 
-    def spy(workers, *args):
-        ran.add((threading.get_ident(), tuple(workers)))
-        return run_share(workers, *args)
+    def spy(grads, workers):
+        # Holding grads keeps each round's object, and so its id, apart.
+        reads.append((grads, threading.get_ident(), range(len(grads._rngs))[workers]))
+        return read(grads, workers)
 
-    monkeypatch.setattr(simulator, "_worker_share", spy)
-    return ran
+    monkeypatch.setattr(simulator._NoisyGradients, "__getitem__", spy)
+    return reads
 
 
-def assert_shares(ran, threads, m):
-    """Worker shares i, i + T, ... ran, on the calling thread and at least one other.
+def readers(reads):
+    """For each round, in order, {worker: the thread that read its gradient}."""
+    rounds = {}
+    for grads, ident, workers in reads:
+        round_readers = rounds.setdefault(id(grads), {})
+        for m in workers:
+            assert m not in round_readers, f"worker {m}'s gradient was read twice in a round"
+            round_readers[m] = ident
+    return list(rounds.values())
+
+
+def assert_alone(reads, m):
+    """Every round read all m gradients, each once, on the calling thread."""
+    rounds = readers(reads)
+    assert rounds and all(r == dict.fromkeys(range(m), threading.get_ident()) for r in rounds)
+
+
+def assert_shares(reads, threads, m):
+    """Each round, share i (workers i, i + T, ...) was read on one thread,
+    share 0 on the calling thread, and at least two threads read.
 
     An idle pool thread may take up a second share, so fewer than T threads
-    can run the T shares.
+    can run the T shares.  The first round reads every worker; a later one
+    stops where a worker fails.
     """
-    assert {workers for _, workers in ran} == {tuple(range(i, m, threads)) for i in range(threads)}
-    assert len({ident for ident, _ in ran}) >= 2
+    rounds = readers(reads)
+    assert sorted(rounds[0]) == list(range(m))
+    for round_readers in rounds:
+        for i in range(threads):
+            share = {round_readers[w] for w in range(i, m, threads) if w in round_readers}
+            assert len(share) <= 1
+            if i == 0:
+                assert share <= {threading.get_ident()}
+    assert len({ident for _, ident, _ in reads}) >= 2
+
+
+def no_pool(*args, **kwargs):
+    raise AssertionError("a thread pool was built")
 
 
 @pytest.mark.parametrize("threads", ["1", "2", "M"])
@@ -232,30 +263,28 @@ def test_threaded_worker_phase_matches_reference_loop(monkeypatch, threads, make
     cfg = make(algorithm=alg, cost_mode=cost_mode, mu=mu)
     expected = reference_run(cfg)
     count = cfg.m if threads == "M" else int(threads)
-    ran = threaded(monkeypatch, count)
-    got = engine_run(cfg)
+    reads = threaded(monkeypatch, count)
     # A classifier's worker phase stays on one thread at any N.
-    if count == 1 or cfg.model["kind"] != "quadratic":
-        assert ran == {(threading.get_ident(), tuple(range(cfg.m)))}
-    else:
-        assert_shares(ran, count, cfg.m)
+    alone = count == 1 or cfg.model["kind"] != "quadratic"
+    if alone:
+        monkeypatch.setattr(simulator, "ThreadPoolExecutor", no_pool)
+    got = engine_run(cfg)
+    if not alone:
+        assert_shares(reads, count, cfg.m)
+    elif cfg.model["kind"] == "quadratic":
+        assert_alone(reads, cfg.m)
     assert len(got) == len(expected) == cfg.t
     for ours, ref in zip(got, expected):
         assert ours[:-1] == ref[:-1]
         assert np.array_equal(ours[-1], ref[-1])
 
 
-def no_pool(*args, **kwargs):
-    raise AssertionError("a thread pool was built")
-
-
 def test_no_threads_below_the_gate(monkeypatch):
-    ran = threaded(monkeypatch, 2)
+    reads = threaded(monkeypatch, 2)
     monkeypatch.setattr(simulator, "_THREADED_MIN_DIM", 2001)
     monkeypatch.setattr(simulator, "ThreadPoolExecutor", no_pool)
     run_experiment(quadratic_wide_batch(algorithm="S3GD_MV"))
-    # One share of all the workers, on the calling thread.
-    assert ran == {(threading.get_ident(), tuple(range(8)))}
+    assert_alone(reads, 8)
 
 
 class NaNStream:
@@ -302,9 +331,9 @@ def test_a_failing_worker_raises_as_in_the_sequential_loop(monkeypatch, threads,
     break_streams(monkeypatch, streams)
     assert raised(cfg) == error
     before = threading.active_count()
-    ran = threaded(monkeypatch, threads)
+    reads = threaded(monkeypatch, threads)
     assert raised(cfg) == error
-    assert_shares(ran, threads, cfg.m)
+    assert_shares(reads, threads, cfg.m)
     assert threading.active_count() == before
 
 
@@ -319,20 +348,20 @@ def test_a_block_reads_all_its_gradients_before_it_steps(monkeypatch, threads):
     break_streams(monkeypatch, {1: NaNStream, 2: BrokenStream})
     assert raised(cfg) == (RuntimeError, "stream broke")
     before = threading.active_count()
-    ran = threaded(monkeypatch, threads)
+    reads = threaded(monkeypatch, threads)
     assert raised(cfg) == (ValueError, "cannot rank NaN magnitudes")
     if threads == 1:
-        assert {workers for _, workers in ran} == {tuple(range(cfg.m))}
+        assert {ident for _, ident, _ in reads} == {threading.get_ident()}
     else:
-        assert_shares(ran, threads, cfg.m)
+        assert_shares(reads, threads, cfg.m)
     assert threading.active_count() == before
 
 
 def test_no_thread_outlives_a_run(monkeypatch):
     before = threading.active_count()
-    ran = threaded(monkeypatch, 2)
+    reads = threaded(monkeypatch, 2)
     run_experiment(quadratic_wide_batch(algorithm="S3GD_MV"))
-    assert_shares(ran, 2, 8)
+    assert_shares(reads, 2, 8)
     assert threading.active_count() == before
 
 
@@ -357,14 +386,14 @@ def test_threaded_worker_phase_under_frequent_thread_switches(monkeypatch, alg):
     crossed write to a memory row or an upload slot would change the run."""
     cfg = quadratic_wide_batch(algorithm=alg, cost_mode="WIRE", m=16)
     expected = reference_run(cfg)
-    ran = threaded(monkeypatch, 16)
+    reads = threaded(monkeypatch, 16)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:
         got = engine_run(cfg)
     finally:
         sys.setswitchinterval(interval)
-    assert_shares(ran, 16, 16)
+    assert_shares(reads, 16, 16)
     for ours, ref in zip(got, expected, strict=True):
         assert ours[:-1] == ref[:-1]
         assert np.array_equal(ours[-1], ref[-1])

@@ -147,3 +147,16 @@ def test_integers_rows_equal_each_generators_own_draw(seed, t, bounds, size):
         for draw in (lambda g: g.integers(0, bound, size=3), lambda g: g.choice(bound, 2),
                      lambda g: g.random(2)):
             np.testing.assert_array_equal(draw(generator), draw(reference))
+
+
+@pytest.mark.parametrize("size", [1, 4, 5])
+def test_integers_rows_of_generators_holding_a_buffered_uint32_equal_numpys_own_draw(size):
+    # Generator 0 holds the high half of a word from its last draw; generator 1 holds none.
+    generators, references = ([np.random.default_rng(seed) for seed in (3, 4)] for _ in range(2))
+    for generator in (generators[0], references[0]):
+        generator.integers(0, 5)
+        assert state(generator)["has_uint32"] == 1
+    rows = integers_rows(generators, np.array([5, 5]), size)
+    for m, (generator, reference) in enumerate(zip(generators, references)):
+        np.testing.assert_array_equal(rows[m], reference.integers(0, 5, size=size))
+        assert live_state(generator) == live_state(reference), m

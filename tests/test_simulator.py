@@ -687,7 +687,7 @@ class TestRoundPass:
     def test_equals_the_per_call_reference(self, made, t, scale):
         task, raw = made
         per_call = PerCallTask(task, ExperimentConfig.from_dict(raw))
-        x = task.init_params() + scale * np.random.default_rng(t).standard_normal(task.dim)
+        x = task.x0 + scale * np.random.default_rng(t).standard_normal(task.dim)
         k = resolve_k(0.3, task.dim)
         rngs = [worker_rng(raw["seed"], m, t) for m in range(raw["m"])]
         evaluation, grads = task.round_pass(x, rngs)
@@ -757,14 +757,14 @@ class TestClassificationRuns:
                 model={"kind": "logistic", "init_scale": scale},
                 data={"n_samples": 60, "d": 3, "num_classes": 3},
             )
-            return ClassificationTask(cfg).init_params()
+            return ClassificationTask(cfg).x0
 
         assert np.array_equal(init(0.5), 0.5 * init(1.0))
         assert np.any(init(1.0) != 0.0)
         assert not np.any(init(0.0))
 
-    def test_mlp_init_scales_each_layer_by_its_fan_in(self):
-        cfg = quad_cfg(n=None, seed=9, model={"kind": "mlp", "hidden": [5, 4], "init_scale": 0.7},
+    def test_mlp_init_scales_each_layer_by_its_fan_in(self, monkeypatch):
+        cfg = quad_cfg(n=None, seed=9, t=3, model={"kind": "mlp", "hidden": [5, 4], "init_scale": 0.7},
                        data={"n_samples": 60, "d": 3, "num_classes": 3})
         task = ClassificationTask(cfg)
         # arch [3, 5, 4, 3]: each layer's [W, b] span holds fan_out * (fan_in + 1) parameters.
@@ -772,10 +772,11 @@ class TestClassificationRuns:
         want[:20] *= 0.7 / math.sqrt(3)
         want[20:44] *= 0.7 / math.sqrt(5)
         want[44:] *= 0.7 / math.sqrt(4)
-        got = task.init_params()
-        assert got.tobytes() == want.tobytes()
-        got[:] = 0.0  # a fresh copy each call
-        assert task.init_params().tobytes() == want.tobytes()
+        assert task.x0.tobytes() == want.tobytes()
+        # A run on the task steps from a copy of x0 and leaves x0 as it was.
+        monkeypatch.setattr(simulator, "_build_task", lambda _: task)
+        run_experiment(cfg)
+        assert task.x0.tobytes() == want.tobytes()
 
     def test_n_mismatch_rejected(self):
         cfg = quad_cfg(
