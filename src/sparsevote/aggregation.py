@@ -87,10 +87,12 @@ def participation_count(supports, dim: int) -> np.ndarray:
     index, which would count its worker twice, is refused.
     """
     _checks.count(dim, "dim", "non-negative")
-    flat = _checks.indices(np.concatenate(supports) if len(supports) else [], "supports", dim, f"dim={dim}")
+    # Each support on its own: numpy reads an empty list as float64, and
+    # concatenated with integer supports it would make them all float.
+    supports = [_checks.indices(support, "supports", dim, f"dim={dim}") for support in supports]
     if any(np.count_nonzero(np.diff(support) <= 0) for support in supports):
         raise ValueError("supports must each hold strictly increasing indices")
-    return np.bincount(flat, minlength=dim)
+    return np.bincount(np.concatenate([np.empty(0, np.int64), *supports]), minlength=dim)
 
 
 def average_aggregate(grads) -> np.ndarray:

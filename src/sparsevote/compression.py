@@ -147,11 +147,8 @@ class SignBatch:
                              f"got {supports.shape} and {values.shape}")
         counts = np.full(len(supports), supports.shape[1])
         indices, values = supports.reshape(-1), values.reshape(-1)
-        # Straight into int8: a fresh (or in-place) float sign array is several
-        # times slower at N = 1e5, where the new pages cost more than the sign.
-        # A NaN casts to 0 and is refused below, with no warning beside the refusal.
-        with np.errstate(invalid="ignore"):
-            signs = np.sign(values, out=np.empty(values.size, dtype=np.int8), casting="unsafe")
+        # A NaN is neither, so its sign is 0 and it is refused below.
+        signs = np.subtract(values > 0, values < 0, dtype=np.int8)
         if not signs.all():
             keep = signs != 0
             if np.isnan(values[~keep]).any():

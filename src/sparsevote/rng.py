@@ -13,11 +13,6 @@ not depend on the data) and PCG64's seeding step as array passes over every
 generators in place each round, so generator m at round t has exactly the
 state of worker_rng(seed, m, t).  A run has at most 2**32 workers and 2**32
 rounds, so that m and t are one entropy word each.
-
-integers_rows draws a bounded integer row from each of those generators in
-one array pass over their raw PCG64 words, equal to each generator's own
-integers call; workers whose bound, buffered uint32 or words that pass does
-not cover fall back to that call.
 """
 
 from __future__ import annotations
@@ -144,6 +139,9 @@ class WorkerStreams:
         # SeedSequence halves what building them costs.
         placeholder = SeedSequence(0)
         self.generators = [Generator(PCG64(placeholder)) for _ in range(workers)]
+        # worker_rngs sets each generator to this state with its own (state,
+        # inc): a fresh PCG64's, which holds no buffered uint32.
+        self._fresh = self.generators[0].bit_generator.state
         self._start, self._states = 0, []
 
     def _derive(self, start: int) -> None:
@@ -172,65 +170,6 @@ def worker_rngs(streams: WorkerStreams, round_index: int) -> list[Generator]:
         streams._derive(round_index)
         offset = 0
     for generator, (state, inc) in zip(streams.generators, streams._states[offset:offset + m_workers]):
-        generator.bit_generator.state = {
-            "bit_generator": "PCG64",
-            "state": {"state": state, "inc": inc},
-            "has_uint32": 0,
-            "uinteger": 0,
-        }
+        generator.bit_generator.state = {**streams._fresh, "state": {"state": state, "inc": inc}}
     return streams.generators
 
-
-_TWO32 = 1 << 32
-
-
-def integers_rows(generators: list[Generator], bounds: np.ndarray, size: int) -> np.ndarray:
-    """(M, size) int64 rows, row m equal to generators[m].integers(0, bounds[m], size=size).
-
-    Each generator is left in the state that call leaves, but for the spent
-    high half numpy keeps in uinteger beside has_uint32 0, which no draw
-    reads; here uinteger keeps its old value.  bounds holds one integer of
-    at least 1 for each generator, and size is a non-negative integer.
-
-    Below 2**32, numpy draws each integer from a uint32 by Lemire's method
-    (arXiv 1805.10941): u * b >> 32, rejecting u while the product's low word
-    is below 2**32 mod b.  PCG64 gives a raw word's low half first and
-    buffers its high half.  So each worker takes size // 2 raw words, split
-    into halves by arithmetic, and for an odd size one uint32 from numpy,
-    which buffers the last high half as the call would; one pass over the
-    (M, size) array then scales them all.  A worker with bound 1 (numpy
-    draws nothing), a bound above 2**32, a buffered uint32 (the call's
-    first draw, which the raw words skip; worker_rngs leaves none) or a
-    rejected word takes numpy's own integers call, rewound first if it has
-    drawn.
-    """
-    bounds = _checks.indices(bounds, "bounds")
-    if bounds.shape != (len(generators),):
-        raise ValueError(f"bounds must hold one bound for each of the {len(generators)} generators, "
-                         f"got shape {bounds.shape}")
-    _checks.count(size, "size", "non-negative")
-    out = np.empty((len(generators), size), dtype=np.int64)
-    fast, slow = [], []
-    for m, bound in enumerate(bounds.tolist()):
-        if bound < 1:
-            raise ValueError(f"bounds[{m}] must be at least 1, got {bound}")
-        covered = 1 < bound <= _TWO32 and not generators[m].bit_generator.state["has_uint32"]
-        (fast if covered else slow).append(m)
-    if fast:
-        pairs = size // 2
-        raw = np.array([generators[m].bit_generator.random_raw(pairs) for m in fast])
-        halves = np.empty((len(fast), size), dtype=np.uint64)
-        halves[:, 0:2 * pairs:2] = raw & _MASK32
-        halves[:, 1:2 * pairs:2] = raw >> 32
-        if size % 2:
-            halves[:, -1] = [generators[m].integers(_TWO32, dtype=np.uint32) for m in fast]
-        b = bounds[fast, None].astype(np.uint64)
-        scaled = halves * b
-        out[fast] = scaled >> 32
-        rejected = ((scaled & _MASK32) < _TWO32 % b).any(axis=1)
-        for row in np.flatnonzero(rejected).tolist():
-            generators[fast[row]].bit_generator.advance(2**128 - (size + 1) // 2)
-            slow.append(fast[row])
-    for m in slow:
-        out[m] = generators[m].integers(0, int(bounds[m]), size=size)
-    return out

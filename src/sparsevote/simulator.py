@@ -56,7 +56,7 @@ from . import _checks, models
 from .aggregation import average_aggregate, majority_vote, participation_count
 from .codec import ALGORITHMS, CommLedger, analytic_round_cost, message_bit_lengths
 from .compression import SignBatch, _error_feedback_rows, rand_k_select
-from .rng import WorkerStreams, derive_rng, integers_rows, worker_rngs
+from .rng import WorkerStreams, derive_rng, worker_rngs
 
 __all__ = [
     "ExperimentConfig",
@@ -371,11 +371,7 @@ class ClassificationTask:
                      else f"train_images holds {n_train}")
         if cfg.m > n_train:
             raise ValueError(f"m must be at most the training sample count, got {cfg.m}: {train_set}")
-        shards = models.partition_dataset(self.train, cfg.m, mode, derive_rng(cfg.seed, "partition"))
-        sizes = np.array([shard.size for shard in shards])
-        # The shards' rows end to end, and where each starts, for round_pass's draw.
-        self._shard_rows = np.concatenate(shards)
-        self._shard_sizes, self._shard_starts = sizes, np.cumsum(sizes) - sizes
+        self._shards = models.partition_dataset(self.train, cfg.m, mode, derive_rng(cfg.seed, "partition"))
         self.x0 = np.zeros(self.dim)
         if init_scale != 0.0:
             self.x0 = derive_rng(cfg.seed, "init").normal(0.0, 1.0, self.dim)
@@ -389,21 +385,20 @@ class ClassificationTask:
         raise ValueError("theory schedules need the quadratic model (L1 unknown here)")
 
     def round_pass(self, x, rngs):
-        """The round's evaluation and worker gradients from one draw and one model pass.
+        """The round's evaluation and worker gradients from one model pass.
 
         Returns ((train_loss, test_metric, gbar_l1), grads): the mean
         cross-entropy on the training set, the accuracy on the test set, the
         l1 norm of the full-batch gradient, and row m of grads the gradient
-        on worker m's minibatch, self.batch rows of its shard drawn uniformly
-        with replacement as rngs[m].integers(0, shard size, size=self.batch) would.
-        The M minibatches are drawn in one pass, each from its worker's own
-        stream (rng.integers_rows).  Then one models.mlp_pass over the
-        training set, the (M, B) stack and the test set gives the loss,
+        on worker m's minibatch: self.batch rows of its shard, drawn uniformly
+        with replacement by its own stream's call
+        rngs[m].integers(0, shard size, self.batch).  One models.mlp_pass over
+        the training set, the (M, B) stack and the test set gives the loss,
         the full-batch gradient, the (M, N) gradients and the accuracy,
         each with the bits of its batch's own pass.
         """
         train = self.train
-        rows = self._shard_rows[self._shard_starts[:, None] + integers_rows(rngs, self._shard_sizes, self.batch)]
+        rows = np.array([shard[rng.integers(0, shard.size, self.batch)] for shard, rng in zip(self._shards, rngs)])
         loss, (gbar, grads), accuracy = models.mlp_pass(
             x, self.arch, [(train.features, train.labels), (train.features[rows], train.labels[rows])],
             (self.test.features, self.test.labels))

@@ -127,6 +127,11 @@ class TestParticipationCount:
         union = majority_vote(msgs, dim).union_support
         assert set(np.flatnonzero(counts).tolist()) == set(union.tolist())
 
+    @pytest.mark.parametrize("supports", [[[], [1]], [[1], []], [np.array([], dtype=np.int64), [1]]])
+    def test_an_empty_list_support_counts_nothing(self, supports):
+        # numpy reads [] as float64, so the first two were once refused as non-integer supports.
+        assert participation_count(supports, 3).tolist() == [0, 1, 0]
+
     @given(message_lists())
     @settings(max_examples=200, deadline=None)
     def test_vote_carries_the_counts(self, dim_msgs):

@@ -31,7 +31,7 @@ from sparsevote.compression import (
     top_k_select,
 )
 from sparsevote.models import Dataset, mlp_grad, mlp_param_count, mlp_pass, partition_dataset, synth_classification
-from sparsevote.rng import WorkerStreams, derive_rng, integers_rows, worker_rngs
+from sparsevote.rng import WorkerStreams, derive_rng, worker_rngs
 from sparsevote.simulator import resolve_k, update_model
 
 
@@ -69,7 +69,6 @@ COUNTS = [
     ("stream index 1", "derive_rng", lambda v: derive_rng(0, "worker", 2, v)),
     ("master_seed", "WorkerStreams", lambda v: WorkerStreams(v, 2, 3)),
     ("round index", "worker_rngs", lambda v: worker_rngs(WorkerStreams(0, 2, 3), v)),
-    ("size", "integers_rows", lambda v: integers_rows([np.random.default_rng(0)], [3], v)),
     ("dim", "resolve_k", lambda v: resolve_k(0.5, v)),
 ]
 
@@ -88,7 +87,6 @@ ARRAYS = [
     ("indices", "SignBatch", lambda v: SignBatch(8, v, [1] * len(v), [len(v)])),
     ("counts", "message_bit_lengths", lambda v: message_bit_lengths(8, [0] * len(v), v)),
     ("indices", "message_bit_lengths", lambda v: message_bit_lengths(8, v, [len(v)])),
-    ("bounds", "integers_rows", lambda v: integers_rows([np.random.default_rng(0)] * len(v), v, 2)),
     ("supports", "participation_count", lambda v: participation_count([v], 8)),
     ("labels", "Dataset", lambda v: Dataset(np.zeros((len(v), 2)), v, 2)),
     ("labels", "mlp_grad", lambda v: mlp_grad(np.zeros(9), [2, 3], np.ones((len(v), 2)), np.array(v))),
@@ -99,10 +97,6 @@ ARRAYS = [
 NOT_COUNTS = [True, 2.5, math.nan, math.inf, "3"]
 NOT_REALS = [True, math.nan, math.inf, "3"]
 NOT_INTEGER_ARRAYS = [[True], [1.5], [math.nan], [math.inf], ["3"]]
-
-
-def generators(count):
-    return [np.random.default_rng(m) for m in range(count)]
 
 
 def refused(call, value, message):
@@ -149,15 +143,6 @@ def test_an_index_array_that_is_not_integers_is_refused_by_name(name, call, valu
     (lambda: synth_classification(20.5, 2, 2, 1.0, np.random.default_rng(0)),
      "n_samples must be an integer, got 20.5"),
     (lambda: participation_count([[0, 5]], 4), "supports out of range for dim=4: must lie in [0, 4), got [0, 5]"),
-    # integers_rows once gave a row of zeros, a bare TypeError, numpy's
-    # unnamed "high <= 0" or rows of uninitialised memory.
-    (lambda: integers_rows(generators(2), [1.5, 3], 4), "bounds must be integers, got float64 values"),
-    (lambda: integers_rows(generators(1), [3], 2.5), "size must be an integer, got 2.5"),
-    (lambda: integers_rows(generators(1), [0], 2), "bounds[0] must be at least 1, got 0"),
-    (lambda: integers_rows(generators(2), [3, -2], 2), "bounds[1] must be at least 1, got -2"),
-    (lambda: integers_rows(generators(3), [5], 2),
-     "bounds must hold one bound for each of the 3 generators, got shape (1,)"),
-    (lambda: integers_rows(generators(2), [3, 4], -1), "size must be non-negative, got -1"),
     # message_bit_lengths once priced these as 12, 12 and 16 bits.
     (lambda: message_bit_lengths(10, [5, 2], [2]), "indices must be strictly increasing within each message"),
     (lambda: message_bit_lengths(10, [1.5, 2.5], [2]), "indices must be integers, got float64 values"),

@@ -4,7 +4,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsevote.compression import (
@@ -470,16 +470,21 @@ class TestSparseSignVector:
         assert a.to_dense().tolist() == [0, 1, 0, -1]
 
 
+SIGN_CASES = [-2.5, 0.0, 1.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf]
+
+
 @st.composite
 def selections(draw):
     """(dim, supports, values) of up to 5 workers as (M, K) rows, with exact
-    zeros among the values, so the messages' counts may differ."""
+    zeros among the values, so the messages' counts may differ, and the
+    values whose sign is easiest to get wrong: -0.0, the least subnormals and
+    the infinities."""
     dim = draw(st.integers(1, 12))
     k = draw(st.integers(0, dim))
     m = draw(st.integers(1, 5))
     supports = np.array([sorted(draw(st.sets(st.integers(0, dim - 1), min_size=k, max_size=k)))
                          for _ in range(m)], dtype=np.int64).reshape(m, k)
-    values = np.array(draw(st.lists(st.sampled_from([-2.5, 0.0, 1.0]), min_size=m * k, max_size=m * k)))
+    values = np.array(draw(st.lists(st.sampled_from(SIGN_CASES), min_size=m * k, max_size=m * k)))
     return dim, supports, values.reshape(m, k)
 
 
@@ -517,6 +522,7 @@ class TestSignBatch:
             batch[6]
 
     @given(selections())
+    @example((12, np.array([np.arange(8)]), np.array([SIGN_CASES])))
     @settings(max_examples=200, deadline=None)
     def test_quantize_is_the_stacked_per_message_signs(self, selection):
         dim, supports, values = selection

@@ -24,7 +24,7 @@ from sparsevote.models import (
     partition_dataset,
     synth_classification,
 )
-from sparsevote.rng import derive_rng, integers_rows
+from sparsevote.rng import derive_rng
 from sparsevote.simulator import ExperimentConfig, QuadraticTask
 from task_reference import written_out
 
@@ -356,7 +356,7 @@ class TestPartition:
 
 def minibatch_rows(shard, batch, rng):
     """A classifier's minibatch: batch rows of the shard, drawn as a round draws them."""
-    return shard[integers_rows([rng], np.array([shard.size]), batch)[0]]
+    return shard[rng.integers(0, shard.size, batch)]
 
 
 class TestMinibatch:
