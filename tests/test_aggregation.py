@@ -132,6 +132,19 @@ class TestParticipationCount:
         # numpy reads [] as float64, so the first two were once refused as non-integer supports.
         assert participation_count(supports, 3).tolist() == [0, 1, 0]
 
+    @pytest.mark.parametrize("supports", [[], [[]], [[], []]])
+    def test_no_indices_count_zero_everywhere(self, supports):
+        counts = participation_count(supports, 3)
+        assert counts.dtype == np.int64 and counts.tolist() == [0, 0, 0]
+
+    @pytest.mark.parametrize("supports, error", [
+        ([[], [1.5]], "^supports must be integers, got float64 values$"),
+        ([[], [2, 0]], "^supports must each hold strictly increasing indices$"),
+    ])
+    def test_beside_an_empty_list_support_a_bad_one_is_refused_by_name(self, supports, error):
+        with pytest.raises(ValueError, match=error):
+            participation_count(supports, 3)
+
     @given(message_lists())
     @settings(max_examples=200, deadline=None)
     def test_vote_carries_the_counts(self, dim_msgs):

@@ -1,6 +1,7 @@
 """Compression operators against brute-force oracles and algebraic identities."""
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -529,3 +530,18 @@ class TestSignBatch:
         expected = [SparseSignVector(dim, s[v != 0], np.sign(v[v != 0]).astype(np.int8))
                     for s, v in zip(supports, values)]
         assert SignBatch.quantize(dim, supports, values) == SignBatch.stack(expected, dim)
+
+    @pytest.mark.parametrize("value", SIGN_CASES)
+    def test_quantize_takes_each_values_sign_with_no_warning(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            batch = SignBatch.quantize(4, [[1, 3]], [[value, -1.0]])
+        sign = [] if value == 0 else [(1, 1 if value > 0 else -1)]
+        assert batch[0].entries == [*sign, (3, -1)] and batch.signs.dtype == np.int8
+
+    @pytest.mark.parametrize("value", [math.nan, -math.nan])
+    def test_quantize_refuses_a_nan_by_name_with_no_warning(self, value):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match="^values must not hold NaN, which has no sign$"):
+                SignBatch.quantize(4, [[1, 3]], [[1.0, value]])

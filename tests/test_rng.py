@@ -74,6 +74,22 @@ def test_a_buffered_uint32_is_dropped_on_reseeding():
         assert generator.standard_normal(4).tobytes() == fresh.standard_normal(4).tobytes()
 
 
+@pytest.mark.parametrize("draw", [
+    lambda g: g.integers(0, 5),
+    lambda g: g.integers(0, 160, size=3),
+    lambda g: g.integers(0, 2**32, size=1, dtype=np.uint32),
+    lambda g: g.integers(0, 1, size=4),
+    lambda g: g.random(3),
+], ids=["one bounded", "three bounded", "one uint32", "bound 1", "doubles"])
+def test_a_generator_left_by_any_draw_is_reseeded_to_worker_rngs_whole_state(draw):
+    # The whole state, the uint32 buffer and its spent value included.
+    streams = WorkerStreams(8, 3, 2)
+    for generator in worker_rngs(streams, 0):
+        draw(generator)
+    for m, generator in enumerate(worker_rngs(streams, 1)):
+        assert state(generator) == state(worker_rng(8, m, 1)), m
+
+
 def test_the_last_round_of_2_32_is_exact():
     # Round 2**32 - 1 is the last round index of one entropy word.
     assert_rounds_match(2**32 + 5, 2, 2**32, [2**32 - 1, 2**32 - 600])

@@ -705,6 +705,23 @@ class TestRoundPass:
             assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
             assert msg == rand_k_sign(want, k, rng)
 
+    @pytest.mark.parametrize("mode", ["IID", "NONIID"])
+    @pytest.mark.parametrize("batch", [1, 2, 3, 32])
+    def test_each_stream_ends_where_its_own_minibatch_call_ends(self, mode, batch):
+        # 12 training samples on 5 workers: at NONIID one shard holds a single
+        # sample, whose draw takes no word; an odd batch leaves a uint32 buffered.
+        cfg = ExperimentConfig.from_dict(dict(
+            algorithm="S3GD_MV", m=5, t=2, batch_size=batch, seed=1, model={"kind": "logistic"},
+            data={"n_samples": 15, "d": 3, "num_classes": 3, "mode": mode}))
+        task = ClassificationTask(cfg)
+        per_call = PerCallTask(task, cfg)
+        rngs = [worker_rng(1, m, 1) for m in range(5)]
+        _, grads = task.round_pass(task.x0, rngs)
+        for m, (shard, rng) in enumerate(zip(per_call.shards, rngs)):
+            reference = worker_rng(1, m, 1)
+            assert grads[m].tobytes() == per_call.worker_grad(task.x0, m, batch, reference).tobytes()
+            assert rng.bit_generator.state == reference.bit_generator.state, (m, shard.size)
+
 
 class TestClassificationRuns:
     def test_logistic_improves_accuracy(self):
