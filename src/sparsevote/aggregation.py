@@ -59,6 +59,9 @@ def majority_vote(msgs: SignBatch | list[SparseSignVector] | np.ndarray, dim: in
     """Coordinate-wise sign of the summed sign messages: a batch, a list of
     them, or (M, dim) int8 rows of dense signs in {-1, 0, +1} (0: no vote)."""
     _checks.count(dim, "dim", "non-negative")
+    if not (isinstance(msgs, (SignBatch, np.ndarray))
+            or isinstance(msgs, (list, tuple)) and all(isinstance(v, SparseSignVector) for v in msgs)):
+        raise ValueError(f"msgs must be a SignBatch, a list of SparseSignVector or (M, {dim}) int8 rows, got {msgs!r}")
     if isinstance(msgs, np.ndarray):
         if msgs.dtype != np.int8 or msgs.ndim != 2 or msgs.shape[1] != dim:
             raise ValueError(f"dense sign rows must be an (M, {dim}) int8 array, got {msgs.dtype} {msgs.shape}")
@@ -89,7 +92,13 @@ def participation_count(supports, dim: int) -> np.ndarray:
     _checks.count(dim, "dim", "non-negative")
     # Each support on its own: numpy reads an empty list as float64, and
     # concatenated with integer supports it would make them all float.
-    supports = [_checks.indices(support, "supports", dim, f"dim={dim}") for support in supports]
+    try:
+        checked = [_checks.indices(support, "supports", dim, f"dim={dim}") for support in supports]
+    except TypeError:  # not iterable
+        checked = None
+    if checked is None or any(support.ndim != 1 for support in checked):
+        raise ValueError(f"supports must be a list of 1-D index arrays or an (M, K) array, got {supports!r}")
+    supports = checked
     if any(np.count_nonzero(np.diff(support) <= 0) for support in supports):
         raise ValueError("supports must each hold strictly increasing indices")
     return np.bincount(np.concatenate([np.empty(0, np.int64), *supports]), minlength=dim)

@@ -193,6 +193,8 @@ def message_bit_lengths(dim: int, indices, counts) -> np.ndarray:
 
 def encode_sparse_sign(v: SparseSignVector) -> Bitstream:
     """Serialize a sparse sign message to its wire form."""
+    if not isinstance(v, SparseSignVector):
+        raise ValueError(f"v must be a SparseSignVector, got {v!r}")
     k, wc, b = len(v), count_field_width(v.dim), _rice(len(v), v.dim)
     bits = np.ones(int(message_bit_lengths(v.dim, v.indices, [k])[0]), dtype=np.uint8)
     gaps = v.indices - np.concatenate(([-1], v.indices[:-1])) - 1

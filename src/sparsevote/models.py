@@ -4,8 +4,9 @@ A small fully-connected net with tanh hidden units and a softmax
 cross-entropy head.  It has one forward, one softmax head and one backward,
 in mlp_pass: the mean loss of a batch, the exact backprop gradient of each
 of several batches (a stack of batches too) and the accuracy on a test set,
-all from one pass over their rows, each with the bits of its batch's own
-pass.  mlp_grad is its one-batch case.  Per layer l the parameters are the
+all from one pass over their rows, at one iterate or at each of a stack of
+iterates, each with the bits of its batch's own pass at its iterate.
+mlp_grad is its one-batch case.  Per layer l the parameters are the
 slice [W_l.ravel(), b_l], layers concatenated first to last.  Multinomial
 logistic regression is the net without a hidden layer, arch [features,
 classes]: layout [W.ravel(), b] with W of shape (classes, features).
@@ -108,14 +109,16 @@ def mlp_param_count(arch: list[int]) -> int:
 
 
 def _mlp_unpack(x: np.ndarray, arch: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
-    if x.size != mlp_param_count(arch):
-        raise ValueError(f"parameter size {x.size} does not match arch {arch} ({mlp_param_count(arch)} expected)")
+    """Each layer's (W, b) as views of x: (out, in) and (out,), or for a
+    (T, N) stack of parameter vectors (T, out, in) and (T, out)."""
+    if x.shape[-1] != mlp_param_count(arch):
+        raise ValueError(f"parameter size {x.shape[-1]} does not match arch {arch} ({mlp_param_count(arch)} expected)")
     layers = []
     pos = 0
     for fan_in, fan_out in zip(arch[:-1], arch[1:]):
-        w = x[pos: pos + fan_out * fan_in].reshape(fan_out, fan_in)
+        w = x[..., pos: pos + fan_out * fan_in].reshape(*x.shape[:-1], fan_out, fan_in)
         pos += fan_out * fan_in
-        b = x[pos: pos + fan_out]
+        b = x[..., pos: pos + fan_out]
         pos += fan_out
         layers.append((w, b))
     return layers
@@ -126,87 +129,140 @@ def _split(buffer: np.ndarray, shapes: list[tuple], spans: list[tuple[int, int]]
     return [buffer[lo:hi].reshape(*shape, -1) for shape, (lo, hi) in zip(shapes, spans)]
 
 
+# The largest z, in entries, whose row max runs on a copy with the classes
+# first.  The copy is the faster max, but a stack of iterates' logits is
+# large, and its copy would raise the evaluation's peak memory by half.
+# Row max of (rows, 10) logits, median us on a 2-CPU shared host, copy /
+# along the rows: 320 rows 3.9 / 16.4; 12800 rows 152 / 585.
+_COPIED_MAX = 2**16
+
+
+def _per_iterate(a: np.ndarray, like: np.ndarray) -> np.ndarray:
+    """A (T, r, c) stack of one matrix per iterate, with axes of length 1
+    after the first for the stack axes of like, a (T, ..., n, width) batch,
+    so that each iterate's matrix meets that iterate's rows."""
+    return a[(slice(None),) + (None,) * (like.ndim - 3)]
+
+
+def _dense(rows: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> None:
+    """out = rows @ W.T + b at each iterate, W and b (T, out, in) and (T, out)."""
+    np.matmul(rows, _per_iterate(np.swapaxes(w, -1, -2), out), out=out)
+    out += _per_iterate(b[:, None], out)
+
+
 def mlp_pass(
     x: np.ndarray,
     arch: list[int],
     batches: list[tuple[np.ndarray, np.ndarray]],
     test: tuple[np.ndarray, np.ndarray] | None = None,
-) -> tuple[float, list[np.ndarray], float | None]:
+) -> tuple:
     """The net's loss, gradients and accuracy from one forward, softmax head and backward.
 
+    x is a parameter vector, or a (T, N) stack of them, one iterate a row.
     batches holds (features, labels) pairs, each a batch or a stack; test,
     if given, is one more batch.  Returns (loss, grads, accuracy): the mean
     cross-entropy over the rows of batches[0], each batch's mean
     cross-entropy gradient in the layout above, and the fraction of test
-    rows whose largest logit is their label's (None without test).  Every
-    label, the test set's too, must be an integer in [0, arch[-1]).
-
-    Each layer's outputs are one row buffer, [batches in order | test rows].
-    Every matmul runs per batch, on that batch's operands in its own shape,
-    into the batch's slice of the buffer.  The steps that work on single
-    entries or single rows run once over all rows: + b and tanh; and over
-    the labelled rows, the row max, the shift, exp, the row sums, the divide
-    by them and the label's -1.  The test rows take their argmax before the
-    shift.  What adds over a batch's samples stays per batch: the loss
-    mean, the / n, the bias column sums, delta.T @ inputs and delta @ W.  So
-    each result has the bits its batch would give in a pass of its own.
+    rows whose largest logit is their label's (None without test).  For a
+    stack of iterates each is one per iterate: loss and accuracy are (T,)
+    arrays and a batch's gradients are a (T, ...) stack.  Every label, the
+    test set's too, must be an integer in [0, arch[-1]).
     """
-    layers = _mlp_unpack(np.asarray(x, dtype=np.float64), arch)
+    x = np.asarray(x, dtype=np.float64)
+    if not (x.ndim == 1 or x.ndim == 2 and len(x)):
+        raise ValueError(f"x must be a parameter vector or a (T, N) stack of them, got shape {x.shape}")
     batches = [_as_batch(features, labels) for features, labels in batches]
     if not batches:
         raise ValueError("mlp_pass needs at least one batch")
-    inputs = [features for features, _ in batches]
     targets = [labels.reshape(-1) for _, labels in batches]
     if test is not None:
         test = _as_batch(*test)
         if test[0].ndim != 2:
             raise ValueError(f"test set must be one batch, got features {test[0].shape}")
-        inputs.append(test[0])
         targets.append(test[1])
     # Every label, the batches' then the test set's, checked as one array.
-    labels = _checks.indices(np.concatenate(targets), "labels", arch[-1], f"{arch[-1]} classes")
-    shapes = [features.shape[:-1] for features in inputs]
+    _checks.indices(np.concatenate(targets), "labels", arch[-1], f"{arch[-1]} classes")
+    loss, grads, accuracy = _pass(x.reshape(-1, x.shape[-1]), arch, batches, test)
+    if x.ndim == 1:
+        return float(loss[0]), [grad[0] for grad in grads], None if accuracy is None else float(accuracy[0])
+    return loss, grads, accuracy
+
+
+def _pass(iterates: np.ndarray, arch: list[int], batches: list[tuple[np.ndarray, np.ndarray]],
+          test: tuple[np.ndarray, np.ndarray] | None) -> tuple:
+    """mlp_pass at a (T, N) stack of iterates, on batches of float64
+    features and int64 labels in range, as mlp_pass checks them; loss and
+    accuracy are (T,) arrays and each gradient a (T, ...) stack.
+
+    The labelled rows, each batch's at every iterate, iterate by iterate,
+    are one row buffer per layer; the test rows go through the layers in
+    buffers of their own, and only their argmax is kept.  Every matmul runs
+    per batch, on that batch's operands in its own shape, with the iterates
+    as one more stack axis, so each iterate's product is the 2-D one of a
+    pass at that iterate alone.  The steps that work on single entries or
+    single rows run once over a buffer: + b and tanh; and over the labelled
+    rows, the row max, the shift, exp, the row sums, the divide by them and
+    the label's -1.  What adds over a batch's samples stays per batch and
+    iterate: the loss mean, the / n, the bias column sums, delta.T @ inputs
+    and delta @ W.  So each result has the bits its batch would give in a
+    pass of its own at its iterate.
+    """
+    count = len(iterates)
+    layers = _mlp_unpack(iterates, arch)
+    shapes = [(count, *features.shape[:-1]) for features, _ in batches]
     bounds = [0]
     for shape in shapes:
         bounds.append(bounds[-1] + math.prod(shape))
     spans = list(zip(bounds, bounds[1:]))
-    labelled = bounds[len(batches)]
+    labelled = bounds[-1]
 
-    # acts[i] holds each input's rows into layer i, outs[i] layer i's buffer.
-    acts, outs = [inputs], []
+    # acts[i] holds each batch's rows into layer i, outs[i] layer i's buffer.
+    acts, outs = [[features for features, _ in batches]], []
+    tested = None if test is None else test[0]
     for i, (w, b) in enumerate(layers):
-        out = np.empty((bounds[-1], w.shape[0]))
+        out = np.empty((labelled, w.shape[-2]))
         views = _split(out, shapes, spans)
         for rows, view in zip(acts[-1], views):
-            np.matmul(rows, w.T, out=view)
-        out += b
+            _dense(rows, w, b, view)
+        if tested is not None:
+            rows, tested = tested, np.empty((count, len(test[0]), w.shape[-2]))
+            _dense(rows, w, b, tested)
         if i < len(layers) - 1:
-            np.tanh(out, out=out)
+            for buffer in (out, tested):
+                if buffer is not None:
+                    np.tanh(buffer, out=buffer)
         acts.append(views)
         outs.append(out)
 
-    logits = outs[-1]
-    accuracy = None
-    if test is not None:
-        accuracy = float(np.mean(logits[labelled:].argmax(axis=1) == labels[labelled:]))
-    # numpy reduces a short last axis row by row; with the classes moved to
-    # the front the max runs across rows, and a max is exact in any order.
-    z = logits[:labelled]
-    z -= np.ascontiguousarray(z.T).max(axis=0)[:, None]
-    e = np.exp(z)
-    sums = e.sum(axis=1, keepdims=True)
+    accuracy = None if test is None else (tested.argmax(axis=-1) == test[1]).mean(axis=1)
+    # Each buffer is dropped once read: for a stack of iterates these are the
+    # evaluation's peak memory.
+    del tested
+    z = outs[-1]
+    # A max is exact in any order.  numpy reduces a short last axis row by
+    # row, so a small z takes it with the classes moved to the front, across
+    # rows; a large one is not copied.
+    z -= np.ascontiguousarray(z.T).max(axis=0)[:, None] if z.size <= _COPIED_MAX else z.max(axis=1, keepdims=True)
     # Flat positions in z of each labelled row's label entry.
     entries = np.arange(0, z.size, z.shape[1])
-    entries += labels[:labelled]
-    first = bounds[1]
-    loss = float(np.mean(np.log(sums[:first, 0]) - z.reshape(-1)[entries[:first]]))
+    for (lo, hi), (_, labels) in zip(spans, batches):
+        block = entries[lo:hi].reshape(count, -1)
+        block += labels.reshape(-1)
+    picked = z.reshape(-1)[entries[:bounds[1]]]
+    # exp(z) in place: the logits are not read again.
+    e = np.exp(z, out=z)
+    sums = e.sum(axis=1, keepdims=True)
     # delta = (softmax - onehot) / n, in place in e.
     e /= sums
-    e.reshape(-1)[entries] -= 1.0
+    np.subtract.at(e.reshape(-1), entries, 1.0)
+    del entries
     for (lo, hi), (_, y) in zip(spans, batches):
         e[lo:hi] /= y.shape[-1]
+    # Each loss term log(sum) - the label's shifted logit, in place in picked.
+    np.subtract(np.log(sums[:bounds[1], 0], out=sums[:bounds[1], 0]), picked, out=picked)
+    loss = picked.reshape(count, -1).mean(axis=1)
+    del sums, picked
 
-    shapes = shapes[:len(batches)]
     grads: list[list[np.ndarray]] = [[] for _ in batches]
     delta = e
     for i in range(len(layers) - 1, -1, -1):
@@ -216,12 +272,12 @@ def mlp_pass(
         if i:
             delta = np.empty((labelled, arch[i]))
             for d, view in zip(deltas, _split(delta, shapes, spans)):
-                np.matmul(d, layers[i][0], out=view)
+                np.matmul(d, _per_iterate(layers[i][0], view), out=view)
             # tanh' = 1 - tanh^2, with outs[i - 1] already the tanh output
-            slope = np.square(outs[i - 1][:labelled])
+            slope = np.square(outs[i - 1])
             np.subtract(1.0, slope, out=slope)
             delta *= slope
-    return loss, [np.concatenate(grad[::-1], axis=-1) for grad in grads], accuracy
+    return loss, [grad[0] if len(grad) == 1 else np.concatenate(grad[::-1], axis=-1) for grad in grads], accuracy
 
 
 def mlp_grad(x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray) -> np.ndarray:

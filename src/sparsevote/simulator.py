@@ -24,18 +24,25 @@ owns its random stream; the run keeps M generators and re-seeds them each
 round with those streams' states, which rng.WorkerStreams derives a block of
 rounds at a time.
 
-A round runs as whole-round passes where it can: the task's round_pass
-evaluates the iterate and gives the M worker gradients, which slice as an
-(M, N) array (a classifier's from one model pass over the training,
-minibatch and test rows; the quadratic draws a slice's noise as it is read),
-a vote server takes the M uploads as one SignBatch, which majority_vote
-reads and the WIRE lengths are measured on, and no per-message object is
-built.  Each pass gives the same bits as its per-worker, per-message
-counterpart.  The worker phase runs in blocks of consecutive workers, one
-gradient slice and one compression pass a block; for the quadratic task at
-large N, where a block is one worker, it deals the blocks round-robin to
-min(usable CPUs, M) threads, and the server step then runs in worker order,
-so results do not depend on the thread count.
+A round runs as whole-round passes where it can: the task's gradients
+gives the M worker gradients, which slice as an (M, N) array (a
+classifier's from one model pass over the minibatch stack; the quadratic
+draws a slice's noise as it is read), a vote server takes the M uploads as
+one SignBatch, which majority_vote reads and the WIRE lengths are measured
+on, and no per-message object is built.  Each pass gives the same bits as
+its per-worker, per-message counterpart.  The worker phase runs in blocks
+of consecutive workers, one gradient slice and one compression pass a
+block; for the quadratic task at large N, where a block is one worker, it
+deals the blocks round-robin to min(usable CPUs, M) threads, and the server
+step then runs in worker order, so results do not depend on the thread
+count.
+
+No iterate depends on a round's evaluation, so the task's evaluate takes a
+window of pre-update iterates at a time, a classifier's on a thread of its
+own beside the rounds where there are two usable CPUs and a window holds
+more than one iterate, and each row has the bits of its iterate's
+evaluation alone.  A round's evaluation comes before its step, so a failing run
+raises the earliest round's error, from either.
 """
 
 from __future__ import annotations
@@ -165,7 +172,11 @@ class ExperimentConfig:
 
 @dataclass
 class RoundMetrics:
-    """Per-round record; metrics are evaluated at the pre-update iterate."""
+    """Per-round record; metrics are evaluated at the pre-update iterate.
+
+    wall_ms is the round's own time: from its stream derivation to its
+    ledger entry, without the evaluation, which runs beside the rounds.
+    """
 
     round: int
     algorithm: str
@@ -260,26 +271,34 @@ class QuadraticTask:
         # scale by sqrt(B); drawing once at the shrunk scale is equivalent.
         self.batch_noise_std = self.noise_std / math.sqrt(_batch_size(cfg))
         self.dim = n
+        # The float64 entries one iterate's evaluation writes: L * x, its
+        # absolute values and L * x * x.
+        self.evaluation_entries = 3 * n
 
     def l1_smoothness(self) -> float:
         return float(self.l_diag.sum())
 
-    def round_pass(self, x, rngs):
-        """The round's evaluation and worker gradients from one L * x product.
-
-        Returns ((train_loss, test_metric, gbar_l1), grads): the loss
-        0.5 * sum(L * x * x) and the exact mean gradient's l1 norm, which
-        also stands in for the test metric, as there is no held-out data.
-        grads slices like the classifier's (M, N) array: grads[a:b] holds
-        the gradients of workers a to b - 1, worker m's L * x plus Gaussian
-        noise of scale batch_noise_std, drawn from rngs[m] when the
-        slice is read, so a worker's later draws follow its own, on the
-        thread that owns the worker.  Each row is read once.
+    def gradients(self, x, rngs):
+        """The M worker gradients at x, which slice like the classifier's (M, N)
+        array: grads[a:b] holds the gradients of workers a to b - 1, worker
+        m's L * x plus Gaussian noise of scale batch_noise_std, drawn from
+        rngs[m] when the slice is read, so a worker's later draws follow its
+        own, on the thread that owns the worker.  Each row is read once.
         """
-        lx = self.l_diag * x
-        gbar_l1 = float(np.abs(lx).sum())
-        evaluation = (float(0.5 * np.sum(lx * x)), gbar_l1, gbar_l1)
-        return evaluation, _NoisyGradients(lx, self.batch_noise_std, rngs)
+        return _NoisyGradients(self.l_diag * x, self.batch_noise_std, rngs)
+
+    def evaluate(self, xs):
+        """(train_loss, test_metric, gbar_l1) of each row of a (T, N) stack of
+        iterates, from one L * x product: the loss 0.5 * sum(L * x * x) and the
+        exact mean gradient's l1 norm, which also stands in for the test
+        metric, as there is no held-out data.
+        """
+        rows = []
+        for lx, x in zip(self.l_diag * xs, xs):
+            loss = float(0.5 * np.sum(lx * x))
+            gbar_l1 = float(np.abs(lx, out=lx).sum())  # lx is not read again
+            rows.append((loss, gbar_l1, gbar_l1))
+        return rows
 
 
 class _NoisyGradients:
@@ -372,6 +391,9 @@ class ClassificationTask:
         if cfg.m > n_train:
             raise ValueError(f"m must be at most the training sample count, got {cfg.m}: {train_set}")
         self._shards = models.partition_dataset(self.train, cfg.m, mode, derive_rng(cfg.seed, "partition"))
+        # The float64 entries one iterate's evaluation writes: each layer's
+        # outputs at every training and test row.
+        self.evaluation_entries = (n_train + len(self.test)) * sum(self.arch[1:])
         self.x0 = np.zeros(self.dim)
         if init_scale != 0.0:
             self.x0 = derive_rng(cfg.seed, "init").normal(0.0, 1.0, self.dim)
@@ -384,25 +406,28 @@ class ClassificationTask:
     def l1_smoothness(self) -> float:
         raise ValueError("theory schedules need the quadratic model (L1 unknown here)")
 
-    def round_pass(self, x, rngs):
-        """The round's evaluation and worker gradients from one model pass.
-
-        Returns ((train_loss, test_metric, gbar_l1), grads): the mean
-        cross-entropy on the training set, the accuracy on the test set, the
-        l1 norm of the full-batch gradient, and row m of grads the gradient
-        on worker m's minibatch: self.batch rows of its shard, drawn uniformly
-        with replacement by its own stream's call
-        rngs[m].integers(0, shard size, self.batch).  One models.mlp_pass over
-        the training set, the (M, B) stack and the test set gives the loss,
-        the full-batch gradient, the (M, N) gradients and the accuracy,
-        each with the bits of its batch's own pass.
+    def gradients(self, x, rngs):
+        """The (M, N) worker gradients at x: row m is the gradient on worker
+        m's minibatch, self.batch rows of its shard, drawn uniformly with
+        replacement by its own stream's call rngs[m].integers(0, shard size,
+        self.batch).  One pass of the net over the (M, B) stack gives them
+        all (models._pass: the task's data was checked when it was built).
         """
         train = self.train
         rows = np.array([shard[rng.integers(0, shard.size, self.batch)] for shard, rng in zip(self._shards, rngs)])
-        loss, (gbar, grads), accuracy = models.mlp_pass(
-            x, self.arch, [(train.features, train.labels), (train.features[rows], train.labels[rows])],
-            (self.test.features, self.test.labels))
-        return (loss, accuracy, float(np.abs(gbar).sum())), grads
+        return models._pass(x[None], self.arch, [(train.features[rows], train.labels[rows])], None)[1][0][0]
+
+    def evaluate(self, xs):
+        """(train_loss, test_metric, gbar_l1) of each row of a (T, N) stack of
+        iterates: the mean cross-entropy on the training set, the accuracy on
+        the test set and the l1 norm of the full-batch gradient, from one
+        pass of the net over the training and test sets at every iterate.
+        """
+        train, test = self.train, self.test
+        loss, (gbar,), accuracy = models._pass(xs, self.arch, [(train.features, train.labels)],
+                                               (test.features, test.labels))
+        return [(float(loss_t), float(accuracy_t), float(np.abs(gbar_t).sum()))
+                for loss_t, accuracy_t, gbar_t in zip(loss, accuracy, gbar)]
 
 
 _IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
@@ -519,6 +544,89 @@ def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs, dim):
     return columns, sent
 
 
+# A run evaluates its iterates in windows of max(1, this // the float64
+# entries one iterate's evaluation writes), a classifier's on a thread of
+# its own where there are two usable CPUs and a window holds more than one
+# iterate.  A
+# window is one stacked pass, so the two threads trade the interpreter lock
+# a few dozen times a window, not a round: per-round evaluation on a thread
+# had run slower than inline.  logistic_noniid_wire (20000 entries an
+# iterate) on a 2-CPU shared host, perfbench/run.py, 8-s runs, median of 3,
+# rounds/s and peak RSS MiB: inline 815 / 44.4; window 8: 1045 / 45.9;
+# 10: 1017 / 46.3; 12: 1085 / 46.9; 16: 1139 / 47.8.  Memory grows with the
+# window, and 8 keeps it within 5%.  At N = 1e5 the quadratic's window is 1.
+_EVALUATION_BUDGET = 160_000
+
+
+def _evaluate(task, xs) -> list[tuple]:
+    """task.evaluate(xs), or where that raises, the error of the first
+    iterate whose evaluation raises on its own."""
+    try:
+        return task.evaluate(xs)
+    except Exception:
+        if len(xs) == 1:
+            raise
+    return [row for x in xs for row in task.evaluate(x[None])]
+
+
+class _Evaluations:
+    """A run's evaluation rows, a window of iterates at a time: on the
+    calling thread, or with thread a one-thread pool, on that thread, one
+    window at a time, in a copy of the caller's context (so under its numpy
+    error state, as the worker shares are).
+
+    As a context manager it orders a failed run's errors: a round's
+    evaluation comes before its step, so if the rounds raise, the queued
+    iterates are evaluated first, and the first one whose evaluation
+    raises gives the run's error.
+    """
+
+    def __init__(self, task, window: int, thread):
+        self._rows: list[tuple] = []
+        self._task, self._window, self._thread = task, window, thread
+        self._iterates: list[np.ndarray] = []
+        self._pending = None
+
+    def add(self, x: np.ndarray) -> None:
+        """Queue the next round's iterate; x must not change afterwards."""
+        self._iterates.append(x)
+        if len(self._iterates) == self._window:
+            self._hand_off()
+
+    def finish(self) -> list[tuple]:
+        """Every queued iterate's row, in round order.  If an evaluation
+        raised, the first failing iterate's error is raised, once."""
+        if self._iterates:
+            self._hand_off()
+        self._collect()
+        return self._rows
+
+    def _hand_off(self) -> None:
+        # One iterate is a view: at large N a copy a round costs its pages.
+        iterates, self._iterates = self._iterates, []
+        xs = iterates[0][None] if len(iterates) == 1 else np.stack(iterates)
+        if self._thread is None:
+            self._rows += _evaluate(self._task, xs)
+        else:
+            self._collect()
+            self._pending = self._thread.submit(contextvars.copy_context().run, _evaluate, self._task, xs)
+
+    def _collect(self) -> None:
+        pending, self._pending = self._pending, None
+        if pending is not None:
+            self._rows += pending.result()
+
+    def __enter__(self) -> "_Evaluations":
+        return self
+
+    def __exit__(self, kind, error, traceback) -> None:
+        if isinstance(error, Exception):
+            try:
+                self.finish()
+            except Exception as earlier:
+                raise earlier from None
+
+
 def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
     """Run one configured experiment and return its per-round metrics."""
     task = _build_task(cfg)
@@ -550,19 +658,36 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
     threaded = isinstance(task, QuadraticTask) and dim >= _THREADED_MIN_DIM
     threads = min(_usable_cpus(), cfg.m) if threaded else 1
 
+    # The evaluation is no input to the next iterate, so it runs a window at
+    # a time, and a classifier's beside the rounds: it reads the whole
+    # training and test sets, about half the round.  The quadratic's is a few
+    # passes over N against the round's M * N noise, and a thread cost it
+    # more than it saved: ms per round on a 2-CPU shared host, M = 16,
+    # inline / on a thread, N = 1000 0.76 / 0.80, N = 4000 1.81 / 1.94
+    # (30 and 40 alternating runs).
+    window = max(1, _EVALUATION_BUDGET // task.evaluation_entries)
+    beside = isinstance(task, ClassificationTask) and window > 1 and _usable_cpus() > 1
+
     x = task.x0.copy()
     velocity = None
     memory = np.zeros((cfg.m, dim)) if rule.selector == "topk" else None
     count_dtype = np.min_scalar_type(cfg.m)  # at most the M workers send a coordinate
-    metrics: list[RoundMetrics] = []
+    rounds: list[tuple] = []
     ledger = CommLedger(cfg.algorithm)
     worker_streams = WorkerStreams(cfg.seed, cfg.m, cfg.t)
-    # No pool below the gate, and none outlives the run.
-    with ThreadPoolExecutor(threads - 1) if threads > 1 else contextlib.nullcontext() as pool:
+    # No pool below the gate, no evaluation thread without a window to share,
+    # and neither outlives the run.
+    with (
+        ThreadPoolExecutor(threads - 1) if threads > 1 else contextlib.nullcontext() as pool,
+        ThreadPoolExecutor(1) if beside else contextlib.nullcontext() as thread,
+        _Evaluations(task, window, thread) as evaluations,
+    ):
         for t in range(cfg.t):
+            # update_model gives each iterate a fresh array.
+            evaluations.add(x)
             started = time.perf_counter()
             rngs = worker_rngs(worker_streams, t)
-            (train_loss, test_metric, gbar_l1), grads = task.round_pass(x, rngs)
+            grads = task.gradients(x, rngs)
 
             columns, sent = _worker_phase(pool, threads, rule, grads, memory, cfg.eta, k, rngs, dim)
 
@@ -601,21 +726,16 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
                 raise FloatingPointError(f"non-finite parameters after round {t}")
 
             ledger.record(t, up, down)
-            metrics.append(
-                RoundMetrics(
-                    round=t,
-                    algorithm=cfg.algorithm,
-                    train_loss=train_loss,
-                    test_metric=test_metric,
-                    gbar_l1=gbar_l1,
-                    uplink_bits=up,
-                    downlink_bits=down,
-                    cumulative_bits=ledger.cumulative_bits,
-                    wall_ms=(time.perf_counter() - started) * 1e3,
-                    selection_counts=None if counts is None else counts.astype(count_dtype),
-                )
-            )
-    return metrics
+            rounds.append((up, down, ledger.cumulative_bits, (time.perf_counter() - started) * 1e3,
+                           None if counts is None else counts.astype(count_dtype)))
+        evaluated = evaluations.finish()
+    return [
+        RoundMetrics(round=t, algorithm=cfg.algorithm, train_loss=train_loss, test_metric=test_metric,
+                     gbar_l1=gbar_l1, uplink_bits=up, downlink_bits=down, cumulative_bits=cumulative,
+                     wall_ms=wall_ms, selection_counts=counts)
+        for t, ((train_loss, test_metric, gbar_l1), (up, down, cumulative, wall_ms, counts))
+        in enumerate(zip(evaluated, rounds))
+    ]
 
 
 def sweep(

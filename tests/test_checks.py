@@ -169,6 +169,16 @@ def test_an_index_array_that_is_not_integers_is_refused_by_name(name, call, valu
     # participation_count once counted a repeated index's worker twice, as [0, 2, 0].
     (lambda: participation_count([[1, 1]], 3), "supports must each hold strictly increasing indices"),
     (lambda: participation_count(np.array([[0, 2], [2, 1]]), 3), "supports must each hold strictly increasing indices"),
+    # participation_count once ended in numpy's "diff requires input that is
+    # at least one dimensional" and a bare TypeError.
+    (lambda: participation_count([0, 1], 4),
+     "supports must be a list of 1-D index arrays or an (M, K) array, got [0, 1]"),
+    (lambda: participation_count(5, 4), "supports must be a list of 1-D index arrays or an (M, K) array, got 5"),
+    # These once ended in a bare AttributeError.
+    (lambda: majority_vote([1, 2], 3),
+     "msgs must be a SignBatch, a list of SparseSignVector or (M, 3) int8 rows, got [1, 2]"),
+    (lambda: rand_k_select(np.ones(3), 1, None), "rng must be a numpy Generator, got None"),
+    (lambda: encode_sparse_sign([1, 2]), "v must be a SparseSignVector, got [1, 2]"),
 ])
 def test_each_case_that_was_wrong_is_refused_by_name(call, message):
     refused(lambda _: call(), None, re.escape(message))

@@ -253,6 +253,18 @@ def no_pool(*args, **kwargs):
     raise AssertionError("a thread pool was built")
 
 
+def no_worker_pool(monkeypatch):
+    """Fail a run whose worker phase is given a pool: it runs every worker
+    on the calling thread."""
+    phase = simulator._worker_phase
+
+    def alone(pool, threads, *args):
+        assert pool is None and threads == 1, "the worker phase was given a pool"
+        return phase(pool, threads, *args)
+
+    monkeypatch.setattr(simulator, "_worker_phase", alone)
+
+
 @pytest.mark.parametrize("threads", ["1", "2", "M"])
 @pytest.mark.parametrize("make", [quadratic, quadratic_wide_batch, logistic_noniid, logistic_noniid_wide])
 @pytest.mark.parametrize(
@@ -267,7 +279,7 @@ def test_threaded_worker_phase_matches_reference_loop(monkeypatch, threads, make
     # A classifier's worker phase stays on one thread at any N.
     alone = count == 1 or cfg.model["kind"] != "quadratic"
     if alone:
-        monkeypatch.setattr(simulator, "ThreadPoolExecutor", no_pool)
+        no_worker_pool(monkeypatch)
     got = engine_run(cfg)
     if not alone:
         assert_shares(reads, count, cfg.m)
@@ -282,7 +294,7 @@ def test_threaded_worker_phase_matches_reference_loop(monkeypatch, threads, make
 def test_no_threads_below_the_gate(monkeypatch):
     reads = threaded(monkeypatch, 2)
     monkeypatch.setattr(simulator, "_THREADED_MIN_DIM", 2001)
-    monkeypatch.setattr(simulator, "ThreadPoolExecutor", no_pool)
+    no_worker_pool(monkeypatch)
     run_experiment(quadratic_wide_batch(algorithm="S3GD_MV"))
     assert_alone(reads, 8)
 
@@ -467,3 +479,227 @@ def test_full_rows_build_no_columns_or_batch(monkeypatch, alg):
     for ours, ref in zip(engine_run(cfg), expected, strict=True):
         assert ours[:-1] == ref[:-1]
         assert np.array_equal(ours[-1], ref[-1])
+
+
+# The evaluation runs in windows of max(1, _EVALUATION_BUDGET // the entries
+# one iterate's evaluation writes) iterates: a classifier's on a thread of
+# its own with two usable CPUs and a window of more than one iterate, any
+# other on the calling thread.
+
+def build(cfg):
+    return QuadraticTask(cfg) if cfg.model["kind"] == "quadratic" else ClassificationTask(cfg)
+
+
+def windows(monkeypatch, cfg, window, cpus):
+    """Set the evaluation window of cfg's task and the usable CPU count;
+    returns a list that collects (thread id, iterates) of each evaluate call."""
+    monkeypatch.setattr(simulator, "_EVALUATION_BUDGET", window * build(cfg).evaluation_entries)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+    calls = []
+    for task_class in (QuadraticTask, ClassificationTask):
+        def spy(task, xs, evaluate=task_class.evaluate):
+            calls.append((threading.get_ident(), len(xs)))
+            return evaluate(task, xs)
+
+        monkeypatch.setattr(task_class, "evaluate", spy)
+    return calls
+
+
+def pool_sizes(monkeypatch):
+    """A list that collects the thread count of each pool a run builds."""
+    sizes = []
+    pool = simulator.ThreadPoolExecutor
+
+    def spy(threads):
+        sizes.append(threads)
+        return pool(threads)
+
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", spy)
+    return sizes
+
+
+def evaluation_threads(calls):
+    """The threads other than this one that ran an evaluation."""
+    return {ident for ident, _ in calls} - {threading.get_ident()}
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("window", [1, 2, 5, 12, 13])
+@pytest.mark.parametrize("make", [quadratic, logistic_noniid, logistic_noniid_wide])
+def test_evaluation_windows_match_reference_loop(monkeypatch, make, window, cpus):
+    cfg = make(algorithm="S3GD_MV", cost_mode="WIRE", t=12)
+    expected = reference_run(cfg)
+    calls = windows(monkeypatch, cfg, window, cpus)
+    before = threading.active_count()
+    got = engine_run(cfg)
+    assert threading.active_count() == before
+    # Each full window, then the last one's rest at the end of the run.
+    assert [size for _, size in calls] == [window] * (cfg.t // window) + [cfg.t % window] * (cfg.t % window > 0)
+    beside = cpus > 1 and window > 1 and cfg.model["kind"] != "quadratic"
+    assert len(evaluation_threads(calls)) == beside
+    for ours, ref in zip(got, expected, strict=True):
+        assert ours[:-1] == ref[:-1]
+        assert np.array_equal(ours[-1], ref[-1])
+
+
+@pytest.mark.parametrize("make", [logistic_noniid, logistic_noniid_wide])
+def test_evaluation_thread_under_frequent_thread_switches(monkeypatch, make):
+    """Windows of 2 on the evaluation thread, switching every microsecond:
+    a row lost, crossed or filled out of round order would change the run."""
+    cfg = make(algorithm="S3GD_MV", cost_mode="WIRE", t=40)
+    expected = reference_run(cfg)
+    calls = windows(monkeypatch, cfg, 2, 2)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        got = engine_run(cfg)
+    finally:
+        sys.setswitchinterval(interval)
+    assert len(calls) == 20 and len(evaluation_threads(calls)) == 1
+    for ours, ref in zip(got, expected, strict=True):
+        assert ours[:-1] == ref[:-1]
+        assert np.array_equal(ours[-1], ref[-1])
+
+
+@pytest.mark.parametrize("make, cpus, window", [
+    (logistic_noniid_wide, 1, None),
+    (logistic_noniid_wide, 2, 1),
+    # The quadratic's evaluation stays on the calling thread.
+    (quadratic, 2, None),
+])
+def test_no_evaluation_thread_at_one_cpu_a_one_iterate_window_or_the_quadratic(monkeypatch, make, cpus, window):
+    cfg = make(algorithm="S3GD_MV", cost_mode="WIRE")
+    expected = reference_run(cfg)
+    monkeypatch.setattr(simulator, "_usable_cpus", lambda: cpus)
+    if window is not None:
+        monkeypatch.setattr(simulator, "_EVALUATION_BUDGET", build(cfg).evaluation_entries)
+    else:
+        assert simulator._EVALUATION_BUDGET // build(cfg).evaluation_entries > 1
+    monkeypatch.setattr(simulator, "ThreadPoolExecutor", no_pool)
+    for ours, ref in zip(engine_run(cfg), expected, strict=True):
+        assert ours[:-1] == ref[:-1]
+        assert np.array_equal(ours[-1], ref[-1])
+
+
+class BrokenRows:
+    """A worker stream whose minibatch draw fails."""
+
+    def integers(self, *args, **kwargs):
+        raise RuntimeError("stream broke")
+
+
+def break_round(monkeypatch, t_broken):
+    """Every worker's minibatch draw fails at round t_broken."""
+    derive = simulator.worker_rngs
+    monkeypatch.setattr(simulator, "worker_rngs",
+                        lambda table, t: [BrokenRows() if t == t_broken else rng for rng in derive(table, t)])
+
+
+@pytest.mark.parametrize("fails", [False, True])
+def test_no_evaluation_thread_outlives_a_run(monkeypatch, fails):
+    cfg = logistic_noniid(algorithm="S3GD_MV")
+    calls = windows(monkeypatch, cfg, 2, 2)
+    sizes = pool_sizes(monkeypatch)
+    if fails:
+        break_round(monkeypatch, 5)
+    before = threading.active_count()
+    if fails:
+        assert raised(cfg) == (RuntimeError, "stream broke")
+    else:
+        run_experiment(cfg)
+    assert sizes == [1] and len(evaluation_threads(calls)) == 1
+    assert threading.active_count() == before
+
+
+def iterate_rounds(monkeypatch, task):
+    """A function that gives the round of an iterate of a run on task."""
+    monkeypatch.setattr(simulator, "_build_task", lambda cfg: task)
+    iterates = [task.x0.tobytes()]
+    update = simulator.update_model
+
+    def spy(*args):
+        x, velocity = update(*args)
+        iterates.append(x.tobytes())
+        return x, velocity
+
+    monkeypatch.setattr(simulator, "update_model", spy)
+    return lambda x: iterates.index(x.tobytes())
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("window", [1, 2, 4])
+@pytest.mark.parametrize("failing", [0, 2, 3, 4, 6])
+def test_the_earliest_rounds_error_is_raised(monkeypatch, failing, window, cpus):
+    """The evaluations of rounds failing and failing + 1 raise, and round
+    3's step: the run raises the earliest round's error, and the evaluation
+    of a round comes before its step, whatever the window or the thread.  A
+    window holding both failing rounds raises the later one's error, as a
+    stacked pass may, so the run must find the first on its own."""
+    cfg = logistic_noniid(algorithm="S3GD_MV", t=8)
+    task = build(cfg)
+    round_of = iterate_rounds(monkeypatch, task)
+    calls = windows(monkeypatch, cfg, window, cpus)
+    evaluate = ClassificationTask.evaluate
+
+    def fail(task, xs):
+        failed = [t for t in map(round_of, xs) if t in (failing, failing + 1)]
+        if failed:
+            raise RuntimeError(f"evaluation of round {failed[-1]}")
+        return evaluate(task, xs)
+
+    monkeypatch.setattr(ClassificationTask, "evaluate", fail)
+    break_round(monkeypatch, 3)
+    before = threading.active_count()
+    with pytest.raises(RuntimeError) as info:
+        run_experiment(cfg)
+    if failing <= 3:
+        assert str(info.value) == f"evaluation of round {failing}"
+        assert info.value.__suppress_context__ or info.value.__context__ is None
+    else:
+        assert str(info.value) == "stream broke"
+    assert len(evaluation_threads(calls)) == (cpus > 1 and window > 1 and len(calls) > 0)
+    assert threading.active_count() == before
+
+
+def diverging(**overrides):
+    """Plain SGD whose iterate grows 1e6-fold a round: its loss overflows
+    some 25 rounds before its step does."""
+    model = {"kind": "quadratic", "noise_std": 0.0, "init": 1.0}
+    return quadratic(**{"algorithm": "VANILLA_SGD", "learning_rate": 1e6, "t": 120, "model": model, **overrides})
+
+
+@pytest.mark.parametrize("window", [1, 4, 1000])
+def test_a_non_finite_update_raises_at_its_round(monkeypatch, window):
+    windows(monkeypatch, diverging(), 1, 1)
+    with np.errstate(over="ignore"):
+        expected = raised(diverging())
+    assert expected[0] is FloatingPointError and expected[1].startswith("non-finite parameters after round ")
+    windows(monkeypatch, diverging(), window, 2)
+    with np.errstate(over="ignore"):
+        assert raised(diverging()) == expected
+
+
+@pytest.mark.parametrize("window", [1, 4, 1000])
+def test_a_callers_error_state_holds_in_the_evaluation(monkeypatch, window):
+    """Under np.errstate(over="raise") the loss overflows first, in the
+    evaluation; the run raises that, not the step's overflow."""
+    windows(monkeypatch, diverging(), window, 2)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="^overflow encountered in multiply$") as info:
+        run_experiment(diverging())
+    assert info.traceback[-1].name == "evaluate"
+
+
+def test_the_evaluation_thread_runs_under_the_callers_error_state(monkeypatch):
+    cfg = logistic_noniid(algorithm="S3GD_MV")
+    calls = windows(monkeypatch, cfg, 2, 2)
+    evaluate = ClassificationTask.evaluate
+
+    def overflowing(task, xs):
+        rows = evaluate(task, xs)
+        np.multiply(np.float64(1e308), 10.0)
+        return rows
+
+    monkeypatch.setattr(ClassificationTask, "evaluate", overflowing)
+    with np.errstate(over="raise"), pytest.raises(FloatingPointError, match="^overflow encountered in multiply$"):
+        run_experiment(cfg)
+    assert len(evaluation_threads(calls)) == 1

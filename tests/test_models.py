@@ -1,18 +1,20 @@
 """Model gradients against finite differences; data plumbing against recounts.
 
 A classifier's loss and accuracy are the ones mlp_pass returns; the
-quadratic's loss and gradients are the ones its task's round_pass gives.
+quadratic's loss and gradients are the ones its task's evaluate and gradients give.
 """
 
 import math
 import re
 import struct
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from sparsevote import models
 from sparsevote.models import (
     Dataset,
     IdxFormatError,
@@ -64,8 +66,7 @@ def quadratic_task(lipschitz, noise_std=0.0):
 
 def quadratic_loss_and_grads(task, x, rngs):
     """The loss at x and one gradient row per stream, batch 1."""
-    evaluation, grads = task.round_pass(x, rngs)
-    return evaluation[0], grads[0:len(rngs)]
+    return task.evaluate(x[None])[0][0], task.gradients(x, rngs)[0:len(rngs)]
 
 
 class TestQuadratic:
@@ -237,6 +238,32 @@ class TestSharedPass:
         assert grads.shape == (m, x.size) and grads.tobytes() == want_grads.tobytes()
         assert accuracy == np.mean(predicted == test_labels)
 
+    @given(st.integers(1, 16), st.lists(st.integers(1, 9), max_size=2), st.integers(2, 39),
+           st.integers(1, 80), st.integers(1, 6), st.integers(1, 40), st.integers(1, 9),
+           st.integers(0, 2**16), st.sampled_from([0, models._COPIED_MAX]))
+    @settings(max_examples=60, deadline=None)
+    def test_each_iterate_of_a_stack_has_the_bits_of_its_own_pass(self, d, hidden, c, n, m, n_test, count, seed,
+                                                                   copied_max):
+        """Both ways to the row max: on a copy, and along the rows of a large z."""
+        rng = np.random.default_rng(seed)
+        arch = [d, *hidden, c]
+        xs = rng.normal(scale=rng.uniform(0.1, 3.0), size=(count, mlp_param_count(arch)))
+        feats, labels = small_batch(rng, n, d, c)
+        rows = rng.integers(0, n, size=(m, 3))
+        test_feats, test_labels = small_batch(rng, n_test, d, c)
+        with mock.patch.object(models, "_COPIED_MAX", copied_max):
+            loss, (gbar, grads), accuracy = mlp_pass(
+                xs, arch, [(feats, labels), (feats[rows], labels[rows])], (test_feats, test_labels))
+
+        assert loss.shape == accuracy.shape == (count,)
+        assert gbar.shape == (count, xs.shape[1]) and grads.shape == (count, m, xs.shape[1])
+        for t, x in enumerate(xs):
+            want_loss, want_gbar, _ = written_out(x, arch, feats, labels)
+            _, want_grads, _ = written_out(x, arch, feats[rows], labels[rows])
+            _, _, predicted = written_out(x, arch, test_feats, test_labels)
+            assert loss[t] == want_loss and accuracy[t] == np.mean(predicted == test_labels)
+            assert gbar[t].tobytes() == want_gbar.tobytes() and grads[t].tobytes() == want_grads.tobytes()
+
     def test_workload_shape(self):
         # The benchmark's logistic round: 1600 training rows, ten minibatches
         # of 32, 400 test rows, 10 classes over 16 features.
@@ -262,6 +289,10 @@ class TestSharedPass:
             mlp_pass(np.zeros(9), [2, 3], [(feats, labels)], (feats[None], labels[None]))
         with pytest.raises(ValueError, match="bad batch"):
             mlp_pass(np.zeros(9), [2, 3], [(feats, labels[:3])])
+        for x in (np.zeros((1, 1, 9)), np.zeros((0, 9)), np.float64(0.0)):
+            with pytest.raises(ValueError, match=re.escape(f"x must be a parameter vector or a (T, N) stack of "
+                                                           f"them, got shape {x.shape}")):
+                mlp_pass(x, [2, 3], [(feats, labels)])
 
 
 def deltas(seed, shapes, count):

@@ -633,25 +633,26 @@ class TestQuadraticTask:
         cfg = quad_cfg(t=16, batch_size=batch_size, model={"kind": "quadratic", "noise_std": 6.0})
         task = QuadraticTask(cfg)
         x = np.linspace(-1.0, 1.0, 16)
-        _, grads = task.round_pass(x, [np.random.default_rng(5)])
-        got = grads[0:1]
+        got = task.gradients(x, [np.random.default_rng(5)])[0:1]
         expected = np.random.default_rng(5).standard_normal(16)
         expected *= 6.0 / scale
         expected += task.l_diag * x
         assert got[0].tobytes() == expected.tobytes()
 
-    def test_round_pass_keeps_no_batch_state(self):
-        # Worker threads share the task, so a call must not change what a
-        # later call gives: repeated calls on one task equal a fresh task's.
+    def test_a_task_keeps_no_batch_state(self):
+        # Worker threads and the evaluation thread share the task, so a call
+        # must not change what a later call gives: repeated calls on one task
+        # equal a fresh task's.
         cfg = quad_cfg(t=16, batch_size=4, model={"kind": "quadratic", "noise_std": 6.0})
         task = QuadraticTask(cfg)
         state = dict(vars(task))
         arrays = {key: value.tobytes() for key, value in state.items() if isinstance(value, np.ndarray)}
         for seed in (4, 9, 4, 1, 9, 16):
-            x = np.random.default_rng(seed).normal(size=16)
-            evaluation, grads = task.round_pass(x, [np.random.default_rng(seed)])
-            fresh_evaluation, fresh = QuadraticTask(cfg).round_pass(x, [np.random.default_rng(seed)])
-            assert evaluation == fresh_evaluation and grads[0:1].tobytes() == fresh[0:1].tobytes()
+            xs = np.random.default_rng(seed).normal(size=(2, 16))
+            grads = task.gradients(xs[0], [np.random.default_rng(seed)])[0:1]
+            fresh = QuadraticTask(cfg)
+            assert task.evaluate(xs) == fresh.evaluate(xs)
+            assert grads.tobytes() == fresh.gradients(xs[0], [np.random.default_rng(seed)])[0:1].tobytes()
         assert vars(task).keys() == state.keys()
         assert all(vars(task)[key] is value for key, value in state.items())
         assert all(state[key].tobytes() == data for key, data in arrays.items())
@@ -679,8 +680,9 @@ def tasks(draw):
     return task, raw
 
 
-class TestRoundPass:
-    """round_pass against the per-call reference (task_reference), bit for bit."""
+class TestGradientsAndEvaluate:
+    """A task's gradients and evaluate against the per-call reference
+    (task_reference), bit for bit."""
 
     @given(tasks(), st.integers(0, 2**16), st.floats(0.0, 2.0))
     @settings(max_examples=60, deadline=None)
@@ -690,20 +692,43 @@ class TestRoundPass:
         x = task.x0 + scale * np.random.default_rng(t).standard_normal(task.dim)
         k = resolve_k(0.3, task.dim)
         rngs = [worker_rng(raw["seed"], m, t) for m in range(raw["m"])]
-        evaluation, grads = task.round_pass(x, rngs)
         # The quadratic's rows are drawn as the slice reads them.
-        grads = grads[0:len(rngs)]
+        grads = task.gradients(x, rngs)[0:len(rngs)]
         # Each worker's rand-K draw follows its gradient draw on its stream.
         got = [(g, rand_k_sign(g, k, rng)) for g, rng in zip(grads, rngs)]
 
-        expected = per_call.evaluation(x)
-        assert np.array(evaluation).tobytes() == np.array(expected).tobytes()
+        (evaluation,) = task.evaluate(x[None])
+        assert np.array(evaluation).tobytes() == np.array(per_call.evaluation(x)).tobytes()
         assert len(got) == raw["m"]
         for m, (g, msg) in enumerate(got):
             rng = worker_rng(raw["seed"], m, t)
             want = per_call.worker_grad(x, m, raw["batch_size"], rng)
             assert g.dtype == want.dtype and g.tobytes() == want.tobytes()
             assert msg == rand_k_sign(want, k, rng)
+
+    @given(st.sampled_from(["quadratic", "logistic", [6], [5, 4]]), st.data())
+    @settings(max_examples=40, deadline=None)
+    def test_a_stack_evaluates_as_its_rows_one_at_a_time(self, kind, data):
+        """Stacks of 1 to W + 1 iterates, W the run's evaluation window."""
+        seed = data.draw(st.integers(0, 2**16))
+        raw = dict(algorithm="S3GD_MV", m=3, t=4, seed=seed)
+        if kind == "quadratic":
+            raw.update(n=data.draw(st.integers(2000, 20000)),
+                       model={"kind": "quadratic", "lipschitz": {"log_min": -1, "log_max": 1}})
+            task = QuadraticTask(ExperimentConfig.from_dict(raw))
+        else:
+            raw.update(model={"kind": "logistic"} if kind == "logistic" else {"kind": "mlp", "hidden": kind},
+                       data={"n_samples": data.draw(st.integers(100, 300)), "d": data.draw(st.integers(1, 16)),
+                             "num_classes": data.draw(st.integers(2, 10)), "mode": "NONIID"})
+            task = ClassificationTask(ExperimentConfig.from_dict(raw))
+        window = max(1, simulator._EVALUATION_BUDGET // task.evaluation_entries)
+        size = data.draw(st.integers(1, window + 1))
+        xs = task.x0 + np.random.default_rng(seed).normal(scale=1.5, size=(size, task.dim))
+        rows = task.evaluate(xs)
+        assert len(rows) == size
+        for x, row in zip(xs, rows):
+            (alone,) = task.evaluate(x[None])
+            assert np.array(row).tobytes() == np.array(alone).tobytes()
 
     @pytest.mark.parametrize("mode", ["IID", "NONIID"])
     @pytest.mark.parametrize("batch", [1, 2, 3, 32])
@@ -716,7 +741,7 @@ class TestRoundPass:
         task = ClassificationTask(cfg)
         per_call = PerCallTask(task, cfg)
         rngs = [worker_rng(1, m, 1) for m in range(5)]
-        _, grads = task.round_pass(task.x0, rngs)
+        grads = task.gradients(task.x0, rngs)
         for m, (shard, rng) in enumerate(zip(per_call.shards, rngs)):
             reference = worker_rng(1, m, 1)
             assert grads[m].tobytes() == per_call.worker_grad(task.x0, m, batch, reference).tobytes()
