@@ -129,6 +129,8 @@ class SignBatch:
     @classmethod
     def stack(cls, messages: list[SparseSignVector], dim: int) -> "SignBatch":
         """The messages as one batch; each must be over dim."""
+        if not isinstance(messages, (list, tuple)) or not all(isinstance(v, SparseSignVector) for v in messages):
+            raise ValueError(f"messages must be a list of SparseSignVector, got {messages!r}")
         for i, v in enumerate(messages):
             if v.dim != dim:
                 raise ValueError(f"message {i} has dim {v.dim}, expected {dim}")

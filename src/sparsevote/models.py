@@ -77,14 +77,22 @@ class Dataset:
 # features (..., n, d) with labels (..., n), whose gradient is one per batch,
 # shape (..., N), each equal to the gradient of its batch alone bit for bit.
 
-def _as_batch(features: np.ndarray, labels: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """features as float64, labels as int64; mlp_pass checks their range with the other batches'."""
+def _is_pair(pair) -> bool:
+    return isinstance(pair, (list, tuple)) and len(pair) == 2
+
+
+def _as_batch(features: np.ndarray, labels: np.ndarray, width: int, what: str) -> tuple[np.ndarray, np.ndarray]:
+    """features as float64, labels as int64; mlp_pass checks their range with
+    the other batches'.  Each row must hold width features, arch[0]; what
+    names the features in the error."""
     features = np.asarray(features, dtype=np.float64)
     labels = _checks.indices(labels, "labels")
     if features.ndim < 2 or labels.shape != features.shape[:-1]:
         raise ValueError(f"bad batch: features {features.shape}, labels {labels.shape}")
     if features.shape[-2] == 0:
         raise ValueError("batch is empty")
+    if features.shape[-1] != width:
+        raise ValueError(f"{what} have {features.shape[-1]} columns, but arch[0] is {width}")
     return features, labels
 
 
@@ -101,8 +109,8 @@ def _layer_grad(delta: np.ndarray, inputs: np.ndarray) -> np.ndarray:
 
 
 def mlp_param_count(arch: list[int]) -> int:
-    if len(arch) < 2:
-        raise ValueError(f"arch needs at least input and output sizes, got {arch}")
+    if not isinstance(arch, (list, tuple)) or len(arch) < 2:
+        raise ValueError(f"arch must be a list of layer widths, input and output sizes at least, got {arch!r}")
     for i, width in enumerate(arch):
         _checks.count(width, f"arch[{i}]")
     return sum(arch[i + 1] * (arch[i] + 1) for i in range(len(arch) - 1))
@@ -129,12 +137,31 @@ def _split(buffer: np.ndarray, shapes: list[tuple], spans: list[tuple[int, int]]
     return [buffer[lo:hi].reshape(*shape, -1) for shape, (lo, hi) in zip(shapes, spans)]
 
 
-# The largest z, in entries, whose row max runs on a copy with the classes
-# first.  The copy is the faster max, but a stack of iterates' logits is
-# large, and its copy would raise the evaluation's peak memory by half.
-# Row max of (rows, 10) logits, median us on a 2-CPU shared host, copy /
-# along the rows: 320 rows 3.9 / 16.4; 12800 rows 152 / 585.
+# The most entries of z whose row max one transposed copy takes: z goes
+# through in chunks of that many or fewer rows, one row at least.  numpy
+# reduces a short last axis row by row, so the copy, classes first, takes
+# the max across rows.  A bounded chunk stays in cache, and keeps a window of
+# iterates' logits from being copied whole.  Row max of (rows, 10) logits,
+# us, best of 7, on a 2-CPU shared host, along the rows / in chunks of 2**15,
+# 2**16, 2**17 entries / one copy of z: 12800 rows 562 / 115, 122, 156 / 152;
+# 25600 rows 1169 / 272, 278, 361 / 540.
 _COPIED_MAX = 2**16
+
+
+def _subtract_row_max(z: np.ndarray) -> None:
+    """z -= each row's max, in place, with the max taken a chunk of rows at
+    a time on the chunk's transposed copy.
+
+    A max is exact in any order.  Only where a row's max is a zero may its
+    sign differ from that of the max along the row; then the shifted row
+    differs at most in the sign of a zero, and exp, the row sums and the
+    loss term read a zero of either sign alike.
+    """
+    top = np.empty(len(z))
+    step = max(1, _COPIED_MAX // z.shape[1])
+    for lo in range(0, len(z), step):
+        np.ascontiguousarray(z[lo:lo + step].T).max(axis=0, out=top[lo:lo + step])
+    z -= top[:, None]
 
 
 def _per_iterate(a: np.ndarray, like: np.ndarray) -> np.ndarray:
@@ -171,12 +198,18 @@ def mlp_pass(
     x = np.asarray(x, dtype=np.float64)
     if not (x.ndim == 1 or x.ndim == 2 and len(x)):
         raise ValueError(f"x must be a parameter vector or a (T, N) stack of them, got shape {x.shape}")
-    batches = [_as_batch(features, labels) for features, labels in batches]
+    mlp_param_count(arch)  # arch is read below
+    if not isinstance(batches, (list, tuple)) or not all(map(_is_pair, batches)):
+        raise ValueError(f"batches must be a list of (features, labels) pairs, got {batches!r}")
+    batches = [_as_batch(features, labels, arch[0], f"features of batch {i}")
+               for i, (features, labels) in enumerate(batches)]
     if not batches:
         raise ValueError("mlp_pass needs at least one batch")
     targets = [labels.reshape(-1) for _, labels in batches]
     if test is not None:
-        test = _as_batch(*test)
+        if not _is_pair(test):
+            raise ValueError(f"test must be a (features, labels) pair, got {test!r}")
+        test = _as_batch(*test, arch[0], "test features")
         if test[0].ndim != 2:
             raise ValueError(f"test set must be one batch, got features {test[0].shape}")
         targets.append(test[1])
@@ -189,10 +222,11 @@ def mlp_pass(
 
 
 def _pass(iterates: np.ndarray, arch: list[int], batches: list[tuple[np.ndarray, np.ndarray]],
-          test: tuple[np.ndarray, np.ndarray] | None) -> tuple:
+          test: tuple[np.ndarray, np.ndarray] | None, *, with_loss: bool = True) -> tuple:
     """mlp_pass at a (T, N) stack of iterates, on batches of float64
     features and int64 labels in range, as mlp_pass checks them; loss and
-    accuracy are (T,) arrays and each gradient a (T, ...) stack.
+    accuracy are (T,) arrays and each gradient a (T, ...) stack.  Without
+    with_loss the loss is None, and its terms are not computed.
 
     The labelled rows, each batch's at every iterate, iterate by iterate,
     are one row buffer per layer; the test rows go through the layers in
@@ -239,16 +273,13 @@ def _pass(iterates: np.ndarray, arch: list[int], batches: list[tuple[np.ndarray,
     # evaluation's peak memory.
     del tested
     z = outs[-1]
-    # A max is exact in any order.  numpy reduces a short last axis row by
-    # row, so a small z takes it with the classes moved to the front, across
-    # rows; a large one is not copied.
-    z -= np.ascontiguousarray(z.T).max(axis=0)[:, None] if z.size <= _COPIED_MAX else z.max(axis=1, keepdims=True)
+    _subtract_row_max(z)
     # Flat positions in z of each labelled row's label entry.
     entries = np.arange(0, z.size, z.shape[1])
     for (lo, hi), (_, labels) in zip(spans, batches):
         block = entries[lo:hi].reshape(count, -1)
         block += labels.reshape(-1)
-    picked = z.reshape(-1)[entries[:bounds[1]]]
+    picked = z.reshape(-1)[entries[:bounds[1]]] if with_loss else None
     # exp(z) in place: the logits are not read again.
     e = np.exp(z, out=z)
     sums = e.sum(axis=1, keepdims=True)
@@ -258,9 +289,11 @@ def _pass(iterates: np.ndarray, arch: list[int], batches: list[tuple[np.ndarray,
     del entries
     for (lo, hi), (_, y) in zip(spans, batches):
         e[lo:hi] /= y.shape[-1]
-    # Each loss term log(sum) - the label's shifted logit, in place in picked.
-    np.subtract(np.log(sums[:bounds[1], 0], out=sums[:bounds[1], 0]), picked, out=picked)
-    loss = picked.reshape(count, -1).mean(axis=1)
+    loss = None
+    if with_loss:
+        # Each loss term log(sum) - the label's shifted logit, in place in picked.
+        np.subtract(np.log(sums[:bounds[1], 0], out=sums[:bounds[1], 0]), picked, out=picked)
+        loss = picked.reshape(count, -1).mean(axis=1)
     del sums, picked
 
     grads: list[list[np.ndarray]] = [[] for _ in batches]

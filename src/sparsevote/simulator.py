@@ -236,6 +236,8 @@ def update_model(
     _checks.real(mu, "mu", "in [0, 1)")
     v = direction
     if mu != 0.0:
+        if velocity is not None and np.shape(velocity) != x.shape:
+            raise ValueError(f"shape mismatch: x {x.shape} vs velocity {np.shape(velocity)}")
         v = np.zeros(x.shape) if velocity is None else np.multiply(velocity, mu, dtype=np.float64)
         v += direction
         velocity = v
@@ -411,11 +413,13 @@ class ClassificationTask:
         m's minibatch, self.batch rows of its shard, drawn uniformly with
         replacement by its own stream's call rngs[m].integers(0, shard size,
         self.batch).  One pass of the net over the (M, B) stack gives them
-        all (models._pass: the task's data was checked when it was built).
+        all, without the loss (models._pass: the task's data was checked
+        when it was built).
         """
         train = self.train
         rows = np.array([shard[rng.integers(0, shard.size, self.batch)] for shard, rng in zip(self._shards, rngs)])
-        return models._pass(x[None], self.arch, [(train.features[rows], train.labels[rows])], None)[1][0][0]
+        return models._pass(x[None], self.arch, [(train.features[rows], train.labels[rows])], None,
+                            with_loss=False)[1][0][0]
 
     def evaluate(self, xs):
         """(train_loss, test_metric, gbar_l1) of each row of a (T, N) stack of
@@ -426,8 +430,10 @@ class ClassificationTask:
         train, test = self.train, self.test
         loss, (gbar,), accuracy = models._pass(xs, self.arch, [(train.features, train.labels)],
                                                (test.features, test.labels))
-        return [(float(loss_t), float(accuracy_t), float(np.abs(gbar_t).sum()))
-                for loss_t, accuracy_t, gbar_t in zip(loss, accuracy, gbar)]
+        # numpy sums each contiguous row of gbar as it sums that row alone,
+        # so one call gives every iterate's l1 norm; gbar is not read again.
+        gbar_l1 = np.abs(gbar, out=gbar).sum(axis=1)
+        return list(zip(loss.tolist(), accuracy.tolist(), gbar_l1.tolist()))
 
 
 _IDX_KEYS = ("train_images", "train_labels", "test_images", "test_labels")
@@ -547,15 +553,17 @@ def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs, dim):
 # A run evaluates its iterates in windows of max(1, this // the float64
 # entries one iterate's evaluation writes), a classifier's on a thread of
 # its own where there are two usable CPUs and a window holds more than one
-# iterate.  A
-# window is one stacked pass, so the two threads trade the interpreter lock
-# a few dozen times a window, not a round: per-round evaluation on a thread
-# had run slower than inline.  logistic_noniid_wire (20000 entries an
-# iterate) on a 2-CPU shared host, perfbench/run.py, 8-s runs, median of 3,
-# rounds/s and peak RSS MiB: inline 815 / 44.4; window 8: 1045 / 45.9;
-# 10: 1017 / 46.3; 12: 1085 / 46.9; 16: 1139 / 47.8.  Memory grows with the
-# window, and 8 keeps it within 5%.  At N = 1e5 the quadratic's window is 1.
-_EVALUATION_BUDGET = 160_000
+# iterate.  A window is one stacked pass, so the two threads trade the
+# interpreter lock a few dozen times a window, not a round: per-round
+# evaluation on a thread had run slower than inline.  logistic_noniid_wire
+# (20000 entries an iterate) on a 2-CPU shared host, perfbench/run.py, 8-s
+# runs, median of 3, rounds/s scaled, wall clock and peak RSS MiB: window 16
+# inline 939 / 1342 / 46.8; window 8: 1050 / 1100 / 46.4; 12: 1116 / 1203 /
+# 47.2; 16: 1177 / 1321 / 48.0; 24: 1093 / 1439 / 49.4; 32: 1138 / 1517 /
+# 50.4 (the calibration read 350-550 in these runs).  Memory grows with the
+# window, and 16 keeps it within 3% of inline.  The quadratic's entries are
+# 3N, so its window stays 1 at N = 1e5 while this is below 600000.
+_EVALUATION_BUDGET = 320_000
 
 
 def _evaluate(task, xs) -> list[tuple]:
@@ -749,9 +757,9 @@ def sweep(
     With the default single seed (the template's), a one-value sweep is the
     same run as run_experiment on the template.
     """
-    axis = axis.upper()
-    if axis not in SWEEP_AXES:
+    if not isinstance(axis, str) or axis.upper() not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
+    axis = axis.upper()
     if not values:
         raise ValueError("sweep needs at least one value")
     field_name = axis.lower()

@@ -32,7 +32,7 @@ from sparsevote.compression import (
 )
 from sparsevote.models import Dataset, mlp_grad, mlp_param_count, mlp_pass, partition_dataset, synth_classification
 from sparsevote.rng import WorkerStreams, derive_rng, worker_rngs
-from sparsevote.simulator import resolve_k, update_model
+from sparsevote.simulator import ExperimentConfig, resolve_k, sweep, update_model
 
 
 def toy_set():
@@ -179,6 +179,24 @@ def test_an_index_array_that_is_not_integers_is_refused_by_name(name, call, valu
      "msgs must be a SignBatch, a list of SparseSignVector or (M, 3) int8 rows, got [1, 2]"),
     (lambda: rand_k_select(np.ones(3), 1, None), "rng must be a numpy Generator, got None"),
     (lambda: encode_sparse_sign([1, 2]), "v must be a SparseSignVector, got [1, 2]"),
+    # mlp_pass once read arch[-1] before it checked arch and batches: a bare
+    # IndexError, a TypeError and "'int' object is not iterable".
+    (lambda: mlp_pass(np.zeros(3), [], [(np.ones((2, 2)), np.array([0, 1]))]),
+     "arch must be a list of layer widths, input and output sizes at least, got []"),
+    (lambda: mlp_pass(np.zeros(3), "ab", [(np.ones((2, 2)), np.array([0, 1]))]),
+     "arch must be a list of layer widths, input and output sizes at least, got 'ab'"),
+    (lambda: mlp_pass(np.zeros(3), [1, 1], 5), "batches must be a list of (features, labels) pairs, got 5"),
+    # A feature width other than arch[0] once ended in numpy's matmul error.
+    (lambda: mlp_pass(np.zeros(4), [1, 2], [(np.ones((2, 3)), np.array([0, 1]))]),
+     "features of batch 0 have 3 columns, but arch[0] is 1"),
+    (lambda: mlp_pass(np.zeros(4), [1, 2], [(np.ones((2, 1)), np.array([0, 1]))], (np.ones((2, 3)), np.array([0, 1]))),
+     "test features have 3 columns, but arch[0] is 1"),
+    # These once ended in a bare AttributeError, a TypeError and numpy's
+    # broadcast error.
+    (lambda: sweep(ExperimentConfig("S3GD_MV", 2, 1), 5, [0.5]),
+     "unknown sweep axis 5, expected one of ('GAMMA', 'M', 'ETA', 'MU')"),
+    (lambda: SignBatch.stack(5, 3), "messages must be a list of SparseSignVector, got 5"),
+    (lambda: update_model(np.zeros(3), np.ones(3), 0.1, np.ones(2), 0.5), "shape mismatch: x (3,) vs velocity (2,)"),
 ])
 def test_each_case_that_was_wrong_is_refused_by_name(call, message):
     refused(lambda _: call(), None, re.escape(message))

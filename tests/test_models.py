@@ -4,6 +4,7 @@ A classifier's loss and accuracy are the ones mlp_pass returns; the
 quadratic's loss and gradients are the ones its task's evaluate and gradients give.
 """
 
+import contextlib
 import math
 import re
 import struct
@@ -11,7 +12,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from sparsevote import models
@@ -240,29 +241,61 @@ class TestSharedPass:
 
     @given(st.integers(1, 16), st.lists(st.integers(1, 9), max_size=2), st.integers(2, 39),
            st.integers(1, 80), st.integers(1, 6), st.integers(1, 40), st.integers(1, 9),
-           st.integers(0, 2**16), st.sampled_from([0, models._COPIED_MAX]))
+           st.integers(0, 2**16), st.sampled_from(["one row", "partway", "every row"]), st.just(False))
+    # Logits of all zeros at iterate 0; a +inf, a -inf and both in each row
+    # at iterates 1, 2 and 3.
+    @example(d=3, hidden=[], c=4, n=5, m=2, n_test=3, count=4, seed=0, chunk="partway", edges=True)
+    @example(d=2, hidden=[3], c=3, n=4, m=1, n_test=2, count=4, seed=1, chunk="one row", edges=True)
     @settings(max_examples=60, deadline=None)
     def test_each_iterate_of_a_stack_has_the_bits_of_its_own_pass(self, d, hidden, c, n, m, n_test, count, seed,
-                                                                   copied_max):
-        """Both ways to the row max: on a copy, and along the rows of a large z."""
+                                                                   chunk, edges):
+        """The row max in chunks of one row, of n + 1 rows (which end partway
+        through an iterate's rows) and of every row at once."""
         rng = np.random.default_rng(seed)
         arch = [d, *hidden, c]
         xs = rng.normal(scale=rng.uniform(0.1, 3.0), size=(count, mlp_param_count(arch)))
+        if edges:
+            xs[0] = 0.0
+            # The last c entries are the output layer's bias.
+            xs[1, -c] = math.inf
+            xs[2, -c + 1] = -math.inf
+            xs[3, -c:-c + 2] = math.inf, -math.inf
         feats, labels = small_batch(rng, n, d, c)
         rows = rng.integers(0, n, size=(m, 3))
         test_feats, test_labels = small_batch(rng, n_test, d, c)
-        with mock.patch.object(models, "_COPIED_MAX", copied_max):
-            loss, (gbar, grads), accuracy = mlp_pass(
-                xs, arch, [(feats, labels), (feats[rows], labels[rows])], (test_feats, test_labels))
+        batches = [(feats, labels), (feats[rows], labels[rows])]
+        copied_max = {"one row": c, "partway": c * (n + 1), "every row": 2**62}[chunk]
+        # A +inf logit's shift is inf - inf: NaN, with numpy's warning.
+        with np.errstate(invalid="ignore") if edges else contextlib.nullcontext(), \
+                mock.patch.object(models, "_COPIED_MAX", copied_max):
+            loss, (gbar, grads), accuracy = mlp_pass(xs, arch, batches, (test_feats, test_labels))
+            no_loss, (gbar_alone, grads_alone), accuracy_alone = models._pass(
+                xs, arch, batches, (test_feats, test_labels), with_loss=False)
+            wants = [(written_out(x, arch, feats, labels), written_out(x, arch, feats[rows], labels[rows])[1],
+                      written_out(x, arch, test_feats, test_labels)[2]) for x in xs]
 
         assert loss.shape == accuracy.shape == (count,)
         assert gbar.shape == (count, xs.shape[1]) and grads.shape == (count, m, xs.shape[1])
-        for t, x in enumerate(xs):
-            want_loss, want_gbar, _ = written_out(x, arch, feats, labels)
-            _, want_grads, _ = written_out(x, arch, feats[rows], labels[rows])
-            _, _, predicted = written_out(x, arch, test_feats, test_labels)
-            assert loss[t] == want_loss and accuracy[t] == np.mean(predicted == test_labels)
+        # Without the loss, the gradients and accuracy are the same.
+        assert no_loss is None and gbar_alone.tobytes() == gbar.tobytes() and grads_alone.tobytes() == grads.tobytes()
+        assert accuracy_alone.tobytes() == accuracy.tobytes()
+        for t, ((want_loss, want_gbar, _), want_grads, predicted) in enumerate(wants):
+            assert loss[t].tobytes() == want_loss.tobytes() and accuracy[t] == np.mean(predicted == test_labels)
             assert gbar[t].tobytes() == want_gbar.tobytes() and grads[t].tobytes() == want_grads.tobytes()
+
+    @pytest.mark.parametrize("copied_max", [1, 2, 5, 2**62])
+    def test_the_chunked_row_max_shifts_as_the_max_along_the_rows(self, copied_max):
+        """Equal values, where a zero's sign may differ, and equal exp bits."""
+        z = np.array([[0.0, -0.0, 0.0], [-0.0, 0.0, -0.0], [-0.0, -0.0, -0.0], [-1.0, -0.0, -2.0],
+                      [math.inf, 1.0, -math.inf], [-math.inf, 2.0, -math.inf], [-math.inf] * 3,
+                      [1e300, -1e300, 5e-324]])
+        with np.errstate(invalid="ignore"):
+            want = z - z.max(axis=1, keepdims=True)
+            with mock.patch.object(models, "_COPIED_MAX", copied_max):
+                got = z.copy()
+                models._subtract_row_max(got)
+            assert np.array_equal(got, want, equal_nan=True)
+            assert np.exp(got).tobytes() == np.exp(want).tobytes()
 
     def test_workload_shape(self):
         # The benchmark's logistic round: 1600 training rows, ten minibatches

@@ -4,6 +4,7 @@ import json
 import math
 from dataclasses import FrozenInstanceError, asdict, replace
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -729,6 +730,23 @@ class TestGradientsAndEvaluate:
         for x, row in zip(xs, rows):
             (alone,) = task.evaluate(x[None])
             assert np.array(row).tobytes() == np.array(alone).tobytes()
+
+    @given(st.sampled_from([1, 7, 8, 9, 127, 128, 129, 170, 4110]), st.integers(1, 17), st.integers(0, 2**16))
+    @settings(max_examples=60, deadline=None)
+    def test_one_l1_call_a_window_sums_each_row_as_alone(self, width, count, seed):
+        """evaluate's l1 norms of a stack of full-batch gradients, at widths
+        on both sides of numpy's pairwise-sum blocks, against each row's
+        float(np.abs(g).sum())."""
+        task = ClassificationTask(ExperimentConfig.from_dict(dict(
+            algorithm="S3GD_MV", m=2, t=1, model={"kind": "logistic"},
+            data={"n_samples": 20, "d": 2, "num_classes": 2})))
+        rng = np.random.default_rng(seed)
+        gbar = rng.standard_normal((count, width)) * 10.0 ** rng.uniform(-8, 8, (count, width))
+        want = [float(np.abs(g).sum()) for g in gbar]
+        passed = (np.zeros(count), [gbar], np.ones(count))
+        with mock.patch.object(simulator.models, "_pass", return_value=passed):
+            rows = task.evaluate(np.zeros((count, task.dim)))
+        assert np.array([row[2] for row in rows]).tobytes() == np.array(want).tobytes()
 
     @pytest.mark.parametrize("mode", ["IID", "NONIID"])
     @pytest.mark.parametrize("batch", [1, 2, 3, 32])
