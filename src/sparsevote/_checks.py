@@ -1,5 +1,5 @@
-"""The library's one set of argument checks: counts, reals, flags, batch sizes
-and index arrays.
+"""The library's one set of argument checks: counts, reals, flags, generators,
+batch sizes and index arrays.
 
 Every module's public functions check their scalar arguments and index
 arrays here; structural checks (shapes, order, sums) stay beside the code
@@ -72,6 +72,12 @@ def flag(value, name: str) -> bool:
     if not isinstance(value, bool):
         raise ValueError(f"{name} must be true or false, got {value!r}")
     return value
+
+
+def generator(rng, name: str):
+    if not isinstance(rng, np.random.Generator):
+        raise ValueError(f"{name} must be a numpy Generator, got {rng!r}")
+    return rng
 
 
 def batch_size(value, name: str):

@@ -106,6 +106,13 @@ ALGORITHMS = {
     "S3GD_MV_RANDK": _Rule("randk", server="vote"),
 }
 
+
+def _rule(algorithm: str) -> _Rule:
+    if not isinstance(algorithm, str) or algorithm not in ALGORITHMS:
+        raise ValueError(f"unknown algorithm {algorithm!r}")
+    return ALGORITHMS[algorithm]
+
+
 FLOAT_BITS = 32
 
 _SIGN_OF_BIT = np.array([-1, 1], dtype=np.int8)
@@ -127,6 +134,8 @@ class Bitstream:
     bit_len: int
 
     def __post_init__(self):
+        if not isinstance(self.data, (bytes, bytearray)):
+            raise ValueError(f"data must be bytes, got {self.data!r}")
         _checks.count(self.bit_len, "bit_len", "non-negative", high=None)
 
 
@@ -248,6 +257,8 @@ def _range_error(indices: np.ndarray, dim: int) -> FormatError:
 
 def decode_sparse_sign(stream: Bitstream, dim: int) -> SparseSignVector:
     """Parse a wire stream back into the message; FormatError if malformed."""
+    if not isinstance(stream, Bitstream):
+        raise ValueError(f"stream must be a Bitstream, got {stream!r}")
     wc = count_field_width(dim)
     count, b = _read_header(stream, dim, wc)
     bits = np.unpackbits(np.frombuffer(stream.data, dtype=np.uint8), count=stream.bit_len)
@@ -272,9 +283,7 @@ def analytic_round_cost(algorithm: str, m: int, dim: int, k: int) -> tuple[float
     K * log2(N / K) bits to say which.  The downlink is one value per
     coordinate to each worker.
     """
-    if algorithm not in ALGORITHMS:
-        raise ValueError(f"unknown algorithm {algorithm!r}")
-    rule = ALGORITHMS[algorithm]
+    rule = _rule(algorithm)
     _checks.count(m, "m")
     _checks.count(dim, "dim")
     _checks.count(k, "k", "non-negative", high=dim)
@@ -290,8 +299,7 @@ class CommLedger:
     """The running total of bits spent, uplink plus downlink, added round by round."""
 
     def __init__(self, algorithm: str):
-        if algorithm not in ALGORITHMS:
-            raise ValueError(f"unknown algorithm {algorithm!r}")
+        _rule(algorithm)
         self.cumulative_bits = 0.0
 
     def record(self, round_index: int, uplink_bits: float, downlink_bits: float) -> None:

@@ -256,8 +256,7 @@ def rand_k_select(u: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray
     if u.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {u.shape}")
     _checks.count(k, "k", "non-negative", high=u.size)
-    if not isinstance(rng, np.random.Generator):
-        raise ValueError(f"rng must be a numpy Generator, got {rng!r}")
+    _checks.generator(rng, "rng")
     return np.sort(rng.choice(u.size, size=k, replace=False)).astype(np.int64)
 
 

@@ -2,11 +2,11 @@
 
 A small fully-connected net with tanh hidden units and a softmax
 cross-entropy head.  It has one forward, one softmax head and one backward,
-in mlp_pass: the mean loss of a batch, the exact backprop gradient of each
-of several batches (a stack of batches too) and the accuracy on a test set,
-all from one pass over their rows, at one iterate or at each of a stack of
-iterates, each with the bits of its batch's own pass at its iterate.
-mlp_grad is its one-batch case.  Per layer l the parameters are the
+in mlp_pass: the mean loss of a batch, its exact backprop gradient (one per
+batch of a stack of batches) and the accuracy on a test set, all from one
+pass over their rows, at one iterate or at each of a stack of iterates,
+each with the bits of its batch's own pass at its iterate.  mlp_grad is
+the pass's gradient alone.  Per layer l the parameters are the
 slice [W_l.ravel(), b_l], layers concatenated first to last.  Multinomial
 logistic regression is the net without a hidden layer, arch [features,
 classes]: layout [W.ravel(), b] with W of shape (classes, features).
@@ -19,7 +19,6 @@ simulator forms L * x and the noise itself.
 
 from __future__ import annotations
 
-import math
 import os
 import struct
 from dataclasses import dataclass
@@ -77,14 +76,10 @@ class Dataset:
 # features (..., n, d) with labels (..., n), whose gradient is one per batch,
 # shape (..., N), each equal to the gradient of its batch alone bit for bit.
 
-def _is_pair(pair) -> bool:
-    return isinstance(pair, (list, tuple)) and len(pair) == 2
-
-
 def _as_batch(features: np.ndarray, labels: np.ndarray, width: int, what: str) -> tuple[np.ndarray, np.ndarray]:
     """features as float64, labels as int64; mlp_pass checks their range with
-    the other batches'.  Each row must hold width features, arch[0]; what
-    names the features in the error."""
+    the test set's.  Each row must hold width features, arch[0]; what names
+    the features in the error."""
     features = np.asarray(features, dtype=np.float64)
     labels = _checks.indices(labels, "labels")
     if features.ndim < 2 or labels.shape != features.shape[:-1]:
@@ -118,9 +113,8 @@ def mlp_param_count(arch: list[int]) -> int:
 
 def _mlp_unpack(x: np.ndarray, arch: list[int]) -> list[tuple[np.ndarray, np.ndarray]]:
     """Each layer's (W, b) as views of x: (out, in) and (out,), or for a
-    (T, N) stack of parameter vectors (T, out, in) and (T, out)."""
-    if x.shape[-1] != mlp_param_count(arch):
-        raise ValueError(f"parameter size {x.shape[-1]} does not match arch {arch} ({mlp_param_count(arch)} expected)")
+    (T, N) stack of parameter vectors (T, out, in) and (T, out).  x must
+    hold mlp_param_count(arch) entries a row; mlp_pass checks that."""
     layers = []
     pos = 0
     for fan_in, fan_out in zip(arch[:-1], arch[1:]):
@@ -130,11 +124,6 @@ def _mlp_unpack(x: np.ndarray, arch: list[int]) -> list[tuple[np.ndarray, np.nda
         pos += fan_out
         layers.append((w, b))
     return layers
-
-
-def _split(buffer: np.ndarray, shapes: list[tuple], spans: list[tuple[int, int]]) -> list[np.ndarray]:
-    """Each batch's rows of a row buffer, as views in the batch's own shape."""
-    return [buffer[lo:hi].reshape(*shape, -1) for shape, (lo, hi) in zip(shapes, spans)]
 
 
 # The most entries of z whose row max one transposed copy takes: z goes
@@ -180,84 +169,75 @@ def _dense(rows: np.ndarray, w: np.ndarray, b: np.ndarray, out: np.ndarray) -> N
 def mlp_pass(
     x: np.ndarray,
     arch: list[int],
-    batches: list[tuple[np.ndarray, np.ndarray]],
+    features: np.ndarray,
+    labels: np.ndarray,
     test: tuple[np.ndarray, np.ndarray] | None = None,
 ) -> tuple:
-    """The net's loss, gradients and accuracy from one forward, softmax head and backward.
+    """The net's loss, gradient and accuracy from one forward, softmax head and backward.
 
     x is a parameter vector, or a (T, N) stack of them, one iterate a row.
-    batches holds (features, labels) pairs, each a batch or a stack; test,
-    if given, is one more batch.  Returns (loss, grads, accuracy): the mean
-    cross-entropy over the rows of batches[0], each batch's mean
-    cross-entropy gradient in the layout above, and the fraction of test
-    rows whose largest logit is their label's (None without test).  For a
-    stack of iterates each is one per iterate: loss and accuracy are (T,)
-    arrays and a batch's gradients are a (T, ...) stack.  Every label, the
-    test set's too, must be an integer in [0, arch[-1]).
+    features and labels are one batch or a stack of batches; test, if
+    given, is a (features, labels) pair of one batch.  Returns (loss, grad,
+    accuracy): the mean cross-entropy over every row of the batch, its mean
+    cross-entropy gradient in the layout above (one per batch of a stack),
+    and the fraction of test rows whose largest logit is their label's
+    (None without test).  For a stack of iterates each is one per iterate:
+    loss and accuracy are (T,) arrays and the gradient a (T, ...) stack.
+    Every label, the test set's too, must be an integer in [0, arch[-1]).
     """
     x = np.asarray(x, dtype=np.float64)
     if not (x.ndim == 1 or x.ndim == 2 and len(x)):
         raise ValueError(f"x must be a parameter vector or a (T, N) stack of them, got shape {x.shape}")
-    mlp_param_count(arch)  # arch is read below
-    if not isinstance(batches, (list, tuple)) or not all(map(_is_pair, batches)):
-        raise ValueError(f"batches must be a list of (features, labels) pairs, got {batches!r}")
-    batches = [_as_batch(features, labels, arch[0], f"features of batch {i}")
-               for i, (features, labels) in enumerate(batches)]
-    if not batches:
-        raise ValueError("mlp_pass needs at least one batch")
-    targets = [labels.reshape(-1) for _, labels in batches]
+    size = mlp_param_count(arch)
+    if x.shape[-1] != size:
+        raise ValueError(f"x has {x.shape[-1]} parameters, but arch {arch} has {size}")
+    features, labels = _as_batch(features, labels, arch[0], "features")
+    targets = [labels.reshape(-1)]
     if test is not None:
-        if not _is_pair(test):
+        if not (isinstance(test, (list, tuple)) and len(test) == 2):
             raise ValueError(f"test must be a (features, labels) pair, got {test!r}")
         test = _as_batch(*test, arch[0], "test features")
         if test[0].ndim != 2:
             raise ValueError(f"test set must be one batch, got features {test[0].shape}")
         targets.append(test[1])
-    # Every label, the batches' then the test set's, checked as one array.
+    # Every label, the batch's then the test set's, checked as one array.
     _checks.indices(np.concatenate(targets), "labels", arch[-1], f"{arch[-1]} classes")
-    loss, grads, accuracy = _pass(x.reshape(-1, x.shape[-1]), arch, batches, test)
+    loss, grad, accuracy = _pass(x.reshape(-1, size), arch, features, labels, test)
     if x.ndim == 1:
-        return float(loss[0]), [grad[0] for grad in grads], None if accuracy is None else float(accuracy[0])
-    return loss, grads, accuracy
+        return float(loss[0]), grad[0], None if accuracy is None else float(accuracy[0])
+    return loss, grad, accuracy
 
 
-def _pass(iterates: np.ndarray, arch: list[int], batches: list[tuple[np.ndarray, np.ndarray]],
+def _pass(iterates: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray,
           test: tuple[np.ndarray, np.ndarray] | None, *, with_loss: bool = True) -> tuple:
-    """mlp_pass at a (T, N) stack of iterates, on batches of float64
-    features and int64 labels in range, as mlp_pass checks them; loss and
-    accuracy are (T,) arrays and each gradient a (T, ...) stack.  Without
-    with_loss the loss is None, and its terms are not computed.
+    """mlp_pass at a (T, N) stack of iterates, on float64 features and
+    int64 labels in range, as mlp_pass checks them; loss and accuracy are
+    (T,) arrays and the gradient a (T, ...) stack.  Without with_loss the
+    loss is None, and its terms are not computed.
 
-    The labelled rows, each batch's at every iterate, iterate by iterate,
-    are one row buffer per layer; the test rows go through the layers in
-    buffers of their own, and only their argmax is kept.  Every matmul runs
-    per batch, on that batch's operands in its own shape, with the iterates
-    as one more stack axis, so each iterate's product is the 2-D one of a
-    pass at that iterate alone.  The steps that work on single entries or
-    single rows run once over a buffer: + b and tanh; and over the labelled
-    rows, the row max, the shift, exp, the row sums, the divide by them and
-    the label's -1.  What adds over a batch's samples stays per batch and
-    iterate: the loss mean, the / n, the bias column sums, delta.T @ inputs
-    and delta @ W.  So each result has the bits its batch would give in a
-    pass of its own at its iterate.
+    Each layer's outputs for the batch, at every iterate, are one buffer
+    of shape (T, *batch shape, width); the test rows go through buffers of
+    their own, and only their argmax is kept.  Every matmul takes the
+    batch's operands in its own shape with the iterates as one more stack
+    axis, so each iterate's product is the 2-D one of a pass at that
+    iterate alone.  The steps that work on single entries or single rows run
+    once over a buffer: + b and tanh, the row max, the shift, exp, the row
+    sums, the divide by them, the label's -1 and the / n.  What adds over a
+    batch's samples stays per batch and iterate: the loss mean, the bias
+    column sums, delta.T @ inputs and delta @ W.  So each result has the
+    bits of its batch's own pass at its iterate.
     """
     count = len(iterates)
     layers = _mlp_unpack(iterates, arch)
-    shapes = [(count, *features.shape[:-1]) for features, _ in batches]
-    bounds = [0]
-    for shape in shapes:
-        bounds.append(bounds[-1] + math.prod(shape))
-    spans = list(zip(bounds, bounds[1:]))
-    labelled = bounds[-1]
+    shape = (count, *features.shape[:-1])
 
-    # acts[i] holds each batch's rows into layer i, outs[i] layer i's buffer.
-    acts, outs = [[features for features, _ in batches]], []
+    # acts[i] holds the batch's rows into layer i: features, then each
+    # layer's output buffer.
+    acts = [features]
     tested = None if test is None else test[0]
     for i, (w, b) in enumerate(layers):
-        out = np.empty((labelled, w.shape[-2]))
-        views = _split(out, shapes, spans)
-        for rows, view in zip(acts[-1], views):
-            _dense(rows, w, b, view)
+        out = np.empty((*shape, w.shape[-2]))
+        _dense(acts[-1], w, b, out)
         if tested is not None:
             rows, tested = tested, np.empty((count, len(test[0]), w.shape[-2]))
             _dense(rows, w, b, tested)
@@ -265,21 +245,19 @@ def _pass(iterates: np.ndarray, arch: list[int], batches: list[tuple[np.ndarray,
             for buffer in (out, tested):
                 if buffer is not None:
                     np.tanh(buffer, out=buffer)
-        acts.append(views)
-        outs.append(out)
+        acts.append(out)
 
     accuracy = None if test is None else (tested.argmax(axis=-1) == test[1]).mean(axis=1)
     # Each buffer is dropped once read: for a stack of iterates these are the
     # evaluation's peak memory.
     del tested
-    z = outs[-1]
+    z = acts.pop().reshape(-1, arch[-1])
     _subtract_row_max(z)
-    # Flat positions in z of each labelled row's label entry.
-    entries = np.arange(0, z.size, z.shape[1])
-    for (lo, hi), (_, labels) in zip(spans, batches):
-        block = entries[lo:hi].reshape(count, -1)
-        block += labels.reshape(-1)
-    picked = z.reshape(-1)[entries[:bounds[1]]] if with_loss else None
+    # Flat positions in z of each row's label entry.
+    entries = np.arange(0, z.size, z.shape[1]).reshape(count, -1)
+    entries += labels.reshape(-1)
+    entries = entries.reshape(-1)
+    picked = z.reshape(-1)[entries] if with_loss else None
     # exp(z) in place: the logits are not read again.
     e = np.exp(z, out=z)
     sums = e.sum(axis=1, keepdims=True)
@@ -287,35 +265,30 @@ def _pass(iterates: np.ndarray, arch: list[int], batches: list[tuple[np.ndarray,
     e /= sums
     np.subtract.at(e.reshape(-1), entries, 1.0)
     del entries
-    for (lo, hi), (_, y) in zip(spans, batches):
-        e[lo:hi] /= y.shape[-1]
+    e /= labels.shape[-1]
     loss = None
     if with_loss:
         # Each loss term log(sum) - the label's shifted logit, in place in picked.
-        np.subtract(np.log(sums[:bounds[1], 0], out=sums[:bounds[1], 0]), picked, out=picked)
+        np.subtract(np.log(sums[:, 0], out=sums[:, 0]), picked, out=picked)
         loss = picked.reshape(count, -1).mean(axis=1)
     del sums, picked
 
-    grads: list[list[np.ndarray]] = [[] for _ in batches]
-    delta = e
+    grads = []
+    delta = e.reshape(*shape, -1)
     for i in range(len(layers) - 1, -1, -1):
-        deltas = _split(delta, shapes, spans)
-        for grad, d, rows in zip(grads, deltas, acts[i]):
-            grad.append(_layer_grad(d, rows))
+        grads.append(_layer_grad(delta, acts[i]))
         if i:
-            delta = np.empty((labelled, arch[i]))
-            for d, view in zip(deltas, _split(delta, shapes, spans)):
-                np.matmul(d, _per_iterate(layers[i][0], view), out=view)
-            # tanh' = 1 - tanh^2, with outs[i - 1] already the tanh output
-            slope = np.square(outs[i - 1])
+            delta = np.matmul(delta, _per_iterate(layers[i][0], delta))
+            # tanh' = 1 - tanh^2, with acts[i] already the tanh output
+            slope = np.square(acts[i])
             np.subtract(1.0, slope, out=slope)
             delta *= slope
-    return loss, [grad[0] if len(grad) == 1 else np.concatenate(grad[::-1], axis=-1) for grad in grads], accuracy
+    return loss, grads[0] if len(grads) == 1 else np.concatenate(grads[::-1], axis=-1), accuracy
 
 
 def mlp_grad(x: np.ndarray, arch: list[int], features: np.ndarray, labels: np.ndarray) -> np.ndarray:
     """Mean cross-entropy gradient via backprop, flattened to the layout above."""
-    return mlp_pass(x, arch, [(features, labels)])[1][0]
+    return mlp_pass(x, arch, features, labels)[1]
 
 
 # --------------------------------------------------------------------------
@@ -335,6 +308,7 @@ def partition_dataset(
     """
     n = len(ds)
     _checks.count(m, "m", high=n)
+    _checks.generator(rng, "rng")
     if mode == "IID":
         parts = np.array_split(rng.permutation(n), m)
     elif mode == "NONIID":
@@ -375,8 +349,12 @@ def load_idx_dataset(images_path, labels_path) -> Dataset:
     """Read an IDX image/label pair into a Dataset.
 
     Big-endian headers; pixels are flattened and scaled to [0, 1].  The two
-    files must agree on the sample count.
+    files must agree on the sample count.  Each path is a str or os.PathLike
+    (open would read an int as a file descriptor, and close it).
     """
+    for name, path in (("images_path", images_path), ("labels_path", labels_path)):
+        if not isinstance(path, (str, os.PathLike)):
+            raise ValueError(f"{name} must be a file path, got {path!r}")
     with open(images_path, "rb") as fh:
         magic, n, rows, cols = struct.unpack(">IIII", _read(fh, 16, "images header"))
         if magic != _IDX_IMAGES_MAGIC:
@@ -402,6 +380,7 @@ def synth_classification(
     _checks.count(d, "d")
     _checks.count(num_classes, "num_classes")
     _checks.real(separation, "separation")
+    _checks.generator(rng, "rng")
     if n < num_classes:
         raise ValueError(f"n_samples must be at least num_classes, got n_samples {n}, num_classes {num_classes}")
     means = rng.normal(size=(num_classes, d))

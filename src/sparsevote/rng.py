@@ -38,7 +38,7 @@ _KIND = {
 def derive_rng(master_seed: int, kind: str, *indices: int) -> Generator:
     """Return a Generator for the stream identified by (kind, *indices)."""
     _checks.count(master_seed, "master_seed", "non-negative", high=None)
-    if kind not in _KIND:
+    if not isinstance(kind, str) or kind not in _KIND:
         raise ValueError(f"unknown stream kind {kind!r}")
     for i, index in enumerate(indices):
         _checks.count(index, f"stream index {i}", "non-negative", high=None)

@@ -53,6 +53,7 @@ import csv
 import json
 import math
 import os
+import reprlib
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields, replace
@@ -418,8 +419,8 @@ class ClassificationTask:
         """
         train = self.train
         rows = np.array([shard[rng.integers(0, shard.size, self.batch)] for shard, rng in zip(self._shards, rngs)])
-        return models._pass(x[None], self.arch, [(train.features[rows], train.labels[rows])], None,
-                            with_loss=False)[1][0][0]
+        return models._pass(x[None], self.arch, train.features[rows], train.labels[rows], None,
+                            with_loss=False)[1][0]
 
     def evaluate(self, xs):
         """(train_loss, test_metric, gbar_l1) of each row of a (T, N) stack of
@@ -428,8 +429,8 @@ class ClassificationTask:
         pass of the net over the training and test sets at every iterate.
         """
         train, test = self.train, self.test
-        loss, (gbar,), accuracy = models._pass(xs, self.arch, [(train.features, train.labels)],
-                                               (test.features, test.labels))
+        loss, gbar, accuracy = models._pass(xs, self.arch, train.features, train.labels,
+                                            (test.features, test.labels))
         # numpy sums each contiguous row of gbar as it sums that row alone,
         # so one call gives every iterate's l1 norm; gbar is not read again.
         gbar_l1 = np.abs(gbar, out=gbar).sum(axis=1)
@@ -487,11 +488,11 @@ def _batch_size(cfg: ExperimentConfig) -> int:
 # quieter time S3GD_MV ran 1.48 -> 1.15 at N = 4096, at a busier one
 # 4.59 -> 5.05 at N = 8192.  From 16384 up, two threads never lost.
 # Only the quadratic task draws its gradients in the worker phase.  A
-# classifier's come from round_pass on the calling thread, and its worker
-# phase, the compression step alone, did not gain from threads on that
-# host: an MLP at N = 79510, M = 16, S3GD_MV, worker phase 13.6 -> 14.8 ms
-# per round (median of 7), where the quadratic at the same N went
-# 41.1 -> 29.8 ms; logistic and MLP configs at N = 4110 to 79510 ran
+# classifier's come from ClassificationTask.gradients on the calling
+# thread, and its worker phase, the compression step alone, did not gain
+# from threads on that host: an MLP at N = 79510, M = 16, S3GD_MV, worker
+# phase 13.6 -> 14.8 ms per round (median of 7), where the quadratic at the
+# same N went 41.1 -> 29.8 ms; logistic and MLP configs at N = 4110 to 79510 ran
 # 0.90-1.08x as fast.  So classifiers keep one thread at any N.
 # A block of the error feedback step holds as many entries, 16384 // N rows:
 # step and quantize, K = N / 10, median us, per-worker loop / one-row blocks /
@@ -760,8 +761,12 @@ def sweep(
     if not isinstance(axis, str) or axis.upper() not in SWEEP_AXES:
         raise ValueError(f"unknown sweep axis {axis!r}, expected one of {SWEEP_AXES}")
     axis = axis.upper()
+    if not isinstance(values, (list, tuple)):
+        raise ValueError(f"values must be a list of numbers, got {values!r}")
     if not values:
         raise ValueError("sweep needs at least one value")
+    if not (seeds is None or isinstance(seeds, (list, tuple))):
+        raise ValueError(f"seeds must be a list of integers or None, got {seeds!r}")
     field_name = axis.lower()
     rows: list[SweepRow] = []
     for value in values:
@@ -795,6 +800,8 @@ def selection_histogram(metrics: list[RoundMetrics]) -> SelectionStats:
     max/min ratio is inf when some coordinate was never selected; the
     chi-square statistic is against the uniform expectation.
     """
+    if not (isinstance(metrics, (list, tuple)) and all(isinstance(m, RoundMetrics) for m in metrics)):
+        raise ValueError(f"metrics must be a list of RoundMetrics, got {reprlib.repr(metrics)}")
     recorded = [m.selection_counts for m in metrics if m.selection_counts is not None]
     if not recorded:
         raise ValueError("no selection counts recorded (record_selection off?)")
@@ -810,20 +817,24 @@ def selection_histogram(metrics: list[RoundMetrics]) -> SelectionStats:
 # --------------------------------------------------------------------------
 # result serialization
 
+def _format(fmt) -> str:
+    """fmt, "csv" or "json" in any case, in lower case."""
+    if not (isinstance(fmt, str) and fmt.lower() in ("csv", "json")):
+        raise ValueError(f"unknown format {fmt!r}")
+    return fmt.lower()
+
+
 def _write_table(records: list[dict], columns, path, fmt: str) -> None:
     """Write records as CSV (fixed column order, floats by repr) or JSON."""
-    fmt = fmt.lower()
-    if fmt == "csv":
+    if _format(fmt) == "csv":
         with open(path, "w", newline="") as fh:
             writer = csv.DictWriter(fh, fieldnames=columns)
             writer.writeheader()
             for rec in records:
                 writer.writerow({k: repr(v) if isinstance(v, float) else v for k, v in rec.items()})
-    elif fmt == "json":
+    else:
         with open(path, "w") as fh:
             json.dump(records, fh, indent=2)
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
 
 
 def emit_results(metrics: list[RoundMetrics], path, fmt: str = "csv") -> None:
@@ -859,8 +870,7 @@ def load_results(path, fmt: str | None = None) -> list[RoundMetrics]:
     """
     if fmt is None:
         fmt = "json" if str(path).endswith(".json") else "csv"
-    fmt = fmt.lower()
-    if fmt == "json":
+    if _format(fmt) == "json":
         with open(path) as fh:
             try:
                 records = json.load(fh)
@@ -868,11 +878,9 @@ def load_results(path, fmt: str | None = None) -> list[RoundMetrics]:
                 raise ValueError(f"{path}: {err}") from None
         if not isinstance(records, list):
             raise ValueError(f"{path}: results must be a JSON list of records, got {type(records).__name__}")
-    elif fmt == "csv":
+    else:
         with open(path, newline="") as fh:
             records = list(csv.DictReader(fh))
-    else:
-        raise ValueError(f"unknown format {fmt!r}")
     return [_metrics_row(record, path, row) for row, record in enumerate(records, 1)]
 
 

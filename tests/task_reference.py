@@ -1,10 +1,10 @@
-"""A task's round quantities one call at a time, written apart from round_pass.
+"""A task's round quantities one call at a time, written apart from gradients and evaluate.
 
 PerCallTask gives a task's evaluation triple (train_loss, test_metric,
 gbar_l1) at x and worker m's stochastic gradient, each drawn from the
 worker's own stream with numpy's own calls: rng.standard_normal(N) for the
 quadratic's noise and rng.integers(0, shard size, size=B) for a classifier's
-minibatch rows.  It calls neither round_pass nor the models' pass: a
+minibatch rows.  It calls neither the task's passes nor the models' pass: a
 classifier's loss, gradients and accuracy come from written_out, the net's
 forward and backward on one batch alone, each step a numpy call of its own,
 so the tests hold the engine's one path against a second one.

@@ -6,6 +6,7 @@ the argument.
 """
 
 import math
+import os
 import re
 
 import numpy as np
@@ -32,7 +33,16 @@ from sparsevote.compression import (
 )
 from sparsevote.models import Dataset, mlp_grad, mlp_param_count, mlp_pass, partition_dataset, synth_classification
 from sparsevote.rng import WorkerStreams, derive_rng, worker_rngs
-from sparsevote.simulator import ExperimentConfig, resolve_k, sweep, update_model
+from sparsevote.simulator import (
+    ExperimentConfig,
+    emit_results,
+    emit_sweep,
+    load_results,
+    resolve_k,
+    selection_histogram,
+    sweep,
+    update_model,
+)
 
 
 def toy_set():
@@ -91,7 +101,7 @@ ARRAYS = [
     ("labels", "Dataset", lambda v: Dataset(np.zeros((len(v), 2)), v, 2)),
     ("labels", "mlp_grad", lambda v: mlp_grad(np.zeros(9), [2, 3], np.ones((len(v), 2)), np.array(v))),
     ("labels", "mlp_pass test set", lambda v: mlp_pass(
-        np.zeros(9), [2, 3], [(np.ones((1, 2)), [0])], (np.ones((len(v), 2)), np.array(v)))),
+        np.zeros(9), [2, 3], np.ones((1, 2)), [0], (np.ones((len(v), 2)), np.array(v)))),
 ]
 
 NOT_COUNTS = [True, 2.5, math.nan, math.inf, "3"]
@@ -179,17 +189,17 @@ def test_an_index_array_that_is_not_integers_is_refused_by_name(name, call, valu
      "msgs must be a SignBatch, a list of SparseSignVector or (M, 3) int8 rows, got [1, 2]"),
     (lambda: rand_k_select(np.ones(3), 1, None), "rng must be a numpy Generator, got None"),
     (lambda: encode_sparse_sign([1, 2]), "v must be a SparseSignVector, got [1, 2]"),
-    # mlp_pass once read arch[-1] before it checked arch and batches: a bare
+    # mlp_pass once read arch[-1] before it checked arch and its batch: a bare
     # IndexError, a TypeError and "'int' object is not iterable".
-    (lambda: mlp_pass(np.zeros(3), [], [(np.ones((2, 2)), np.array([0, 1]))]),
+    (lambda: mlp_pass(np.zeros(3), [], np.ones((2, 2)), np.array([0, 1])),
      "arch must be a list of layer widths, input and output sizes at least, got []"),
-    (lambda: mlp_pass(np.zeros(3), "ab", [(np.ones((2, 2)), np.array([0, 1]))]),
+    (lambda: mlp_pass(np.zeros(3), "ab", np.ones((2, 2)), np.array([0, 1])),
      "arch must be a list of layer widths, input and output sizes at least, got 'ab'"),
-    (lambda: mlp_pass(np.zeros(3), [1, 1], 5), "batches must be a list of (features, labels) pairs, got 5"),
+    (lambda: mlp_pass(np.zeros(2), [1, 1], 5, [0]), "bad batch: features (), labels (1,)"),
     # A feature width other than arch[0] once ended in numpy's matmul error.
-    (lambda: mlp_pass(np.zeros(4), [1, 2], [(np.ones((2, 3)), np.array([0, 1]))]),
-     "features of batch 0 have 3 columns, but arch[0] is 1"),
-    (lambda: mlp_pass(np.zeros(4), [1, 2], [(np.ones((2, 1)), np.array([0, 1]))], (np.ones((2, 3)), np.array([0, 1]))),
+    (lambda: mlp_pass(np.zeros(4), [1, 2], np.ones((2, 3)), np.array([0, 1])),
+     "features have 3 columns, but arch[0] is 1"),
+    (lambda: mlp_pass(np.zeros(4), [1, 2], np.ones((2, 1)), np.array([0, 1]), (np.ones((2, 3)), np.array([0, 1]))),
      "test features have 3 columns, but arch[0] is 1"),
     # These once ended in a bare AttributeError, a TypeError and numpy's
     # broadcast error.
@@ -197,6 +207,22 @@ def test_an_index_array_that_is_not_integers_is_refused_by_name(name, call, valu
      "unknown sweep axis 5, expected one of ('GAMMA', 'M', 'ETA', 'MU')"),
     (lambda: SignBatch.stack(5, 3), "messages must be a list of SparseSignVector, got 5"),
     (lambda: update_model(np.zeros(3), np.ones(3), 0.1, np.ones(2), 0.5), "shape mismatch: x (3,) vs velocity (2,)"),
+    # These once ended in a bare AttributeError.
+    (lambda: partition_dataset(toy_set(), 2, "IID", None), "rng must be a numpy Generator, got None"),
+    (lambda: synth_classification(20, 2, 2, 1.0, None), "rng must be a numpy Generator, got None"),
+    (lambda: decode_sparse_sign(b"ab", 3), "stream must be a Bitstream, got b'ab'"),
+    (lambda: emit_results([], os.devnull, 5), "unknown format 5"),
+    (lambda: load_results(os.devnull, 5), "unknown format 5"),
+    (lambda: emit_sweep([], os.devnull, None), "unknown format None"),
+    (lambda: selection_histogram("ab"), "metrics must be a list of RoundMetrics, got 'ab'"),
+    # These once ended in a bare TypeError.
+    (lambda: decode_sparse_sign(Bitstream(5, 8), 3), "data must be bytes, got 5"),
+    (lambda: analytic_round_cost(["S3GD_MV"], 1, 2, 1), "unknown algorithm ['S3GD_MV']"),
+    (lambda: CommLedger(["S3GD_MV"]), "unknown algorithm ['S3GD_MV']"),
+    (lambda: derive_rng(0, ["a"]), "unknown stream kind ['a']"),
+    (lambda: sweep(ExperimentConfig("S3GD_MV", 2, 1), "gamma", 5), "values must be a list of numbers, got 5"),
+    (lambda: sweep(ExperimentConfig("S3GD_MV", 2, 1), "gamma", [0.5], 3),
+     "seeds must be a list of integers or None, got 3"),
 ])
 def test_each_case_that_was_wrong_is_refused_by_name(call, message):
     refused(lambda _: call(), None, re.escape(message))
@@ -212,7 +238,7 @@ class TestMlpLabels:
 
     def test_a_test_label_out_of_range_is_refused(self):
         with pytest.raises(ValueError, match=r"^labels out of range for 3 classes"):
-            mlp_pass(np.zeros(9), [2, 3], [(np.ones((2, 2)), [0, 1])], (np.ones((2, 2)), [0, 3]))
+            mlp_pass(np.zeros(9), [2, 3], np.ones((2, 2)), [0, 1], (np.ones((2, 2)), [0, 3]))
 
     def test_labels_of_any_integer_dtype_are_read(self):
         feats = np.random.default_rng(0).normal(size=(4, 2))

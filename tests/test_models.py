@@ -6,6 +6,7 @@ quadratic's loss and gradients are the ones its task's evaluate and gradients gi
 
 import contextlib
 import math
+import os
 import re
 import struct
 from unittest import mock
@@ -44,12 +45,12 @@ def central_difference(loss_fn, x, step=1e-4):
 
 
 def mlp_loss(x, arch, features, labels):
-    return mlp_pass(x, arch, [(features, labels)])[0]
+    return mlp_pass(x, arch, features, labels)[0]
 
 
 def mlp_accuracy(x, arch, features, labels):
     """The accuracy on features and labels as mlp_pass's test set."""
-    return mlp_pass(x, arch, [(features, labels)], (features, labels))[2]
+    return mlp_pass(x, arch, features, labels, (features, labels))[2]
 
 
 def small_batch(rng, n, d, c):
@@ -196,7 +197,7 @@ class TestMlp:
         assert grads.shape == (stack, x.size)
         for i in range(stack):
             assert grads[i].tobytes() == mlp_grad(x, arch, feats[i], labels[i]).tobytes()
-            _, (grad,), _ = mlp_pass(x, arch, [(feats[i], labels[i])], (feats[i], labels[i]))
+            _, grad, _ = mlp_pass(x, arch, feats[i], labels[i], (feats[i], labels[i]))
             assert grad.tobytes() == grads[i].tobytes()
 
     def test_accuracy_and_loss_finite(self):
@@ -210,8 +211,10 @@ class TestMlp:
 
 
 class TestSharedPass:
-    """mlp_pass over a training batch, a stack of minibatches and a test set
-    against each batch's steps written out alone, bit for bit.
+    """mlp_pass on the engine's two batch forms against each batch's steps
+    written out alone, bit for bit: a plain batch with a test set (the
+    evaluation's training and test sets) and an (M, B) stack of minibatches
+    without one (the round's worker gradients).
 
     From eight classes up numpy sums a row with eight accumulators; the
     benchmark's logistic workload has ten.
@@ -228,16 +231,17 @@ class TestSharedPass:
         feats, labels = small_batch(rng, n, d, c)
         rows = rng.integers(0, n, size=(m, b))
         test_feats, test_labels = small_batch(rng, n_test, d, c)
-        loss, (gbar, grads), accuracy = mlp_pass(
-            x, arch, [(feats, labels), (feats[rows], labels[rows])], (test_feats, test_labels))
+        loss, gbar, accuracy = mlp_pass(x, arch, feats, labels, (test_feats, test_labels))
+        _, grads, no_accuracy = mlp_pass(x, arch, feats[rows], labels[rows])
 
         want_loss, want_gbar, _ = written_out(x, arch, feats, labels)
         _, want_grads, _ = written_out(x, arch, feats[rows], labels[rows])
         _, _, predicted = written_out(x, arch, test_feats, test_labels)
         assert loss == want_loss
         assert gbar.tobytes() == want_gbar.tobytes()
-        assert grads.shape == (m, x.size) and grads.tobytes() == want_grads.tobytes()
         assert accuracy == np.mean(predicted == test_labels)
+        assert grads.shape == (m, x.size) and grads.tobytes() == want_grads.tobytes()
+        assert no_accuracy is None
 
     @given(st.integers(1, 16), st.lists(st.integers(1, 9), max_size=2), st.integers(2, 39),
            st.integers(1, 80), st.integers(1, 6), st.integers(1, 40), st.integers(1, 9),
@@ -249,8 +253,10 @@ class TestSharedPass:
     @settings(max_examples=60, deadline=None)
     def test_each_iterate_of_a_stack_has_the_bits_of_its_own_pass(self, d, hidden, c, n, m, n_test, count, seed,
                                                                    chunk, edges):
-        """The row max in chunks of one row, of n + 1 rows (which end partway
-        through an iterate's rows) and of every row at once."""
+        """Both batch forms at a (T, N) stack of iterates, with the row max
+        in chunks of one row, of one more row than an iterate has (which
+        end partway through the next iterate's rows) and of every row at
+        once; without the loss, the same gradient and accuracy."""
         rng = np.random.default_rng(seed)
         arch = [d, *hidden, c]
         xs = rng.normal(scale=rng.uniform(0.1, 3.0), size=(count, mlp_param_count(arch)))
@@ -263,18 +269,24 @@ class TestSharedPass:
         feats, labels = small_batch(rng, n, d, c)
         rows = rng.integers(0, n, size=(m, 3))
         test_feats, test_labels = small_batch(rng, n_test, d, c)
-        batches = [(feats, labels), (feats[rows], labels[rows])]
-        copied_max = {"one row": c, "partway": c * (n + 1), "every row": 2**62}[chunk]
-        # A +inf logit's shift is inf - inf: NaN, with numpy's warning.
-        with np.errstate(invalid="ignore") if edges else contextlib.nullcontext(), \
-                mock.patch.object(models, "_COPIED_MAX", copied_max):
-            loss, (gbar, grads), accuracy = mlp_pass(xs, arch, batches, (test_feats, test_labels))
-            no_loss, (gbar_alone, grads_alone), accuracy_alone = models._pass(
-                xs, arch, batches, (test_feats, test_labels), with_loss=False)
+
+        def passes(features, labels, test):
+            """mlp_pass, and _pass without the loss, on one batch form."""
+            copied_max = {"one row": c, "partway": c * (labels.size + 1), "every row": 2**62}[chunk]
+            # A +inf logit's shift is inf - inf: NaN, with numpy's warning.
+            with np.errstate(invalid="ignore") if edges else contextlib.nullcontext(), \
+                    mock.patch.object(models, "_COPIED_MAX", copied_max):
+                return mlp_pass(xs, arch, features, labels, test), \
+                    models._pass(xs, arch, features, labels, test, with_loss=False)
+
+        (loss, gbar, accuracy), (no_loss, gbar_alone, accuracy_alone) = passes(
+            feats, labels, (test_feats, test_labels))
+        (_, grads, no_accuracy), (_, grads_alone, _) = passes(feats[rows], labels[rows], None)
+        with np.errstate(invalid="ignore") if edges else contextlib.nullcontext():
             wants = [(written_out(x, arch, feats, labels), written_out(x, arch, feats[rows], labels[rows])[1],
                       written_out(x, arch, test_feats, test_labels)[2]) for x in xs]
 
-        assert loss.shape == accuracy.shape == (count,)
+        assert loss.shape == accuracy.shape == (count,) and no_accuracy is None
         assert gbar.shape == (count, xs.shape[1]) and grads.shape == (count, m, xs.shape[1])
         # Without the loss, the gradients and accuracy are the same.
         assert no_loss is None and gbar_alone.tobytes() == gbar.tobytes() and grads_alone.tobytes() == grads.tobytes()
@@ -298,34 +310,39 @@ class TestSharedPass:
             assert np.exp(got).tobytes() == np.exp(want).tobytes()
 
     def test_workload_shape(self):
-        # The benchmark's logistic round: 1600 training rows, ten minibatches
-        # of 32, 400 test rows, 10 classes over 16 features.
+        # The benchmark's logistic passes: the evaluation's 1600 training and
+        # 400 test rows, and the round's ten minibatches of 32; 10 classes
+        # over 16 features.
         rng = np.random.default_rng(5)
         arch = [16, 10]
         x = rng.normal(scale=0.5, size=mlp_param_count(arch))
         feats, labels = small_batch(rng, 1600, 16, 10)
+        test_feats, test_labels = small_batch(rng, 400, 16, 10)
         rows = rng.integers(0, 1600, size=(10, 32))
-        loss, (gbar, grads), _ = mlp_pass(x, arch, [(feats, labels), (feats[rows], labels[rows])])
+        loss, gbar, accuracy = mlp_pass(x, arch, feats, labels, (test_feats, test_labels))
         want_loss, want_gbar, _ = written_out(x, arch, feats, labels)
         assert loss == want_loss and gbar.tobytes() == want_gbar.tobytes()
+        assert accuracy == np.mean(written_out(x, arch, test_feats, test_labels)[2] == test_labels)
+        grads = mlp_pass(x, arch, feats[rows], labels[rows])[1]
         assert grads.tobytes() == written_out(x, arch, feats[rows], labels[rows])[1].tobytes()
 
     def test_without_a_test_set_the_accuracy_is_none(self):
         feats, labels = small_batch(np.random.default_rng(0), 4, 2, 3)
-        assert mlp_pass(np.zeros(9), [2, 3], [(feats, labels)])[2] is None
+        assert mlp_pass(np.zeros(9), [2, 3], feats, labels)[2] is None
 
     def test_bad_inputs(self):
         feats, labels = small_batch(np.random.default_rng(0), 4, 2, 3)
-        with pytest.raises(ValueError, match="at least one batch"):
-            mlp_pass(np.zeros(9), [2, 3], [])
         with pytest.raises(ValueError, match="test set must be one batch"):
-            mlp_pass(np.zeros(9), [2, 3], [(feats, labels)], (feats[None], labels[None]))
+            mlp_pass(np.zeros(9), [2, 3], feats, labels, (feats[None], labels[None]))
         with pytest.raises(ValueError, match="bad batch"):
-            mlp_pass(np.zeros(9), [2, 3], [(feats, labels[:3])])
+            mlp_pass(np.zeros(9), [2, 3], feats, labels[:3])
         for x in (np.zeros((1, 1, 9)), np.zeros((0, 9)), np.float64(0.0)):
             with pytest.raises(ValueError, match=re.escape(f"x must be a parameter vector or a (T, N) stack of "
                                                            f"them, got shape {x.shape}")):
-                mlp_pass(x, [2, 3], [(feats, labels)])
+                mlp_pass(x, [2, 3], feats, labels)
+        for x in (np.zeros(8), np.zeros((3, 8))):
+            with pytest.raises(ValueError, match=re.escape("x has 8 parameters, but arch [2, 3] has 9")):
+                mlp_pass(x, [2, 3], feats, labels)
 
 
 def deltas(seed, shapes, count):
@@ -540,6 +557,23 @@ class TestIdxLoader:
         message = f"{lab_path}: labels header of 8 bytes, but 5 are left in the file"
         with pytest.raises(IdxFormatError, match=f"^{re.escape(message)}$"):
             load_idx_dataset(img_path, lab_path)
+
+    # open() reads an int as a file descriptor: load_idx_dataset(r, w) on a
+    # pipe's two ends once ended in "Illegal seek" and closed r.
+    @pytest.mark.parametrize("which", ["images_path", "labels_path"])
+    def test_an_int_path_is_refused_by_name_and_its_fd_left_open(self, tmp_path, which):
+        img_path, lab_path = write_idx_pair(tmp_path, np.zeros((1, 1, 1), dtype=np.uint8), np.zeros(1, dtype=np.uint8))
+        r, w = os.pipe()
+        try:
+            paths = {"images_path": r, "labels_path": w} if which == "images_path" else \
+                {"images_path": img_path, "labels_path": w}
+            with pytest.raises(ValueError, match=f"^{which} must be a file path, got {paths[which]}$"):
+                load_idx_dataset(**paths)
+            os.fstat(r)
+            os.fstat(w)
+        finally:
+            os.close(r)
+            os.close(w)
 
 
 class TestSynthClassification:

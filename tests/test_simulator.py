@@ -743,7 +743,7 @@ class TestGradientsAndEvaluate:
         rng = np.random.default_rng(seed)
         gbar = rng.standard_normal((count, width)) * 10.0 ** rng.uniform(-8, 8, (count, width))
         want = [float(np.abs(g).sum()) for g in gbar]
-        passed = (np.zeros(count), [gbar], np.ones(count))
+        passed = (np.zeros(count), gbar, np.ones(count))
         with mock.patch.object(simulator.models, "_pass", return_value=passed):
             rows = task.evaluate(np.zeros((count, task.dim)))
         assert np.array([row[2] for row in rows]).tobytes() == np.array(want).tobytes()
