@@ -39,9 +39,10 @@ ValueError of _checks, the package's one set of argument checks.
 message_bit_lengths is that cost, written out once: the bit_len
 encode_sparse_sign gives each message of a support held back to back, as a
 SignBatch holds a round's uploads, each message with its own K and b.
-encode_sparse_sign sizes its stream with it, and a WIRE round charges its
-uplink and its vote broadcast with it without building a stream.  It checks
-N, the counts and the indices once a call, not once a message.
+encode_sparse_sign sizes its stream with it, and the simulator charges the
+uplinks and vote broadcasts of a window of WIRE rounds with one call,
+without building a stream.  It checks N, the counts and the indices once a
+call, not once a message.
 
 ALGORITHMS is the table of the five algorithms, one (selector, server) row
 each: which coordinates a worker sends (all, top-K with error feedback or

@@ -9,10 +9,11 @@ Top-K selection is one exact routine over a block of rows of |u|: one
 ``partition`` along the rows finds each row's K-th magnitude and one
 ``flatnonzero(|u| >= kth)`` the supports, ascending.  Ties at the K-th
 magnitude go to lower indices.  The error feedback step runs it in place on
-workers' memory rows.  A round's uploads are checked once, when
-SignBatch.quantize builds their batch from the (M, K) rows of selected
-coordinates and values; the vote and the wire lengths read that batch as
-it is.  A one-message operator quantizes its support as one such row.
+workers' memory rows.  SignBatch.quantize builds a batch from the (M, K)
+rows of selected coordinates and values, and checks it; the simulator
+builds each round's uploads by the same sign pass unchecked, for its vote,
+and checks a window of rounds' uploads at once.  A one-message operator
+quantizes its support as one such row.
 
 Scalar arguments (dim, k, eta) and the index range go through _checks, the
 package's one set of argument checks.  A sign must equal -1 or +1 before
@@ -66,6 +67,24 @@ def _checked(dim: int, indices, signs, counts) -> tuple[np.ndarray, np.ndarray, 
         if sgn.dtype.kind not in "iuf" or np.count_nonzero(np.abs(sgn) != 1):
             raise ValueError("signs must be -1 or +1")
     return idx, sgn.astype(np.int8, copy=False), rows
+
+
+def _sign_rows(supports: np.ndarray, values: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(indices, signs, counts) of the messages on (M, K) rows of one shape,
+    unchecked: message m is the signs of values[m] on supports[m], exact
+    zeros (no sign) dropped.  A NaN value, which has no sign, is refused."""
+    counts = np.full(len(supports), supports.shape[1])
+    indices, values = supports.reshape(-1), values.reshape(-1)
+    # A NaN is neither, so its sign is 0 and it is refused below.
+    signs = np.subtract(values > 0, values < 0, dtype=np.int8)
+    if not signs.all():
+        keep = signs != 0
+        if np.isnan(values[~keep]).any():
+            raise ValueError("values must not hold NaN, which has no sign")
+        indices, signs = indices[keep], signs[keep]
+        kept = np.concatenate(([0], keep.cumsum()))
+        counts = np.diff(kept[np.concatenate(([0], counts.cumsum()))])
+    return indices, signs, counts
 
 
 def _equal_fields(self, other) -> bool:
@@ -147,18 +166,16 @@ class SignBatch:
         if supports.ndim != 2 or values.shape != supports.shape:
             raise ValueError(f"supports and values must be (M, K) arrays of one shape, "
                              f"got {supports.shape} and {values.shape}")
-        counts = np.full(len(supports), supports.shape[1])
-        indices, values = supports.reshape(-1), values.reshape(-1)
-        # A NaN is neither, so its sign is 0 and it is refused below.
-        signs = np.subtract(values > 0, values < 0, dtype=np.int8)
-        if not signs.all():
-            keep = signs != 0
-            if np.isnan(values[~keep]).any():
-                raise ValueError("values must not hold NaN, which has no sign")
-            indices, signs = indices[keep], signs[keep]
-            kept = np.concatenate(([0], keep.cumsum()))
-            counts = np.diff(kept[np.concatenate(([0], counts.cumsum()))])
-        return cls(dim, indices, signs, counts)
+        return cls(dim, *_sign_rows(supports, values))
+
+    @classmethod
+    def _unchecked(cls, dim: int, supports: np.ndarray, values: np.ndarray) -> "SignBatch":
+        """quantize without its checks but the NaN refusal, for (M, K) int64
+        and float64 rows of one shape; the caller must check the batch."""
+        batch = object.__new__(cls)
+        for name, value in zip(("dim", "indices", "signs", "counts"), (dim, *_sign_rows(supports, values))):
+            object.__setattr__(batch, name, value)
+        return batch
 
     def __len__(self) -> int:
         return int(self.counts.size)

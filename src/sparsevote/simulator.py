@@ -28,21 +28,25 @@ A round runs as whole-round passes where it can: the task's gradients
 gives the M worker gradients, which slice as an (M, N) array (a
 classifier's from one model pass over the minibatch stack; the quadratic
 draws a slice's noise as it is read), a vote server takes the M uploads as
-one SignBatch, which majority_vote reads and the WIRE lengths are measured
-on, and no per-message object is built.  Each pass gives the same bits as
-its per-worker, per-message counterpart.  The worker phase runs in blocks
-of consecutive workers, one gradient slice and one compression pass a
-block; for the quadratic task at large N, where a block is one worker, it
-deals the blocks round-robin to min(usable CPUs, M) threads, and the server
-step then runs in worker order, so results do not depend on the thread
-count.
+one SignBatch, which majority_vote reads, and no per-message object is
+built.  Each pass gives the same bits as its per-worker, per-message
+counterpart.  The worker phase runs in blocks of consecutive workers, one
+gradient slice and one compression pass a block; for the quadratic task at
+large N, where a block is one worker, it deals the blocks round-robin to
+min(usable CPUs, M) threads, and the server step then runs in worker order,
+so results do not depend on the thread count.
 
-No iterate depends on a round's evaluation, so the task's evaluate takes a
-window of pre-update iterates at a time, a classifier's on a thread of its
-own beside the rounds where there are two usable CPUs and a window holds
-more than one iterate, and each row has the bits of its iterate's
-evaluation alone.  A round's evaluation comes before its step, so a failing run
-raises the earliest round's error, from either.
+No iterate depends on a round's evaluation, the check of its uploads or
+its WIRE charge, so these run once a window of rounds.  The task's evaluate
+takes a window of pre-update iterates at a time, a classifier's on a thread
+of its own beside the rounds where there are two usable CPUs and a window
+holds more than one iterate, and each row has the bits of its iterate's
+evaluation alone.  A vote round builds its SignBatch unchecked for the
+vote; the window's uploads are checked as one SignBatch, one
+message_bit_lengths call measures them and the vote broadcasts, and the
+ledger records the rounds in order.  A round's evaluation comes before the
+check of its uploads and that before the rest of its step, so a failing run
+raises the earliest round's error, from any of them.
 """
 
 from __future__ import annotations
@@ -176,7 +180,8 @@ class RoundMetrics:
     """Per-round record; metrics are evaluated at the pre-update iterate.
 
     wall_ms is the round's own time: from its stream derivation to its
-    ledger entry, without the evaluation, which runs beside the rounds.
+    update, without the evaluation, which runs beside the rounds, or the
+    check and the WIRE charge of its uploads, which run once a window.
     """
 
     round: int
@@ -563,77 +568,198 @@ def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs, dim):
 # 47.2; 16: 1177 / 1321 / 48.0; 24: 1093 / 1439 / 49.4; 32: 1138 / 1517 /
 # 50.4 (the calibration read 350-550 in these runs).  Memory grows with the
 # window, and 16 keeps it within 3% of inline.  The quadratic's entries are
-# 3N, so its window stays 1 at N = 1e5 while this is below 600000.
+# 3N, so its window stays 1 at N = 1e5 while this is below 600000.  The
+# uploads a window's rounds queue for their check are capped at as many
+# entries: at small N a quadratic's window spans thousands of rounds.
 _EVALUATION_BUDGET = 320_000
 
 
-def _evaluate(task, xs) -> list[tuple]:
-    """task.evaluate(xs), or where that raises, the error of the first
-    iterate whose evaluation raises on its own."""
+def _evaluate(task, xs) -> tuple[list[tuple], Exception | None]:
+    """(task.evaluate(xs), None), or where that raises, the rows of the
+    iterates before the first whose evaluation raises on its own, and its
+    error."""
     try:
-        return task.evaluate(xs)
-    except Exception:
+        return task.evaluate(xs), None
+    except Exception as err:
         if len(xs) == 1:
-            raise
-    return [row for x in xs for row in task.evaluate(x[None])]
+            return [], err
+    rows = []
+    for x in xs:
+        try:
+            rows += task.evaluate(x[None])
+        except Exception as err:
+            return rows, err
+    return rows, None
 
 
-class _Evaluations:
-    """A run's evaluation rows, a window of iterates at a time: on the
-    calling thread, or with thread a one-thread pool, on that thread, one
-    window at a time, in a copy of the caller's context (so under its numpy
-    error state, as the worker shares are).
+# A failed run raises the error of its earliest round, and within a round
+# that of the first of these.
+_EVALUATION, _CHECK, _STEP = range(3)
 
-    As a context manager it orders a failed run's errors: a round's
-    evaluation comes before its step, so if the rounds raise, the queued
-    iterates are evaluated first, and the first one whose evaluation
-    raises gives the run's error.
+
+class _Deferred:
+    """The work of a run that no iterate depends on, a window of rounds at a
+    time: the evaluations of the pre-update iterates, and the checks and
+    charges of the rounds' uploads.
+
+    The evaluations run on the calling thread, or with thread a one-thread
+    pool, each full window on that thread while the rounds go on, in a copy
+    of the caller's context (so under its numpy error state, as the worker
+    shares are); a part-full last window runs on the calling thread while
+    the thread finishes the window before it.
+
+    A vote round queues its uploads, a SignBatch built unchecked, before the
+    vote reads them.  Once window rounds have ended, or the queued uploads
+    hold _EVALUATION_BUDGET entries, they are checked as one SignBatch, so
+    _checked reads every entry; in WIRE mode one message_bit_lengths call
+    measures each round's M uploads and its vote broadcast; and the ledger
+    records the rounds in round order.
+
+    As a context manager it orders a failed run's errors as a loop without
+    windows raises them: by round, and within a round the evaluation, then
+    the uploads' check, then the rest of the step.  If the rounds raise, the
+    queued uploads are checked and the queued iterates evaluated first, and
+    the earliest of these errors is raised, once.
     """
 
-    def __init__(self, task, window: int, thread):
-        self._rows: list[tuple] = []
+    def __init__(self, task, window: int, thread, dim: int, wire: bool, analytic: tuple, ledger: CommLedger):
         self._task, self._window, self._thread = task, window, thread
+        self._dim, self._wire, self._analytic, self._ledger = dim, wire, analytic, ledger
+        self._round = -1  # the round in progress
         self._iterates: list[np.ndarray] = []
-        self._pending = None
+        self._pending = None  # (first round, future) of the window on the thread
+        self._rows: list[tuple] = []
+        self._batches: list[SignBatch] = []  # a batch a queued round, or none
+        self._entries = 0
+        self._ended: list[tuple] = []  # (direction, wall_ms, counts) of each queued round
+        # (uplink, downlink, cumulative bits, wall_ms, counts) of each charged round.
+        self.rounds: list[tuple] = []
+        self._failures: list[tuple] = []  # (round, phase, error)
 
-    def add(self, x: np.ndarray) -> None:
-        """Queue the next round's iterate; x must not change afterwards."""
+    def add_iterate(self, x: np.ndarray) -> None:
+        """Start the next round at iterate x, which must not change afterwards."""
+        self._round += 1
         self._iterates.append(x)
         if len(self._iterates) == self._window:
             self._hand_off()
 
+    def add_uploads(self, batch: SignBatch) -> None:
+        """Queue the round's uploads, before anything reads them."""
+        self._batches.append(batch)
+        self._entries += batch.indices.size
+
+    def end_round(self, direction: np.ndarray | None, wall_ms: float, counts) -> None:
+        """End the round, with its vote direction in WIRE mode (else None)."""
+        self._ended.append((direction, wall_ms, counts))
+        if len(self._ended) == self._window or self._entries >= _EVALUATION_BUDGET:
+            self._close()
+
     def finish(self) -> list[tuple]:
-        """Every queued iterate's row, in round order.  If an evaluation
-        raised, the first failing iterate's error is raised, once."""
-        if self._iterates:
-            self._hand_off()
-        self._collect()
+        """Close the last window; every iterate's evaluation row, in round order."""
+        self._close()
+        self._evaluate_rest()
         return self._rows
 
-    def _hand_off(self) -> None:
-        # One iterate is a view: at large N a copy a round costs its pages.
+    def _fail(self, t: int, phase: int, error: Exception):
+        self._failures.append((t, phase, error))
+        raise error
+
+    def _note(self, error: Exception) -> None:
+        """Record an error that no window raised: the step's of the round in progress."""
+        if not any(error is failed for *_, failed in self._failures):
+            self._failures.append((self._round, _STEP, error))
+
+    def _stacked(self) -> tuple[int, np.ndarray]:
+        """The first round and the stack of the queued iterates, which it takes."""
         iterates, self._iterates = self._iterates, []
-        xs = iterates[0][None] if len(iterates) == 1 else np.stack(iterates)
+        # One iterate is a view: at large N a copy a round costs its pages.
+        return self._round + 1 - len(iterates), iterates[0][None] if len(iterates) == 1 else np.stack(iterates)
+
+    def _hand_off(self) -> None:
+        first, xs = self._stacked()
         if self._thread is None:
-            self._rows += _evaluate(self._task, xs)
+            self._take(first, _evaluate(self._task, xs))
         else:
             self._collect()
-            self._pending = self._thread.submit(contextvars.copy_context().run, _evaluate, self._task, xs)
+            self._pending = first, self._thread.submit(contextvars.copy_context().run, _evaluate, self._task, xs)
+
+    def _take(self, first: int, outcome: tuple) -> None:
+        rows, error = outcome
+        self._rows += rows
+        if error is not None:
+            self._fail(first + len(rows), _EVALUATION, error)
 
     def _collect(self) -> None:
         pending, self._pending = self._pending, None
         if pending is not None:
-            self._rows += pending.result()
+            first, future = pending
+            self._take(first, future.result())
 
-    def __enter__(self) -> "_Evaluations":
+    def _evaluate_rest(self) -> None:
+        """Evaluate the queued iterates, here if the thread is busy, and collect its window."""
+        if self._iterates and self._pending is not None:
+            first, xs = self._stacked()
+            rest = _evaluate(self._task, xs)
+            self._collect()  # the earlier window's error comes first
+            self._take(first, rest)
+        elif self._iterates:
+            self._hand_off()
+        self._collect()
+
+    def _check(self) -> list[SignBatch]:
+        """The queued uploads, which it takes, checked as one SignBatch, or
+        where that fails, the error of the first round whose batch fails on
+        its own."""
+        batches, self._batches, self._entries = self._batches, [], 0
+        if not batches:
+            return batches
+        fields = [(batch.indices, batch.signs, batch.counts) for batch in batches]
+        try:
+            # One round's batch is checked as it is, with no copy.
+            SignBatch(self._dim, *(fields[0] if len(fields) == 1 else map(np.concatenate, zip(*fields))))
+            return batches
+        except Exception as err:
+            failed = err
+        for t, batch in enumerate(fields, len(self.rounds)):
+            try:
+                SignBatch(self._dim, *batch)
+            except Exception as err:
+                self._fail(t, _CHECK, err)
+        raise failed
+
+    def _close(self) -> None:
+        batches = self._check()
+        ended, self._ended = self._ended, []
+        charges = [self._analytic] * len(ended)
+        if self._wire and ended:
+            # The bit_len of each stream the codec would write, each round's
+            # M uploads then its vote broadcast to each worker; none is built.
+            rounds = [(batch, np.flatnonzero(direction)) for batch, (direction, *_) in zip(batches, ended)]
+            indices = np.concatenate([part for batch, sent in rounds for part in (batch.indices, sent)])
+            counts = np.concatenate([part for batch, sent in rounds for part in (batch.counts, [sent.size])])
+            lengths = message_bit_lengths(self._dim, indices, counts).reshape(len(ended), -1)
+            m = lengths.shape[1] - 1
+            charges = zip(lengths[:, :m].sum(axis=1).tolist(), (m * lengths[:, m]).tolist())
+        for t, ((up, down), (_, wall_ms, counts)) in enumerate(zip(charges, ended), len(self.rounds)):
+            up, down = float(up), float(down)
+            self._ledger.record(t, up, down)
+            self.rounds.append((up, down, self._ledger.cumulative_bits, wall_ms, counts))
+
+    def __enter__(self) -> "_Deferred":
         return self
 
     def __exit__(self, kind, error, traceback) -> None:
-        if isinstance(error, Exception):
+        if not isinstance(error, Exception):
+            return
+        self._note(error)
+        for settle in (self._check, self._evaluate_rest):
             try:
-                self.finish()
-            except Exception as earlier:
-                raise earlier from None
+                settle()
+            except Exception as err:
+                self._note(err)
+        earliest = min(self._failures, key=lambda failure: failure[:2])[2]
+        if earliest is not error:
+            raise earliest from None
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
@@ -681,26 +807,23 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
     velocity = None
     memory = np.zeros((cfg.m, dim)) if rule.selector == "topk" else None
     count_dtype = np.min_scalar_type(cfg.m)  # at most the M workers send a coordinate
-    rounds: list[tuple] = []
-    ledger = CommLedger(cfg.algorithm)
     worker_streams = WorkerStreams(cfg.seed, cfg.m, cfg.t)
     # No pool below the gate, no evaluation thread without a window to share,
     # and neither outlives the run.
     with (
         ThreadPoolExecutor(threads - 1) if threads > 1 else contextlib.nullcontext() as pool,
         ThreadPoolExecutor(1) if beside else contextlib.nullcontext() as thread,
-        _Evaluations(task, window, thread) as evaluations,
+        _Deferred(task, window, thread, dim, wire, analytic, CommLedger(cfg.algorithm)) as deferred,
     ):
         for t in range(cfg.t):
             # update_model gives each iterate a fresh array.
-            evaluations.add(x)
+            deferred.add_iterate(x)
             started = time.perf_counter()
             rngs = worker_rngs(worker_streams, t)
             grads = task.gradients(x, rngs)
 
             columns, sent = _worker_phase(pool, threads, rule, grads, memory, cfg.eta, k, rngs, dim)
 
-            up, down = analytic
             if rule.server == "mean":
                 uploads = sent
                 if columns is not None:  # sent on columns, zero elsewhere
@@ -715,17 +838,12 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
                     # Dense sign rows, which the vote sums with no index list.
                     messages = np.sign(sent, out=np.empty(sent.shape, dtype=np.int8), casting="unsafe")
                 else:
-                    messages = SignBatch.quantize(dim, columns, sent)
+                    # Queued before the vote reads it: the window checks it.
+                    messages = SignBatch._unchecked(dim, columns, sent)
+                    deferred.add_uploads(messages)
                 del columns, sent  # in the messages now; not kept into the next round
                 vote = majority_vote(messages, dim)
                 direction = vote.ternary
-                if wire:
-                    # The bit_len of each stream the codec would write, the M
-                    # uploads then the vote broadcast to each worker; none is built.
-                    broadcast = np.flatnonzero(direction)
-                    lengths = message_bit_lengths(dim, np.concatenate([messages.indices, broadcast]),
-                                                  [*messages.counts, broadcast.size])
-                    up, down = float(lengths[:-1].sum()), float(cfg.m * lengths[-1])
                 # The vote counted who sent each coordinate; a sign message
                 # holds exactly the coordinates its worker sent.
                 counts = vote.counts if cfg.record_selection else None
@@ -734,16 +852,15 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
             if not np.all(np.isfinite(x)):
                 raise FloatingPointError(f"non-finite parameters after round {t}")
 
-            ledger.record(t, up, down)
-            rounds.append((up, down, ledger.cumulative_bits, (time.perf_counter() - started) * 1e3,
-                           None if counts is None else counts.astype(count_dtype)))
-        evaluated = evaluations.finish()
+            deferred.end_round(direction if wire else None, (time.perf_counter() - started) * 1e3,
+                               None if counts is None else counts.astype(count_dtype))
+        evaluated = deferred.finish()
     return [
         RoundMetrics(round=t, algorithm=cfg.algorithm, train_loss=train_loss, test_metric=test_metric,
                      gbar_l1=gbar_l1, uplink_bits=up, downlink_bits=down, cumulative_bits=cumulative,
                      wall_ms=wall_ms, selection_counts=counts)
         for t, ((train_loss, test_metric, gbar_l1), (up, down, cumulative, wall_ms, counts))
-        in enumerate(zip(evaluated, rounds))
+        in enumerate(zip(evaluated, deferred.rounds))
     ]
 
 
@@ -770,7 +887,10 @@ def sweep(
     field_name = axis.lower()
     rows: list[SweepRow] = []
     for value in values:
-        cast = float(value)
+        try:
+            cast = float(value)
+        except (TypeError, ValueError):
+            raise ValueError(f"values must be numbers, got {value!r}") from None
         if axis == "M" and cast.is_integer():
             cast = int(cast)  # a non-integral M stays a float and fails validation
         for seed in seeds if seeds is not None else [template.seed]:
@@ -805,6 +925,9 @@ def selection_histogram(metrics: list[RoundMetrics]) -> SelectionStats:
     recorded = [m.selection_counts for m in metrics if m.selection_counts is not None]
     if not recorded:
         raise ValueError("no selection counts recorded (record_selection off?)")
+    shapes = sorted({np.shape(counts) for counts in recorded})
+    if len(shapes) > 1:
+        raise ValueError(f"metrics must hold selection counts of one shape, got shapes {shapes}")
     counts = np.sum(recorded, axis=0, dtype=np.int64)
     low, high = counts.min(), counts.max()
     ratio = float(high) / float(low) if low > 0 else math.inf

@@ -35,6 +35,7 @@ from sparsevote.models import Dataset, mlp_grad, mlp_param_count, mlp_pass, part
 from sparsevote.rng import WorkerStreams, derive_rng, worker_rngs
 from sparsevote.simulator import (
     ExperimentConfig,
+    RoundMetrics,
     emit_results,
     emit_sweep,
     load_results,
@@ -223,6 +224,13 @@ def test_an_index_array_that_is_not_integers_is_refused_by_name(name, call, valu
     (lambda: sweep(ExperimentConfig("S3GD_MV", 2, 1), "gamma", 5), "values must be a list of numbers, got 5"),
     (lambda: sweep(ExperimentConfig("S3GD_MV", 2, 1), "gamma", [0.5], 3),
      "seeds must be a list of integers or None, got 3"),
+    (lambda: sweep(ExperimentConfig("S3GD_MV", 2, 1, n=4), "gamma", [None]), "values must be numbers, got None"),
+    (lambda: sweep(ExperimentConfig("S3GD_MV", 2, 1, n=4), "gamma", [[1]]), "values must be numbers, got [1]"),
+    (lambda: sweep(ExperimentConfig("S3GD_MV", 2, 1, n=4), "gamma", [0.5, "abc"]),
+     "values must be numbers, got 'abc'"),
+    (lambda: selection_histogram([RoundMetrics(0, "S3GD_MV", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, np.ones(2)),
+                                  RoundMetrics(1, "S3GD_MV", 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, 0.0, np.ones(3))]),
+     "metrics must hold selection counts of one shape, got shapes [(2,), (3,)]"),
 ])
 def test_each_case_that_was_wrong_is_refused_by_name(call, message):
     refused(lambda _: call(), None, re.escape(message))

@@ -606,6 +606,24 @@ def batches(draw):
     return dim, [_message(dim, c, rng) for c in counts]
 
 
+@st.composite
+def vote_windows(draw):
+    """(dim, rounds): 1 to 20 rounds over one dim, each M uploads and the
+    vote broadcast, any of which may be empty, as a window of vote rounds
+    sends them."""
+    dim = draw(st.integers(1, 64) | st.integers(1, 2**20) | st.integers(1, 2**63))
+    m = draw(st.integers(1, 6))
+    k = st.sampled_from([0, 1, dim] if dim <= 4096 else [0, 1]) | st.integers(0, min(dim, 50))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    rounds = draw(st.lists(st.lists(k, min_size=m + 1, max_size=m + 1), min_size=1, max_size=20))
+    return dim, [[_message(dim, c, rng) for c in counts] for counts in rounds]
+
+
+def _supports(msgs):
+    """(indices, counts) of messages held back to back."""
+    return np.concatenate([np.empty(0, np.int64), *(v.indices for v in msgs)]), [len(v) for v in msgs]
+
+
 class TestMessageBitLengths:
     @given(batches())
     @settings(max_examples=300, deadline=None)
@@ -640,6 +658,16 @@ class TestMessageBitLengths:
         support = np.flatnonzero(vote.ternary)
         assert message_bit_lengths(dim, support, [support.size]).tolist() == [
             encode_sparse_sign(vote.nonzero_message()).bit_len]
+
+    @given(vote_windows())
+    @settings(max_examples=200, deadline=None)
+    # A window of logistic_noniid_wire: 16 rounds of 10 uploads of 17 and a broadcast.
+    @example((170, [_batch(170, *[17] * 10, 60)[1] for _ in range(16)]))
+    @example((8, [_batch(8, 0, 0, 0)[1]] * 3))          # empty uploads and broadcasts
+    def test_one_call_over_a_window_is_a_call_a_round(self, case):
+        dim, rounds = case
+        window = message_bit_lengths(dim, *_supports([v for msgs in rounds for v in msgs]))
+        assert window.tolist() == [n for msgs in rounds for n in message_bit_lengths(dim, *_supports(msgs)).tolist()]
 
     @given(batches().filter(lambda case: case[0] <= 2**20))
     @settings(max_examples=100, deadline=None)

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from sparsevote.compression import (
     SignBatch,
     _error_feedback_rows,
+    _top_k_rows,
     SparseSignVector,
     ThresholdReport,
     error_feedback_step,
@@ -530,6 +531,24 @@ class TestSignBatch:
         expected = [SparseSignVector(dim, s[v != 0], np.sign(v[v != 0]).astype(np.int8))
                     for s, v in zip(supports, values)]
         assert SignBatch.quantize(dim, supports, values) == SignBatch.stack(expected, dim)
+
+    @given(worker_rows(), st.sampled_from(["topk", "randk"]), st.integers(0, 2**32 - 1))
+    @settings(max_examples=300, deadline=None)
+    def test_the_unchecked_batch_is_quantizes_batch(self, block, selector, seed):
+        """The engine's batch of a round, from top-K or random-K supports of
+        rows with exact zeros, has quantize's fields and dtypes."""
+        g, _, _, k = block
+        if selector == "topk":
+            _, columns, _ = _top_k_rows(np.abs(g), k)
+        else:
+            rng = np.random.default_rng(seed)
+            columns = np.array([rand_k_select(row, k, rng) for row in g]).reshape(len(g), k)
+        values = np.take_along_axis(g, columns, axis=1)
+        dim = g.shape[1]
+        ours, checked = SignBatch._unchecked(dim, columns, values), SignBatch.quantize(dim, columns, values)
+        for name in ("dim", "indices", "signs", "counts"):
+            a, b = getattr(ours, name), getattr(checked, name)
+            assert type(a) is type(b) and np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b)
 
     @pytest.mark.parametrize("value", SIGN_CASES)
     def test_quantize_takes_each_values_sign_with_no_warning(self, value):

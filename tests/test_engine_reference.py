@@ -9,6 +9,7 @@ except wall_ms, selection counts included.
 """
 
 import itertools
+import math
 import os
 import sys
 import threading
@@ -16,7 +17,7 @@ import threading
 import numpy as np
 import pytest
 
-from sparsevote import rng, simulator
+from sparsevote import compression, rng, simulator
 from sparsevote.aggregation import average_aggregate, majority_vote
 from sparsevote.codec import analytic_round_cost, decode_sparse_sign, encode_sparse_sign
 from sparsevote.compression import rand_k_sign, top_k_select, top_k_sign
@@ -529,12 +530,22 @@ def evaluation_threads(calls):
 def test_evaluation_windows_match_reference_loop(monkeypatch, make, window, cpus):
     cfg = make(algorithm="S3GD_MV", cost_mode="WIRE", t=12)
     expected = reference_run(cfg)
+    task = build(cfg)
+    round_of = iterate_rounds(monkeypatch, task)
     calls = windows(monkeypatch, cfg, window, cpus)
+    evaluate, seen = type(task).evaluate, []
+
+    def first_rounds(task, xs):
+        seen.append((round_of(xs[0]), len(xs)))
+        return evaluate(task, xs)
+
+    monkeypatch.setattr(type(task), "evaluate", first_rounds)
     before = threading.active_count()
     got = engine_run(cfg)
     assert threading.active_count() == before
-    # Each full window, then the last one's rest at the end of the run.
-    assert [size for _, size in calls] == [window] * (cfg.t // window) + [cfg.t % window] * (cfg.t % window > 0)
+    # Each full window, then the last one's rest at the end of the run, which
+    # the calling thread may evaluate while the thread ends the window before.
+    assert sorted(seen) == [(first, min(window, cfg.t - first)) for first in range(0, cfg.t, window)]
     beside = cpus > 1 and window > 1 and cfg.model["kind"] != "quadratic"
     assert len(evaluation_threads(calls)) == beside
     for ours, ref in zip(got, expected, strict=True):
@@ -659,6 +670,121 @@ def test_the_earliest_rounds_error_is_raised(monkeypatch, failing, window, cpus)
         assert str(info.value) == "stream broke"
     assert len(evaluation_threads(calls)) == (cpus > 1 and window > 1 and len(calls) > 0)
     assert threading.active_count() == before
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("failing", [(7, 10), (10, 11), (3, 7)])
+def test_the_last_windows_error_comes_after_the_one_before(monkeypatch, failing, cpus):
+    """Windows of 5 over 12 rounds: the thread evaluates rounds 5 to 9 while
+    the calling thread evaluates 10 and 11; the earlier failing round's error
+    is raised."""
+    cfg = logistic_noniid(algorithm="S3GD_MV", t=12)
+    round_of = iterate_rounds(monkeypatch, build(cfg))
+    windows(monkeypatch, cfg, 5, cpus)
+    evaluate = ClassificationTask.evaluate
+
+    def fail(task, xs):
+        failed = [t for t in map(round_of, xs) if t in failing]
+        if failed:
+            raise RuntimeError(f"evaluation of round {failed[0]}")
+        return evaluate(task, xs)
+
+    monkeypatch.setattr(ClassificationTask, "evaluate", fail)
+    assert raised(cfg) == (RuntimeError, f"evaluation of round {failing[0]}")
+
+
+def test_a_window_holds_at_most_the_budgets_upload_entries(monkeypatch):
+    """M * K = 64 uploads a round against 3N = 48 evaluation entries an
+    iterate: a window of 8 iterates would queue 512 upload entries, so the
+    uploads are checked once they hold the budget's 384."""
+    cfg = quadratic(algorithm="S3GD_MV", cost_mode="WIRE", m=16, t=40)
+    expected = reference_run(cfg)
+    windows(monkeypatch, cfg, 8, 1)
+    checked, check = [], compression._checked
+
+    def counting(dim, indices, signs, counts):
+        checked.append(np.size(indices))
+        return check(dim, indices, signs, counts)
+
+    monkeypatch.setattr(compression, "_checked", counting)
+    for ours, ref in zip(engine_run(cfg), expected, strict=True):
+        assert ours[:-1] == ref[:-1]
+        assert np.array_equal(ours[-1], ref[-1])
+    assert sum(checked) <= cfg.t * 64 and max(checked) < 384 + 64 and len(checked) >= math.ceil(cfg.t / 6)
+
+
+def bad_support(monkeypatch, kind, t_bad, t_nan=None):
+    """Worker 0's top-K support at round t_bad is broken: two indices swapped
+    ("descending"), its last index N ("out_of_range") or its first -1
+    ("negative"); with t_nan, its first sent value at round t_nan is NaN.
+    Returns a list that takes the error SignBatch.quantize raises on round
+    t_bad's rows, which the engine raised there when it checked each round."""
+    rows, rounds, expected = simulator._error_feedback_rows, itertools.count(), []
+
+    def broken(g, memory, eta, k):
+        t = next(rounds)  # one block of every worker a round
+        columns, sent = rows(g, memory, eta, k)
+        columns, sent = columns.copy(), sent.copy()
+        if t == t_bad:
+            if kind == "descending":
+                columns[0, :2] = columns[0, 1::-1]
+            elif kind == "out_of_range":
+                columns[0, -1] = g.shape[1]
+            else:
+                columns[0, 0] = -1
+            with pytest.raises(ValueError) as info:
+                simulator.SignBatch.quantize(g.shape[1], columns, sent)
+            expected.append((ValueError, str(info.value)))
+        if t == t_nan:
+            sent[0, 0] = np.nan
+        return columns, sent
+
+    monkeypatch.setattr(simulator, "_error_feedback_rows", broken)
+    return expected
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("nan", [False, True])
+@pytest.mark.parametrize("t_bad", [0, 3, 7, 9])
+@pytest.mark.parametrize("kind", ["descending", "out_of_range", "negative"])
+@pytest.mark.parametrize("make, window", [(logistic_noniid_wide, 8), (quadratic, 1)])
+def test_a_bad_support_raises_its_rounds_check_error(monkeypatch, make, window, kind, t_bad, nan, cpus):
+    """The vote reads a round's uploads before its window checks them: a
+    descending support passes the vote, one out of range gives it a longer
+    direction and a negative one makes bincount raise.  Each run raises the
+    check's error at that round, also when a NaN follows two rounds later."""
+    cfg = make(algorithm="S3GD_MV", cost_mode="WIRE", t=20)
+    calls = windows(monkeypatch, cfg, window, cpus)
+    assert cfg.m <= simulator._THREADED_MIN_DIM // build(cfg).dim
+    expected = bad_support(monkeypatch, kind, t_bad, t_bad + 2 if nan else None)
+    before = threading.active_count()
+    assert [raised(cfg)] == expected
+    assert expected[0][1].startswith("indices must be strictly increasing" if kind == "descending"
+                                     else f"indices out of range for dim={build(cfg).dim}")
+    assert threading.active_count() == before
+    assert len(evaluation_threads(calls)) <= (cpus > 1 and window > 1)
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+@pytest.mark.parametrize("t_bad", [4, 5])
+@pytest.mark.parametrize("kind", ["descending", "negative"])
+def test_a_rounds_evaluation_error_comes_before_its_check_error(monkeypatch, kind, t_bad, cpus):
+    """Round 5's evaluation raises: a bad support at round 5 raises after it,
+    one at round 4 before it."""
+    cfg = logistic_noniid_wide(algorithm="S3GD_MV", cost_mode="WIRE", t=20)
+    round_of = iterate_rounds(monkeypatch, build(cfg))
+    windows(monkeypatch, cfg, 8, cpus)
+    evaluate = ClassificationTask.evaluate
+
+    def fail(task, xs):
+        if 5 in map(round_of, xs):
+            raise RuntimeError("evaluation of round 5")
+        return evaluate(task, xs)
+
+    monkeypatch.setattr(ClassificationTask, "evaluate", fail)
+    expected = bad_support(monkeypatch, kind, t_bad)
+    got = raised(cfg)
+    assert got == ((RuntimeError, "evaluation of round 5") if t_bad == 5 else expected[0])
 
 
 def diverging(**overrides):

@@ -278,21 +278,34 @@ class TestCostAccounting:
 
     @pytest.mark.parametrize("name", ["quadratic_s3gd", "logistic_noniid"])
     def test_a_wire_round_checks_its_batch_once(self, name, monkeypatch):
-        # The uploads are checked when the worker phase's batch is built;
-        # their wire lengths and the vote's are read from that batch and the
-        # vote's dense signs, with no second batch or message to check.
+        # A round's uploads are checked with the rest of its window's, in one
+        # batch; their wire lengths and the vote's are read from the rounds'
+        # batches and the vote's dense signs, with no second batch or
+        # message to check.  At t = 37 the logistic config's windows of 16
+        # rounds are two full ones and a part-full one.
         calls = []
         check = compression._checked
 
         def counting(*args):
-            calls.append(args[0])
+            calls.append(np.size(args[1]))
             return check(*args)
 
+        built = []
+        quantize = compression._sign_rows
+
+        def entries(supports, values):
+            rows = quantize(supports, values)
+            built.append(rows[0].size)
+            return rows
+
         monkeypatch.setattr(compression, "_checked", counting)
-        cfg = replace(ExperimentConfig.from_json(CONFIGS / f"{name}.json"), cost_mode="WIRE", t=5)
+        monkeypatch.setattr(compression, "_sign_rows", entries)
+        cfg = replace(ExperimentConfig.from_json(CONFIGS / f"{name}.json"), cost_mode="WIRE", t=37)
         assert cfg.algorithm == "S3GD_MV"
+        window = max(1, simulator._EVALUATION_BUDGET // simulator._build_task(cfg).evaluation_entries)
         run_experiment(cfg)
-        assert len(calls) == cfg.t
+        assert len(calls) == math.ceil(cfg.t / window)
+        assert len(built) == cfg.t and sum(calls) == sum(built)
 
     def test_cumulative_is_running_sum(self):
         metrics = run_experiment(quad_cfg(t=10))
