@@ -11,9 +11,10 @@ Top-K selection is one exact routine over a block of rows of |u|: one
 magnitude go to lower indices.  The error feedback step runs it in place on
 workers' memory rows.  SignBatch.quantize builds a batch from the (M, K)
 rows of selected coordinates and values, and checks it; the simulator
-builds each round's uploads by the same sign pass unchecked, for its vote,
-and checks a window of rounds' uploads at once.  A one-message operator
-quantizes its support as one such row.
+builds each round's uploads by the same sign pass unchecked, as the
+supports it takes from this routine and from rand_k_select are ascending
+and in range by construction.  A one-message operator quantizes its
+support as one such row.
 
 Scalar arguments (dim, k, eta) and the index range go through _checks, the
 package's one set of argument checks.  A sign must equal -1 or +1 before
@@ -171,7 +172,8 @@ class SignBatch:
     @classmethod
     def _unchecked(cls, dim: int, supports: np.ndarray, values: np.ndarray) -> "SignBatch":
         """quantize without its checks but the NaN refusal, for (M, K) int64
-        and float64 rows of one shape; the caller must check the batch."""
+        and float64 rows of one shape whose supports are each ascending and
+        in [0, dim), as the engine's top-K and random-K selections are."""
         batch = object.__new__(cls)
         for name, value in zip(("dim", "indices", "signs", "counts"), (dim, *_sign_rows(supports, values))):
             object.__setattr__(batch, name, value)

@@ -36,17 +36,17 @@ large N, where a block is one worker, it deals the blocks round-robin to
 min(usable CPUs, M) threads, and the server step then runs in worker order,
 so results do not depend on the thread count.
 
-No iterate depends on a round's evaluation, the check of its uploads or
-its WIRE charge, so these run once a window of rounds.  The task's evaluate
-takes a window of pre-update iterates at a time, a classifier's on a thread
-of its own beside the rounds where there are two usable CPUs and a window
-holds more than one iterate, and each row has the bits of its iterate's
-evaluation alone.  A vote round builds its SignBatch unchecked for the
-vote; the window's uploads are checked as one SignBatch, one
-message_bit_lengths call measures them and the vote broadcasts, and the
-ledger records the rounds in order.  A round's evaluation comes before the
-check of its uploads and that before the rest of its step, so a failing run
-raises the earliest round's error, from any of them.
+No iterate depends on a round's evaluation or its WIRE charge, so these
+run once a window of rounds.  The task's evaluate takes a window of
+pre-update iterates at a time, a classifier's on a thread of its own beside
+the rounds where there are two usable CPUs and a window holds more than one
+iterate, and each row has the bits of its iterate's evaluation alone.  A
+vote round builds its SignBatch unchecked from the supports the engine
+selected, ascending and in range by construction, and refuses a NaN value.
+In WIRE mode one message_bit_lengths call measures a window's uploads and
+vote broadcasts, and the ledger records the rounds in order.  A round's
+evaluation comes before its step, so a failing run raises the earliest
+round's error, from either.
 """
 
 from __future__ import annotations
@@ -181,7 +181,7 @@ class RoundMetrics:
 
     wall_ms is the round's own time: from its stream derivation to its
     update, without the evaluation, which runs beside the rounds, or the
-    check and the WIRE charge of its uploads, which run once a window.
+    WIRE charge of its uploads, which runs once a window.
     """
 
     round: int
@@ -569,38 +569,25 @@ def _worker_phase(pool, threads, rule, grads, memory, eta, k, rngs, dim):
 # 50.4 (the calibration read 350-550 in these runs).  Memory grows with the
 # window, and 16 keeps it within 3% of inline.  The quadratic's entries are
 # 3N, so its window stays 1 at N = 1e5 while this is below 600000.  The
-# uploads a window's rounds queue for their check are capped at as many
-# entries: at small N a quadratic's window spans thousands of rounds.
+# uploads a WIRE window's rounds queue for their charge are capped at as
+# many entries: at small N a quadratic's window spans thousands of rounds.
 _EVALUATION_BUDGET = 320_000
 
 
-def _evaluate(task, xs) -> tuple[list[tuple], Exception | None]:
-    """(task.evaluate(xs), None), or where that raises, the rows of the
-    iterates before the first whose evaluation raises on its own, and its
-    error."""
+def _evaluate(task, xs) -> list[tuple]:
+    """task.evaluate(xs), or where that raises, the rows of one iterate at a
+    time, so the first iterate whose evaluation raises on its own raises."""
     try:
-        return task.evaluate(xs), None
-    except Exception as err:
+        return task.evaluate(xs)
+    except Exception:
         if len(xs) == 1:
-            return [], err
-    rows = []
-    for x in xs:
-        try:
-            rows += task.evaluate(x[None])
-        except Exception as err:
-            return rows, err
-    return rows, None
-
-
-# A failed run raises the error of its earliest round, and within a round
-# that of the first of these.
-_EVALUATION, _CHECK, _STEP = range(3)
+            raise
+    return [row for x in xs for row in task.evaluate(x[None])]
 
 
 class _Deferred:
     """The work of a run that no iterate depends on, a window of rounds at a
-    time: the evaluations of the pre-update iterates, and the checks and
-    charges of the rounds' uploads.
+    time: the evaluations of the pre-update iterates, and the rounds' charges.
 
     The evaluations run on the calling thread, or with thread a one-thread
     pool, each full window on that thread while the rounds go on, in a copy
@@ -608,49 +595,40 @@ class _Deferred:
     shares are); a part-full last window runs on the calling thread while
     the thread finishes the window before it.
 
-    A vote round queues its uploads, a SignBatch built unchecked, before the
-    vote reads them.  Once window rounds have ended, or the queued uploads
-    hold _EVALUATION_BUDGET entries, they are checked as one SignBatch, so
-    _checked reads every entry; in WIRE mode one message_bit_lengths call
-    measures each round's M uploads and its vote broadcast; and the ledger
-    records the rounds in round order.
+    Once window rounds have ended, or their uploads hold _EVALUATION_BUDGET
+    entries, the rounds are charged: in WIRE mode, where each round passes
+    its uploads and vote direction, one message_bit_lengths call measures
+    each round's M uploads and its vote broadcast; and the ledger records
+    the rounds in round order.
 
-    As a context manager it orders a failed run's errors as a loop without
-    windows raises them: by round, and within a round the evaluation, then
-    the uploads' check, then the rest of the step.  If the rounds raise, the
-    queued uploads are checked and the queued iterates evaluated first, and
-    the earliest of these errors is raised, once.
+    As a context manager it raises a failed run's error as a loop without
+    windows raises it: if the rounds raise, the queued and pending iterates
+    are evaluated first, and an evaluation's error, whose round is at most
+    the failing round, is raised in its place.
     """
 
-    def __init__(self, task, window: int, thread, dim: int, wire: bool, analytic: tuple, ledger: CommLedger):
+    def __init__(self, task, window: int, thread, dim: int, analytic: tuple, ledger: CommLedger):
         self._task, self._window, self._thread = task, window, thread
-        self._dim, self._wire, self._analytic, self._ledger = dim, wire, analytic, ledger
-        self._round = -1  # the round in progress
+        self._dim, self._analytic, self._ledger = dim, analytic, ledger
         self._iterates: list[np.ndarray] = []
-        self._pending = None  # (first round, future) of the window on the thread
+        self._pending = None  # the future of the window on the thread
         self._rows: list[tuple] = []
-        self._batches: list[SignBatch] = []  # a batch a queued round, or none
         self._entries = 0
-        self._ended: list[tuple] = []  # (direction, wall_ms, counts) of each queued round
+        self._ended: list[tuple] = []  # (wall_ms, counts, uploads, direction) of each queued round
         # (uplink, downlink, cumulative bits, wall_ms, counts) of each charged round.
         self.rounds: list[tuple] = []
-        self._failures: list[tuple] = []  # (round, phase, error)
 
     def add_iterate(self, x: np.ndarray) -> None:
         """Start the next round at iterate x, which must not change afterwards."""
-        self._round += 1
         self._iterates.append(x)
         if len(self._iterates) == self._window:
             self._hand_off()
 
-    def add_uploads(self, batch: SignBatch) -> None:
-        """Queue the round's uploads, before anything reads them."""
-        self._batches.append(batch)
-        self._entries += batch.indices.size
-
-    def end_round(self, direction: np.ndarray | None, wall_ms: float, counts) -> None:
-        """End the round, with its vote direction in WIRE mode (else None)."""
-        self._ended.append((direction, wall_ms, counts))
+    def end_round(self, wall_ms: float, counts, uploads: SignBatch | None = None, direction=None) -> None:
+        """End the round, in WIRE mode with its uploads and vote direction."""
+        self._ended.append((wall_ms, counts, uploads, direction))
+        if uploads is not None:
+            self._entries += uploads.indices.size
         if len(self._ended) == self._window or self._entries >= _EVALUATION_BUDGET:
             self._close()
 
@@ -660,87 +638,54 @@ class _Deferred:
         self._evaluate_rest()
         return self._rows
 
-    def _fail(self, t: int, phase: int, error: Exception):
-        self._failures.append((t, phase, error))
-        raise error
-
-    def _note(self, error: Exception) -> None:
-        """Record an error that no window raised: the step's of the round in progress."""
-        if not any(error is failed for *_, failed in self._failures):
-            self._failures.append((self._round, _STEP, error))
-
-    def _stacked(self) -> tuple[int, np.ndarray]:
-        """The first round and the stack of the queued iterates, which it takes."""
+    def _stacked(self) -> np.ndarray:
+        """The stack of the queued iterates, which it takes."""
         iterates, self._iterates = self._iterates, []
         # One iterate is a view: at large N a copy a round costs its pages.
-        return self._round + 1 - len(iterates), iterates[0][None] if len(iterates) == 1 else np.stack(iterates)
+        return iterates[0][None] if len(iterates) == 1 else np.stack(iterates)
 
     def _hand_off(self) -> None:
-        first, xs = self._stacked()
+        xs = self._stacked()
         if self._thread is None:
-            self._take(first, _evaluate(self._task, xs))
+            self._rows += _evaluate(self._task, xs)
         else:
             self._collect()
-            self._pending = first, self._thread.submit(contextvars.copy_context().run, _evaluate, self._task, xs)
-
-    def _take(self, first: int, outcome: tuple) -> None:
-        rows, error = outcome
-        self._rows += rows
-        if error is not None:
-            self._fail(first + len(rows), _EVALUATION, error)
+            self._pending = self._thread.submit(contextvars.copy_context().run, _evaluate, self._task, xs)
 
     def _collect(self) -> None:
         pending, self._pending = self._pending, None
         if pending is not None:
-            first, future = pending
-            self._take(first, future.result())
+            self._rows += pending.result()
 
     def _evaluate_rest(self) -> None:
         """Evaluate the queued iterates, here if the thread is busy, and collect its window."""
         if self._iterates and self._pending is not None:
-            first, xs = self._stacked()
-            rest = _evaluate(self._task, xs)
+            xs = self._stacked()
+            try:
+                rest = _evaluate(self._task, xs)
+            except Exception as err:
+                rest = err
             self._collect()  # the earlier window's error comes first
-            self._take(first, rest)
+            if isinstance(rest, Exception):
+                raise rest
+            self._rows += rest
         elif self._iterates:
             self._hand_off()
         self._collect()
 
-    def _check(self) -> list[SignBatch]:
-        """The queued uploads, which it takes, checked as one SignBatch, or
-        where that fails, the error of the first round whose batch fails on
-        its own."""
-        batches, self._batches, self._entries = self._batches, [], 0
-        if not batches:
-            return batches
-        fields = [(batch.indices, batch.signs, batch.counts) for batch in batches]
-        try:
-            # One round's batch is checked as it is, with no copy.
-            SignBatch(self._dim, *(fields[0] if len(fields) == 1 else map(np.concatenate, zip(*fields))))
-            return batches
-        except Exception as err:
-            failed = err
-        for t, batch in enumerate(fields, len(self.rounds)):
-            try:
-                SignBatch(self._dim, *batch)
-            except Exception as err:
-                self._fail(t, _CHECK, err)
-        raise failed
-
     def _close(self) -> None:
-        batches = self._check()
-        ended, self._ended = self._ended, []
+        ended, self._ended, self._entries = self._ended, [], 0
         charges = [self._analytic] * len(ended)
-        if self._wire and ended:
+        if ended and ended[0][2] is not None:  # WIRE rounds pass their uploads
             # The bit_len of each stream the codec would write, each round's
             # M uploads then its vote broadcast to each worker; none is built.
-            rounds = [(batch, np.flatnonzero(direction)) for batch, (direction, *_) in zip(batches, ended)]
-            indices = np.concatenate([part for batch, sent in rounds for part in (batch.indices, sent)])
-            counts = np.concatenate([part for batch, sent in rounds for part in (batch.counts, [sent.size])])
+            rounds = [(uploads, np.flatnonzero(direction)) for *_, uploads, direction in ended]
+            indices = np.concatenate([part for uploads, sent in rounds for part in (uploads.indices, sent)])
+            counts = np.concatenate([part for uploads, sent in rounds for part in (uploads.counts, [sent.size])])
             lengths = message_bit_lengths(self._dim, indices, counts).reshape(len(ended), -1)
             m = lengths.shape[1] - 1
             charges = zip(lengths[:, :m].sum(axis=1).tolist(), (m * lengths[:, m]).tolist())
-        for t, ((up, down), (_, wall_ms, counts)) in enumerate(zip(charges, ended), len(self.rounds)):
+        for t, ((up, down), (wall_ms, counts, *_)) in enumerate(zip(charges, ended), len(self.rounds)):
             up, down = float(up), float(down)
             self._ledger.record(t, up, down)
             self.rounds.append((up, down, self._ledger.cumulative_bits, wall_ms, counts))
@@ -749,17 +694,13 @@ class _Deferred:
         return self
 
     def __exit__(self, kind, error, traceback) -> None:
-        if not isinstance(error, Exception):
-            return
-        self._note(error)
-        for settle in (self._check, self._evaluate_rest):
+        # An evaluation's own error leaves nothing queued or pending, so it
+        # propagates as it is.
+        if isinstance(error, Exception):
             try:
-                settle()
+                self._evaluate_rest()
             except Exception as err:
-                self._note(err)
-        earliest = min(self._failures, key=lambda failure: failure[:2])[2]
-        if earliest is not error:
-            raise earliest from None
+                raise err from None
 
 
 def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
@@ -813,7 +754,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
     with (
         ThreadPoolExecutor(threads - 1) if threads > 1 else contextlib.nullcontext() as pool,
         ThreadPoolExecutor(1) if beside else contextlib.nullcontext() as thread,
-        _Deferred(task, window, thread, dim, wire, analytic, CommLedger(cfg.algorithm)) as deferred,
+        _Deferred(task, window, thread, dim, analytic, CommLedger(cfg.algorithm)) as deferred,
     ):
         for t in range(cfg.t):
             # update_model gives each iterate a fresh array.
@@ -838,9 +779,7 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
                     # Dense sign rows, which the vote sums with no index list.
                     messages = np.sign(sent, out=np.empty(sent.shape, dtype=np.int8), casting="unsafe")
                 else:
-                    # Queued before the vote reads it: the window checks it.
                     messages = SignBatch._unchecked(dim, columns, sent)
-                    deferred.add_uploads(messages)
                 del columns, sent  # in the messages now; not kept into the next round
                 vote = majority_vote(messages, dim)
                 direction = vote.ternary
@@ -852,8 +791,9 @@ def run_experiment(cfg: ExperimentConfig) -> list[RoundMetrics]:
             if not np.all(np.isfinite(x)):
                 raise FloatingPointError(f"non-finite parameters after round {t}")
 
-            deferred.end_round(direction if wire else None, (time.perf_counter() - started) * 1e3,
-                               None if counts is None else counts.astype(count_dtype))
+            deferred.end_round((time.perf_counter() - started) * 1e3,
+                               None if counts is None else counts.astype(count_dtype),
+                               *((messages, direction) if wire else ()))
         evaluated = deferred.finish()
     return [
         RoundMetrics(round=t, algorithm=cfg.algorithm, train_loss=train_loss, test_metric=test_metric,

@@ -2,16 +2,18 @@
 
 import math
 import warnings
+from unittest import mock
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from sparsevote import simulator
+from sparsevote.codec import ALGORITHMS
 from sparsevote.compression import (
     SignBatch,
     _error_feedback_rows,
-    _top_k_rows,
     SparseSignVector,
     ThresholdReport,
     error_feedback_step,
@@ -475,6 +477,15 @@ class TestSparseSignVector:
 SIGN_CASES = [-2.5, 0.0, 1.0, -0.0, 5e-324, -5e-324, math.inf, -math.inf]
 
 
+def assert_quantizes_batch(dim, columns, values):
+    """SignBatch._unchecked on (M, K) rows gives SignBatch.quantize's batch,
+    field by field, with its types and dtypes."""
+    ours, checked = SignBatch._unchecked(dim, columns, values), SignBatch.quantize(dim, columns, values)
+    for name in ("dim", "indices", "signs", "counts"):
+        a, b = getattr(ours, name), getattr(checked, name)
+        assert type(a) is type(b) and np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b)
+
+
 @st.composite
 def selections(draw):
     """(dim, supports, values) of up to 5 workers as (M, K) rows, with exact
@@ -532,23 +543,37 @@ class TestSignBatch:
                     for s, v in zip(supports, values)]
         assert SignBatch.quantize(dim, supports, values) == SignBatch.stack(expected, dim)
 
+    # No check reads the engine's batches: these two properties are what
+    # keeps their layout right.
     @given(worker_rows(), st.sampled_from(["topk", "randk"]), st.integers(0, 2**32 - 1))
     @settings(max_examples=300, deadline=None)
     def test_the_unchecked_batch_is_quantizes_batch(self, block, selector, seed):
-        """The engine's batch of a round, from top-K or random-K supports of
-        rows with exact zeros, has quantize's fields and dtypes."""
-        g, _, _, k = block
+        """The engine's batch of a round, from the supports and values that
+        _error_feedback_rows (with memory, at eta 1 and not 1) or
+        rand_k_select give on rows with exact zeros and ties at the K-th
+        magnitude, has quantize's fields and dtypes."""
+        g, memory, eta, k = block
         if selector == "topk":
-            _, columns, _ = _top_k_rows(np.abs(g), k)
+            columns, values = _error_feedback_rows(g, memory, eta, k)
         else:
             rng = np.random.default_rng(seed)
             columns = np.array([rand_k_select(row, k, rng) for row in g]).reshape(len(g), k)
-        values = np.take_along_axis(g, columns, axis=1)
-        dim = g.shape[1]
-        ours, checked = SignBatch._unchecked(dim, columns, values), SignBatch.quantize(dim, columns, values)
-        for name in ("dim", "indices", "signs", "counts"):
-            a, b = getattr(ours, name), getattr(checked, name)
-            assert type(a) is type(b) and np.asarray(a).dtype == np.asarray(b).dtype and np.array_equal(a, b)
+            values = np.take_along_axis(g, columns, axis=1)
+        assert_quantizes_batch(g.shape[1], columns, values)
+
+    @given(worker_rows(), st.sampled_from(["S3GD_MV", "S3GD_MV_RANDK"]), st.booleans(),
+           st.integers(0, 2**32 - 1))
+    @settings(max_examples=200, deadline=None)
+    def test_the_worker_phases_batch_is_quantizes_batch(self, block, algorithm, one_row_blocks, seed):
+        """As above, through the engine's worker phase on one thread, as one
+        block of all the workers or as one-row blocks."""
+        g, memory, eta, k = block
+        rngs = [np.random.default_rng([seed, m]) for m in range(len(g))]
+        size = 1 if one_row_blocks else simulator._THREADED_MIN_DIM
+        with mock.patch.object(simulator, "_THREADED_MIN_DIM", size):
+            columns, sent = simulator._worker_phase(None, 1, ALGORITHMS[algorithm], g, memory, eta, k,
+                                                    rngs, g.shape[1])
+        assert_quantizes_batch(g.shape[1], columns, sent)
 
     @pytest.mark.parametrize("value", SIGN_CASES)
     def test_quantize_takes_each_values_sign_with_no_warning(self, value):

@@ -475,7 +475,8 @@ def test_full_rows_build_no_columns_or_batch(monkeypatch, alg):
 
     cfg = quadratic_wide_batch(algorithm=alg)
     expected = reference_run(cfg)
-    monkeypatch.setattr(simulator.SignBatch, "quantize", refuse)
+    # The one sign pass of SignBatch.quantize and of the engine's unchecked batch.
+    monkeypatch.setattr(compression, "_sign_rows", refuse)
     monkeypatch.setattr(simulator, "participation_count", refuse)
     for ours, ref in zip(engine_run(cfg), expected, strict=True):
         assert ours[:-1] == ref[:-1]
@@ -696,95 +697,114 @@ def test_the_last_windows_error_comes_after_the_one_before(monkeypatch, failing,
 def test_a_window_holds_at_most_the_budgets_upload_entries(monkeypatch):
     """M * K = 64 uploads a round against 3N = 48 evaluation entries an
     iterate: a window of 8 iterates would queue 512 upload entries, so the
-    uploads are checked once they hold the budget's 384."""
+    uploads are charged once they hold the budget's 384."""
     cfg = quadratic(algorithm="S3GD_MV", cost_mode="WIRE", m=16, t=40)
     expected = reference_run(cfg)
     windows(monkeypatch, cfg, 8, 1)
-    checked, check = [], compression._checked
+    charged, lengths = [], simulator.message_bit_lengths
 
-    def counting(dim, indices, signs, counts):
-        checked.append(np.size(indices))
-        return check(dim, indices, signs, counts)
+    def counting(dim, indices, counts):
+        # Each round's M upload counts, then its broadcast's.
+        charged.append(int(np.reshape(counts, (-1, cfg.m + 1))[:, :cfg.m].sum()))
+        return lengths(dim, indices, counts)
 
-    monkeypatch.setattr(compression, "_checked", counting)
+    monkeypatch.setattr(simulator, "message_bit_lengths", counting)
     for ours, ref in zip(engine_run(cfg), expected, strict=True):
         assert ours[:-1] == ref[:-1]
         assert np.array_equal(ours[-1], ref[-1])
-    assert sum(checked) <= cfg.t * 64 and max(checked) < 384 + 64 and len(checked) >= math.ceil(cfg.t / 6)
+    assert sum(charged) <= cfg.t * 64 and max(charged) < 384 + 64 and len(charged) >= math.ceil(cfg.t / 6)
 
 
-def bad_support(monkeypatch, kind, t_bad, t_nan=None):
+def broken_support(monkeypatch, kind, t_bad):
     """Worker 0's top-K support at round t_bad is broken: two indices swapped
-    ("descending"), its last index N ("out_of_range") or its first -1
-    ("negative"); with t_nan, its first sent value at round t_nan is NaN.
-    Returns a list that takes the error SignBatch.quantize raises on round
-    t_bad's rows, which the engine raised there when it checked each round."""
-    rows, rounds, expected = simulator._error_feedback_rows, itertools.count(), []
+    with their values ("descending"), its last index N ("out_of_range") or
+    its first -1 ("negative").  Returns a list of the rounds of the _error_feedback_rows
+    calls."""
+    rows, rounds = simulator._error_feedback_rows, []
 
     def broken(g, memory, eta, k):
-        t = next(rounds)  # one block of every worker a round
+        rounds.append(len(rounds))  # one block of every worker a round
         columns, sent = rows(g, memory, eta, k)
-        columns, sent = columns.copy(), sent.copy()
-        if t == t_bad:
+        if rounds[-1] == t_bad:
+            columns, sent = columns.copy(), sent.copy()
             if kind == "descending":
-                columns[0, :2] = columns[0, 1::-1]
+                columns[0, :2], sent[0, :2] = columns[0, 1::-1], sent[0, 1::-1]
             elif kind == "out_of_range":
                 columns[0, -1] = g.shape[1]
             else:
                 columns[0, 0] = -1
-            with pytest.raises(ValueError) as info:
-                simulator.SignBatch.quantize(g.shape[1], columns, sent)
-            expected.append((ValueError, str(info.value)))
-        if t == t_nan:
-            sent[0, 0] = np.nan
         return columns, sent
 
     monkeypatch.setattr(simulator, "_error_feedback_rows", broken)
-    return expected
+    return rounds
 
 
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("nan", [False, True])
+@pytest.mark.parametrize("cost_mode", ["ANALYTIC", "WIRE"])
 @pytest.mark.parametrize("t_bad", [0, 3, 7, 9])
 @pytest.mark.parametrize("kind", ["descending", "out_of_range", "negative"])
 @pytest.mark.parametrize("make, window", [(logistic_noniid_wide, 8), (quadratic, 1)])
-def test_a_bad_support_raises_its_rounds_check_error(monkeypatch, make, window, kind, t_bad, nan, cpus):
-    """The vote reads a round's uploads before its window checks them: a
-    descending support passes the vote, one out of range gives it a longer
-    direction and a negative one makes bincount raise.  Each run raises the
-    check's error at that round, also when a NaN follows two rounds later."""
-    cfg = make(algorithm="S3GD_MV", cost_mode="WIRE", t=20)
+def test_only_the_vote_and_the_wire_lengths_read_a_support(monkeypatch, make, window, kind, t_bad, cost_mode, cpus):
+    """No check reads the engine's own uploads, so a support broken by a
+    patch meets only what uses it.  The vote reads it as a set of
+    coordinates: one out of range gives a longer direction and a negative
+    one makes bincount raise, so the round fails, while a descending one
+    votes as its sorted support.  In WIRE mode message_bit_lengths refuses
+    that one when its window is charged, and no later window runs."""
+    cfg = make(algorithm="S3GD_MV", cost_mode=cost_mode, t=20)
+    expected = reference_run(cfg)
     calls = windows(monkeypatch, cfg, window, cpus)
     assert cfg.m <= simulator._THREADED_MIN_DIM // build(cfg).dim
-    expected = bad_support(monkeypatch, kind, t_bad, t_bad + 2 if nan else None)
+    rounds = broken_support(monkeypatch, kind, t_bad)
     before = threading.active_count()
-    assert [raised(cfg)] == expected
-    assert expected[0][1].startswith("indices must be strictly increasing" if kind == "descending"
-                                     else f"indices out of range for dim={build(cfg).dim}")
+    if kind != "descending":
+        assert raised(cfg)[0] is ValueError
+        assert rounds == list(range(t_bad + 1))
+    elif cost_mode == "WIRE":
+        assert raised(cfg) == (ValueError, "indices must be strictly increasing within each message")
+        assert rounds == list(range((t_bad // window + 1) * window))
+    else:
+        for ours, ref in zip(engine_run(cfg), expected, strict=True):
+            assert ours[:-1] == ref[:-1]
+            assert np.array_equal(ours[-1], ref[-1])
+        assert rounds == list(range(cfg.t))
     assert threading.active_count() == before
     assert len(evaluation_threads(calls)) <= (cpus > 1 and window > 1)
 
 
+def nan_sent(monkeypatch, m_workers, t_nan):
+    """Worker 0's gradient at round t_nan holds a NaN on the first coordinate
+    that random-K selects for it; returns a list of the rounds of the
+    rand_k_select calls."""
+    select, rounds = simulator.rand_k_select, []
+
+    def selecting(row, k, rng):
+        rounds.append(len(rounds) // m_workers)  # one block of every worker a round
+        support = select(row, k, rng)
+        if len(rounds) == t_nan * m_workers + 1:
+            row[support[0]] = np.nan  # row is the gradient's, which the upload reads
+        return support
+
+    monkeypatch.setattr(simulator, "rand_k_select", selecting)
+    return rounds
+
+
 @pytest.mark.parametrize("cpus", [1, 2])
-@pytest.mark.parametrize("t_bad", [4, 5])
-@pytest.mark.parametrize("kind", ["descending", "negative"])
-def test_a_rounds_evaluation_error_comes_before_its_check_error(monkeypatch, kind, t_bad, cpus):
-    """Round 5's evaluation raises: a bad support at round 5 raises after it,
-    one at round 4 before it."""
-    cfg = logistic_noniid_wide(algorithm="S3GD_MV", cost_mode="WIRE", t=20)
-    round_of = iterate_rounds(monkeypatch, build(cfg))
-    windows(monkeypatch, cfg, 8, cpus)
-    evaluate = ClassificationTask.evaluate
-
-    def fail(task, xs):
-        if 5 in map(round_of, xs):
-            raise RuntimeError("evaluation of round 5")
-        return evaluate(task, xs)
-
-    monkeypatch.setattr(ClassificationTask, "evaluate", fail)
-    expected = bad_support(monkeypatch, kind, t_bad)
-    got = raised(cfg)
-    assert got == ((RuntimeError, "evaluation of round 5") if t_bad == 5 else expected[0])
+@pytest.mark.parametrize("window", [1, 8])
+@pytest.mark.parametrize("t_nan", [0, 3, 9])
+@pytest.mark.parametrize("cost_mode", ["ANALYTIC", "WIRE"])
+def test_a_sent_nan_raises_at_its_round(monkeypatch, cost_mode, t_nan, window, cpus):
+    """A NaN that random-K sends has no sign: the round that sends it raises
+    the sign pass's refusal, and no later round runs."""
+    cfg = logistic_noniid_wide(algorithm="S3GD_MV_RANDK", cost_mode=cost_mode, t=20)
+    calls = windows(monkeypatch, cfg, window, cpus)
+    assert cfg.m <= simulator._THREADED_MIN_DIM // build(cfg).dim
+    rounds = nan_sent(monkeypatch, cfg.m, t_nan)
+    before = threading.active_count()
+    assert raised(cfg) == (ValueError, "values must not hold NaN, which has no sign")
+    assert rounds == [t for t in range(t_nan + 1) for _ in range(cfg.m)]
+    assert threading.active_count() == before
+    assert len(evaluation_threads(calls)) <= (cpus > 1 and window > 1)
 
 
 def diverging(**overrides):

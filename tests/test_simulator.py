@@ -276,19 +276,17 @@ class TestCostAccounting:
         run_experiment(cfg)
         assert built.count(SparseSignVector) == 0
 
+    @pytest.mark.parametrize("cost_mode", ["ANALYTIC", "WIRE"])
     @pytest.mark.parametrize("name", ["quadratic_s3gd", "logistic_noniid"])
-    def test_a_wire_round_checks_its_batch_once(self, name, monkeypatch):
-        # A round's uploads are checked with the rest of its window's, in one
-        # batch; their wire lengths and the vote's are read from the rounds'
-        # batches and the vote's dense signs, with no second batch or
-        # message to check.  At t = 37 the logistic config's windows of 16
-        # rounds are two full ones and a part-full one.
-        calls = []
-        check = compression._checked
-
-        def counting(*args):
-            calls.append(np.size(args[1]))
-            return check(*args)
+    def test_a_round_signs_its_batch_with_no_check(self, name, cost_mode, monkeypatch):
+        # Each round signs its uploads in one batch, which no check reads
+        # again: the engine's supports are ascending and in range by
+        # construction.  In WIRE mode one message_bit_lengths call a window
+        # measures the rounds' batches and the votes' dense signs.  At t = 37
+        # the logistic config's windows of 16 rounds are two full ones and a
+        # part-full one.
+        def refuse(*args):
+            raise AssertionError("an engine-built batch was checked")
 
         built = []
         quantize = compression._sign_rows
@@ -298,14 +296,32 @@ class TestCostAccounting:
             built.append(rows[0].size)
             return rows
 
-        monkeypatch.setattr(compression, "_checked", counting)
+        charged, broadcast = [], []
+        lengths, vote = simulator.message_bit_lengths, simulator.majority_vote
+
+        def charging(dim, indices, counts):
+            charged.append(np.size(indices))
+            return lengths(dim, indices, counts)
+
+        def voting(messages, dim):
+            result = vote(messages, dim)
+            broadcast.append(np.count_nonzero(result.ternary))
+            return result
+
+        monkeypatch.setattr(compression, "_checked", refuse)
         monkeypatch.setattr(compression, "_sign_rows", entries)
-        cfg = replace(ExperimentConfig.from_json(CONFIGS / f"{name}.json"), cost_mode="WIRE", t=37)
+        monkeypatch.setattr(simulator, "message_bit_lengths", charging)
+        monkeypatch.setattr(simulator, "majority_vote", voting)
+        cfg = replace(ExperimentConfig.from_json(CONFIGS / f"{name}.json"), cost_mode=cost_mode, t=37)
         assert cfg.algorithm == "S3GD_MV"
         window = max(1, simulator._EVALUATION_BUDGET // simulator._build_task(cfg).evaluation_entries)
         run_experiment(cfg)
-        assert len(calls) == math.ceil(cfg.t / window)
-        assert len(built) == cfg.t and sum(calls) == sum(built)
+        assert len(built) == cfg.t
+        if cost_mode == "WIRE":
+            assert len(charged) == math.ceil(cfg.t / window)
+            assert sum(charged) == sum(built) + sum(broadcast)
+        else:
+            assert charged == []
 
     def test_cumulative_is_running_sum(self):
         metrics = run_experiment(quad_cfg(t=10))
